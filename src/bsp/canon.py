@@ -145,10 +145,6 @@ def canonical_key(mat: ProductMatrix, include_transpose: bool = False) -> bytes:
     return min(a, b)
 
 
-def key_hex(key: bytes) -> str:
-    return key.hex()
-
-
 def canonical_from_key(key: bytes) -> ProductMatrix:
     """Inverse of :func:`canonical_key`'s serialization (for catalog IO)."""
     head, _, packed = key.partition(b":")

@@ -24,7 +24,7 @@ from .enumeration import (
     stats,
     verify_against_reference,
 )
-from .errors import BspError
+from .errors import BspError, MalformedInputError
 from .family import BspPair, ProductMatrix, pair_from_product_matrix, verify_binary_products
 from .lemmas import check_binom_bound, check_inequality2, check_lemma1, check_lemma2
 from .polytope import (
@@ -118,6 +118,8 @@ def cmd_verify_pair(args) -> int:
     obj = _read_json(args.pair)
     try:
         pair = BspPair.from_json(obj)
+    except MalformedInputError:
+        raise
     except (BspError, ValueError) as exc:
         report = {"valid": False, "reason": str(exc)}
         witness = verify_binary_products_from_json(obj)

@@ -15,13 +15,24 @@ the A1 side; only the A0 side is guaranteed to stay 0/1.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BspError, NormalizationFailedError
 from .family import BspPair, VectorFamily
-from .linalg import Vec, affine_dim, dot, neg, project_onto_span, scale, sub, vec, zero_vec
+from .linalg import (
+    Vec,
+    affine_dim,
+    dot,
+    neg,
+    project_onto_span,
+    rank,
+    scale,
+    sub,
+    vec,
+    zero_vec,
+)
 
 
 class DecompositionError(BspError):
@@ -268,8 +279,8 @@ def audit(dec: Decomposition) -> AuditReport:
     ntau = len(dec.tau_pi_b)
     dim_a0 = affine_dim(dec.a0.sorted())
     dim_a1 = affine_dim(dec.a1.sorted())
-    dim_b0 = _linear_dim(dec.b0)
-    dim_b1 = _linear_dim(dec.b1)
+    dim_b0 = rank(dec.b0.sorted())
+    dim_b1 = rank(dec.b1.sorted())
 
     def leq(name: str, lhs: int, rhs: int) -> AuditItem:
         return AuditItem(name, lhs, rhs, lhs <= rhs)
@@ -298,12 +309,6 @@ def audit(dec: Decomposition) -> AuditReport:
     return AuditReport(tuple(items))
 
 
-def _linear_dim(fam: VectorFamily) -> int:
-    from .linalg import rank
-
-    return rank(fam.sorted())
-
-
 def audit_pair(p: BspPair, all_tied: bool = True) -> list[tuple[Vec, AuditReport]]:
     """Decompose and audit for the chosen b_d, or every tied choice."""
     choices = tied_bd_choices(p) if all_tied else [choose_bd(p)]
@@ -326,19 +331,10 @@ class LemsliceReport:
         return {"d": self.d, "mode": self.mode, "checked": self.checked, "tight": self.tight}
 
 
-def _lemslice_ground(d: int) -> list[Vec]:
-    pts = {vec(bits) for bits in _bitstrings(d, (0, 1))}
-    pts |= {vec(bits) for bits in _bitstrings(d, (0, -1))}
+def _lemslice_ground(d: int) -> list[tuple[int, ...]]:
+    pts = set(itertools.product((0, 1), repeat=d))
+    pts |= set(itertools.product((0, -1), repeat=d))
     return sorted(pts)
-
-
-def _bitstrings(d: int, levels):
-    if d == 0:
-        yield ()
-        return
-    for rest in _bitstrings(d - 1, levels):
-        for v in levels:
-            yield (v,) + rest
 
 
 def _check_x(x: list[Vec], d: int) -> bool:
@@ -359,7 +355,7 @@ def check_lemslice(
     theorem, so that signals a harness bug).
     """
     ground = _lemslice_ground(d)
-    zero = zero_vec(d)
+    zero = (0,) * d
     checked = 0
     tight = 0
 

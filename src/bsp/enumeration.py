@@ -18,11 +18,12 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from importlib import resources
+from operator import index
 
 from . import kernel
 from .canon import canonical_from_key, canonical_key
-from .errors import BadParameterError, CheckpointCorruptError
-from .family import ProductMatrix, matrix_rank
+from .errors import BadParameterError, CheckpointCorruptError, parsing
+from .family import ProductMatrix
 
 MAX_DIM = 6  # kernel bitsets are 64-bit wide
 
@@ -83,14 +84,14 @@ class Catalog:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            d = obj["d"] if d is None else d
-            if obj["d"] != d:
+            with parsing("catalog line"):
+                line_d, key = index(obj["d"]), bytes.fromhex(obj["key"])
+                shape = {"rows": obj["size_a"], "cols": obj["size_b"], "bits": obj["matrix"]}
+            mat = ProductMatrix.from_json(shape)
+            d = line_d if d is None else d
+            if line_d != d:
                 raise ValueError("mixed dimensions in catalog")
-            bits = tuple(obj["matrix"])
-            mat = ProductMatrix(obj["size_a"], obj["size_b"], bits, matrix_rank(bits))
-            classes.append(
-                CatalogClass(obj["size_a"], obj["size_b"], mat, bytes.fromhex(obj["key"]))
-            )
+            classes.append(CatalogClass(mat.m, mat.n, mat, key))
         if d is None:
             raise ValueError("empty catalog")
         classes.sort(key=lambda c: c.key)
@@ -132,7 +133,8 @@ def _classify(args: tuple[int, bytes, int, str | None]):
     impl = kernel.get_backend(backend)
     rows, n = impl.pair_rows(d, mask)
     bits = tuple(format(r, f"0{n}b") for r in rows)
-    mat = ProductMatrix(len(rows), n, bits, matrix_rank(bits))
+    # enum_branch only yields spanning closed sets, so the rank is d
+    mat = ProductMatrix(len(rows), n, bits, d)
     key = canonical_key(mat, include_transpose=True)
     return key, mask
 
@@ -260,7 +262,7 @@ def brute_force(d: int, backend: str = "python") -> Catalog:
             continue
         rows, n = impl.pair_rows(d, sset)
         rbits = tuple(format(r, f"0{n}b") for r in rows)
-        mat = ProductMatrix(len(rows), n, rbits, matrix_rank(rbits))
+        mat = ProductMatrix(len(rows), n, rbits, d)
         key = canonical_key(mat, include_transpose=True)
         prev = classes.get(key)
         if prev is None or sset < prev:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class BspError(Exception):
     """Base class for all package-specific errors."""
@@ -40,3 +42,21 @@ class NormalizationFailedError(BspError):
 
 class CheckpointCorruptError(BspError):
     pass
+
+
+class MalformedInputError(BspError):
+    """An input document lacks a required key or holds a value of the
+    wrong type or form."""
+
+
+@contextmanager
+def parsing(what: str):
+    """Report a missing key or a mistyped value met while reading the
+    fields of ``what`` from a decoded JSON document as a
+    MalformedInputError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MalformedInputError(f"{what}: missing key {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedInputError(f"{what}: {exc}") from None

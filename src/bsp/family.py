@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, NamedTuple
 
 from . import linalg
-from .errors import DimensionMismatchError, NotSpanningError
-from .linalg import Vec, dot, rank, solve, vec, zero_vec
+from .errors import DimensionMismatchError, NotSpanningError, parsing
+from .linalg import Vec, dot, independent_rows, rank, solve, vec
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,9 @@ class VectorFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VectorFamily":
-        return cls.of(obj["d"], obj["vectors"])
+        with parsing("family"):
+            d, vectors = index(obj["d"]), [vec(v) for v in obj["vectors"]]
+        return cls.of(d, vectors)
 
 
 class Violation(NamedTuple):
@@ -113,17 +116,11 @@ class BspPair:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BspPair":
-        return cls.of(obj["d"], obj["a"]["vectors"], obj["b"]["vectors"])
-
-
-def _independent_basis(vectors: list[Vec], dim: int) -> list[Vec]:
-    basis: list[Vec] = []
-    for v in vectors:
-        if rank(basis + [v]) > len(basis):
-            basis.append(v)
-            if len(basis) == dim:
-                return basis
-    raise NotSpanningError("family does not span R^d")
+        with parsing("pair"):
+            d = index(obj["d"])
+            a = [vec(v) for v in obj["a"]["vectors"]]
+            b = [vec(v) for v in obj["b"]["vectors"]]
+        return cls.of(d, a, b)
 
 
 def a_max(b: VectorFamily) -> VectorFamily:
@@ -135,7 +132,9 @@ def a_max(b: VectorFamily) -> VectorFamily:
     """
     d = b.dim
     members = b.sorted()
-    basis = _independent_basis(members, d)
+    basis = [members[i] for i in independent_rows(members, d)]
+    if len(basis) < d:
+        raise NotSpanningError("family does not span R^d")
     rest = [v for v in members if v not in basis]
     out: list[Vec] = []
     for sigma in itertools.product((0, 1), repeat=d):
@@ -178,11 +177,6 @@ class ProductMatrix:
     bits: tuple[str, ...]
     rank_d: int
 
-    def row_ints(self) -> list[int]:
-        # bit for column j sits at weight 2^(n-1-j), so integer order on
-        # rows equals lexicographic order on bit strings
-        return [int(row, 2) if row else 0 for row in self.bits]
-
     def column_bits(self) -> tuple[str, ...]:
         return tuple("".join(row[j] for row in self.bits) for j in range(self.n))
 
@@ -194,17 +188,17 @@ class ProductMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProductMatrix":
-        bits = tuple(obj["bits"])
-        if len(bits) != obj["rows"] or any(len(r) != obj["cols"] for r in bits):
-            raise ValueError("inconsistent matrix dimensions")
-        if any(c not in "01" for r in bits for c in r):
-            raise ValueError("matrix entries must be 0/1")
-        return cls(obj["rows"], obj["cols"], bits, matrix_rank(bits))
+        with parsing("product matrix"):
+            m, n, bits = index(obj["rows"]), index(obj["cols"]), tuple(obj["bits"])
+            if len(bits) != m or any(len(r) != n for r in bits):
+                raise ValueError("inconsistent matrix dimensions")
+            if any(c not in "01" for r in bits for c in r):
+                raise ValueError("matrix entries must be 0/1")
+        return cls(m, n, bits, matrix_rank(bits))
 
 
 def matrix_rank(bits: Iterable[str]) -> int:
-    rows = [vec(int(c) for c in row) for row in bits]
-    return rank(rows) if rows else 0
+    return rank([[int(c) for c in row] for row in bits])
 
 
 def product_matrix(p: BspPair) -> ProductMatrix:
@@ -227,20 +221,9 @@ def pair_from_product_matrix(mat: ProductMatrix, d: int) -> BspPair:
     if mat.rank_d != d:
         raise ValueError(f"matrix rank {mat.rank_d} != d = {d}")
     grid = [[Fraction(int(c)) for c in row] for row in mat.bits]
-    row_vecs = [tuple(r) for r in grid]
-    basis_rows: list[int] = []
-    for i in range(mat.m):
-        if rank([row_vecs[j] for j in basis_rows] + [row_vecs[i]]) > len(basis_rows):
-            basis_rows.append(i)
-            if len(basis_rows) == d:
-                break
+    basis_rows = independent_rows(grid, d)
     b_vectors = [tuple(grid[i][j] for i in basis_rows) for j in range(mat.n)]
-    col_basis: list[int] = []
-    for j in range(mat.n):
-        if rank([b_vectors[k] for k in col_basis] + [b_vectors[j]]) > len(col_basis):
-            col_basis.append(j)
-            if len(col_basis) == d:
-                break
+    col_basis = independent_rows(b_vectors, d)
     if len(col_basis) < d:
         raise ValueError("columns do not span")
     bmat = tuple(b_vectors[j] for j in col_basis)
@@ -272,7 +255,3 @@ def family_from_masks(masks: Iterable[int], d: int, include_zero: bool = True) -
     if include_zero:
         ms.add(0)
     return VectorFamily.of(d, [mask_to_vec(m, d) for m in ms])
-
-
-def zero_family(d: int) -> VectorFamily:
-    return VectorFamily.of(d, [zero_vec(d)])

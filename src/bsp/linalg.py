@@ -1,23 +1,24 @@
-"""Exact rational vectors and matrices.
+"""Exact vectors; one fraction-free echelon for rank and bases;
+Gauss-Jordan solving.
 
 Vectors are plain tuples of ``fractions.Fraction`` (hashable, so families
-can live in sets); matrices are tuples of row tuples.  Everything here is
-exact: no floating point is allowed anywhere near a predicate.  Rank uses
-fraction-free (Bareiss) elimination on integer-scaled rows; the remaining
-operations run ordinary Gaussian elimination on Fractions, which is exact
-as well.
+can live in sets), or of ints for 0/1 and +-1 data; matrices are sequences
+of row tuples.  Everything here is exact: no floating point is allowed
+anywhere near a predicate.  Every rank and basis question goes through
+:func:`independent_rows`, a fraction-free greedy echelon on integer-scaled
+rows; :func:`solve` runs Gauss-Jordan elimination on Fractions, because
+its solutions are rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, SingularBasisError
 
 Vec = tuple[Fraction, ...]
-Matrix = tuple[Vec, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,52 +74,43 @@ def scale(u: Vec, s: Fraction) -> Vec:
     return tuple(a * s for a in u)
 
 
-def is_zero(u: Vec) -> bool:
-    return all(a == 0 for a in u)
+def independent_rows(rows: Sequence[Sequence], limit: int | None = None) -> list[int]:
+    """Indices of the rows that are independent of the rows before them.
 
-
-def as_matrix(rows: Iterable[Iterable]) -> Matrix:
-    m = tuple(vec(r) for r in rows)
-    if m:
-        width = len(m[0])
-        for r in m:
-            if len(r) != width:
-                raise DimensionMismatchError("ragged matrix")
-    return m
-
-
-def _integer_rows(rows: Sequence[Vec]) -> list[list[int]]:
-    out = []
-    for r in rows:
-        lcm = 1
-        for c in r:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        out.append([int(c * lcm) for c in r])
-    return out
-
-
-def rank(rows: Sequence[Vec]) -> int:
-    """Exact rank over the rationals via fraction-free (Bareiss) elimination."""
+    One fraction-free greedy echelon pass: each row is scaled to integers,
+    reduced against the echelon rows found so far and divided by the gcd
+    of its entries, so no Fraction arithmetic happens and entries stay
+    small.  Every echelon row is zero at the pivot columns of the rows
+    before it, so one sweep in order clears all pivots.  Stops after
+    ``limit`` picks or when the picks reach the column count.
+    """
     if not rows:
-        return 0
-    m = _integer_rows(rows)
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for col in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
+        return []
+    cap = len(rows[0]) if limit is None else min(limit, len(rows[0]))
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    picked: list[int] = []
+    for i, row in enumerate(rows):
+        if len(picked) >= cap:
+            break
+        den = lcm(*(c.denominator for c in row))
+        r = [c.numerator * (den // c.denominator) for c in row]
+        for col, e in echelon:
+            c = r[col]
+            if c:
+                p = e[col]
+                r = [p * x - c * y for x, y in zip(r, e)]
+        piv = next((j for j, x in enumerate(r) if x), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+        g = gcd(*r)
+        echelon.append((piv, [x // g for x in r] if g > 1 else r))
+        picked.append(i)
+    return picked
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank over the rationals."""
+    return len(independent_rows(rows))
 
 
 class SolveResult(NamedTuple):
@@ -188,12 +180,9 @@ def project_onto_span(x: Vec, spanning: Sequence[Vec]) -> Vec:
     anything onto the zero span is the zero vector.
     """
     dim = len(x)
-    base: list[Vec] = []
-    for s in spanning:
-        if len(s) != dim:
-            raise DimensionMismatchError("span vector of wrong length")
-        if rank(base + [s]) > len(base):
-            base.append(s)
+    if any(len(s) != dim for s in spanning):
+        raise DimensionMismatchError("span vector of wrong length")
+    base = [spanning[i] for i in independent_rows(spanning)]
     if not base:
         return zero_vec(dim)
     gram = tuple(tuple(dot(u, v) for v in base) for u in base)

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from . import kernel
 from .canon import canonical_key
@@ -24,6 +25,7 @@ from .errors import (
     NotFullDimensionalError,
     NotTwoLevelError,
     SingularBasisError,
+    parsing,
 )
 from .family import BspPair, ProductMatrix, matrix_rank
 from .linalg import (
@@ -106,7 +108,9 @@ class Polytope2L:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polytope2L":
-        return polytope_from_vertices(obj["d"], obj["vertices"])
+        with parsing("polytope"):
+            d, verts = index(obj["d"]), [vec(v) for v in obj["vertices"]]
+        return polytope_from_vertices(d, verts)
 
 
 def facets(d: int, vertices: list[Vec]) -> list[Facet]:
@@ -125,18 +129,21 @@ def facets(d: int, vertices: list[Vec]) -> list[Facet]:
 
 
 def polytope_from_vertices(d: int, vertices) -> Polytope2L:
+    """The polytope conv(vertices).  Every point must be a vertex, that is
+    its incident facet normals span R^d; any other point raises
+    BadParameterError, since it would inflate f0 in the bound checks."""
     verts = sorted({vec(v) for v in vertices})
     if any(len(v) != d for v in verts):
         raise BadParameterError("vertex of wrong dimension")
     fs = facets(d, verts)
-    two = all(len({f.value(v) for v in verts}) == 2 for f in fs)
+    values = [[f.value(v) for v in verts] for f in fs]
+    for i, v in enumerate(verts):
+        if rank([f.normal for f, row in zip(fs, values) if row[i] == f.offset]) < d:
+            raise BadParameterError(
+                f"point [{', '.join(str(c) for c in v)}] is not a vertex of the hull"
+            )
+    two = all(len(set(row)) == 2 for row in values)
     return Polytope2L(d, tuple(verts), tuple(fs), two)
-
-
-def is_two_level(p: Polytope2L) -> bool:
-    """True iff every facet's vertex evaluations take exactly two values
-    (the facet hyperplane and one parallel twin carry all vertices)."""
-    return p.two_level
 
 
 def extract_pair(p: Polytope2L) -> BspPair:

@@ -89,6 +89,42 @@ def test_polytope_check_non_two_level_exit2(tmp_path, capsys):
     assert not json.loads(out)["polytopes"][0]["two_level"]
 
 
+def test_polytope_check_non_vertex_point_exit_1(tmp_path, capsys):
+    f = tmp_path / "rect.json"
+    f.write_text(json.dumps({
+        "d": 2,
+        "vertices": [["0", "0"], ["1", "0"], ["2", "0"], ["0", "1"], ["1", "1"], ["2", "1"]],
+    }))
+    code, out, err = run(["polytope", "check", str(f)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "BadParameterError"
+
+
+CATALOG_LINE_NO_MATRIX = '{"d":2,"size_a":3,"size_b":3,"key":"00"}\n'
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    (["polytope", "check"], '{"d": 2}', "MalformedInputError"),
+    (["polytope", "check"], '{"d": 2, "vertices": [[0.5, 0]]}', "MalformedInputError"),
+    (["verify-pair"], '{"d": 2, "b": {"d": 2, "vectors": [["1", "0"], ["0", "1"]]}}',
+     "MalformedInputError"),
+    (["conjecture", "-d", "2", "--slack"], '{"rows": 1, "cols": 1}', "MalformedInputError"),
+    (["conjecture", "--catalog"], CATALOG_LINE_NO_MATRIX, "MalformedInputError"),
+    (["stats"], CATALOG_LINE_NO_MATRIX, "MalformedInputError"),
+    (["audit"], CATALOG_LINE_NO_MATRIX, "MalformedInputError"),
+    (["audit"], '{"d":2,"size_a":5,"size_b":2,"matrix":["01","10"],"key":"00"}\n',
+     "MalformedInputError"),
+    (["enumerate", "-d", "2", "--checkpoint"], '{"d": 2}', "CheckpointCorruptError"),
+], ids=["polytope-missing", "polytope-float", "verify-pair", "conjecture-slack",
+        "conjecture-catalog", "stats", "audit", "audit-shape", "enumerate-checkpoint"])
+def test_malformed_input_file_is_exit_1(tmp_path, capsys, argv, text, error):
+    f = tmp_path / "input.json"
+    f.write_text(text)
+    code, out, err = run(argv + [str(f)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == error
+
+
 def test_audit_command(tmp_path, capsys):
     cat = tmp_path / "cat3.jsonl"
     run(["enumerate", "-d", "3", "--out", str(cat)], capsys)

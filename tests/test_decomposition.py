@@ -159,6 +159,7 @@ def test_lemslice_exhaustive_small():
     assert r1.mode == "exhaustive" and r1.checked > 0
     r2 = check_lemslice(2)
     assert r2.checked == 54  # opposite-free subsets of the 7 ground points
+    assert r2.tight == 33
 
 
 def test_lemslice_cube_is_tight():
@@ -172,9 +173,11 @@ def test_lemslice_cube_is_tight():
 
 
 def test_lemslice_random_modes():
-    for d in (3, 4, 5):
+    # pinned counts: the seeded draws walk the ground set in sorted order
+    for d, tight in ((3, 166), (4, 9), (5, 0)):
         rep = check_lemslice(d, mode="random", seed=1, trials=2000)
         assert rep.checked == 2000
+        assert rep.tight == tight
 
 
 def test_lemslice_rejects_big_exhaustive():

@@ -10,6 +10,7 @@ from bsp.linalg import (
     dot,
     dual_basis,
     format_rat,
+    independent_rows,
     project_onto_span,
     rank,
     rat,
@@ -128,6 +129,30 @@ def test_projection_idempotent_and_product_preserving(data):
     assert project_onto_span(y, span) == y
     for s in span:
         assert dot(s, y) == dot(s, x)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(rational_vectors(d), max_size=6))
+))
+def test_independent_rows_against_gauss_jordan(data):
+    d, rows = data
+    expected: list[int] = []
+    for i, row in enumerate(rows):
+        # row i is dependent iff some combination of the picks equals it
+        cols = tuple(tuple(rows[k][j] for k in expected) for j in range(d))
+        if solve(cols, row).solution is None:
+            expected.append(i)
+    assert independent_rows(rows) == expected
+    assert independent_rows(rows, limit=1) == expected[:1]
+    assert rank(rows) == len(expected)
+    if rows:
+        assert rank(list(zip(*rows))) == len(expected)
+
+
+def test_independent_rows_integer_input():
+    rows = [(0, 0, 0), (1, -1, 0), (2, -2, 0), (0, 1, 1), (1, 0, 1), (0, 0, 1)]
+    assert independent_rows(rows) == [1, 3, 5]
+    assert rank([(1, 0), (0, 1)]) == 2
 
 
 def test_affine_dim():

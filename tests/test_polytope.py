@@ -75,6 +75,14 @@ def test_pentagon_is_not_two_level():
         p.slack_matrix()
 
 
+def test_non_vertex_point_is_rejected():
+    # a 2-level rectangle plus two edge midpoints: the midpoints lie on
+    # one facet only, so their incident normals have rank 1 < d
+    pts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+    with pytest.raises(BadParameterError, match=r"point \[1, 0\] is not a vertex"):
+        polytope_from_vertices(2, pts)
+
+
 def test_triangular_prism_two_level_but_not_special():
     p = construct_polytope("prism", 3)
     assert p.two_level
