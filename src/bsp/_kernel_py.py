@@ -11,6 +11,13 @@ member of every family and is never stored.  All arithmetic is integer:
 for a basis matrix M chosen inside the family, products with the solution
 of M x = sigma are evaluated as cofactor sums and compared against det(M),
 which avoids rationals in the inner loop.
+
+Each lectic set is closed once.  :func:`enum_branch` takes the rank and
+the product-matrix rows of every closed set from the closure data of the
+Next-Closure candidate that produced it: a candidate and its closure
+have the same partner family, and the basis tables cover every cube
+point, so the rows are those of :func:`pair_rows` up to order (which
+:func:`heuristic_form` ignores).
 """
 
 from __future__ import annotations
@@ -186,6 +193,24 @@ def closure_and_rank(d: int, sset: int) -> tuple[int, int]:
     return closed, r
 
 
+def _rows(d: int, closed: int, valid: list[int], tab: _BasisTables) -> tuple[list[int], int]:
+    """Product-matrix rows of ``closed`` against the partner vectors given
+    by ``valid`` and ``tab`` (the closure data of any set whose closure is
+    ``closed``)."""
+    members = [0] + [m for m in range(1, 1 << d) if (closed >> m) & 1]
+    n = len(members)
+    det = tab.det
+    t = tab.t
+    rows = []
+    for sigma in valid:
+        row = 0
+        for j, m in enumerate(members):
+            if t[m][sigma] == det:
+                row |= 1 << (n - 1 - j)
+        rows.append(row)
+    return rows, n
+
+
 def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
     """Product-matrix rows of the maximal pair of a closed spanning set.
 
@@ -193,18 +218,8 @@ def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
     2^(n-1-j) of a row is the product with column j.  Rows are ordered by
     increasing sigma, the level pattern on the greedy basis.
     """
-    _, r, valid, tab = _closure_data(d, closed)
-    members = [0] + [m for m in range(1, 1 << d) if (closed >> m) & 1]
-    n = len(members)
-    det = tab.det
-    rows = []
-    for sigma in valid:
-        row = 0
-        for j, m in enumerate(members):
-            if tab.t[m][sigma] == det:
-                row |= 1 << (n - 1 - j)
-        rows.append(row)
-    return rows, n
+    _, _, valid, tab = _closure_data(d, closed)
+    return _rows(d, closed, valid, tab)
 
 
 def a_vector_data(d: int, closed: int) -> tuple[int, list[tuple[int, ...]]]:
@@ -221,19 +236,27 @@ def a_vector_data(d: int, closed: int) -> tuple[int, list[tuple[int, ...]]]:
     return tab.det, nums
 
 
-def next_closed(d: int, current: int) -> int:
-    """Lectically smallest closed set greater than ``current`` (-1 at the
-    end).  The lectic order on ground bitsets is plain integer order."""
+def _next_closed_data(d: int, current: int):
+    """Closure data (see :func:`_closure_data`) of the candidate whose
+    closure is the lectically next closed set after ``current``, or None
+    at the end.  Of two sets in lectic order, the greater one holds the
+    lowest cube point where they differ."""
     for i in range((1 << d) - 1, 0, -1):
         bit = 1 << i
         if current & bit:
             continue
         below = bit - 1
-        cand = (current & below) | bit
-        closed, _, _, _ = _closure_data(d, cand)
-        if (closed & below) == (current & below):
-            return closed
-    return -1
+        data = _closure_data(d, (current & below) | bit)
+        if (data[0] & below) == (current & below):
+            return data
+    return None
+
+
+def next_closed(d: int, current: int) -> int:
+    """Lectically smallest closed set greater than ``current`` (-1 at the
+    end)."""
+    data = _next_closed_data(d, current)
+    return -1 if data is None else data[0]
 
 
 def _transpose(rows: list[int], m: int, n: int) -> list[int]:
@@ -289,29 +312,19 @@ def enum_branch(d: int, top_count: int, p_index: int):
     out: dict[bytes, int] = {}
     visited = 0
     spanning = 0
-
-    def process(a: int) -> None:
-        nonlocal visited, spanning
+    data = _closure_data(d, p_bits)
+    if data[0] != p_bits:
+        data = _next_closed_data(d, p_bits)
+    while data is not None and (data[0] & top_bits) == p_bits:
+        a, r, valid, tab = data
         visited += 1
-        rows, n = pair_rows(d, a)
-        _, r, _, _ = _closure_data(d, a)
-        if r != d:
-            return
-        spanning += 1
-        hb = heuristic_form(rows, n)
-        prev = out.get(hb)
-        if prev is None or a < prev:
-            out[hb] = a
-
-    a = p_bits
-    closed, _, _, _ = _closure_data(d, a)
-    if closed == a:
-        process(a)
-    while True:
-        a = next_closed(d, a)
-        if a < 0 or (a & top_bits) != p_bits:
-            break
-        process(a)
+        if r == d:
+            spanning += 1
+            hb = heuristic_form(*_rows(d, a, valid, tab))
+            prev = out.get(hb)
+            if prev is None or a < prev:
+                out[hb] = a
+        data = _next_closed_data(d, a)
     return visited, spanning, sorted(out.items())
 
 

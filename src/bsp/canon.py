@@ -145,13 +145,12 @@ def canonical_key(mat: ProductMatrix, include_transpose: bool = False) -> bytes:
     return min(a, b)
 
 
-def canonical_from_key(key: bytes) -> ProductMatrix:
-    """Inverse of :func:`canonical_key`'s serialization (for catalog IO)."""
+def canonical_from_key(key: bytes, rank_d: int) -> ProductMatrix:
+    """Inverse of :func:`canonical_key`'s serialization (for catalog IO);
+    the caller supplies the rank, which the key does not encode."""
     head, _, packed = key.partition(b":")
     m, n = (int(x) for x in head.split(b","))
     total = m * n
     bits = bin(int.from_bytes(packed, "big"))[2:].zfill(total) if total else ""
     rows = tuple(bits[i * n : (i + 1) * n] for i in range(m))
-    from .family import matrix_rank
-
-    return ProductMatrix(m, n, rows, matrix_rank(rows))
+    return ProductMatrix(m, n, rows, rank_d)

@@ -337,14 +337,6 @@ def _lemslice_ground(d: int) -> list[tuple[int, ...]]:
     return sorted(pts)
 
 
-def _check_x(x: list[Vec], d: int) -> bool:
-    """|X| <= 2^dim(X) for an opposite-point-free X."""
-    if not x:
-        return True
-    dim = affine_dim(x)
-    return len(x) <= (1 << max(dim, 0))
-
-
 def check_lemslice(
     d: int, mode: str = "exhaustive", seed: int = 0, trials: int = 100_000
 ) -> LemsliceReport:
@@ -362,9 +354,10 @@ def check_lemslice(
     def handle(x: list[Vec]) -> None:
         nonlocal checked, tight
         checked += 1
-        if not _check_x(x, d):
+        bound = 1 << max(affine_dim(x), 0)
+        if len(x) > bound:
             raise CounterexampleFound(f"slice lemma fails for {x}", x)
-        if x and len(x) == (1 << max(affine_dim(x), 0)):
+        if len(x) == bound:
             tight += 1
 
     if mode == "exhaustive":

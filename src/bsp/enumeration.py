@@ -13,6 +13,7 @@ transpose.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -121,22 +122,29 @@ def branch_split(d: int) -> int:
     return max(0, min(4 * (d - 3), (1 << d) - 1 - 8))
 
 
-def _run_branch(args: tuple[int, int, int, str | None]):
-    d, top_count, p_index, backend = args
-    impl = kernel.get_backend(backend)
-    visited, spanning, items = impl.enum_branch(d, top_count, p_index)
-    return p_index, visited, spanning, items
+def _run_branch(args: tuple[int, int, int]):
+    d, top_count, p_index = args
+    return (p_index, *kernel.enum_branch(d, top_count, p_index))
 
 
-def _classify(args: tuple[int, bytes, int, str | None]):
-    d, _hform, mask, backend = args
-    impl = kernel.get_backend(backend)
-    rows, n = impl.pair_rows(d, mask)
+def _class_key(d: int, rows: list[int], n: int) -> bytes:
+    """Canonical key, up to transpose, of the product matrix of a closed
+    spanning set (so its rank is d) given as kernel rows."""
     bits = tuple(format(r, f"0{n}b") for r in rows)
-    # enum_branch only yields spanning closed sets, so the rank is d
-    mat = ProductMatrix(len(rows), n, bits, d)
-    key = canonical_key(mat, include_transpose=True)
-    return key, mask
+    return canonical_key(ProductMatrix(len(rows), n, bits, d), include_transpose=True)
+
+
+def _classify(args: tuple[int, int]) -> bytes:
+    d, mask = args
+    return _class_key(d, *kernel.pair_rows(d, mask))
+
+
+def _catalog(d: int, keys) -> Catalog:
+    classes = []
+    for key in sorted(keys):
+        mat = canonical_from_key(key, d)
+        classes.append(CatalogClass(mat.m, mat.n, mat, key))
+    return Catalog(d, tuple(classes), complete=True)
 
 
 def _checkpoint_write(path: str, d: int, top_count: int, done: set[int],
@@ -165,16 +173,23 @@ def _checkpoint_read(path: str, d: int, top_count: int) -> tuple[set[int], dict[
         partial = {bytes.fromhex(h): int(m) for h, m in payload["partial_keys"]}
         if not all(0 <= b < (1 << top_count) for b in done):
             raise CheckpointCorruptError("branch index out of range")
-        return done, partial
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointCorruptError(str(exc)) from exc
+    for hb, mask in partial.items():
+        # range first: the compiled kernel rejects a negative mask with OverflowError
+        if not (0 < mask < 1 << (1 << d)
+                and kernel.closure_and_rank(d, mask) == (mask, d)
+                and kernel.heuristic_form(*kernel.pair_rows(d, mask)) == hb):
+            raise CheckpointCorruptError(
+                f"mask {mask} is not a closed spanning set with form {hb.hex()}"
+            )
+    return done, partial
 
 
 def enumerate_catalog(
     d: int,
     workers: int | None = None,
     checkpoint_path: str | None = None,
-    backend: str | None = None,
     progress=None,
 ) -> Catalog:
     """Catalog of all closed spanning pairs in dimension d, one class per
@@ -184,94 +199,57 @@ def enumerate_catalog(
         raise BadParameterError(f"d must be in [1, {MAX_DIM}]")
     nworkers = resolve_workers(workers)
     top_count = branch_split(d)
-    branches = list(range(1 << top_count))
+    nbranches = 1 << top_count
 
     done: set[int] = set()
     merged: dict[bytes, int] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
         done, merged = _checkpoint_read(checkpoint_path, d, top_count)
-    todo = [b for b in branches if b not in done]
+    args = [(d, top_count, p) for p in range(nbranches) if p not in done]
 
-    def merge(items) -> None:
-        for hb, mask in items:
-            prev = merged.get(hb)
-            if prev is None or mask < prev:
-                merged[hb] = mask
-
-    args = [(d, top_count, p, backend) for p in todo]
-    if nworkers > 1 and len(todo) > 1:
-        with multiprocessing.Pool(nworkers) as pool:
-            for p_index, visited, spanning, items in pool.imap_unordered(
-                _run_branch, args
-            ):
-                merge(items)
-                done.add(p_index)
-                if checkpoint_path:
-                    _checkpoint_write(checkpoint_path, d, top_count, done, merged)
-                if progress:
-                    progress(f"branch {len(done)}/{len(branches)} done "
-                             f"({visited} closed, {spanning} spanning)")
-    else:
-        for a in args:
-            p_index, visited, spanning, items = _run_branch(a)
-            merge(items)
+    parallel = nworkers > 1 and len(args) > 1
+    with multiprocessing.Pool(nworkers) if parallel else contextlib.nullcontext() as pool:
+        run = pool.imap_unordered if parallel else map
+        for p_index, visited, spanning, items in run(_run_branch, args):
+            for hb, mask in items:
+                prev = merged.get(hb)
+                if prev is None or mask < prev:
+                    merged[hb] = mask
             done.add(p_index)
             if checkpoint_path:
                 _checkpoint_write(checkpoint_path, d, top_count, done, merged)
             if progress:
-                progress(f"branch {len(done)}/{len(branches)} done "
+                progress(f"branch {len(done)}/{nbranches} done "
                          f"({visited} closed, {spanning} spanning)")
 
-    classes: dict[bytes, int] = {}
-    cargs = [(d, hb, mask, backend) for hb, mask in sorted(merged.items())]
-    if nworkers > 1 and len(cargs) > 1000:
-        with multiprocessing.Pool(nworkers) as pool:
-            results = pool.map(_classify, cargs, chunksize=256)
-    else:
-        results = [_classify(a) for a in cargs]
-    for key, mask in results:
-        prev = classes.get(key)
-        if prev is None or mask < prev:
-            classes[key] = mask
+        forms = [(d, mask) for mask in merged.values()]
+        if parallel and len(forms) > 1000:
+            keys = set(pool.map(_classify, forms, chunksize=256))
+        else:
+            keys = set(map(_classify, forms))
 
-    out = []
-    for key in sorted(classes):
-        mat = canonical_from_key(key)
-        out.append(CatalogClass(mat.m, mat.n, mat, key))
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
-    return Catalog(d, tuple(out), complete=True)
+    return _catalog(d, keys)
 
 
-def brute_force(d: int, backend: str = "python") -> Catalog:
+def brute_force(d: int) -> Catalog:
     """Independent oracle for d <= 3: iterate over every subset of the
     cube containing 0, keep spanning closure fixpoints, canonicalize.
 
-    Runs on the pure-Python kernel by default so that comparing it with
+    Runs on the pure-Python kernel so that comparing it with
     :func:`enumerate_catalog` cross-checks both the search strategy and
     the compiled backend.
     """
     if not 1 <= d <= 3:
         raise BadParameterError("brute force is meant for d <= 3")
-    impl = kernel.get_backend(backend)
-    classes: dict[bytes, int] = {}
+    impl = kernel.get_backend("python")
+    keys = set()
     for bits in range(1 << ((1 << d) - 1)):
         sset = bits << 1
-        closed, rank = impl.closure_and_rank(d, sset)
-        if closed != sset or rank != d:
-            continue
-        rows, n = impl.pair_rows(d, sset)
-        rbits = tuple(format(r, f"0{n}b") for r in rows)
-        mat = ProductMatrix(len(rows), n, rbits, d)
-        key = canonical_key(mat, include_transpose=True)
-        prev = classes.get(key)
-        if prev is None or sset < prev:
-            classes[key] = sset
-    out = []
-    for key in sorted(classes):
-        mat = canonical_from_key(key)
-        out.append(CatalogClass(mat.m, mat.n, mat, key))
-    return Catalog(d, tuple(out), complete=True)
+        if impl.closure_and_rank(d, sset) == (sset, d):
+            keys.add(_class_key(d, *impl.pair_rows(d, sset)))
+    return _catalog(d, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +322,13 @@ def verify_against_reference(s: SizeStats, reference: list[tuple[int, int]]) -> 
 def load_reference_csv(path_or_text: str, from_text: bool = False) -> list[tuple[int, int]]:
     text = path_or_text if from_text else open(path_or_text, encoding="ascii").read()
     out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("size_a"):
-            continue
-        a, b = line.split(",")
-        out.append((int(a), int(b)))
+    with parsing("reference csv"):
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("size_a"):
+                continue
+            a, b = line.split(",")
+            out.append((int(a), int(b)))
     return out
 
 

@@ -12,7 +12,7 @@ shipped constructions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import index
@@ -61,6 +61,8 @@ class Polytope2L:
     vertices: tuple[Vec, ...]  # sorted
     facets: tuple[Facet, ...]
     two_level: bool
+    # values[i][j] = <normal of facet i, vertex j>
+    values: tuple[tuple[Fraction, ...], ...] = field(repr=False, compare=False)
 
     @property
     def f0(self) -> int:
@@ -73,30 +75,17 @@ class Polytope2L:
     def f_vector_ends(self) -> tuple[int, int]:
         return (self.f0, self.n_facets)
 
-    def facet_values(self, f: Facet) -> set[Fraction]:
-        return {f.value(v) for v in self.vertices}
-
     def slack_matrix(self) -> ProductMatrix:
         """Vertices x facets 0/1 slack grid (rows sorted, columns in facet
         order); only defined for 2-level polytopes."""
         if not self.two_level:
             raise NotTwoLevelError("slack matrix requires a 2-level polytope")
-        bits = []
-        cols = []
-        for f in self.facets:
-            values = self.facet_values(f)
-            other = min(values)  # facet side attains the max = offset
-            span = f.offset - other
-            cols.append((f, other, span))
-        for v in self.vertices:
-            row = []
-            for f, other, span in cols:
-                s = (f.offset - f.value(v)) / span
-                assert s in (0, 1)
-                row.append("1" if s == 1 else "0")
-            bits.append("".join(row))
-        tb = tuple(bits)
-        return ProductMatrix(len(bits), len(self.facets), tb, matrix_rank(tb))
+        cols = list(zip(self.facets, self.values))
+        bits = tuple(
+            "".join("0" if row[j] == f.offset else "1" for f, row in cols)
+            for j in range(self.f0)
+        )
+        return ProductMatrix(len(bits), len(self.facets), bits, matrix_rank(bits))
 
     def to_json(self) -> dict:
         from .linalg import format_rat
@@ -136,14 +125,14 @@ def polytope_from_vertices(d: int, vertices) -> Polytope2L:
     if any(len(v) != d for v in verts):
         raise BadParameterError("vertex of wrong dimension")
     fs = facets(d, verts)
-    values = [[f.value(v) for v in verts] for f in fs]
+    values = tuple(tuple(f.value(v) for v in verts) for f in fs)
     for i, v in enumerate(verts):
         if rank([f.normal for f, row in zip(fs, values) if row[i] == f.offset]) < d:
             raise BadParameterError(
                 f"point [{', '.join(str(c) for c in v)}] is not a vertex of the hull"
             )
     two = all(len(set(row)) == 2 for row in values)
-    return Polytope2L(d, tuple(verts), tuple(fs), two)
+    return Polytope2L(d, tuple(verts), tuple(fs), two, values)
 
 
 def extract_pair(p: Polytope2L) -> BspPair:
@@ -155,13 +144,10 @@ def extract_pair(p: Polytope2L) -> BspPair:
     v0 = p.vertices[0]  # lex-least vertex becomes the origin
     verts = [sub(v, v0) for v in p.vertices]
     b: set[Vec] = {zero_vec(p.d)}
-    for f in p.facets:
-        offset = f.offset - f.value(v0)
-        values = {offset - (f.offset - f.value(v)) for v in p.vertices}
-        # after the shift every facet's value set contains 0 (the origin is
-        # a vertex, and 2-levelness puts it on one of the two hyperplanes)
-        assert 0 in values, "shifted facet values must contain 0"
-        s = next(x for x in values if x != 0)
+    for f, row in zip(p.facets, p.values):
+        # after the shift the facet takes two values on the vertices: 0 at
+        # the origin and s on the other hyperplane
+        s = next(x - row[0] for x in row if x != row[0])
         b.add(scale(f.normal, 1 / s))
     return BspPair.of(p.d, verts, b)
 
@@ -222,11 +208,14 @@ def detect_special(p: Polytope2L) -> str:
     """
     if not p.two_level:
         raise NotTwoLevelError("special-shape detection requires 2-level input")
-    key = canonical_key(p.slack_matrix())
-    if key == canonical_key(reference_slack("cube", p.d)):
-        return "cube"
-    if key == canonical_key(reference_slack("cross", p.d)):
-        return "cross"
+    # keys encode the matrix shape, so other f-vector ends cannot match
+    ends = p.f_vector_ends()
+    kinds = [k for k in ("cube", "cross") if ends == expected_f_vector_ends(k, p.d)]
+    if kinds:
+        key = canonical_key(p.slack_matrix())
+        for kind in kinds:
+            if key == canonical_key(reference_slack(kind, p.d)):
+                return kind
     return "neither"
 
 

@@ -64,7 +64,7 @@ def test_example3_vs_example4_distinct():
 def test_key_roundtrip():
     mat = mat_from_bits(["0101", "0011", "0000"])
     key = canonical_key(mat)
-    back = canonical_from_key(key)
+    back = canonical_from_key(key, 2)
     assert (back.m, back.n) == (3, 4)
     assert canonical_key(back) == key
 

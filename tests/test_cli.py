@@ -115,9 +115,15 @@ CATALOG_LINE_NO_MATRIX = '{"d":2,"size_a":3,"size_b":3,"key":"00"}\n'
     (["audit"], '{"d":2,"size_a":5,"size_b":2,"matrix":["01","10"],"key":"00"}\n',
      "MalformedInputError"),
     (["enumerate", "-d", "2", "--checkpoint"], '{"d": 2}', "CheckpointCorruptError"),
+    (["stats", "CATALOG", "--reference"], "size_a,size_b\n2;2\n", "MalformedInputError"),
 ], ids=["polytope-missing", "polytope-float", "verify-pair", "conjecture-slack",
-        "conjecture-catalog", "stats", "audit", "audit-shape", "enumerate-checkpoint"])
+        "conjecture-catalog", "stats", "audit", "audit-shape", "enumerate-checkpoint",
+        "stats-reference"])
 def test_malformed_input_file_is_exit_1(tmp_path, capsys, argv, text, error):
+    if "CATALOG" in argv:
+        cat = tmp_path / "cat2.jsonl"
+        run(["enumerate", "-d", "2", "--out", str(cat)], capsys)
+        argv = [str(cat) if a == "CATALOG" else a for a in argv]
     f = tmp_path / "input.json"
     f.write_text(text)
     code, out, err = run(argv + [str(f)], capsys)

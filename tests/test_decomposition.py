@@ -13,7 +13,7 @@ from bsp.decomposition import (
     tied_bd_choices,
 )
 from bsp.family import BspPair, VectorFamily, close_pair
-from bsp.linalg import vec
+from bsp.linalg import affine_dim, vec
 
 
 def cube_pair_d2():
@@ -163,13 +163,11 @@ def test_lemslice_exhaustive_small():
 
 
 def test_lemslice_cube_is_tight():
-    from bsp.decomposition import _check_x
     from bsp.family import cube_vertices
 
     for d in (1, 2, 3, 4):
         x = cube_vertices(d)
-        assert _check_x(x, d)
-        assert len(x) == 1 << d  # tight
+        assert len(x) == 1 << affine_dim(x) == 1 << d
 
 
 def test_lemslice_random_modes():

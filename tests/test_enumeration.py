@@ -137,6 +137,12 @@ def test_checkpoint_corrupt(tmp_path):
                               "partial_keys": []}), encoding="ascii")
     with pytest.raises(CheckpointCorruptError):
         enumerate_catalog(3, checkpoint_path=str(ck))
+    # a mask that is negative, not closed and spanning, or not of its form
+    for mask in (-7, 2, 254):
+        ck.write_text(json.dumps({"d": 3, "top_count": 0, "done_branches": [0],
+                                  "partial_keys": [["00", mask]]}), encoding="ascii")
+        with pytest.raises(CheckpointCorruptError):
+            enumerate_catalog(3, checkpoint_path=str(ck))
 
 
 def test_stats_achievable_and_figure_points():

@@ -56,6 +56,33 @@ def test_enum_branch_identical_across_backends():
             assert kc.enum_branch(d, k, p) == kp.enum_branch(d, k, p)
 
 
+def _enum_branch_reference(impl, d, top_count, p_index):
+    """enum_branch rebuilt from the public kernel steps, one call each."""
+    top_bits = sum(1 << (t + 1) for t in range(top_count))
+    p_bits = sum(1 << (t + 1) for t in range(top_count) if (p_index >> t) & 1)
+    a = p_bits
+    if impl.closure_and_rank(d, a)[0] != a:
+        a = impl.next_closed(d, a)
+    visited = spanning = 0
+    forms = {}
+    while a >= 0 and (a & top_bits) == p_bits:
+        visited += 1
+        if impl.closure_and_rank(d, a)[1] == d:
+            spanning += 1
+            hb = impl.heuristic_form(*impl.pair_rows(d, a))
+            forms[hb] = min(forms.get(hb, a), a)
+        a = impl.next_closed(d, a)
+    return visited, spanning, sorted(forms.items())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_enum_branch_matches_next_closed_walk(backend):
+    impl = kernel.get_backend(backend)
+    for d, k in ((2, 0), (3, 2), (4, 4)):
+        for p in range(1 << k):
+            assert impl.enum_branch(d, k, p) == _enum_branch_reference(impl, d, k, p), (d, k, p)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_kernel_closure_matches_generic_fraction_closure(backend):
     """The bit-packed cube closure agrees with the generic rational one."""
