@@ -1,30 +1,26 @@
-"""Build script: compiles the optional Cython kernel.
+"""Build script: compiles the optional C kernel ``src/bsp/_ckernel.c``.
 
-The package is fully functional without the extension (a pure-Python
-fallback is selected at import time), so any build failure here is
-non-fatal: set BSP_PURE_PYTHON=1 to skip the extension entirely.
+The library has no Python API; ``bsp._kernel_c`` loads it with ctypes.
+The package works without it (``bsp.kernel`` falls back to the
+pure-Python twin), so a failed compile only prints a warning.
 """
 
-import os
-
 from setuptools import Extension, setup
+from setuptools.command.build_ext import build_ext
+from setuptools.errors import CCompilerError, PlatformError
 
-ext_modules = []
-if os.environ.get("BSP_PURE_PYTHON") != "1" and os.path.exists("src/bsp/_kernel.pyx"):
-    try:
-        from Cython.Build import cythonize
 
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "bsp._kernel",
-                    ["src/bsp/_kernel.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            language_level="3",
-        )
-    except ImportError:
-        ext_modules = []
+class OptionalBuildExt(build_ext):
+    def run(self):
+        try:
+            super().run()
+        except (CCompilerError, PlatformError) as exc:
+            self.warn(f"C kernel not built, the pure-Python kernel will be used: {exc}")
 
-setup(ext_modules=ext_modules)
+
+setup(
+    ext_modules=[
+        Extension("bsp._ckernel", ["src/bsp/_ckernel.c"], extra_compile_args=["-std=c99", "-O2"])
+    ],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

@@ -1,0 +1,540 @@
+/*
+ * C kernel: the hot loops of bsp._kernel_py on 64-bit bitsets, d <= 6.
+ *
+ * Plain C99 with no Python API.  bsp/_kernel_c.py loads the compiled
+ * library through ctypes, checks every argument before it gets here, and
+ * turns the results into the values bsp._kernel_py returns; see that
+ * module for the algorithm.  Callers own every output buffer.
+ *
+ * A subset of the cube {0,1}^d is a bitset whose bit y is the point with
+ * coordinates (y & 1, y >> 1 & 1, ...); bit 0, the origin, belongs to
+ * every family and is ignored on input.
+ *
+ * Closure of a set S.  B is the greedy basis of S (its first linearly
+ * independent points in ascending order), r = |B|, and M is B followed
+ * by the unit vectors that complete it to a basis of R^d.  Fraction-free
+ * Gauss-Jordan gives D = +-det(M) and the integer matrix inv = D M^-1, so
+ * D times the coordinates of a point y in the rows of M is
+ * w_i(y) = sum over set bits j of y of inv[j][i].  A pattern sigma, a
+ * subset of the basis positions 0..r-1, stands for the partner vector a
+ * with <a, b_i> = [i in sigma] and <a, e> = 0 on the completing unit
+ * vectors; then D <a, y> = t(y, sigma) = sum over i in sigma of w_i(y).
+ * A pattern is valid when t is 0 or D on every point of S, and the
+ * closure is every point y with w_i(y) = 0 for i >= r (y in the span of
+ * B) and t(y, sigma) in {0, D} for every valid sigma.
+ *
+ * All values are minors of 0/1 matrices of order <= 6 and their sums,
+ * far inside int64.  facet_scan takes arbitrary integer points; the
+ * caller sends it only inputs whose Bareiss intermediates fit in int64.
+ */
+
+#include <stdint.h>
+#include <string.h>
+
+#define MAXD 6
+#define MAXP 64                 /* 2^MAXD cube points */
+#define FORM_WORDS (2 + MAXP)   /* form record: header, rows, mask */
+#define FACET_WORDS (MAXD + 1)  /* facet record: normal, offset */
+
+typedef struct {
+    int rank;
+    int sign;                   /* det(M) = sign * den */
+    int64_t den;                /* D */
+    int64_t inv[MAXD][MAXD];    /* D M^-1 */
+    uint64_t valid;             /* bit sigma: sigma is a valid pattern */
+    uint64_t closed;
+    uint64_t one[MAXP];         /* bit sigma of one[y]: t(y, sigma) = D */
+} closure_t;
+
+static int64_t gcd64(int64_t a, int64_t b)
+{
+    if (a < 0)
+        a = -a;
+    if (b < 0)
+        b = -b;
+    while (b) {
+        int64_t t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+static int lowest_bit(uint64_t x)
+{
+    int i = 0;
+    while (!((x >> i) & 1))
+        i++;
+    return i;
+}
+
+/* Adds v to the echelon rows ech (each zero at the pivots of the rows
+   before it) when v is independent of them; returns whether it did. */
+static int echelon_add(int d, int64_t ech[MAXD][MAXD], int *piv, int *nech, const int64_t *v0)
+{
+    int64_t v[MAXD];
+    memcpy(v, v0, d * sizeof *v);
+    for (int k = 0; k < *nech; k++) {
+        int64_t a = ech[k][piv[k]], b = v[piv[k]], g = 0;
+        if (b == 0)
+            continue;
+        for (int j = 0; j < d; j++) {
+            v[j] = a * v[j] - b * ech[k][j];
+            g = gcd64(g, v[j]);
+        }
+        for (int j = 0; g > 1 && j < d; j++)
+            v[j] /= g;
+    }
+    int p = 0;
+    while (p < d && v[p] == 0)
+        p++;
+    if (p == d)
+        return 0;
+    piv[*nech] = p;
+    memcpy(ech[*nech], v, d * sizeof *v);
+    (*nech)++;
+    return 1;
+}
+
+/* The greedy basis of the points of sset (its first independent points
+   in ascending order) and then the unit vectors completing it, as the
+   rows of m; returns the number of basis points. */
+static int basis_rows(int d, uint64_t sset, int64_t m[MAXD][MAXD])
+{
+    int64_t ech[MAXD][MAXD];
+    int piv[MAXD], nech = 0, rank;
+    for (int y = 1; y < (1 << d) && nech < d; y++) {
+        if (!((sset >> y) & 1))
+            continue;
+        for (int j = 0; j < d; j++)
+            m[nech][j] = (y >> j) & 1;
+        echelon_add(d, ech, piv, &nech, m[nech]);
+    }
+    rank = nech;
+    for (int i = 0; i < d && nech < d; i++) {
+        for (int j = 0; j < d; j++)
+            m[nech][j] = i == j;
+        echelon_add(d, ech, piv, &nech, m[nech]);
+    }
+    return rank;
+}
+
+static void close_set(int d, uint64_t sset, closure_t *c)
+{
+    int64_t a[MAXD][2 * MAXD] = {{0}};
+    int64_t m[MAXD][MAXD];
+    int64_t prev = 1;
+
+    sset &= ~(uint64_t)1;
+    c->rank = basis_rows(d, sset, m);
+    c->sign = 1;
+    for (int i = 0; i < d; i++) {
+        memcpy(a[i], m[i], d * sizeof m[i][0]);
+        a[i][d + i] = 1;
+    }
+    /* fraction-free Gauss-Jordan on [M | I]; every division is exact.
+       Only the columns right of the pivot are kept up to date. */
+    for (int k = 0; k < d; k++) {
+        int p = k;
+        while (a[p][k] == 0)
+            p++;
+        if (p != k) {
+            for (int j = 0; j < 2 * d; j++) {
+                int64_t t = a[k][j];
+                a[k][j] = a[p][j];
+                a[p][j] = t;
+            }
+            c->sign = -c->sign;
+        }
+        for (int i = 0; i < d; i++) {
+            if (i == k)
+                continue;
+            for (int j = k + 1; j < 2 * d; j++)
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev;
+        }
+        prev = a[k][k];
+    }
+    c->den = prev;
+    for (int i = 0; i < d; i++)
+        for (int j = 0; j < d; j++)
+            c->inv[i][j] = a[i][d + j];
+
+    int r = c->rank, nsig = 1 << r;
+    uint64_t all = nsig == 64 ? ~(uint64_t)0 : ((uint64_t)1 << nsig) - 1;
+    uint64_t ok[MAXP];          /* bit sigma: t(y, sigma) in {0, D} */
+    int64_t w[MAXP][MAXD];
+    uint64_t span = 1;
+    memset(w[0], 0, sizeof w[0]);
+    ok[0] = all;
+    c->one[0] = 0;
+    for (int y = 1; y < (1 << d); y++) {
+        int low = lowest_bit((uint64_t)y);
+        int in_span = 1;
+        for (int i = 0; i < d; i++) {
+            w[y][i] = w[y & (y - 1)][i] + c->inv[low][i];
+            if (i >= r && w[y][i] != 0)
+                in_span = 0;
+        }
+        ok[y] = c->one[y] = 0;
+        if (!in_span)
+            continue;
+        span |= (uint64_t)1 << y;
+        int64_t t[MAXP];
+        t[0] = 0;
+        ok[y] = 1;
+        for (int s = 1; s < nsig; s++) {
+            t[s] = t[s & (s - 1)] + w[y][lowest_bit((uint64_t)s)];
+            if (t[s] == 0)
+                ok[y] |= (uint64_t)1 << s;
+            else if (t[s] == c->den) {
+                ok[y] |= (uint64_t)1 << s;
+                c->one[y] |= (uint64_t)1 << s;
+            }
+        }
+    }
+    c->valid = all;
+    for (int y = 1; y < (1 << d); y++)
+        if ((sset >> y) & 1)
+            c->valid &= ok[y];
+    c->closed = 0;
+    for (int y = 1; y < (1 << d); y++)
+        if (((span >> y) & 1) && (ok[y] & c->valid) == c->valid)
+            c->closed |= (uint64_t)1 << y;
+}
+
+/* Product-matrix rows of the closed set `closed` against the valid
+   patterns of c, which may be the closure data of any set whose closure
+   is `closed`: columns are the origin and then the points of `closed` in
+   ascending order, bit n-1-j of a row is the product with column j, rows
+   go by increasing sigma.  Returns the row count and sets *n. */
+static int rows_of(int d, uint64_t closed, const closure_t *c, uint64_t *rows, int *n)
+{
+    int members[MAXP], nm = 0, nrows = 0;
+    members[nm++] = 0;
+    for (int y = 1; y < (1 << d); y++)
+        if ((closed >> y) & 1)
+            members[nm++] = y;
+    for (int s = 0; s < (1 << c->rank); s++) {
+        if (!((c->valid >> s) & 1))
+            continue;
+        uint64_t row = 0;
+        for (int j = 0; j < nm; j++)
+            if ((c->one[members[j]] >> s) & 1)
+                row |= (uint64_t)1 << (nm - 1 - j);
+        rows[nrows++] = row;
+    }
+    *n = nm;
+    return nrows;
+}
+
+/* Closure data of the candidate whose closure is the lectically next
+   closed set after `current`; 0 at the end. */
+static int next_closed(int d, uint64_t current, closure_t *c)
+{
+    for (int i = (1 << d) - 1; i > 0; i--) {
+        uint64_t bit = (uint64_t)1 << i, below = bit - 1;
+        if (current & bit)
+            continue;
+        close_set(d, (current & below) | bit, c);
+        if ((c->closed & below) == (current & below))
+            return 1;
+    }
+    return 0;
+}
+
+static void sort_u64(uint64_t *x, int n)
+{
+    for (int i = 1; i < n; i++) {
+        uint64_t key = x[i];
+        int j = i - 1;
+        while (j >= 0 && x[j] > key) {
+            x[j + 1] = x[j];
+            j--;
+        }
+        x[j + 1] = key;
+    }
+}
+
+/* Bit m-1-i of out[j] is bit n-1-j of in[i]. */
+static void transpose(const uint64_t *in, int m, int n, uint64_t *out)
+{
+    for (int j = 0; j < n; j++) {
+        out[j] = 0;
+        for (int i = 0; i < m; i++)
+            if ((in[i] >> (n - 1 - j)) & 1)
+                out[j] |= (uint64_t)1 << (m - 1 - i);
+    }
+}
+
+/* Hash set of fixed-size records of `stride` words, the key in the
+   first words; slots hold record index + 1, 0 when empty. */
+typedef struct {
+    uint64_t *recs;
+    int32_t *slots;
+    int stride, cap, count;
+} table_t;
+
+static void table_init(table_t *t, uint64_t *recs, int32_t *slots, int stride, int cap)
+{
+    t->recs = recs;
+    t->slots = slots;
+    t->stride = stride;
+    t->cap = cap;
+    t->count = 0;
+    memset(slots, 0, 2 * (size_t)cap * sizeof *slots);
+}
+
+/* The record whose first len words equal key, added when absent;
+   NULL when it is absent and the table is full. */
+static uint64_t *table_get(table_t *t, const uint64_t *key, int len)
+{
+    uint64_t h = 0;
+    for (int i = 0; i < len; i++) {
+        h = (h ^ key[i]) * 0x9E3779B97F4A7C15ULL;
+        h ^= h >> 31;
+    }
+    uint64_t nslots = 2 * (uint64_t)t->cap;
+    for (uint64_t s = h % nslots;; s = (s + 1) % nslots) {
+        int32_t k = t->slots[s];
+        if (k == 0) {
+            if (t->count == t->cap)
+                return NULL;
+            uint64_t *rec = t->recs + (size_t)t->count * t->stride;
+            memset(rec, 0, t->stride * sizeof *rec);
+            memcpy(rec, key, len * sizeof *key);
+            t->slots[s] = ++t->count;
+            return rec;
+        }
+        uint64_t *rec = t->recs + (size_t)(k - 1) * t->stride;
+        if (memcmp(rec, key, len * sizeof *key) == 0)
+            return rec;
+    }
+}
+
+/* ---- exported ---------------------------------------------------- */
+
+int bsp_closure_and_rank(int d, uint64_t sset, uint64_t *closed)
+{
+    closure_t c;
+    close_set(d, sset, &c);
+    *closed = c.closed;
+    return c.rank;
+}
+
+/* rows: 64 words; returns the row count and sets *n. */
+int bsp_pair_rows(int d, uint64_t closed, uint64_t *rows, int *n)
+{
+    closure_t c;
+    close_set(d, closed, &c);
+    return rows_of(d, closed, &c, rows, n);
+}
+
+/* Partner vectors of a closed set as numerators over *det, one per valid
+   pattern in increasing order: nums[k*d + j] is sum over i in sigma of
+   cofactor (i, j) of M.  nums: 64*d words; returns the vector count. */
+int bsp_a_vector_data(int d, uint64_t closed, int64_t *det, int64_t *nums)
+{
+    closure_t c;
+    int count = 0;
+    close_set(d, closed, &c);
+    *det = c.sign * c.den;
+    for (int s = 0; s < (1 << c.rank); s++) {
+        if (!((c.valid >> s) & 1))
+            continue;
+        for (int j = 0; j < d; j++) {
+            int64_t x = 0;
+            for (int i = 0; i < c.rank; i++)
+                if ((s >> i) & 1)
+                    x += c.inv[j][i];   /* cofactor (i, j) = sign * inv[j][i] */
+            nums[count * d + j] = c.sign * x;
+        }
+        count++;
+    }
+    return count;
+}
+
+int bsp_next_closed(int d, uint64_t current, uint64_t *next)
+{
+    closure_t c;
+    if (!next_closed(d, current, &c))
+        return 0;
+    *next = c.closed;
+    return 1;
+}
+
+/* Sort rows and columns alternately until stable (at most 6 rounds),
+   in place; bsp._kernel_py.heuristic_form adds the byte encoding. */
+void bsp_heuristic_form(uint64_t *rows, int m, int n)
+{
+    uint64_t cols[MAXP], next[MAXP];
+    sort_u64(rows, m);
+    for (int round = 0; round < 6; round++) {
+        transpose(rows, m, n, cols);
+        sort_u64(cols, n);
+        transpose(cols, n, m, next);
+        sort_u64(next, m);
+        int same = memcmp(next, rows, m * sizeof *rows) == 0;
+        memcpy(rows, next, m * sizeof *rows);
+        if (same)
+            break;
+    }
+}
+
+/*
+ * Closed sets whose pattern on the cube points 1..top_count is p_index,
+ * in lectic order, as in bsp._kernel_py.enum_branch.  Each spanning one
+ * is reduced to its heuristic form and kept in a table of cap records of
+ * FORM_WORDS words: header (row count | column count << 8), the sorted
+ * rows, zero padding, and the smallest mask with that form.
+ *
+ * state: [last set visited, visited count, spanning count, phase], phase
+ * 0 to start, 1 to go on after the last set, 2 when the branch is done.
+ * A call stops with phase 1 as soon as the table is full; the caller
+ * reads the records and calls again.  slots: 2*cap words.  Returns the
+ * record count.
+ */
+int bsp_enum_branch(int d, int top_count, uint64_t p_index, uint64_t *state,
+                    uint64_t *recs, int32_t *slots, int cap)
+{
+    uint64_t top_bits = 0, p_bits = 0;
+    for (int t = 0; t < top_count; t++) {
+        top_bits |= (uint64_t)1 << (t + 1);
+        if ((p_index >> t) & 1)
+            p_bits |= (uint64_t)1 << (t + 1);
+    }
+    table_t tab;
+    table_init(&tab, recs, slots, FORM_WORDS, cap);
+    closure_t c;
+    int found;
+    if (state[3] == 0) {
+        close_set(d, p_bits, &c);
+        found = c.closed == p_bits || next_closed(d, p_bits, &c);
+    } else {
+        found = state[3] == 1 && next_closed(d, state[0], &c);
+    }
+    while (found && (c.closed & top_bits) == p_bits) {
+        uint64_t a = c.closed;
+        state[0] = a;
+        state[1]++;
+        if (c.rank == d) {
+            uint64_t key[FORM_WORDS];
+            int n, m = rows_of(d, a, &c, key + 1, &n);
+            state[2]++;
+            bsp_heuristic_form(key + 1, m, n);
+            key[0] = (uint64_t)m | (uint64_t)n << 8;
+            uint64_t *rec = table_get(&tab, key, 1 + m);
+            /* a new record holds mask 0, and a spanning set is not empty */
+            if (rec[FORM_WORDS - 1] == 0 || a < rec[FORM_WORDS - 1])
+                rec[FORM_WORDS - 1] = a;
+            if (tab.count == cap) {
+                state[3] = 1;
+                return tab.count;
+            }
+        }
+        found = next_closed(d, a, &c);
+    }
+    state[3] = 2;
+    return tab.count;
+}
+
+/* Bareiss determinant of the n x n row-major matrix x, which it destroys. */
+static int64_t det_inplace(int64_t *x, int n)
+{
+    int64_t sign = 1, prev = 1;
+    if (n == 0)
+        return 1;
+    for (int k = 0; k < n - 1; k++) {
+        if (x[k * n + k] == 0) {
+            int p = k + 1;
+            while (p < n && x[p * n + k] == 0)
+                p++;
+            if (p == n)
+                return 0;
+            for (int j = 0; j < n; j++) {
+                int64_t t = x[k * n + j];
+                x[k * n + j] = x[p * n + j];
+                x[p * n + j] = t;
+            }
+            sign = -sign;
+        }
+        for (int i = k + 1; i < n; i++)
+            for (int j = k + 1; j < n; j++)
+                x[i * n + j] = (x[i * n + j] * x[k * n + k] - x[i * n + k] * x[k * n + j]) / prev;
+        prev = x[k * n + k];
+    }
+    return sign * x[n * n - 1];
+}
+
+/*
+ * Supporting hyperplanes spanned by dim-subsets of the n points pts
+ * (row major, n x dim), as in bsp._kernel_py.facet_scan: records of
+ * FACET_WORDS words, the primitive normal and then the offset, with
+ * every point on the <normal, x> <= offset side, unsorted.  slots:
+ * 2*cap words.  Returns the record count, or -1 when more than cap
+ * hyperplanes were found.
+ */
+int bsp_facet_scan(int dim, int n, const int64_t *pts, int64_t *recs,
+                   int32_t *slots, int cap)
+{
+    table_t tab;
+    int combo[MAXD];
+    table_init(&tab, (uint64_t *)recs, slots, FACET_WORDS, cap);
+    if (n < dim)
+        return 0;
+    for (int j = 0; j < dim; j++)
+        combo[j] = j;
+    for (;;) {
+        const int64_t *base = pts + (size_t)combo[0] * dim;
+        int64_t rows[MAXD][MAXD], sub[MAXD * MAXD], normal[FACET_WORDS];
+        int all_zero = 1;
+        for (int i = 1; i < dim; i++)
+            for (int j = 0; j < dim; j++)
+                rows[i - 1][j] = pts[(size_t)combo[i] * dim + j] - base[j];
+        for (int j = 0; j < dim; j++) {
+            int k = 0;
+            for (int i = 0; i < dim - 1; i++)
+                for (int l = 0; l < dim; l++)
+                    if (l != j)
+                        sub[k++] = rows[i][l];
+            normal[j] = det_inplace(sub, dim - 1);
+            if (j & 1)
+                normal[j] = -normal[j];
+            if (normal[j] != 0)
+                all_zero = 0;
+        }
+        if (!all_zero) {
+            int64_t off = 0;
+            int hi = 0, lo = 0;
+            for (int j = 0; j < dim; j++)
+                off += normal[j] * base[j];
+            for (int i = 0; i < n && !(hi && lo); i++) {
+                int64_t s = 0;
+                for (int j = 0; j < dim; j++)
+                    s += normal[j] * pts[(size_t)i * dim + j];
+                hi |= s > off;
+                lo |= s < off;
+            }
+            if (!(hi && lo)) {
+                int64_t g = 0;
+                normal[dim] = off;
+                for (int j = 0; j <= dim; j++)
+                    g = gcd64(g, normal[j]);
+                if (hi)
+                    g = -g;
+                for (int j = 0; j <= dim; j++)
+                    normal[j] /= g;
+                if (table_get(&tab, (const uint64_t *)normal, dim + 1) == NULL)
+                    return -1;
+            }
+        }
+        int i = dim - 1;
+        while (i >= 0 && combo[i] == n - dim + i)
+            i--;
+        if (i < 0)
+            break;
+        combo[i]++;
+        for (int j = i + 1; j < dim; j++)
+            combo[j] = combo[j - 1] + 1;
+    }
+    return tab.count;
+}

@@ -1,0 +1,166 @@
+"""C kernel: the functions of :mod:`bsp._kernel_py`, run by the compiled
+``_ckernel.c``.
+
+The library is built next to this module by ``setup.py`` (``pip install
+-e .`` or ``python setup.py build_ext --inplace``); when it is not there,
+importing this module raises ImportError and :mod:`bsp.kernel` falls back
+to the pure-Python twin.  Nothing is compiled at import time.
+
+Every function returns exactly what its twin returns.  Arguments are
+checked here, because ctypes would silently wrap a negative or oversized
+integer: a dimension outside 1..6, a bitset outside [0, 2^(2^d)) or a
+branch outside the valid range raises ValueError.  ``facet_scan`` runs in
+C only when int64 cannot overflow and hands other inputs to the twin.
+"""
+
+from __future__ import annotations
+
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+
+from . import _kernel_py
+
+_LIBRARY = next(
+    (path for path in (Path(__file__).with_name("_ckernel" + s) for s in EXTENSION_SUFFIXES)
+     if path.is_file()),
+    None,
+)
+if _LIBRARY is None:
+    raise ImportError("the C kernel is not built; run: python setup.py build_ext --inplace")
+
+import ctypes  # noqa: E402  (only once the library is known to exist)
+
+BACKEND = "c"
+
+_MAX_DIM = 6
+_FORM_WORDS = 66  # header, 64 rows, mask: FORM_WORDS in _ckernel.c
+_FACET_WORDS = 7  # normal, offset: FACET_WORDS in _ckernel.c
+_TABLE_RECORDS = 512  # forms held before enum_branch hands them over
+
+_u64, _i64, _int = ctypes.c_uint64, ctypes.c_int64, ctypes.c_int
+try:
+    _lib = ctypes.CDLL(str(_LIBRARY))
+except OSError as exc:  # not a loadable library, e.g. built for another platform
+    raise ImportError(f"cannot load the C kernel {_LIBRARY}: {exc}") from exc
+for _name, _args in {
+    "bsp_closure_and_rank": (_int, _u64, ctypes.POINTER(_u64)),
+    "bsp_pair_rows": (_int, _u64, ctypes.POINTER(_u64), ctypes.POINTER(_int)),
+    "bsp_a_vector_data": (_int, _u64, ctypes.POINTER(_i64), ctypes.POINTER(_i64)),
+    "bsp_next_closed": (_int, _u64, ctypes.POINTER(_u64)),
+    "bsp_heuristic_form": (ctypes.POINTER(_u64), _int, _int),
+    "bsp_enum_branch": (_int, _int, _u64, ctypes.POINTER(_u64), ctypes.POINTER(_u64),
+                        ctypes.POINTER(ctypes.c_int32), _int),
+    "bsp_facet_scan": (_int, _int, ctypes.POINTER(_i64), ctypes.POINTER(_i64),
+                       ctypes.POINTER(ctypes.c_int32), _int),
+}.items():
+    _fn = getattr(_lib, _name)
+    _fn.argtypes = _args
+    _fn.restype = None if _name == "bsp_heuristic_form" else _int
+
+
+def _check_set(d: int, sset: int) -> None:
+    if not 1 <= d <= _MAX_DIM:
+        raise ValueError(f"d must be in [1, {_MAX_DIM}], got {d}")
+    if not 0 <= sset < 1 << (1 << d):
+        raise ValueError(f"bitset {sset} is outside [0, 2^{1 << d})")
+
+
+def closure_and_rank(d: int, sset: int) -> tuple[int, int]:
+    _check_set(d, sset)
+    closed = _u64()
+    rank = _lib.bsp_closure_and_rank(d, sset, ctypes.byref(closed))
+    return closed.value, rank
+
+
+def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
+    _check_set(d, closed)
+    rows, n = (_u64 * 64)(), _int()
+    m = _lib.bsp_pair_rows(d, closed, rows, ctypes.byref(n))
+    return rows[:m], n.value
+
+
+def a_vector_data(d: int, closed: int) -> tuple[int, list[tuple[int, ...]]]:
+    _check_set(d, closed)
+    det, nums = _i64(), (_i64 * (64 * d))()
+    count = _lib.bsp_a_vector_data(d, closed, ctypes.byref(det), nums)
+    flat = nums[: count * d]
+    return det.value, [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]
+
+
+def next_closed(d: int, current: int) -> int:
+    _check_set(d, current)
+    nxt = _u64()
+    return nxt.value if _lib.bsp_next_closed(d, current, ctypes.byref(nxt)) else -1
+
+
+def _form_bytes(rows: list[int], n: int) -> bytes:
+    width = (n + 7) // 8
+    return b"%d,%d:" % (len(rows), n) + b"".join(r.to_bytes(width, "big") for r in rows)
+
+
+def heuristic_form(rows: list[int], n: int) -> bytes:
+    if not (0 <= n <= 64 and len(rows) <= 64 and all(0 <= r < 1 << n for r in rows)):
+        raise ValueError("heuristic_form takes at most 64 rows of n <= 64 bits")
+    buf = (_u64 * 64)(*rows)
+    _lib.bsp_heuristic_form(buf, len(rows), n)
+    return _form_bytes(buf[: len(rows)], n)
+
+
+def enum_branch(d: int, top_count: int, p_index: int):
+    _check_set(d, 0)
+    if not 0 <= top_count < 1 << d:
+        raise ValueError(f"top_count must be in [0, {(1 << d) - 1}], got {top_count}")
+    if not 0 <= p_index < 1 << top_count:
+        raise ValueError(f"p_index must be in [0, 2^{top_count}), got {p_index}")
+    state = (_u64 * 4)()  # last set visited, visited, spanning, phase (2: done)
+    recs = (_u64 * (_TABLE_RECORDS * _FORM_WORDS))()
+    slots = (ctypes.c_int32 * (2 * _TABLE_RECORDS))()
+    out: dict[bytes, int] = {}
+    while state[3] != 2:
+        count = _lib.bsp_enum_branch(d, top_count, p_index, state, recs, slots, _TABLE_RECORDS)
+        flat = recs[: count * _FORM_WORDS]
+        for base in range(0, len(flat), _FORM_WORDS):
+            head, mask = flat[base], flat[base + _FORM_WORDS - 1]
+            hb = _form_bytes(flat[base + 1 : base + 1 + (head & 0xFF)], head >> 8)
+            prev = out.get(hb)
+            if prev is None or mask < prev:
+                out[hb] = mask
+    return state[1], state[2], sorted(out.items())
+
+
+def _fits_int64(dim: int, verts: list[tuple[int, ...]]) -> bool:
+    """Whether every intermediate of the C scan of these points fits in
+    int64.
+
+    The scan takes minors of order k = dim - 1 of differences of two
+    points, whose entries are at most 2b (b the largest |coordinate|).
+    By Hadamard's bound a minor of order j is at most h(j), with
+    h(j)^2 = (4 b^2 j)^j.  Bareiss builds the order-k minors from
+    differences of products of two minors of order k - 1, and an offset
+    <normal, point> is at most dim b h(k)."""
+    b2 = max(x * x for v in verts for x in v)
+    k = dim - 1
+
+    def h2(j: int) -> int:
+        return (4 * b2 * j) ** j
+
+    return 2 * h2(max(k - 1, 0)) < 1 << 63 and dim * dim * b2 * h2(k) < 1 << 126
+
+
+def facet_scan(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    if not (1 <= dim <= _MAX_DIM and verts and all(len(v) == dim for v in verts)
+            and _fits_int64(dim, verts)):
+        return _kernel_py.facet_scan(dim, verts)
+    pts = (_i64 * (len(verts) * dim))(*(x for v in verts for x in v))
+    cap = 64
+    while True:
+        recs = (_i64 * (cap * _FACET_WORDS))()
+        slots = (ctypes.c_int32 * (2 * cap))()
+        count = _lib.bsp_facet_scan(dim, len(verts), pts, recs, slots, cap)
+        if count >= 0:
+            break
+        cap *= 4
+    flat = recs[: count * _FACET_WORDS]
+    return sorted(
+        (tuple(flat[k : k + dim]), flat[k + dim]) for k in range(0, len(flat), _FACET_WORDS)
+    )

@@ -1,8 +1,8 @@
 """Pure-Python kernel: hot loops behind enumeration and facet scanning.
 
-This module is the fallback twin of the compiled ``bsp._kernel`` extension;
-both expose the same functions with identical outputs, and the active one
-is chosen in :mod:`bsp.kernel`.
+This module is the reference twin of the C kernel (``_ckernel.c``, loaded
+by :mod:`bsp._kernel_c`); both expose the same functions with identical
+outputs, and the active one is chosen in :mod:`bsp.kernel`.
 
 Everything here works on bit-packed data.  A subset of the 0/1 cube in
 dimension d is an integer whose bit m is the cube point with coordinate

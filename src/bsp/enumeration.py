@@ -84,8 +84,8 @@ class Catalog:
         for line in text.splitlines():
             if not line.strip():
                 continue
-            obj = json.loads(line)
             with parsing("catalog line"):
+                obj = json.loads(line)
                 line_d, key = index(obj["d"]), bytes.fromhex(obj["key"])
                 shape = {"rows": obj["size_a"], "cols": obj["size_b"], "bits": obj["matrix"]}
             mat = ProductMatrix.from_json(shape)
@@ -176,7 +176,7 @@ def _checkpoint_read(path: str, d: int, top_count: int) -> tuple[set[int], dict[
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointCorruptError(str(exc)) from exc
     for hb, mask in partial.items():
-        # range first: the compiled kernel rejects a negative mask with OverflowError
+        # range first: the C kernel rejects a mask out of range with ValueError
         if not (0 < mask < 1 << (1 << d)
                 and kernel.closure_and_rank(d, mask) == (mask, d)
                 and kernel.heuristic_form(*kernel.pair_rows(d, mask)) == hb):

@@ -1,8 +1,9 @@
 """Kernel backend selection.
 
-The compiled Cython kernel is preferred when importable; the pure-Python
-twin is the fallback.  Set BSP_KERNEL=python (or =c) to force a backend.
-Both expose the same functions with identical outputs.
+The C kernel (:mod:`bsp._kernel_c`) is preferred when its library has
+been built; the pure-Python twin is the fallback.  Set BSP_KERNEL=python
+(or =c) to force a backend.  Both expose the same functions with
+identical outputs.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ _choice = os.environ.get("BSP_KERNEL", "").strip().lower()
 
 if _choice in ("python", "py", "pure"):
     from . import _kernel_py as _impl
-elif _choice in ("c", "cython", "compiled"):
-    from . import _kernel as _impl  # type: ignore[no-redef]
+elif _choice in ("c", "compiled"):
+    from . import _kernel_c as _impl  # type: ignore[no-redef]
 else:
     try:
-        from . import _kernel as _impl  # type: ignore[no-redef]
+        from . import _kernel_c as _impl  # type: ignore[no-redef]
     except ImportError:
         from . import _kernel_py as _impl  # type: ignore[no-redef]
 
@@ -39,8 +40,8 @@ def get_backend(name: str | None = None):
         from . import _kernel_py
 
         return _kernel_py
-    if name in ("c", "cython", "compiled"):
-        from . import _kernel  # type: ignore[attr-defined]
+    if name in ("c", "compiled"):
+        from . import _kernel_c
 
-        return _kernel
+        return _kernel_c
     raise ValueError(f"unknown kernel backend: {name!r}")

@@ -43,9 +43,6 @@ from .linalg import (
     zero_vec,
 )
 
-_KERNEL_COORD_LIMIT = 128  # beyond this, fall back to big-int python scan
-
-
 @dataclass(frozen=True)
 class Facet:
     normal: Vec  # primitive integer normal; polytope satisfies <n, x> <= offset
@@ -111,9 +108,7 @@ def facets(d: int, vertices: list[Vec]) -> list[Facet]:
         for c in v:
             denom = denom * c.denominator // gcd(denom, c.denominator)
     scaled = [tuple(int(c * denom) for c in v) for v in vertices]
-    big = max(abs(x) for v in scaled for x in v)
-    impl = kernel if big <= _KERNEL_COORD_LIMIT and d <= 6 else kernel.get_backend("python")
-    raw = impl.facet_scan(d, scaled)
+    raw = kernel.facet_scan(d, scaled)
     return [Facet(vec(n), Fraction(c, denom)) for n, c in raw]
 
 
@@ -186,13 +181,14 @@ def check_thm1(p: Polytope2L) -> PolytopeBoundReport:
     )
 
 
-def check_thm2(p: Polytope2L) -> PolytopeBoundReport:
+def check_thm2(p: Polytope2L, special: str | None = None) -> PolytopeBoundReport:
     """f0 * f_{d-1} <= (d-1) 2^{d+1} + 8(d-1) for 2-level polytopes that
-    are neither cubes nor cross-polytopes (affinely)."""
+    are neither cubes nor cross-polytopes (affinely).  ``special`` is
+    :func:`detect_special` of ``p`` when the caller already has it."""
     prod = p.f0 * p.n_facets
     d = p.d
     bound = ((d - 1) << (d + 1)) + 8 * (d - 1)
-    applicable = d > 1 and detect_special(p) == "neither"
+    applicable = d > 1 and (special or detect_special(p)) == "neither"
     return PolytopeBoundReport(
         "non-special-bound", p.f0, p.n_facets, prod, bound, applicable,
         (prod <= bound) if applicable else True, prod == bound,

@@ -78,6 +78,22 @@ def test_polytope_check_and_example(tmp_path, capsys):
     assert rep["special"] == "neither"
 
 
+@pytest.mark.parametrize("kind", ["cube", "cross"])
+def test_polytope_check_keys_each_slack_once(tmp_path, capsys, monkeypatch, kind):
+    """One slack key and one reference key: the special-shape verdict is
+    computed once and shared by the report and the bound check."""
+    import bsp.polytope
+
+    calls = []
+    key = bsp.polytope.canonical_key
+    monkeypatch.setattr(bsp.polytope, "canonical_key", lambda *a: calls.append(a) or key(*a))
+    f = tmp_path / "p.json"
+    run(["polytope", "example", "--kind", kind, "-d", "4", "--out", str(f)], capsys)
+    code, out, _ = run(["polytope", "check", str(f)], capsys)
+    assert code == 0 and json.loads(out)["polytopes"][0]["special"] == kind
+    assert len(calls) == 2
+
+
 def test_polytope_check_non_two_level_exit2(tmp_path, capsys):
     f = tmp_path / "pent.json"
     f.write_text(json.dumps({
@@ -111,13 +127,14 @@ CATALOG_LINE_NO_MATRIX = '{"d":2,"size_a":3,"size_b":3,"key":"00"}\n'
     (["conjecture", "-d", "2", "--slack"], '{"rows": 1, "cols": 1}', "MalformedInputError"),
     (["conjecture", "--catalog"], CATALOG_LINE_NO_MATRIX, "MalformedInputError"),
     (["stats"], CATALOG_LINE_NO_MATRIX, "MalformedInputError"),
+    (["stats"], "{not json\n", "MalformedInputError"),
     (["audit"], CATALOG_LINE_NO_MATRIX, "MalformedInputError"),
     (["audit"], '{"d":2,"size_a":5,"size_b":2,"matrix":["01","10"],"key":"00"}\n',
      "MalformedInputError"),
     (["enumerate", "-d", "2", "--checkpoint"], '{"d": 2}', "CheckpointCorruptError"),
     (["stats", "CATALOG", "--reference"], "size_a,size_b\n2;2\n", "MalformedInputError"),
 ], ids=["polytope-missing", "polytope-float", "verify-pair", "conjecture-slack",
-        "conjecture-catalog", "stats", "audit", "audit-shape", "enumerate-checkpoint",
+        "conjecture-catalog", "stats", "stats-not-json", "audit", "audit-shape", "enumerate-checkpoint",
         "stats-reference"])
 def test_malformed_input_file_is_exit_1(tmp_path, capsys, argv, text, error):
     if "CATALOG" in argv:

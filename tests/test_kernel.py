@@ -1,59 +1,124 @@
-"""Cross-checks between the compiled kernel, the pure fallback, and the
+"""Cross-checks between the C kernel, the pure-Python twin, and the
 generic Fraction implementation."""
 
+import importlib.util
 import random
+import shutil
+import subprocess
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bsp import kernel
-from bsp.family import a_max, closure, family_from_masks, mask_to_vec
+import bsp
+from bsp import enumeration, kernel
+from bsp.family import a_max, closure, family_from_masks
 
-BACKENDS = ["python"]
-try:
-    kernel.get_backend("c")
-    BACKENDS.append("c")
-except (ImportError, ValueError):
-    pass
-
-requires_c = pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
+SRC = Path(bsp.__file__).parent
+kp = kernel.get_backend("python")
 
 
-@requires_c
-def test_backends_agree_exhaustively_small_d():
-    kc, kp = kernel.get_backend("c"), kernel.get_backend("python")
+def _load_shim(directory: Path):
+    """Import a copy of the ctypes shim placed in ``directory``, where it
+    looks for the compiled library."""
+    shutil.copy(SRC / "_kernel_c.py", directory)
+    spec = importlib.util.spec_from_file_location("bsp._kernel_c", directory / "_kernel_c.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def kc(tmp_path_factory):
+    """The C kernel compiled from source into a temporary directory (never
+    into the package) and loaded through the shim.  A compile error fails
+    the tests; only a missing compiler skips them."""
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    out = tmp_path_factory.mktemp("ckernel")
+    subprocess.run(
+        [cc, "-std=c99", "-O2", "-shared", "-fPIC", str(SRC / "_ckernel.c"),
+         "-o", str(out / "_ckernel.so")],
+        check=True,
+    )
+    return _load_shim(out)
+
+
+@pytest.fixture(params=["python", "c"])
+def impl(request):
+    return kp if request.param == "python" else request.getfixturevalue("kc")
+
+
+def _random_set(rng, d):
+    sset = 0
+    for m in rng.sample(range(1, 1 << d), rng.randint(1, (1 << d) - 1)):
+        sset |= 1 << m
+    return sset
+
+
+def _assert_agree(kc, d, sset):
+    cc = kc.closure_and_rank(d, sset)
+    assert cc == kp.closure_and_rank(d, sset)
+    closed = cc[0]
+    rows = kp.pair_rows(d, closed)
+    assert kc.pair_rows(d, closed) == rows
+    assert kc.a_vector_data(d, closed) == kp.a_vector_data(d, closed)
+    assert kc.next_closed(d, sset) == kp.next_closed(d, sset)
+    assert kc.heuristic_form(*rows) == kp.heuristic_form(*rows)
+
+
+def test_backends_agree_exhaustively_small_d(kc):
     for d in (1, 2, 3):
         for s in range(1 << ((1 << d) - 1)):
-            sset = s << 1
-            assert kc.closure_and_rank(d, sset) == kp.closure_and_rank(d, sset)
+            _assert_agree(kc, d, s << 1)
 
 
-@requires_c
-def test_backends_agree_on_random_d4_d5():
-    kc, kp = kernel.get_backend("c"), kernel.get_backend("python")
+def test_backends_agree_on_random_d4_d5(kc):
     rng = random.Random(2)
     for d in (4, 5):
         for _ in range(150):
-            n = rng.randint(1, (1 << d) - 1)
-            masks = rng.sample(range(1, 1 << d), n)
-            sset = 0
-            for m in masks:
-                sset |= 1 << m
-            cc = kc.closure_and_rank(d, sset)
-            cp = kp.closure_and_rank(d, sset)
-            assert cc == cp
-            closed = cc[0]
-            assert kc.pair_rows(d, closed) == kp.pair_rows(d, closed)
-            assert kc.a_vector_data(d, closed) == kp.a_vector_data(d, closed)
-            assert kc.next_closed(d, sset) == kp.next_closed(d, sset)
+            _assert_agree(kc, d, _random_set(rng, d))
 
 
-@requires_c
-def test_enum_branch_identical_across_backends():
-    kc, kp = kernel.get_backend("c"), kernel.get_backend("python")
+@pytest.mark.parametrize("records", [512, 2])
+def test_enum_branch_identical_across_backends(kc, monkeypatch, records):
+    # a 2-record table makes the C side hand its forms over many times
+    monkeypatch.setattr(kc, "_TABLE_RECORDS", records)
     for d, k in ((2, 0), (3, 2), (4, 4)):
         for p in range(1 << k):
             assert kc.enum_branch(d, k, p) == kp.enum_branch(d, k, p)
+
+
+def test_catalogs_identical_across_backends(kc, monkeypatch):
+    expected = {d: enumeration.enumerate_catalog(d).to_jsonl() for d in (1, 2, 3, 4)}
+    for name in ("closure_and_rank", "pair_rows", "heuristic_form", "enum_branch"):
+        monkeypatch.setattr(kernel, name, getattr(kc, name))
+    for d, text in expected.items():
+        assert enumeration.enumerate_catalog(d).to_jsonl() == text
+
+
+def test_c_kernel_rejects_out_of_range_input(kc):
+    for mask in (-7, 1 << 16):
+        for fn in (kc.closure_and_rank, kc.pair_rows, kc.a_vector_data, kc.next_closed):
+            with pytest.raises(ValueError):
+                fn(4, mask)
+    for d in (0, 7):
+        with pytest.raises(ValueError):
+            kc.closure_and_rank(d, 2)
+    for top_count, p_index in ((16, 0), (-1, 0), (4, 16), (4, -1)):
+        with pytest.raises(ValueError):
+            kc.enum_branch(4, top_count, p_index)
+    with pytest.raises(ValueError):
+        kc.heuristic_form([4], 2)
+
+
+def test_shim_without_loadable_library_raises_import_error(tmp_path):
+    with pytest.raises(ImportError):
+        _load_shim(tmp_path)
+    (tmp_path / "_ckernel.so").write_bytes(b"not a shared library")
+    with pytest.raises(ImportError):
+        _load_shim(tmp_path)
 
 
 def _enum_branch_reference(impl, d, top_count, p_index):
@@ -75,18 +140,14 @@ def _enum_branch_reference(impl, d, top_count, p_index):
     return visited, spanning, sorted(forms.items())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_enum_branch_matches_next_closed_walk(backend):
-    impl = kernel.get_backend(backend)
+def test_enum_branch_matches_next_closed_walk(impl):
     for d, k in ((2, 0), (3, 2), (4, 4)):
         for p in range(1 << k):
             assert impl.enum_branch(d, k, p) == _enum_branch_reference(impl, d, k, p), (d, k, p)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_kernel_closure_matches_generic_fraction_closure(backend):
+def test_kernel_closure_matches_generic_fraction_closure(impl):
     """The bit-packed cube closure agrees with the generic rational one."""
-    impl = kernel.get_backend(backend)
     rng = random.Random(13)
     for d in (2, 3, 4):
         for _ in range(25):
@@ -109,48 +170,42 @@ def test_kernel_closure_matches_generic_fraction_closure(backend):
             assert avecs == a_max(got).vectors
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_closure_is_extensive_and_idempotent_bitwise(backend):
-    impl = kernel.get_backend(backend)
+def test_closure_is_extensive_and_idempotent_bitwise(impl):
     rng = random.Random(29)
     for d in (3, 4, 5):
         for _ in range(40):
-            sset = 0
-            for m in rng.sample(range(1, 1 << d), rng.randint(1, (1 << d) - 1)):
-                sset |= 1 << m
+            sset = _random_set(rng, d)
             closed, _ = impl.closure_and_rank(d, sset)
             assert closed & sset == sset
             again, _ = impl.closure_and_rank(d, closed)
             assert again == closed
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_facet_scan_square(backend):
-    impl = kernel.get_backend(backend)
+def test_facet_scan_square(impl):
     verts = [(0, 0), (1, 0), (0, 1), (1, 1)]
     facets = impl.facet_scan(2, verts)
     assert len(facets) == 4
     assert ((0, 1), 1) in facets and ((0, -1), 0) in facets
 
 
-@requires_c
-def test_facet_scan_backends_agree():
-    kc, kp = kernel.get_backend("c"), kernel.get_backend("python")
+@pytest.mark.parametrize("dim, coords", [
+    (2, range(-3, 4)), (3, range(-3, 4)), (4, range(-3, 4)),
+    # the largest coordinates the C scan takes at d=6, and larger ones
+    # that overflow int64 in the Bareiss steps there
+    (6, (-53, 53)), (6, (-128, 128)),
+], ids=["d2", "d3", "d4", "d6-53", "d6-128"])
+def test_facet_scan_backends_agree(kc, dim, coords):
     rng = random.Random(4)
-    for dim in (2, 3, 4):
-        pts = {tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim + 4)}
-        pts = sorted(pts)
+    for _ in range(10):
+        pts = sorted({tuple(rng.choice(coords) for _ in range(dim)) for _ in range(dim + 4)})
         assert kc.facet_scan(dim, pts) == kp.facet_scan(dim, pts)
 
 
-@requires_c
-def test_backends_agree_at_d6_spot_checks():
-    kc, kp = kernel.get_backend("c"), kernel.get_backend("python")
+def test_backends_agree_at_d6_spot_checks(kc):
     rng = random.Random(8)
     for _ in range(10):
-        masks = rng.sample(range(1, 64), rng.randint(6, 40))
         sset = 0
-        for m in masks:
+        for m in rng.sample(range(1, 64), rng.randint(6, 40)):
             sset |= 1 << m
         cc = kc.closure_and_rank(6, sset)
         assert cc == kp.closure_and_rank(6, sset)
