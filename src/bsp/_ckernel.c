@@ -1,5 +1,6 @@
 /*
- * C kernel: the hot loops of bsp._kernel_py on 64-bit bitsets, d <= 6.
+ * C kernel: the closure and enumeration loops of bsp._kernel_py on 64-bit
+ * bitsets, d <= 6.
  *
  * Plain C99 with no Python API.  bsp/_kernel_c.py loads the compiled
  * library through ctypes, checks every argument before it gets here, and
@@ -24,8 +25,7 @@
  * B) and t(y, sigma) in {0, D} for every valid sigma.
  *
  * All values are minors of 0/1 matrices of order <= 6 and their sums,
- * far inside int64.  facet_scan takes arbitrary integer points; the
- * caller sends it only inputs whose Bareiss intermediates fit in int64.
+ * far inside int64.
  */
 
 #include <stdint.h>
@@ -34,7 +34,6 @@
 #define MAXD 6
 #define MAXP 64                 /* 2^MAXD cube points */
 #define FORM_WORDS (2 + MAXP)   /* form record: header, rows, mask */
-#define FACET_WORDS (MAXD + 1)  /* facet record: normal, offset */
 
 typedef struct {
     int rank;
@@ -434,107 +433,5 @@ int bsp_enum_branch(int d, int top_count, uint64_t p_index, uint64_t *state,
         found = next_closed(d, a, &c);
     }
     state[3] = 2;
-    return tab.count;
-}
-
-/* Bareiss determinant of the n x n row-major matrix x, which it destroys. */
-static int64_t det_inplace(int64_t *x, int n)
-{
-    int64_t sign = 1, prev = 1;
-    if (n == 0)
-        return 1;
-    for (int k = 0; k < n - 1; k++) {
-        if (x[k * n + k] == 0) {
-            int p = k + 1;
-            while (p < n && x[p * n + k] == 0)
-                p++;
-            if (p == n)
-                return 0;
-            for (int j = 0; j < n; j++) {
-                int64_t t = x[k * n + j];
-                x[k * n + j] = x[p * n + j];
-                x[p * n + j] = t;
-            }
-            sign = -sign;
-        }
-        for (int i = k + 1; i < n; i++)
-            for (int j = k + 1; j < n; j++)
-                x[i * n + j] = (x[i * n + j] * x[k * n + k] - x[i * n + k] * x[k * n + j]) / prev;
-        prev = x[k * n + k];
-    }
-    return sign * x[n * n - 1];
-}
-
-/*
- * Supporting hyperplanes spanned by dim-subsets of the n points pts
- * (row major, n x dim), as in bsp._kernel_py.facet_scan: records of
- * FACET_WORDS words, the primitive normal and then the offset, with
- * every point on the <normal, x> <= offset side, unsorted.  slots:
- * 2*cap words.  Returns the record count, or -1 when more than cap
- * hyperplanes were found.
- */
-int bsp_facet_scan(int dim, int n, const int64_t *pts, int64_t *recs,
-                   int32_t *slots, int cap)
-{
-    table_t tab;
-    int combo[MAXD];
-    table_init(&tab, (uint64_t *)recs, slots, FACET_WORDS, cap);
-    if (n < dim)
-        return 0;
-    for (int j = 0; j < dim; j++)
-        combo[j] = j;
-    for (;;) {
-        const int64_t *base = pts + (size_t)combo[0] * dim;
-        int64_t rows[MAXD][MAXD], sub[MAXD * MAXD], normal[FACET_WORDS];
-        int all_zero = 1;
-        for (int i = 1; i < dim; i++)
-            for (int j = 0; j < dim; j++)
-                rows[i - 1][j] = pts[(size_t)combo[i] * dim + j] - base[j];
-        for (int j = 0; j < dim; j++) {
-            int k = 0;
-            for (int i = 0; i < dim - 1; i++)
-                for (int l = 0; l < dim; l++)
-                    if (l != j)
-                        sub[k++] = rows[i][l];
-            normal[j] = det_inplace(sub, dim - 1);
-            if (j & 1)
-                normal[j] = -normal[j];
-            if (normal[j] != 0)
-                all_zero = 0;
-        }
-        if (!all_zero) {
-            int64_t off = 0;
-            int hi = 0, lo = 0;
-            for (int j = 0; j < dim; j++)
-                off += normal[j] * base[j];
-            for (int i = 0; i < n && !(hi && lo); i++) {
-                int64_t s = 0;
-                for (int j = 0; j < dim; j++)
-                    s += normal[j] * pts[(size_t)i * dim + j];
-                hi |= s > off;
-                lo |= s < off;
-            }
-            if (!(hi && lo)) {
-                int64_t g = 0;
-                normal[dim] = off;
-                for (int j = 0; j <= dim; j++)
-                    g = gcd64(g, normal[j]);
-                if (hi)
-                    g = -g;
-                for (int j = 0; j <= dim; j++)
-                    normal[j] /= g;
-                if (table_get(&tab, (const uint64_t *)normal, dim + 1) == NULL)
-                    return -1;
-            }
-        }
-        int i = dim - 1;
-        while (i >= 0 && combo[i] == n - dim + i)
-            i--;
-        if (i < 0)
-            break;
-        combo[i]++;
-        for (int j = i + 1; j < dim; j++)
-            combo[j] = combo[j - 1] + 1;
-    }
     return tab.count;
 }

@@ -1,5 +1,5 @@
-"""C kernel: the functions of :mod:`bsp._kernel_py`, run by the compiled
-``_ckernel.c``.
+"""C kernel: the closure and enumeration functions of :mod:`bsp._kernel_py`,
+run by the compiled ``_ckernel.c``.
 
 The library is built next to this module by ``setup.py`` (``pip install
 -e .`` or ``python setup.py build_ext --inplace``); when it is not there,
@@ -9,8 +9,8 @@ to the pure-Python twin.  Nothing is compiled at import time.
 Every function returns exactly what its twin returns.  Arguments are
 checked here, because ctypes would silently wrap a negative or oversized
 integer: a dimension outside 1..6, a bitset outside [0, 2^(2^d)) or a
-branch outside the valid range raises ValueError.  ``facet_scan`` runs in
-C only when int64 cannot overflow and hands other inputs to the twin.
+branch outside the valid range raises ValueError.  ``facet_scan`` is the
+twin's: its exact double description needs unbounded integers.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ BACKEND = "c"
 
 _MAX_DIM = 6
 _FORM_WORDS = 66  # header, 64 rows, mask: FORM_WORDS in _ckernel.c
-_FACET_WORDS = 7  # normal, offset: FACET_WORDS in _ckernel.c
 _TABLE_RECORDS = 512  # forms held before enum_branch hands them over
 
 _u64, _i64, _int = ctypes.c_uint64, ctypes.c_int64, ctypes.c_int
@@ -50,8 +49,6 @@ for _name, _args in {
     "bsp_heuristic_form": (ctypes.POINTER(_u64), _int, _int),
     "bsp_enum_branch": (_int, _int, _u64, ctypes.POINTER(_u64), ctypes.POINTER(_u64),
                         ctypes.POINTER(ctypes.c_int32), _int),
-    "bsp_facet_scan": (_int, _int, ctypes.POINTER(_i64), ctypes.POINTER(_i64),
-                       ctypes.POINTER(ctypes.c_int32), _int),
 }.items():
     _fn = getattr(_lib, _name)
     _fn.argtypes = _args
@@ -128,39 +125,4 @@ def enum_branch(d: int, top_count: int, p_index: int):
     return state[1], state[2], sorted(out.items())
 
 
-def _fits_int64(dim: int, verts: list[tuple[int, ...]]) -> bool:
-    """Whether every intermediate of the C scan of these points fits in
-    int64.
-
-    The scan takes minors of order k = dim - 1 of differences of two
-    points, whose entries are at most 2b (b the largest |coordinate|).
-    By Hadamard's bound a minor of order j is at most h(j), with
-    h(j)^2 = (4 b^2 j)^j.  Bareiss builds the order-k minors from
-    differences of products of two minors of order k - 1, and an offset
-    <normal, point> is at most dim b h(k)."""
-    b2 = max(x * x for v in verts for x in v)
-    k = dim - 1
-
-    def h2(j: int) -> int:
-        return (4 * b2 * j) ** j
-
-    return 2 * h2(max(k - 1, 0)) < 1 << 63 and dim * dim * b2 * h2(k) < 1 << 126
-
-
-def facet_scan(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
-    if not (1 <= dim <= _MAX_DIM and verts and all(len(v) == dim for v in verts)
-            and _fits_int64(dim, verts)):
-        return _kernel_py.facet_scan(dim, verts)
-    pts = (_i64 * (len(verts) * dim))(*(x for v in verts for x in v))
-    cap = 64
-    while True:
-        recs = (_i64 * (cap * _FACET_WORDS))()
-        slots = (ctypes.c_int32 * (2 * cap))()
-        count = _lib.bsp_facet_scan(dim, len(verts), pts, recs, slots, cap)
-        if count >= 0:
-            break
-        cap *= 4
-    flat = recs[: count * _FACET_WORDS]
-    return sorted(
-        (tuple(flat[k : k + dim]), flat[k + dim]) for k in range(0, len(flat), _FACET_WORDS)
-    )
+facet_scan = _kernel_py.facet_scan

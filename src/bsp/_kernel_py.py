@@ -1,8 +1,10 @@
-"""Pure-Python kernel: hot loops behind enumeration and facet scanning.
+"""Pure-Python kernel: hot loops behind enumeration and facet enumeration.
 
 This module is the reference twin of the C kernel (``_ckernel.c``, loaded
 by :mod:`bsp._kernel_c`); both expose the same functions with identical
 outputs, and the active one is chosen in :mod:`bsp.kernel`.
+:func:`facet_scan` is implemented here only: its exact double
+description needs unbounded integers, and the C kernel re-exports it.
 
 Everything here works on bit-packed data.  A subset of the 0/1 cube in
 dimension d is an integer whose bit m is the cube point with coordinate
@@ -22,7 +24,6 @@ point, so the rows are those of :func:`pair_rows` up to order (which
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd
 
 BACKEND = "python"
@@ -102,33 +103,36 @@ class _BasisTables:
 _tables_cache: dict[tuple[int, tuple[int, ...]], _BasisTables] = {}
 
 
+def _echelon_add(ech: list[tuple[int, list[int]]], v: list[int]) -> bool:
+    """Reduce the integer vector ``v`` against the fraction-free echelon
+    rows ``ech`` (pivot, row) and append it when it is independent of
+    them."""
+    for piv, row in ech:
+        if v[piv]:
+            a, b = row[piv], v[piv]
+            v = [a * x - b * y for x, y in zip(v, row)]
+    piv = next((i for i, x in enumerate(v) if x), None)
+    if piv is None:
+        return False
+    ech.append((piv, v))
+    return True
+
+
 def _greedy_basis(d: int, members: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """First linearly independent members in ascending mask order, plus the
     unit coordinates completing them to a basis of R^d."""
     ech: list[tuple[int, list[int]]] = []
     basis: list[int] = []
-
-    def reduce_add(v: list[int]) -> bool:
-        for piv, row in ech:
-            if v[piv]:
-                a, b = row[piv], v[piv]
-                v = [a * x - b * y for x, y in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        ech.append((piv, v))
-        return True
-
     for m in members:
         if len(basis) == d:
             break
-        if reduce_add([(m >> i) & 1 for i in range(d)]):
+        if _echelon_add(ech, [(m >> i) & 1 for i in range(d)]):
             basis.append(m)
     helpers = []
     for i in range(d):
         if len(basis) + len(helpers) == d:
             break
-        if reduce_add([1 if j == i else 0 for j in range(d)]):
+        if _echelon_add(ech, [1 if j == i else 0 for j in range(d)]):
             helpers.append(i)
     return tuple(basis), tuple(helpers)
 
@@ -329,58 +333,80 @@ def enum_branch(d: int, top_count: int, p_index: int):
 
 
 # ---------------------------------------------------------------------------
-# exact facet scan (brute force over vertex d-subsets)
+# exact facet enumeration (double description)
 # ---------------------------------------------------------------------------
 
 
-def _minor_det(rows: list[list[int]], skip_col: int, dim: int) -> int:
-    sub = [[row[c] for c in range(dim) if c != skip_col] for row in rows]
-    return _det(sub) if sub else 1
-
-
 def facet_scan(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
-    """Supporting hyperplanes spanned by d-subsets of integer points.
+    """Facets of the convex hull of integer points that affinely span
+    R^dim.
 
     Returns sorted (primitive normal, offset) pairs with every point on
-    the <normal, x> <= offset side.  The caller guarantees the point set is
-    full-dimensional.
+    the <normal, x> <= offset side.  Raises ValueError when dim < 1 or the
+    points do not span R^dim.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): the
+    facets are the extreme rays of the cone of y = (normal, offset) with
+    <normal, v> - offset <= 0 for every point v.  The first dim + 1
+    affinely independent points cut out a simplicial cone whose rays are
+    the rows of their cofactor matrix.  The other points are added in
+    order: each keeps the rays on its side and replaces those it cuts off
+    by the combinations, tight on it, of every adjacent pair it
+    separates.  A ray carries its zero set, the bitset of points tight on
+    it.  Two rays are adjacent exactly when their common zero set lies in
+    no third ray's zero set (distinct extreme rays have distinct zero
+    sets); one of fewer than dim - 1 points rules adjacency out at once.
     """
-    n = len(verts)
-    found: set[tuple[tuple[int, ...], int]] = set()
-    for combo in combinations(range(n), dim):
-        base = verts[combo[0]]
-        rows = [
-            [verts[c][j] - base[j] for j in range(dim)] for c in combo[1:]
-        ]
-        normal = []
-        all_zero = True
-        for j in range(dim):
-            v = _minor_det(rows, j, dim)
-            if j & 1:
-                v = -v
-            if v:
-                all_zero = False
-            normal.append(v)
-        if all_zero:
+    if dim < 1 or not verts:
+        raise ValueError(f"no facets for {len(verts)} points in dimension {dim}")
+    base = verts[0]
+    ech: list[tuple[int, list[int]]] = []
+    simplex = [0]
+    for i in range(1, len(verts)):
+        if len(ech) == dim:
+            break
+        if _echelon_add(ech, [x - y for x, y in zip(verts[i], base)]):
+            simplex.append(i)
+    if len(ech) < dim:
+        raise ValueError(f"the points do not affinely span R^{dim}")
+
+    h = [list(verts[i]) + [-1] for i in simplex]
+    cof = _cofactor_matrix(h)
+    # row j of cof has product det(h) with h[j] and 0 with the other rows;
+    # the sign makes that product negative, so every point is on the <= side
+    sign = -1 if sum(x * y for x, y in zip(h[0], cof[0])) > 0 else 1
+    tight = sum(1 << i for i in simplex)
+    rays = []
+    for i, row in zip(simplex, cof):
+        g = gcd(*row)
+        rays.append((tuple(sign * x // g for x in row), tight ^ (1 << i)))
+
+    done = set(simplex)
+    for i, v in enumerate(verts):
+        if i in done:
             continue
-        c = sum(normal[j] * base[j] for j in range(dim))
-        hi = lo = False
-        for v in verts:
-            s = sum(normal[j] * v[j] for j in range(dim))
-            if s > c:
-                hi = True
-            elif s < c:
-                lo = True
-            if hi and lo:
-                break
-        if hi and lo:
-            continue
-        if hi:
-            normal = [-x for x in normal]
-            c = -c
-        g = 0
-        for x in normal:
-            g = gcd(g, x)
-        g = gcd(g, c)
-        found.add((tuple(x // g for x in normal), c // g))
-    return sorted(found)
+        bit = 1 << i
+        keep, pos, neg = [], [], []
+        for y, z in rays:
+            s = sum(a * x for a, x in zip(y, v)) - y[dim]
+            if s > 0:
+                pos.append((s, y, z))
+            elif s < 0:
+                neg.append((s, y, z))
+                keep.append((y, z))
+            else:
+                keep.append((y, z | bit))
+        if pos:
+            zsets = [z for _, z in rays]
+            for sp, p, zp in pos:
+                for sq, q, zq in neg:
+                    z = zp & zq
+                    if z.bit_count() < dim - 1 or any(
+                        zr & z == z and zr != zp and zr != zq for zr in zsets
+                    ):
+                        continue
+                    y = [sp * b - sq * a for a, b in zip(p, q)]
+                    g = gcd(*y)
+                    keep.append((tuple(x // g for x in y), z | bit))
+        rays = keep
+    return sorted((y[:dim], y[dim]) for y, _ in rays)

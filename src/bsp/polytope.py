@@ -1,12 +1,10 @@
 """2-level polytopes: exact facet enumeration, slack matrices, bound
 checks, cube/cross detection, and the vertex-facet extremal examples.
 
-Facet enumeration is brute force over vertex d-subsets with exact side
-tests (correctness over speed; every target here has at most ~64 vertices
-in dimension <= 6).  A supporting hyperplane through d affinely
-independent vertices is necessarily a facet, so the scan can only fail by
-omission; the H-to-V round trip used in the tests rules that out on the
-shipped constructions.
+Facets come from the kernel's exact integer double description
+(:func:`bsp._kernel_py.facet_scan`), whose work grows with the facets and
+the intermediate cones rather than with the C(n, d) vertex subsets; the
+brute-force scan over those subsets is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .family import BspPair, ProductMatrix, matrix_rank
 from .linalg import (
     Vec,
     add,
-    affine_dim,
     dot,
     neg,
     rank,
@@ -100,15 +97,17 @@ class Polytope2L:
 
 
 def facets(d: int, vertices: list[Vec]) -> list[Facet]:
-    """All facet hyperplanes of conv(vertices), exhaustively."""
-    if affine_dim(vertices) != d:
-        raise NotFullDimensionalError("vertex set is not full-dimensional")
+    """All facet hyperplanes of conv(vertices), which must affinely span
+    R^d (else NotFullDimensionalError)."""
     denom = 1
     for v in vertices:
         for c in v:
             denom = denom * c.denominator // gcd(denom, c.denominator)
     scaled = [tuple(int(c * denom) for c in v) for v in vertices]
-    raw = kernel.facet_scan(d, scaled)
+    try:
+        raw = kernel.facet_scan(d, scaled)
+    except ValueError as exc:
+        raise NotFullDimensionalError("vertex set is not full-dimensional") from exc
     return [Facet(vec(n), Fraction(c, denom)) for n, c in raw]
 
 
@@ -116,6 +115,8 @@ def polytope_from_vertices(d: int, vertices) -> Polytope2L:
     """The polytope conv(vertices).  Every point must be a vertex, that is
     its incident facet normals span R^d; any other point raises
     BadParameterError, since it would inflate f0 in the bound checks."""
+    if d < 1:
+        raise BadParameterError(f"polytopes need d >= 1, got {d}")
     verts = sorted({vec(v) for v in vertices})
     if any(len(v) != d for v in verts):
         raise BadParameterError("vertex of wrong dimension")
@@ -292,7 +293,7 @@ def expected_f_vector_ends(kind: str, d: int) -> tuple[int, int]:
 
 def reference_slack(kind: str, d: int) -> ProductMatrix:
     """Closed-form slack matrices of the shipped constructions; these stay
-    cheap at dimensions where the brute-force facet scan would not.  The
+    cheap at dimensions where the 2^d-vertex constructions would not.  The
     tests cross-validate them against the facet pipeline at small d."""
     rows: list[str] = []
     if kind == "cube":

@@ -122,6 +122,8 @@ CATALOG_LINE_NO_MATRIX = '{"d":2,"size_a":3,"size_b":3,"key":"00"}\n'
 @pytest.mark.parametrize("argv, text, error", [
     (["polytope", "check"], '{"d": 2}', "MalformedInputError"),
     (["polytope", "check"], '{"d": 2, "vertices": [[0.5, 0]]}', "MalformedInputError"),
+    (["polytope", "check"], '{"d": 0, "vertices": [[]]}', "BadParameterError"),
+    (["polytope", "check"], '{"d": 2, "vertices": []}', "NotFullDimensionalError"),
     (["verify-pair"], '{"d": 2, "b": {"d": 2, "vectors": [["1", "0"], ["0", "1"]]}}',
      "MalformedInputError"),
     (["conjecture", "-d", "2", "--slack"], '{"rows": 1, "cols": 1}', "MalformedInputError"),
@@ -133,7 +135,8 @@ CATALOG_LINE_NO_MATRIX = '{"d":2,"size_a":3,"size_b":3,"key":"00"}\n'
      "MalformedInputError"),
     (["enumerate", "-d", "2", "--checkpoint"], '{"d": 2}', "CheckpointCorruptError"),
     (["stats", "CATALOG", "--reference"], "size_a,size_b\n2;2\n", "MalformedInputError"),
-], ids=["polytope-missing", "polytope-float", "verify-pair", "conjecture-slack",
+], ids=["polytope-missing", "polytope-float", "polytope-d0", "polytope-empty",
+        "verify-pair", "conjecture-slack",
         "conjecture-catalog", "stats", "stats-not-json", "audit", "audit-shape", "enumerate-checkpoint",
         "stats-reference"])
 def test_malformed_input_file_is_exit_1(tmp_path, capsys, argv, text, error):

@@ -13,6 +13,7 @@ import pytest
 import bsp
 from bsp import enumeration, kernel
 from bsp.family import a_max, closure, family_from_masks
+from test_polytope import brute_force_facets
 
 SRC = Path(bsp.__file__).parent
 kp = kernel.get_backend("python")
@@ -190,15 +191,16 @@ def test_facet_scan_square(impl):
 
 @pytest.mark.parametrize("dim, coords", [
     (2, range(-3, 4)), (3, range(-3, 4)), (4, range(-3, 4)),
-    # the largest coordinates the C scan takes at d=6, and larger ones
-    # that overflow int64 in the Bareiss steps there
+    # coordinates whose cofactors overflowed int64 in the former C scan
     (6, (-53, 53)), (6, (-128, 128)),
 ], ids=["d2", "d3", "d4", "d6-53", "d6-128"])
 def test_facet_scan_backends_agree(kc, dim, coords):
     rng = random.Random(4)
     for _ in range(10):
         pts = sorted({tuple(rng.choice(coords) for _ in range(dim)) for _ in range(dim + 4)})
-        assert kc.facet_scan(dim, pts) == kp.facet_scan(dim, pts)
+        expected = brute_force_facets(dim, pts)
+        assert kp.facet_scan(dim, pts) == expected
+        assert kc.facet_scan(dim, pts) == expected
 
 
 def test_backends_agree_at_d6_spot_checks(kc):

@@ -1,8 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bsp import kernel
+from bsp._kernel_py import _det
 from bsp.canon import canonical_key
 from bsp.errors import (
     BadParameterError,
@@ -12,9 +18,10 @@ from bsp.errors import (
     SingularBasisError,
 )
 from bsp.family import ProductMatrix, matrix_rank, verify_binary_products
-from bsp.linalg import rank, unit_vec, vec
+from bsp.linalg import affine_dim, rank, unit_vec, vec
 from bsp.polytope import (
     POLYTOPE_KINDS,
+    _construction_vertices,
     audit_conjecture_on_slacks,
     check_thm1,
     check_thm2,
@@ -57,6 +64,74 @@ def test_suspension_d3_facet_count():
 def test_not_full_dimensional_raises():
     with pytest.raises(NotFullDimensionalError):
         facets(2, [vec((0, 0)), vec((1, 1)), vec((2, 2))])
+
+
+def _minor_det(rows: list[list[int]], skip_col: int, dim: int) -> int:
+    sub = [[row[c] for c in range(dim) if c != skip_col] for row in rows]
+    return _det(sub) if sub else 1
+
+
+def brute_force_facets(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    """Oracle for ``facet_scan``: every hyperplane spanned by a d-subset of
+    the points with all points on one side, as sorted (primitive normal,
+    offset) pairs with the points on the <= side.  On full-dimensional
+    points these are exactly the facets.  Takes C(n, d) subsets."""
+    found: set[tuple[tuple[int, ...], int]] = set()
+    for combo in combinations(range(len(verts)), dim):
+        base = verts[combo[0]]
+        rows = [[verts[c][j] - base[j] for j in range(dim)] for c in combo[1:]]
+        normal = [(-1) ** j * _minor_det(rows, j, dim) for j in range(dim)]
+        if not any(normal):
+            continue
+        c = sum(n * x for n, x in zip(normal, base))
+        values = [sum(n * x for n, x in zip(normal, v)) for v in verts]
+        if max(values) > c > min(values):
+            continue
+        if max(values) > c:
+            normal, c = [-x for x in normal], -c
+        g = gcd(*normal, c)
+        found.add((tuple(x // g for x in normal), c // g))
+    return sorted(found)
+
+
+def _assert_scan_matches_oracle(dim, pts):
+    """facet_scan equals the brute-force oracle on full-dimensional points
+    and raises ValueError on the others."""
+    if affine_dim([vec(p) for p in pts]) < dim:
+        with pytest.raises(ValueError):
+            kernel.facet_scan(dim, pts)
+    else:
+        assert kernel.facet_scan(dim, pts) == brute_force_facets(dim, pts), (dim, pts)
+
+
+@pytest.mark.parametrize("kind, d", [
+    pytest.param(kind, d, marks=[pytest.mark.slow] if (kind, d) == ("cube", 5) else [])
+    for kind, dims in FAST_DIMS.items() for d in dims
+])
+def test_facet_scan_matches_brute_force_on_constructions(kind, d):
+    # the d=5 cube is slow only for the oracle: C(32, 5) subsets
+    pts = sorted(tuple(int(c) for c in v) for v in _construction_vertices(kind, d))
+    _assert_scan_matches_oracle(d, pts)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_facet_scan_matches_brute_force_on_random_sets(d):
+    # unsorted lists with repeated and interior points, some of them
+    # lower-dimensional
+    rng = random.Random(d)
+    for coords in (range(-3, 4), (0, 1), (-1, 0, 1)):
+        for _ in range(30):
+            pts = [tuple(rng.choice(coords) for _ in range(d)) for _ in range(rng.randint(d + 1, d + 8))]
+            _assert_scan_matches_oracle(d, pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=d + 6),
+)))
+def test_facet_scan_matches_brute_force_property(data):
+    _assert_scan_matches_oracle(*data)
 
 
 def test_f_vectors_and_two_level():
@@ -297,7 +372,6 @@ def test_construct_polytope_bad_parameters():
         construct_polytope("whatever", 3)
 
 
-@pytest.mark.slow
 def test_f_vectors_d6():
     for kind in ("suspension-cube", "cross-x-segment", "cross", "simplex", "prism"):
         p = construct_polytope(kind, 6)
@@ -306,8 +380,7 @@ def test_f_vectors_d6():
         assert canonical_key(p.slack_matrix()) == canonical_key(reference_slack(kind, 6))
 
 
-@pytest.mark.slow
-def test_cube_d6_brute_force_facets():
+def test_cube_d6_facets():
     p = construct_polytope("cube", 6)
     assert p.f_vector_ends() == (64, 12)
     r = check_thm1(p)
