@@ -2,126 +2,122 @@
 
 The canonical representative is the lexicographically least row-major bit
 string reachable by permuting rows and columns independently.  Rows are
-placed one level at a time; an ordered partition of the columns tracks
-which column orders are still interchangeable, and each placed row refines
-it (zeros before ones inside every block).  At each level only the rows
-achieving the minimal pattern are branched on, so the search is exact.
+Python ints with column j at bit n-1-j (what ``int(row, 2)`` gives); the
+ordered partition of the columns is a list of int masks, one per block of
+columns that are still interchangeable.  Rows are placed one level at a
+time.  A row's pattern at a level is its count vector, ``(row & blk)
+.bit_count()`` for each block, read as zeros before ones inside the block;
+placing the row refines every block into ``blk & ~row`` then ``blk & row``.
+Only rows achieving the least count vector are branched on, so the search
+is exact, and the key is packed straight from the least count trace.
 
-Matrices here are small (catalog product matrices are at most 2^d x 2^d
-for d <= 6) and almost always have distinct rows and columns, which keeps
-ties, and therefore backtracking, shallow.
+A step whose candidates hold a single distinct row is forced: that row is
+placed with no further bookkeeping.  Only at a node with two or more
+distinct candidates is the state (trace so far, remaining rows up to
+moving rows and moving columns inside blocks) looked up in a memo, and the
+node skipped if an equal state was seen.  The normal form of a state is
+computed only once a second node reaches the same trace.  This is sound:
+the memo only drops a subtree whose outcome an earlier equal state has
+already produced, so checking fewer states can only make the search
+explore more, never return a different key.
 """
 
 from __future__ import annotations
 
 from .family import ProductMatrix
 
-Trace = list[tuple[int, ...]]
+
+def _refine(blocks: list[int], row: int) -> list[int]:
+    return [part for blk in blocks for part in (blk & ~row, blk & row) if part]
 
 
-def _refine(blocks: list[tuple[int, ...]], row: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for blk in blocks:
-        zeros = tuple(c for c in blk if not row[c])
-        ones = tuple(c for c in blk if row[c])
-        if zeros:
-            out.append(zeros)
-        if ones:
-            out.append(ones)
-    return out
-
-
-def _state_key(blocks: list[tuple[int, ...]], rows: list[tuple[int, ...]],
-               rem: frozenset[int]) -> tuple:
+def _state_key(blocks: list[int], rem: list[int]) -> tuple:
     """Normal form of a search state, invariant under permuting columns
-    inside blocks.  Equal keys mean the states have identical futures, so
-    re-exploring one is redundant.  (Missed identifications are harmless:
-    they only cost time.)"""
-    rem_rows = [rows[i] for i in rem]
-    order = sorted(
-        range(len(rem_rows)),
-        key=lambda i: tuple(sum(rem_rows[i][c] for c in blk) for blk in blocks),
-    )
-    cols: list[int] = []
-    for blk in blocks:
-        cols.extend(sorted(blk, key=lambda c: tuple(rem_rows[i][c] for i in order)))
-    listed = sorted(tuple(rows[i][c] for c in cols) for i in rem)
-    return (tuple(len(b) for b in blocks), tuple(listed))
+    inside blocks.  Refining the blocks by every remaining row, taken in
+    order of count vectors, sorts each block's columns by their column
+    vectors into cells of equal columns.  Equal keys mean the states are
+    equal up to moving rows and moving columns inside blocks, so they have
+    identical futures.  (Missed identifications are harmless: they only
+    cost time.)"""
+    cells = blocks
+    for row in sorted(rem, key=lambda r: [(r & blk).bit_count() for blk in blocks]):
+        cells = _refine(cells, row)
+    listed = sorted(tuple([row & cell > 0 for cell in cells]) for row in rem)
+    sizes = tuple(blk.bit_count() for blk in blocks)
+    return (sizes, tuple(cell.bit_count() for cell in cells), tuple(listed))
 
 
-def canonical_bit_rows(bit_rows: list[str], n_cols: int) -> tuple[str, ...]:
-    """Canonical row strings for the matrix given as '0'/'1' row strings."""
-    m = len(bit_rows)
-    if m == 0 or n_cols == 0:
-        return tuple("" for _ in range(m))
-    rows = [tuple(int(c) for c in r) for r in bit_rows]
-    best: Trace | None = None
-    visited: set[tuple] = set()
+def _key(m: int, n: int, *orientations: list[int]) -> bytes:
+    """Serialised canonical form of the m x n matrix with the given rows,
+    ``b"m,n:"`` and the row-major bit string packed big-endian; the least
+    over several row lists when given (one search, one best, one memo)."""
+    best = ((n + 1,),)  # compares above every trace
+    visited: dict[tuple, tuple | set] = {}
 
-    def dfs(blocks: list[tuple[int, ...]], rem: frozenset[int], trace: Trace) -> None:
+    def dfs(blocks: list[int], rem: list[int], trace: tuple) -> None:
         nonlocal best
-        if not rem:
-            if best is None or trace < best:
-                best = list(trace)
-            return
-        level = len(trace)
-        by_counts: dict[tuple[int, ...], list[int]] = {}
-        for idx in rem:
-            row = rows[idx]
-            counts = tuple(sum(row[c] for c in blk) for blk in blocks)
-            by_counts.setdefault(counts, []).append(idx)
-        counts = min(by_counts)
-        if best is not None:
-            prefix = best[: level + 1]
-            candidate = trace + [counts]
-            if candidate > prefix:
+        while rem:
+            # the rows with the least count vector, filtered block by block
+            cands = rem
+            for blk in blocks:
+                if len(cands) == 1:
+                    break
+                ones = [(row & blk).bit_count() for row in cands]
+                least = min(ones)
+                cands = [row for row, k in zip(cands, ones) if k == least]
+            row = cands[0]
+            trace += (tuple([(row & blk).bit_count() for blk in blocks]),)
+            if trace > best:
                 return
+            if cands.count(row) < len(cands):  # two distinct candidates
+                break
+            rem = rem.copy()
+            rem.remove(row)
+            blocks = _refine(blocks, row)
+        else:
+            best = min(best, trace)
+            return
         # identical trace prefix + equivalent state = identical outcome;
         # highly symmetric matrices would otherwise branch factorially
-        state = (tuple(trace), _state_key(blocks, rows, rem))
-        if state in visited:
-            return
-        visited.add(state)
-        seen: set[tuple[int, ...]] = set()
-        trace.append(counts)
-        for idx in by_counts[counts]:
-            row = rows[idx]
-            if row in seen:
-                continue
-            seen.add(row)
-            dfs(_refine(blocks, row), rem - {idx}, trace)
-        trace.pop()
+        # (a trace seen once holds its raw state, later ones normal forms)
+        seen = visited.get(trace)
+        if seen is None:
+            visited[trace] = (blocks, rem)
+        else:
+            if isinstance(seen, tuple):
+                seen = visited[trace] = {_state_key(*seen)}
+            state = _state_key(blocks, rem)
+            if state in seen:
+                return
+            seen.add(state)
+        for row in dict.fromkeys(cands):
+            rest = rem.copy()
+            rest.remove(row)
+            dfs(_refine(blocks, row), rest, trace)
 
-    dfs([tuple(range(n_cols))], frozenset(range(m)), [])
-    assert best is not None
-    # Rebuild the bit strings: block sizes evolve deterministically from
-    # the chosen count trace.
-    sizes = [n_cols]
-    out: list[str] = []
+    for rows in orientations:
+        dfs([(1 << n) - 1] if n else [], rows, ())
+    # block sizes evolve deterministically from the chosen count trace
+    packed, sizes = 0, [n]
     for counts in best:
-        pieces = []
-        new_sizes = []
-        for sz, ones in zip(sizes, counts):
-            pieces.append("0" * (sz - ones) + "1" * ones)
-            if sz - ones:
-                new_sizes.append(sz - ones)
-            if ones:
-                new_sizes.append(ones)
-        out.append("".join(pieces))
-        sizes = new_sizes
-    return tuple(out)
+        parts: list[int] = []
+        for size, ones in zip(sizes, counts):
+            packed = packed << size | (1 << ones) - 1
+            parts += (size - ones, ones)
+        sizes = [size for size in parts if size]
+    return b"%d,%d:" % (m, n) + packed.to_bytes((m * n + 7) // 8, "big")
 
 
-def _serialize(m: int, n: int, canon_rows: tuple[str, ...]) -> bytes:
-    payload = "".join(canon_rows)
-    packed = int(payload, 2).to_bytes((len(payload) + 7) // 8, "big") if payload else b""
-    return b"%d,%d:" % (m, n) + packed
-
-
-def canonical_matrix(mat: ProductMatrix) -> ProductMatrix:
-    """The matrix rewritten in its canonical row/column order."""
-    rows = canonical_bit_rows(list(mat.bits), mat.n)
-    return ProductMatrix(mat.m, mat.n, rows, mat.rank_d)
+def _transpose(rows: list[int], n: int) -> list[int]:
+    """Rows of the transpose, in some row and column order (the key does
+    not depend on either)."""
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
 
 
 def canonical_key(mat: ProductMatrix, include_transpose: bool = False) -> bytes:
@@ -133,16 +129,12 @@ def canonical_key(mat: ProductMatrix, include_transpose: bool = False) -> bytes:
     orientation with fewer rows; transposing commutes with canonical
     labeling, so transpose-equivalent matrices land on the same key.
     """
-    if not include_transpose:
-        return _serialize(mat.m, mat.n, canonical_bit_rows(list(mat.bits), mat.n))
-    if mat.m > mat.n:
-        mat = mat.transposed()
-    if mat.m < mat.n:
-        return _serialize(mat.m, mat.n, canonical_bit_rows(list(mat.bits), mat.n))
-    a = _serialize(mat.m, mat.n, canonical_bit_rows(list(mat.bits), mat.n))
-    t = mat.transposed()
-    b = _serialize(t.m, t.n, canonical_bit_rows(list(t.bits), t.n))
-    return min(a, b)
+    m, n, rows = mat.m, mat.n, [int(r, 2) if r else 0 for r in mat.bits]
+    if include_transpose and m > n:
+        m, n, rows = n, m, _transpose(rows, n)
+    if include_transpose and m == n:
+        return _key(m, n, rows, _transpose(rows, n))
+    return _key(m, n, rows)
 
 
 def canonical_from_key(key: bytes, rank_d: int) -> ProductMatrix:

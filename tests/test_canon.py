@@ -1,9 +1,13 @@
+import hashlib
+import itertools
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsp.canon import canonical_from_key, canonical_key, canonical_matrix
+from bsp import kernel
+from bsp.canon import canonical_from_key, canonical_key
 from bsp.family import ProductMatrix, close_pair, matrix_rank, product_matrix
 from bsp.family import VectorFamily
 
@@ -32,8 +36,8 @@ def test_shuffle_invariance():
 
 def test_canonical_matrix_is_fixpoint():
     mat = mat_from_bits(["0101", "0011", "0000", "1100"])
-    canon = canonical_matrix(mat)
-    assert canonical_matrix(canon).bits == canon.bits
+    canon = canonical_from_key(canonical_key(mat), mat.rank_d)
+    assert canonical_from_key(canonical_key(canon), canon.rank_d).bits == canon.bits
     # row multiset of ones-counts is permutation invariant
     assert sorted(r.count("1") for r in canon.bits) == sorted(
         r.count("1") for r in mat.bits
@@ -84,6 +88,81 @@ def test_random_shuffles_share_key(m, n, data):
     assert canonical_key(shuffled(mat, rng)) == canonical_key(mat)
     assert canonical_key(shuffled(mat, rng), True) == canonical_key(mat, True)
     assert canonical_key(mat.transposed(), True) == canonical_key(mat, True)
+
+
+def brute_force_canonical(bits, n, include_transpose):
+    """(m, n, rows) of the key by its definition: the least row-major bit
+    string over all row orders, each with its columns sorted ascending by
+    their top-to-bottom tuple (the least column order for those rows)."""
+
+    def least(rows, width):
+        if not width:
+            return tuple(rows)
+        return min(
+            tuple(map("".join, zip(*sorted(zip(*perm)))))
+            for perm in itertools.permutations(rows)
+        )
+
+    m = len(bits)
+    cols = tuple("".join(row[j] for row in bits) for j in range(n))
+    if not include_transpose or m < n:
+        return (m, n, least(bits, n))
+    if m > n:
+        return (n, m, least(cols, m))
+    return (m, n, min(least(bits, n), least(cols, m)))
+
+
+def oracle_cases():
+    rng = random.Random(11)
+    for _ in range(200):
+        m, n = rng.randint(0, 6), rng.randint(0, 7)
+        density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        yield tuple(
+            "".join("1" if rng.random() < density else "0" for _ in range(n))
+            for _ in range(m)
+        ), n
+    yield ("1",), 1
+    yield ("0",), 1
+    yield ("000", "000"), 3
+    yield ("1111",) * 3, 4
+    yield ("0110", "0110", "1001", "0110"), 4  # duplicate rows and columns
+    yield (), 5
+    yield ("",) * 4, 0
+
+
+def test_key_matches_brute_force_definition():
+    for bits, n in oracle_cases():
+        mat = ProductMatrix(len(bits), n, bits, 0)
+        for flag in (False, True):
+            back = canonical_from_key(canonical_key(mat, flag), 0)
+            assert (back.m, back.n, back.bits) == brute_force_canonical(bits, n, flag)
+
+
+def test_class_counts_match_oeis_a002724():
+    """n x n 0/1 matrices up to row and column permutations: 2, 7, 36,
+    317 classes for n = 1..4 (OEIS A002724).  Sorting the rows of any
+    matrix gives one with non-decreasing rows, so those cover every class."""
+    for n, expected in ((1, 2), (2, 7), (3, 36), (4, 317)):
+        keys = {
+            canonical_key(ProductMatrix(n, n, tuple(format(r, f"0{n}b") for r in rows), 0))
+            for rows in itertools.combinations_with_replacement(range(1 << n), n)
+        }
+        assert len(keys) == expected
+
+
+def test_lectic_d5_keys_match_golden_digest():
+    """Keys of the 1,000 recorded d=5 lectic draws the benchmark
+    classifies, pinned byte for byte."""
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "lectic_d5.txt"
+    lines = data.read_text("ascii").splitlines()
+    keys = []
+    for closed in (int(x) for x in lines if x and not x.startswith("#")):
+        rows, n = kernel.pair_rows(5, closed)
+        mat = ProductMatrix(len(rows), n, tuple(format(r, f"0{n}b") for r in rows), 5)
+        keys.append(canonical_key(mat, include_transpose=True))
+    assert len(keys) == 1000 and len(set(keys)) == 157
+    digest = hashlib.sha256(b"\n".join(k.hex().encode() for k in keys)).hexdigest()
+    assert digest == "0b6dd1febe0c0f4a4d830d42b2d8072145007f11ff22e1f6b88b3e819aae54b5"
 
 
 def explicit_pair_isomorphism(p1, p2, include_transpose=True):

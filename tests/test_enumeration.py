@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -48,6 +49,8 @@ def test_enumerate_d4_maximal_pairs():
     st = stats(cat)
     assert set(st.maximal_pairs) == D4_MAXIMAL
     assert st.max_product == 80  # (d+1) 2^d
+    digest = hashlib.sha256(cat.to_jsonl().encode()).hexdigest()
+    assert digest == "5f02d0532beacc4f0df0c6341460a2d5d29e5bcdd896787e8f81ad5247a4696b"
 
 
 def test_catalog_entries_are_closed_spanning_pairs():
@@ -186,6 +189,7 @@ def test_figure1_reference_shipped_data():
 @pytest.mark.slow
 def test_enumerate_d5_reproduces_figure1():
     cat = enumerate_catalog(5, workers=os.cpu_count())
+    assert len(cat) == 213
     st = stats(cat)
     assert verify_against_reference(st, figure1_reference()).equal
     assert st.max_product == 192
