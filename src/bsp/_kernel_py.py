@@ -26,42 +26,11 @@ from __future__ import annotations
 
 from math import gcd
 
+from .linalg import cofactor_matrix, det
+
 BACKEND = "python"
 
 _MAX_CACHED_BASES = 60000
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _cofactor_matrix(m: list[list[int]]) -> list[list[int]]:
-    n = len(m)
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            sign = -1 if (i + j) & 1 else 1
-            cof[i][j] = sign * (_det(minor) if minor else 1)
-    return cof
 
 
 class _BasisTables:
@@ -76,8 +45,8 @@ class _BasisTables:
         for h in helpers:
             rows.append([1 if i == h else 0 for i in range(d)])
         self.rank = len(basis)
-        self.det = _det(rows)
-        self.cof = _cofactor_matrix(rows)
+        self.det = det(rows)
+        self.cof = cofactor_matrix(rows)
         # w[y][i] = sum over set bits j of y of cof[i][j]
         w = [[0] * d for _ in range(1 << d)]
         for y in range(1, 1 << d):
@@ -371,7 +340,7 @@ def facet_scan(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, 
         raise ValueError(f"the points do not affinely span R^{dim}")
 
     h = [list(verts[i]) + [-1] for i in simplex]
-    cof = _cofactor_matrix(h)
+    cof = cofactor_matrix(h)
     # row j of cof has product det(h) with h[j] and 0 with the other rows;
     # the sign makes that product negative, so every point is on the <= side
     sign = -1 if sum(x * y for x, y in zip(h[0], cof[0])) > 0 else 1

@@ -2,7 +2,7 @@
 
 Given a maximal pair and a distinguished vector b_d of B, the family A
 splits by the product with b_d into A0 and A1, B splits by the fiber
-structure of the projection along b_d (B* = lonely fibers, B0/B1 = the
+structure of the projection pi along b_d (B* = lonely fibers, B0/B1 = the
 doubled fibers, classified by which side they are constant against), and
 a list of exact counting inequalities ties all the pieces together.  The
 audit evaluates every one of them on concrete pairs.
@@ -11,6 +11,18 @@ The normalization step mirrors the constructive argument establishing it:
 translate A when the zero side is the smaller one, then flip the signs of
 offending B members.  A normalized pair can carry products in {0, -1} on
 the A1 side; only the A0 side is guaranteed to stay 0/1.
+
+All of it runs on Python ints: A is held as integer rows over one positive
+denominator da and B over db (:func:`linalg.int_rows`), so <a, b> in
+{0, 1} reads as an integer product in {0, da * db}.  Translating A keeps
+its scale, and so does flipping the sign of a B member.  The fiber key
+<b_d, b_d> b - <b, b_d> b_d is a fixed positive multiple of pi(b), so
+fiber grouping and the no-opposite-points check stay exact.  Every a in
+A0 is orthogonal to b_d, so <a, pi(b)> = <a, b>: the projection tau of
+pi(b) onto span(A0) depends only on the products of b with a basis of A0,
+and one integer adjugate and determinant of that basis' Gram matrix per
+decomposition give it without a solve per fiber.  Fractions are built
+only for the returned families, b_d and error messages.
 """
 
 from __future__ import annotations
@@ -18,21 +30,25 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from .errors import BspError, NormalizationFailedError
 from .family import BspPair, VectorFamily
 from .linalg import (
     Vec,
     affine_dim,
-    dot,
+    cofactor_matrix,
+    det,
+    independent_rows,
+    int_rows,
     neg,
-    project_onto_span,
     rank,
-    scale,
-    sub,
     vec,
-    zero_vec,
+    vec_over,
 )
+
+Row = tuple[int, ...]
 
 
 class DecompositionError(BspError):
@@ -45,31 +61,47 @@ class CounterexampleFound(BspError):
         self.witness = witness
 
 
-def _split_by_bd(a_vectors, b_d: Vec):
+def _dot(u: Row, v: Row) -> int:
+    return sum(map(mul, u, v))
+
+
+def _family(d: int, rows, vecs: dict[Row, Vec]) -> VectorFamily:
+    return VectorFamily(d, frozenset(vecs[r] for r in rows))
+
+
+def _split_by_bd(a_rows: list[Row], bd: Row, unit: int) -> tuple[list[Row], list[Row]]:
     a0, a1 = [], []
-    for a in a_vectors:
-        p = dot(a, b_d)
+    for a in a_rows:
+        p = _dot(a, bd)
         if p == 0:
             a0.append(a)
-        elif p == 1:
+        elif p == unit:
             a1.append(a)
         else:
-            raise DecompositionError(f"product {p} with the distinguished vector")
+            raise DecompositionError(
+                f"product {Fraction(p, unit)} with the distinguished vector"
+            )
     return a0, a1
 
 
-def _bd_value(p: BspPair, b: Vec) -> int:
-    a0, a1 = _split_by_bd(p.family_a.vectors, b)
-    return max(affine_dim(a0), affine_dim(a1))
+def _fiber_key(b: Row, bd: Row, kb: int) -> Row:
+    # <bd, bd> b - <b, bd> bd, with kb = <bd, bd> > 0
+    c = _dot(b, bd)
+    return tuple(kb * x - c * y for x, y in zip(b, bd))
 
 
 def tied_bd_choices(p: BspPair) -> list[Vec]:
     """All nonzero b in B attaining the maximal value of
     max(dim A0, dim A1), best (lexicographically largest) first."""
-    candidates = [b for b in p.family_b.sorted() if b != zero_vec(p.dim)]
-    scored = [(_bd_value(p, b), b) for b in candidates]
+    da, a_rows = int_rows(p.family_a.vectors)
+    db, b_rows = int_rows(p.family_b.vectors)
+    scored = []
+    for b in sorted(b_rows):
+        if any(b):
+            a0, a1 = _split_by_bd(a_rows, b, da * db)
+            scored.append((max(affine_dim(a0), affine_dim(a1)), b))
     best = max(v for v, _ in scored)
-    return [b for v, b in sorted(scored, reverse=True) if v == best]
+    return [vec_over(b, db) for v, b in sorted(scored, reverse=True) if v == best]
 
 
 def choose_bd(p: BspPair) -> Vec:
@@ -90,12 +122,6 @@ class NormalizedPair:
         return (len(self.family_a), len(self.family_b))
 
 
-def _project_along(x: Vec, b_d: Vec) -> Vec:
-    # orthogonal projection onto the hyperplane b_d-perp
-    coeff = dot(x, b_d) / dot(b_d, b_d)
-    return sub(x, scale(b_d, coeff))
-
-
 def normalize(p: BspPair, b_d: Vec) -> NormalizedPair:
     """Translate/flip the pair so that (i) products with b_d are 0/1 with
     |A0| >= |A1|, (ii) products of A0 with everything are 0/1, and
@@ -104,74 +130,71 @@ def normalize(p: BspPair, b_d: Vec) -> NormalizedPair:
     Each property is asserted post hoc; a failure raises
     NormalizationFailedError (a bug, not a valid outcome).
     """
+    return _normalize(p, b_d)[0]
+
+
+def _normalize(p: BspPair, b_d: Vec):
+    """:func:`normalize`, its members keyed by their integer rows (A over
+    da, B sorted and over db), b_d over db, da and db."""
     b_d = vec(b_d)
     if b_d not in p.family_b.vectors:
         raise DecompositionError("b_d is not a member of B")
     d = p.dim
-    a_set = set(p.family_a.vectors)
-    b_set = set(p.family_b.vectors)
+    da, a_rows = int_rows(p.family_a.vectors)
+    db, (bd, *b_rows) = int_rows([b_d, *p.family_b.vectors])
+    unit = da * db
+    b_set = set(b_rows)
 
-    a0, a1 = _split_by_bd(a_set, b_d)
+    a0, a1 = _split_by_bd(a_rows, bd, unit)
     translated = False
     if len(a0) < len(a1):
         a_star = min(a1)
-        a_set = {sub(a, a_star) for a in a_set}
-        b_set.discard(b_d)
-        b_d = neg(b_d)
-        b_set.add(b_d)
+        a_rows = [tuple(x - y for x, y in zip(a, a_star)) for a in a_rows]
+        b_set.discard(bd)
+        bd = neg(bd)
+        b_set.add(bd)
         translated = True
-        a0, a1 = _split_by_bd(a_set, b_d)
+        a0, a1 = _split_by_bd(a_rows, bd, unit)
 
-    def flip_where(predicate) -> int:
-        nonlocal b_set
-        flips = 0
-        new_b = set()
-        for b in b_set:
-            if predicate(b):
-                new_b.add(neg(b))
-                flips += 1
-            else:
-                new_b.add(b)
-        b_set = new_b
-        return flips
-
-    # products of A0 must land in {0, 1}
-    flipped = flip_where(lambda b: {dot(a, b) for a in a0} == {0, -1})
-    # members orthogonal to A0: orient by the translated A1 side
+    # products of A0 must land in {0, 1}; members orthogonal to A0 are
+    # oriented by the translated A1 side
     a_star1 = min(a1)
-    a1p = [sub(a, a_star1) for a in a1]
-    flipped += flip_where(
-        lambda b: {dot(a, b) for a in a0} == {0}
-        and {dot(a, b) for a in a1p} == {0, -1}
-    )
+    a1p = [tuple(x - y for x, y in zip(a, a_star1)) for a in a1]
+    flipped = 0
+    new_b = set()
+    for b in b_set:
+        s0 = {_dot(a, b) for a in a0}
+        if s0 == {0, -unit} or (s0 == {0} and {_dot(a, b) for a in a1p} == {0, -unit}):
+            b = neg(b)
+            flipped += 1
+        new_b.add(b)
+    b_rows = sorted(new_b)
 
-    out = NormalizedPair(
-        d,
-        VectorFamily.of(d, a_set),
-        VectorFamily.of(d, b_set),
-        b_d,
-        translated,
-        flipped,
-    )
-    _assert_normalized(out)
-    return out
+    _assert_normalized(a_rows, b_rows, bd, unit)
+    vecs_a = {r: vec_over(r, da) for r in a_rows}
+    vecs_b = {r: vec_over(r, db) for r in b_rows}
+    n = NormalizedPair(d, _family(d, a_rows, vecs_a), _family(d, b_rows, vecs_b),
+                       vec_over(bd, db), translated, flipped)
+    return n, vecs_a, vecs_b, bd, da, db
 
 
-def _assert_normalized(n: NormalizedPair) -> None:
-    a0, a1 = _split_by_bd(n.family_a.vectors, n.b_d)  # raises if not 0/1
+def _assert_normalized(a_rows: list[Row], b_rows: list[Row], bd: Row, unit: int) -> None:
+    a0, a1 = _split_by_bd(a_rows, bd, unit)  # raises if not 0/1
     if len(a0) < len(a1):
         raise NormalizationFailedError("|A0| < |A1| after normalization")
-    for b in n.family_b.vectors:
-        s0 = {dot(a, b) for a in a0}
-        if not s0 <= {0, 1}:
+    for b in b_rows:
+        s0 = {_dot(a, b) for a in a0}
+        if not s0 <= {0, unit}:
+            s0 = {Fraction(x, unit) for x in s0}
             raise NormalizationFailedError(f"A0 products {s0} not in 0/1")
-        sa = {dot(a, b) for a in n.family_a.vectors}
-        if not (sa <= {0, 1} or sa <= {0, -1}):
+        sa = s0 | {_dot(a, b) for a in a1}
+        if not (sa <= {0, unit} or sa <= {0, -unit}):
+            sa = {Fraction(x, unit) for x in sa}
             raise NormalizationFailedError(f"products {sa} not one-signed")
-    projected = [_project_along(b, n.b_d) for b in n.family_b.sorted()]
-    pset = set(projected)
-    for y in pset:
-        if y != zero_vec(n.dim) and neg(y) in pset:
+    kb = _dot(bd, bd)
+    keys = {_fiber_key(b, bd, kb) for b in b_rows}
+    for y in keys:
+        if any(y) and neg(y) in keys:
             raise NormalizationFailedError("projection contains opposite points")
 
 
@@ -199,48 +222,58 @@ def decompose(p: BspPair, b_d: Vec | None = None) -> Decomposition:
     :func:`choose_bd` when not given)."""
     if b_d is None:
         b_d = choose_bd(p)
-    n = normalize(p, b_d)
+    n, vecs_a, vecs_b, bd, da, db = _normalize(p, b_d)
     d = n.dim
-    a0, a1 = _split_by_bd(n.family_a.vectors, n.b_d)
+    a0, a1 = _split_by_bd(list(vecs_a), bd, da * db)
 
-    fibers: dict[Vec, list[Vec]] = {}
-    for b in n.family_b.sorted():
-        fibers.setdefault(_project_along(b, n.b_d), []).append(b)
+    kb = _dot(bd, bd)
+    fibers: dict[Row, list[Row]] = {}
+    for b in vecs_b:
+        fibers.setdefault(_fiber_key(b, bd, kb), []).append(b)
     max_fiber = max(len(v) for v in fibers.values())
     b_star = [v[0] for v in fibers.values() if len(v) == 1]
     rest = [b for v in fibers.values() if len(v) > 1 for b in v]
 
-    zero = zero_vec(d)
+    zero = (0,) * d
     b0, b1 = [], []
     for b in rest:
-        const0 = len({dot(a, b) for a in a0}) == 1
-        const1 = len({dot(a, b) for a in a1}) == 1
+        const0 = len({_dot(a, b) for a in a0}) == 1
+        const1 = len({_dot(a, b) for a in a1}) == 1
         if const0 and const1:
             # preference: 0 and b_d live in B1, the rest goes to B0
-            (b1 if b in (zero, n.b_d) else b0).append(b)
+            (b1 if b == zero or b == bd else b0).append(b)
         elif const1:
             b1.append(b)
         elif const0:
             b0.append(b)
         else:
             raise DecompositionError(
-                f"{b} is constant on neither side; is the pair maximal?"
+                f"{vecs_b[b]} is constant on neither side; is the pair maximal?"
             )
 
-    u0_dim = affine_dim(a0)  # A0 contains 0, so affine = linear span dim
-    pi_b = sorted(fibers.keys())
-    tau_pi_b = {project_onto_span(y, a0) for y in pi_b}
+    # tau(pi(b)) = U^T adj(G) U b / (det(G) db) for the rows U of a basis
+    # of A0 over da; the Gram matrix G = U U^T is symmetric, so adj(G) is
+    # its cofactor matrix
+    basis = [a0[i] for i in independent_rows(a0)]
+    gram = [[_dot(u, v) for v in basis] for u in basis]
+    adj = cofactor_matrix(gram)
+    tau_den = (det(gram) if basis else 1) * db
+    tau_pi_b = set()
+    for r in {tuple(_dot(u, b) for u in basis) for b in vecs_b}:
+        s = [_dot(row, r) for row in adj]
+        tau = tuple(_dot(s, col) for col in zip(*basis)) if basis else zero
+        tau_pi_b.add(vec_over(tau, tau_den))
     return Decomposition(
         pair=n,
         b_d=n.b_d,
-        a0=VectorFamily.of(d, a0),
-        a1=VectorFamily.of(d, a1),
-        b_star=VectorFamily.of(d, b_star),
-        b0=VectorFamily.of(d, b0),
-        b1=VectorFamily.of(d, b1),
-        u0_dim=u0_dim,
-        pi_b=VectorFamily.of(d, pi_b),
-        tau_pi_b=VectorFamily.of(d, tau_pi_b),
+        a0=_family(d, a0, vecs_a),
+        a1=_family(d, a1, vecs_a),
+        b_star=_family(d, b_star, vecs_b),
+        b0=_family(d, b0, vecs_b),
+        b1=_family(d, b1, vecs_b),
+        u0_dim=affine_dim(a0),  # A0 contains 0, so affine = linear span dim
+        pi_b=VectorFamily(d, frozenset(vec_over(y, kb * db) for y in fibers)),
+        tau_pi_b=VectorFamily(d, frozenset(tau_pi_b)),
         max_fiber=max_fiber,
     )
 
@@ -277,10 +310,10 @@ def audit(dec: Decomposition) -> AuditReport:
     nb0, nb1, nbs = len(dec.b0), len(dec.b1), len(dec.b_star)
     npi = len(dec.pi_b)
     ntau = len(dec.tau_pi_b)
-    dim_a0 = affine_dim(dec.a0.sorted())
-    dim_a1 = affine_dim(dec.a1.sorted())
-    dim_b0 = rank(dec.b0.sorted())
-    dim_b1 = rank(dec.b1.sorted())
+    dim_a0 = affine_dim(int_rows(dec.a0.vectors)[1])
+    dim_a1 = affine_dim(int_rows(dec.a1.vectors)[1])
+    dim_b0 = rank(dec.b0.vectors)
+    dim_b1 = rank(dec.b1.vectors)
 
     def leq(name: str, lhs: int, rhs: int) -> AuditItem:
         return AuditItem(name, lhs, rhs, lhs <= rhs)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from operator import index, mul
 from typing import Iterable, NamedTuple
 
 from . import linalg
 from .errors import DimensionMismatchError, NotSpanningError, parsing
-from .linalg import Vec, dot, independent_rows, rank, solve, vec
+from .linalg import Vec, dot, independent_rows, int_rows, rank, solve, vec, vec_over
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class VectorFamily:
         return sorted(self.vectors)
 
     def spans(self) -> bool:
-        return rank(self.sorted()) == self.dim
+        return rank(self.vectors) == self.dim
 
     def to_json(self) -> dict:
         return {
@@ -68,14 +68,21 @@ class Violation(NamedTuple):
 
 def verify_binary_products(a: VectorFamily, b: VectorFamily) -> Violation | None:
     """None when every product is exactly 0 or 1; the first offending
-    triple (in sorted order) otherwise."""
+    triple (in sorted order) otherwise.
+
+    Runs on the integer rows: over denominators da and db, a product is
+    in {0, 1} exactly when the integer product is in {0, da * db}."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} vs {b.dim}")
-    for u in a.sorted():
-        for v in b.sorted():
-            p = dot(u, v)
-            if p != 0 and p != 1:
-                return Violation(u, v, p)
+    da, rows_a = int_rows(a.vectors)
+    db, rows_b = int_rows(b.vectors)
+    rows_b.sort()  # a positive scale keeps the order of the members
+    unit = da * db
+    for u in sorted(rows_a):
+        for v in rows_b:
+            p = sum(map(mul, u, v))
+            if p != 0 and p != unit:
+                return Violation(vec_over(u, da), vec_over(v, db), Fraction(p, unit))
     return None
 
 
@@ -202,10 +209,13 @@ def matrix_rank(bits: Iterable[str]) -> int:
 
 
 def product_matrix(p: BspPair) -> ProductMatrix:
-    rows_a = p.family_a.sorted()
-    cols_b = p.family_b.sorted()
+    da, rows_a = int_rows(p.family_a.vectors)
+    db, cols_b = int_rows(p.family_b.vectors)
+    cols_b.sort()
+    unit = da * db
     bits = tuple(
-        "".join("1" if dot(a, b) == 1 else "0" for b in cols_b) for a in rows_a
+        "".join("1" if sum(map(mul, a, b)) == unit else "0" for b in cols_b)
+        for a in sorted(rows_a)
     )
     return ProductMatrix(len(rows_a), len(cols_b), bits, matrix_rank(bits))
 

@@ -76,10 +76,9 @@ def _count_small_difference(p: int, q: int) -> int:
     """|{T subset of P+Q : |T cap P| - |T cap Q| in {-1,0,1}}| by direct
     enumeration over the 2^(p+q) subsets."""
     count = 0
+    low = (1 << p) - 1
     for mask in range(1 << (p + q)):
-        tp = bin(mask & ((1 << p) - 1)).count("1")
-        tq = bin(mask >> p).count("1")
-        if -1 <= tp - tq <= 1:
+        if -1 <= (mask & low).bit_count() - (mask >> p).bit_count() <= 1:
             count += 1
     return count
 
@@ -111,25 +110,23 @@ def check_lemma1(d: int, full_enumeration_limit: int = 6) -> OracleReport:
             elif 8 * count == 7 << n:
                 equalities.append((p, q))
     if n <= full_enumeration_limit:
-        universe = list(range(n))
-        for s1_bits in range(1 << n):
-            s1 = {i for i in universe if (s1_bits >> i) & 1}
-            for s2_bits in range(1 << n):
-                s2 = {i for i in universe if (s2_bits >> i) & 1}
-                if len(s2 - s1) <= 1:
+        # S1, S2 and S as bitmasks over [n]
+        for s1 in range(1 << n):
+            for s2 in range(1 << n):
+                p = (s2 & ~s1).bit_count()
+                if p <= 1:
                     continue
                 checked += 1
                 count = 0
-                for s_bits in range(1 << n):
-                    s = {i for i in universe if (s_bits >> i) & 1}
-                    if -1 <= len(s & s2) - len(s & s1) <= 1:
+                for s in range(1 << n):
+                    if -1 <= (s & s2).bit_count() - (s & s1).bit_count() <= 1:
                         count += 1
-                p, q = len(s2 - s1), len(s1 - s2)
+                q = (s1 & ~s2).bit_count()
                 expected = _count_small_difference(p, q) << (n - p - q)
                 if count != expected:
-                    violations.append(("shape-reduction", s1_bits, s2_bits, count, expected))
+                    violations.append(("shape-reduction", s1, s2, count, expected))
                 if 8 * count > 7 << n:
-                    violations.append(("bound-direct", s1_bits, s2_bits, count))
+                    violations.append(("bound-direct", s1, s2, count))
     return OracleReport(f"small-difference-families-d{d}", checked, tuple(violations), tuple(equalities))
 
 
@@ -145,7 +142,7 @@ def check_lemma2(d: int) -> OracleReport:
     subsets = list(range(1 << n))
 
     def compatible(a: int, b: int) -> bool:
-        return bin(b & ~a).count("1") <= 1 and bin(a & ~b).count("1") <= 1
+        return (b & ~a).bit_count() <= 1 and (a & ~b).bit_count() <= 1
 
     found: list[tuple[int, ...]] = []
     checked = 0
@@ -164,8 +161,8 @@ def check_lemma2(d: int) -> OracleReport:
 
     extend([], 0)
 
-    big = tuple(sorted(s for s in subsets if bin(s).count("1") >= d - 2))
-    small = tuple(sorted(s for s in subsets if bin(s).count("1") <= 1))
+    big = tuple(sorted(s for s in subsets if s.bit_count() >= d - 2))
+    small = tuple(sorted(s for s in subsets if s.bit_count() <= 1))
     expected = {big, small}
     violations = []
     if d > 2:

@@ -1,11 +1,13 @@
-"""Exact vectors; one fraction-free echelon for rank and bases;
-Gauss-Jordan solving.
+"""Exact vectors; integer scaling; one fraction-free echelon for rank and
+bases; Bareiss determinants; Gauss-Jordan solving.
 
 Vectors are plain tuples of ``fractions.Fraction`` (hashable, so families
 can live in sets), or of ints for 0/1 and +-1 data; matrices are sequences
 of row tuples.  Everything here is exact: no floating point is allowed
-anywhere near a predicate.  Every rank and basis question goes through
-:func:`independent_rows`, a fraction-free greedy echelon on integer-scaled
+anywhere near a predicate.  :func:`int_rows` is the one place where a
+family becomes integer rows over a shared denominator, so that products
+and comparisons run on Python ints.  Every rank and basis question goes
+through :func:`independent_rows`, a fraction-free greedy echelon on those
 rows; :func:`solve` runs Gauss-Jordan elimination on Fractions, because
 its solutions are rational.
 """
@@ -74,26 +76,78 @@ def scale(u: Vec, s: Fraction) -> Vec:
     return tuple(a * s for a in u)
 
 
-def independent_rows(rows: Sequence[Sequence], limit: int | None = None) -> list[int]:
+def int_rows(vectors: Iterable[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
+    """The least positive common denominator of the entries (ints or
+    Fractions) and the integer numerator rows over it, in input order.
+
+    Scaling by one positive number keeps the lexicographic order of the
+    rows, and a product of two scaled rows is the exact product times
+    both denominators."""
+    vectors = list(vectors)
+    den = lcm(*{c.denominator for v in vectors for c in v})
+    return den, [tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors]
+
+
+def vec_over(row: Iterable[int], den: int) -> Vec:
+    """The rational vector row / den: one row of :func:`int_rows` back as
+    Fractions."""
+    return tuple(Fraction(x, den) for x in row)
+
+
+def det(rows: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of a small integer matrix."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def cofactor_matrix(m: list[list[int]]) -> list[list[int]]:
+    """Cofactors of a square integer matrix; the transpose is its adjugate."""
+    n = len(m)
+    cof = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [m[r][c] for c in range(n) if c != j] for r in range(n) if r != i
+            ]
+            sign = -1 if (i + j) & 1 else 1
+            cof[i][j] = sign * (det(minor) if minor else 1)
+    return cof
+
+
+def independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list[int]:
     """Indices of the rows that are independent of the rows before them.
 
-    One fraction-free greedy echelon pass: each row is scaled to integers,
-    reduced against the echelon rows found so far and divided by the gcd
-    of its entries, so no Fraction arithmetic happens and entries stay
-    small.  Every echelon row is zero at the pivot columns of the rows
-    before it, so one sweep in order clears all pivots.  Stops after
-    ``limit`` picks or when the picks reach the column count.
+    One fraction-free greedy echelon pass on the :func:`int_rows` of the
+    input: each row is reduced against the echelon rows found so far and
+    divided by the gcd of its entries, so no Fraction arithmetic happens
+    and entries stay small.  Every echelon row is zero at the pivot
+    columns of the rows before it, so one sweep in order clears all
+    pivots.  Stops after ``limit`` picks or when the picks reach the
+    column count.
     """
-    if not rows:
+    _, ints = int_rows(rows)
+    if not ints:
         return []
-    cap = len(rows[0]) if limit is None else min(limit, len(rows[0]))
+    cap = len(ints[0]) if limit is None else min(limit, len(ints[0]))
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
     picked: list[int] = []
-    for i, row in enumerate(rows):
+    for i, r in enumerate(ints):
         if len(picked) >= cap:
             break
-        den = lcm(*(c.denominator for c in row))
-        r = [c.numerator * (den // c.denominator) for c in row]
         for col, e in echelon:
             c = r[col]
             if c:
@@ -108,7 +162,7 @@ def independent_rows(rows: Sequence[Sequence], limit: int | None = None) -> list
     return picked
 
 
-def rank(rows: Sequence[Sequence]) -> int:
+def rank(rows: Iterable[Sequence]) -> int:
     """Exact rank over the rationals."""
     return len(independent_rows(rows))
 
@@ -171,28 +225,6 @@ def dual_basis(basis: Sequence[Vec]) -> list[Vec]:
             raise SingularBasisError("vectors are linearly dependent")
         duals.append(res.solution)
     return duals
-
-
-def project_onto_span(x: Vec, spanning: Sequence[Vec]) -> Vec:
-    """Exact orthogonal projection of x onto span(spanning).
-
-    Gram-matrix method, so the result stays rational; the projection of
-    anything onto the zero span is the zero vector.
-    """
-    dim = len(x)
-    if any(len(s) != dim for s in spanning):
-        raise DimensionMismatchError("span vector of wrong length")
-    base = [spanning[i] for i in independent_rows(spanning)]
-    if not base:
-        return zero_vec(dim)
-    gram = tuple(tuple(dot(u, v) for v in base) for u in base)
-    rhs = tuple(dot(u, x) for u in base)
-    coeffs = solve(gram, rhs).solution
-    assert coeffs is not None  # Gram matrix of independent vectors is invertible
-    y = zero_vec(dim)
-    for c, u in zip(coeffs, base):
-        y = add(y, scale(u, c))
-    return y
 
 
 def affine_dim(points: Sequence[Vec]) -> int:

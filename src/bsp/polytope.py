@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from operator import index
+from operator import index, mul
 
 from . import kernel
 from .canon import canonical_key
@@ -29,7 +28,7 @@ from .family import BspPair, ProductMatrix, matrix_rank
 from .linalg import (
     Vec,
     add,
-    dot,
+    int_rows,
     neg,
     rank,
     scale,
@@ -44,9 +43,6 @@ from .linalg import (
 class Facet:
     normal: Vec  # primitive integer normal; polytope satisfies <n, x> <= offset
     offset: Fraction
-
-    def value(self, v: Vec) -> Fraction:
-        return dot(self.normal, v)
 
 
 @dataclass(frozen=True)
@@ -99,16 +95,18 @@ class Polytope2L:
 def facets(d: int, vertices: list[Vec]) -> list[Facet]:
     """All facet hyperplanes of conv(vertices), which must affinely span
     R^d (else NotFullDimensionalError)."""
-    denom = 1
-    for v in vertices:
-        for c in v:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    scaled = [tuple(int(c * denom) for c in v) for v in vertices]
+    return _facets(d, vertices)[0]
+
+
+def _facets(d: int, vertices: list[Vec]):
+    """:func:`facets`, the vertices' :func:`linalg.int_rows` (denominator,
+    rows) and the kernel's integer (normal, offset) pairs."""
+    den, scaled = int_rows(vertices)
     try:
         raw = kernel.facet_scan(d, scaled)
     except ValueError as exc:
         raise NotFullDimensionalError("vertex set is not full-dimensional") from exc
-    return [Facet(vec(n), Fraction(c, denom)) for n, c in raw]
+    return [Facet(vec(n), Fraction(c, den)) for n, c in raw], den, scaled, raw
 
 
 def polytope_from_vertices(d: int, vertices) -> Polytope2L:
@@ -120,14 +118,16 @@ def polytope_from_vertices(d: int, vertices) -> Polytope2L:
     verts = sorted({vec(v) for v in vertices})
     if any(len(v) != d for v in verts):
         raise BadParameterError("vertex of wrong dimension")
-    fs = facets(d, verts)
-    values = tuple(tuple(f.value(v) for v in verts) for f in fs)
+    fs, den, scaled, raw = _facets(d, verts)
+    # integer products of each facet normal with the scaled vertices
+    table = [[sum(map(mul, n, v)) for v in scaled] for n, _ in raw]
     for i, v in enumerate(verts):
-        if rank([f.normal for f, row in zip(fs, values) if row[i] == f.offset]) < d:
+        if rank([n for (n, c), row in zip(raw, table) if row[i] == c]) < d:
             raise BadParameterError(
                 f"point [{', '.join(str(c) for c in v)}] is not a vertex of the hull"
             )
-    two = all(len(set(row)) == 2 for row in values)
+    two = all(len(set(row)) == 2 for row in table)
+    values = tuple(tuple(Fraction(x, den) for x in row) for row in table)
     return Polytope2L(d, tuple(verts), tuple(fs), two, values)
 
 
@@ -456,25 +456,4 @@ def audit_conjecture_on_slacks(
         m, b = slack_pair_sizes(slack)
         violations = check_conjecture1([(m, b)], d)
         out.append(SlackAuditEntry(label, m, b, violations))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# H-to-V round trip (test oracle for the facet scan)
-# ---------------------------------------------------------------------------
-
-
-def vertices_from_facets(d: int, fs: list[Facet]) -> set[Vec]:
-    """Brute-force vertex enumeration of the H-polytope: feasible unique
-    solutions of d-subsets of facet equalities."""
-    out: set[Vec] = set()
-    for combo in itertools.combinations(fs, d):
-        rows = tuple(f.normal for f in combo)
-        rhs = vec(f.offset for f in combo)
-        res = solve(rows, rhs)
-        if res.solution is None or not res.unique:
-            continue
-        x = res.solution
-        if all(f.value(x) <= f.offset for f in fs):
-            out.add(x)
     return out

@@ -1,5 +1,14 @@
-import pytest
+import functools
+import hashlib
+import random
+from fractions import Fraction
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bsp.cli import main
 from bsp.constructions import construct_example
 from bsp.decomposition import (
     CounterexampleFound,
@@ -12,8 +21,160 @@ from bsp.decomposition import (
     normalize,
     tied_bd_choices,
 )
-from bsp.family import BspPair, VectorFamily, close_pair
-from bsp.linalg import affine_dim, vec
+from bsp.enumeration import enumerate_catalog
+from bsp.family import BspPair, VectorFamily, close_pair, pair_from_product_matrix
+from bsp.linalg import (
+    Vec,
+    add,
+    affine_dim,
+    dot,
+    dual_basis,
+    independent_rows,
+    int_rows,
+    neg,
+    rank,
+    scale,
+    solve,
+    sub,
+    vec,
+    zero_vec,
+)
+
+# ---------------------------------------------------------------------------
+# Fraction reference: the decomposition computed with rational dot products,
+# a projection along b_d and a Gram solve per projected point
+# ---------------------------------------------------------------------------
+
+
+def _project_along(x: Vec, b_d: Vec) -> Vec:
+    # orthogonal projection onto the hyperplane b_d-perp
+    coeff = dot(x, b_d) / dot(b_d, b_d)
+    return sub(x, scale(b_d, coeff))
+
+
+def project_onto_span(x: Vec, spanning: list[Vec]) -> Vec:
+    """Exact orthogonal projection of x onto span(spanning), by the Gram
+    matrix; the projection onto the zero span is the zero vector."""
+    base = [spanning[i] for i in independent_rows(spanning)]
+    if not base:
+        return zero_vec(len(x))
+    gram = tuple(tuple(dot(u, v) for v in base) for u in base)
+    coeffs = solve(gram, tuple(dot(u, x) for u in base)).solution
+    y = zero_vec(len(x))
+    for c, u in zip(coeffs, base):
+        y = add(y, scale(u, c))
+    return y
+
+
+def _ref_split(a_vectors, b_d):
+    a0 = [a for a in a_vectors if dot(a, b_d) == 0]
+    a1 = [a for a in a_vectors if dot(a, b_d) == 1]
+    assert len(a0) + len(a1) == len(a_vectors)
+    return a0, a1
+
+
+def _ref_bd_value(p, b):
+    a0, a1 = _ref_split(p.family_a.vectors, b)
+    return max(affine_dim(a0), affine_dim(a1))
+
+
+def _ref_tied(p):
+    scored = [(_ref_bd_value(p, b), b) for b in p.family_b.sorted() if any(b)]
+    best = max(v for v, _ in scored)
+    return [b for v, b in sorted(scored, reverse=True) if v == best]
+
+
+def _ref_normalize(p, b_d):
+    a_set, b_set = set(p.family_a.vectors), set(p.family_b.vectors)
+    a0, a1 = _ref_split(a_set, b_d)
+    translated = len(a0) < len(a1)
+    if translated:
+        a_star = min(a1)
+        a_set = {sub(a, a_star) for a in a_set}
+        b_set = (b_set - {b_d}) | {neg(b_d)}
+        b_d = neg(b_d)
+        a0, a1 = _ref_split(a_set, b_d)
+    flipped = 0
+
+    def flip_where(predicate):
+        nonlocal b_set, flipped
+        out = set()
+        for b in b_set:
+            if predicate(b):
+                b = neg(b)
+                flipped += 1
+            out.add(b)
+        b_set = out
+
+    flip_where(lambda b: {dot(a, b) for a in a0} == {0, -1})
+    a1p = [sub(a, min(a1)) for a in a1]
+    flip_where(
+        lambda b: {dot(a, b) for a in a0} == {0}
+        and {dot(a, b) for a in a1p} == {0, -1}
+    )
+    return a_set, b_set, b_d, translated, flipped
+
+
+def _ref_decompose(p, b_d):
+    """Every field of :func:`decompose`, as plain Python values."""
+    a_set, b_set, b_d, translated, flipped = _ref_normalize(p, b_d)
+    a0, a1 = _ref_split(a_set, b_d)
+    fibers = {}
+    for b in sorted(b_set):
+        fibers.setdefault(_project_along(b, b_d), []).append(b)
+    b0, b1 = set(), set()
+    for b in (b for v in fibers.values() if len(v) > 1 for b in v):
+        const0 = len({dot(a, b) for a in a0}) == 1
+        const1 = len({dot(a, b) for a in a1}) == 1
+        assert const0 or const1
+        if const0 and const1:
+            (b1 if b in (zero_vec(p.dim), b_d) else b0).add(b)
+        else:
+            (b1 if const1 else b0).add(b)
+    return {
+        "family_a": a_set,
+        "family_b": b_set,
+        "b_d": b_d,
+        "translated": translated,
+        "flipped": flipped,
+        "a0": set(a0),
+        "a1": set(a1),
+        "b_star": {v[0] for v in fibers.values() if len(v) == 1},
+        "b0": b0,
+        "b1": b1,
+        "u0_dim": affine_dim(a0),
+        "pi_b": set(fibers),
+        "tau_pi_b": {project_onto_span(y, a0) for y in fibers},
+        "max_fiber": max(len(v) for v in fibers.values()),
+    }
+
+
+def _fields(dec):
+    n = dec.pair
+    out = {
+        "family_a": set(n.family_a.vectors), "family_b": set(n.family_b.vectors),
+        "b_d": n.b_d, "translated": n.translated, "flipped": n.flipped,
+        "u0_dim": dec.u0_dim, "max_fiber": dec.max_fiber,
+    }
+    for name in ("a0", "a1", "b_star", "b0", "b1", "pi_b", "tau_pi_b"):
+        out[name] = set(getattr(dec, name).vectors)
+    for name, value in out.items():
+        if isinstance(value, set):
+            assert all(type(c) is Fraction for v in value for c in v), name
+    return out
+
+
+def _assert_matches_reference(p) -> int:
+    """decompose equals the Fraction reference, field by field, for every
+    tied b_d; returns the number of tied choices."""
+    tied = tied_bd_choices(p)
+    assert tied == _ref_tied(p)
+    for b_d in tied:
+        assert all(type(c) is Fraction for c in b_d)
+        dec = decompose(p, b_d)
+        assert dec.b_d == dec.pair.b_d
+        assert _fields(dec) == _ref_decompose(p, b_d), b_d
+    return len(tied)
 
 
 def cube_pair_d2():
@@ -40,10 +201,8 @@ def test_choose_bd_d1():
 
 
 def test_choose_bd_example3_d3_max_dim():
-    from bsp.decomposition import _bd_value
-
     p = construct_example("example3", 3)
-    assert max(_bd_value(p, b) for b in tied_bd_choices(p)) == 2
+    assert max(_ref_bd_value(p, b) for b in tied_bd_choices(p)) == 2
 
 
 def test_normalize_fixpoint():
@@ -181,3 +340,128 @@ def test_lemslice_random_modes():
 def test_lemslice_rejects_big_exhaustive():
     with pytest.raises(ValueError):
         check_lemslice(3, mode="exhaustive")
+
+
+# ---------------------------------------------------------------------------
+# the integer decomposition against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _catalog_pairs(d_max: int) -> list[BspPair]:
+    return [
+        pair_from_product_matrix(cls.matrix, d)
+        for d in range(1, d_max + 1)
+        for cls in enumerate_catalog(d).classes
+    ]
+
+
+def test_decompose_matches_reference_on_catalogs():
+    pairs = choices = 0
+    for pair in _catalog_pairs(4):
+        for oriented in (pair, pair.transposed()):
+            choices += _assert_matches_reference(oriented)
+            pairs += 1
+    assert (pairs, choices) == (42, 242)
+
+
+def test_decompose_matches_reference_on_closed_examples():
+    choices = 0
+    for kind in ("example3", "example4"):
+        for d in (2, 3, 4):
+            closed = close_pair(construct_example(kind, d).family_b)
+            choices += _assert_matches_reference(closed)
+            choices += _assert_matches_reference(closed.transposed())
+    assert choices == 55
+
+
+def _image(v: Vec, rows: list[Vec]) -> Vec:
+    """The row vector v times the matrix with the given rows."""
+    out = zero_vec(len(v))
+    for c, row in zip(v, rows):
+        out = add(out, scale(row, c))
+    return out
+
+
+def _rational_image(pair: BspPair, rng: random.Random) -> BspPair:
+    """(A M, B M^-T) for a random invertible rational M, drawn until both
+    families carry a denominator > 1; every product is kept."""
+    d = pair.dim
+    while True:
+        m = [vec(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+             for _ in range(d)]
+        if rank(m) < d:
+            continue
+        m_inv_t = dual_basis(m)  # rows n_j with <m_i, n_j> = delta_ij
+        image = BspPair.of(
+            d,
+            [_image(a, m) for a in pair.family_a.vectors],
+            [_image(b, m_inv_t) for b in pair.family_b.vectors],
+        )
+        if int_rows(image.family_a.vectors)[0] > 1 and int_rows(image.family_b.vectors)[0] > 1:
+            return image
+
+
+def test_decompose_matches_reference_on_rational_images():
+    rng = random.Random(7)
+    choices = 0
+    for pair in _catalog_pairs(4):
+        if pair.dim > 1:
+            image = _rational_image(pair, rng)
+            choices += _assert_matches_reference(image)
+            choices += _assert_matches_reference(image.transposed())
+    assert choices == 240
+
+
+def test_audit_catalog_d4_output_is_pinned(tmp_path, capsys):
+    csv = tmp_path / "audit.csv"
+    catalog = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "catalog_d4.jsonl"
+    assert main(["audit", str(catalog), "--csv", str(csv)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "40b9a676cb1dc4950cc379103c791bfa31be0be68263f1cb909eeb377ff00db0"
+    )
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "f595c6f9d5456d340b6ca52c301b0e3a1ac37367629b8a94bc6319d2b981a631"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the reference projection itself
+# ---------------------------------------------------------------------------
+
+
+def test_project_onto_axis():
+    assert project_onto_span(vec((1, 1)), [vec((1, 0))]) == vec((1, 0))
+
+
+def test_project_in_span_is_identity():
+    x = vec((2, 3))
+    assert project_onto_span(x, [vec((1, 0)), vec((1, 1))]) == x
+
+
+def test_project_coordinate_plane():
+    got = project_onto_span(vec((0, 1, 1)), [vec((1, 0, 0)), vec((0, 1, 0))])
+    assert got == vec((0, 1, 0))
+
+
+@st.composite
+def rational_vectors(draw, dim):
+    nums = st.integers(min_value=-6, max_value=6)
+    dens = st.integers(min_value=1, max_value=4)
+    return vec(Fraction(draw(nums), draw(dens)) for _ in range(dim))
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        rational_vectors(d),
+        st.lists(rational_vectors(d), min_size=1, max_size=d),
+    )
+))
+def test_projection_idempotent_and_product_preserving(data):
+    d, x, span = data
+    y = project_onto_span(x, span)
+    assert project_onto_span(y, span) == y
+    for s in span:
+        assert dot(s, y) == dot(s, x)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsp.errors import NotSpanningError
 from bsp.family import (
@@ -51,6 +53,37 @@ def test_verify_binary_products_fractional():
     a = fam(2, [(1, 1), (1, -1), (0, 0)])
     b = fam(2, [(half, half), (half, -half), (0, 0)])
     assert verify_binary_products(a, b) is None
+
+
+def _brute_force_violation(a: VectorFamily, b: VectorFamily):
+    for u in sorted(a.vectors):
+        for v in sorted(b.vectors):
+            p = sum((x * y for x, y in zip(u, v)), Fraction(0))
+            if p != 0 and p != 1:
+                return (u, v, p)
+    return None
+
+
+@st.composite
+def rational_family_pairs(draw):
+    d = draw(st.integers(1, 4))
+    coords = st.builds(
+        Fraction, st.sampled_from((-1, 0, 0, 0, 1, 1, 2)), st.integers(1, 4)
+    )
+    family = st.lists(st.tuples(*[coords] * d), max_size=5).map(lambda vs: fam(d, vs))
+    return draw(family), draw(family)
+
+
+@settings(max_examples=300)
+@given(rational_family_pairs())
+def test_verify_binary_products_matches_fraction_double_loop(pair):
+    a, b = pair
+    got = verify_binary_products(a, b)
+    assert got == _brute_force_violation(a, b)
+    if got is not None:
+        assert type(got.value) is Fraction
+        assert got.a in a.vectors and got.b in b.vectors
+        assert all(type(c) is Fraction for c in got.a + got.b)
 
 
 def test_a_max_cube_case():

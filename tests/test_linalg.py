@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from bsp.errors import SingularBasisError
 from bsp.linalg import (
     affine_dim,
+    cofactor_matrix,
+    det,
     dot,
     dual_basis,
     format_rat,
     independent_rows,
-    project_onto_span,
+    int_rows,
     rank,
     rat,
     solve,
@@ -73,20 +75,6 @@ def test_dual_basis_singular():
         dual_basis([vec((1, 0)), vec((2, 0))])
 
 
-def test_project_onto_axis():
-    assert project_onto_span(vec((1, 1)), [vec((1, 0))]) == vec((1, 0))
-
-
-def test_project_in_span_is_identity():
-    x = vec((2, 3))
-    assert project_onto_span(x, [vec((1, 0)), vec((1, 1))]) == x
-
-
-def test_project_coordinate_plane():
-    got = project_onto_span(vec((0, 1, 1)), [vec((1, 0, 0)), vec((0, 1, 0))])
-    assert got == vec((0, 1, 0))
-
-
 def test_rat_parsing_roundtrip():
     assert rat("1/2") == Fraction(1, 2)
     assert rat("-3") == Fraction(-3)
@@ -116,21 +104,6 @@ def test_dual_basis_involution(data):
     assert dual_basis(duals) == list(vs)
 
 
-@given(st.integers(2, 4).flatmap(
-    lambda d: st.tuples(
-        st.just(d),
-        rational_vectors(d),
-        st.lists(rational_vectors(d), min_size=1, max_size=d),
-    )
-))
-def test_projection_idempotent_and_product_preserving(data):
-    d, x, span = data
-    y = project_onto_span(x, span)
-    assert project_onto_span(y, span) == y
-    for s in span:
-        assert dot(s, y) == dot(s, x)
-
-
 @given(st.integers(1, 4).flatmap(
     lambda d: st.tuples(st.just(d), st.lists(rational_vectors(d), max_size=6))
 ))
@@ -153,6 +126,57 @@ def test_independent_rows_integer_input():
     rows = [(0, 0, 0), (1, -1, 0), (2, -2, 0), (0, 1, 1), (1, 0, 1), (0, 0, 1)]
     assert independent_rows(rows) == [1, 3, 5]
     assert rank([(1, 0), (0, 1)]) == 2
+
+
+def test_int_rows_shared_denominator():
+    assert int_rows([]) == (1, [])
+    assert int_rows([(1, -2), (0, 3)]) == (1, [(1, -2), (0, 3)])
+    rows = [vec(("1/2", "-1/3")), vec((2, "1/6")), vec((0, 0))]
+    assert int_rows(rows) == (6, [(3, -2), (12, 1), (0, 0)])
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(rational_vectors(d), min_size=1, max_size=5)
+))
+def test_int_rows_keep_products_and_order(rows):
+    den, ints = int_rows(rows)
+    assert den > 0
+    for v, r in zip(rows, ints):
+        assert vec(r) == tuple(c * den for c in v)
+    for u, r in zip(rows, ints):
+        for v, s in zip(rows, ints):
+            assert sum(x * y for x, y in zip(r, s)) == dot(u, v) * den * den
+            assert (u < v) == (r < s)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+))
+def test_det_and_cofactors_against_gauss_jordan(m):
+    n = len(m)
+    d = det(m)
+    # the transposed cofactor matrix is the adjugate: M adj(M) = det(M) I
+    cof = cofactor_matrix(m)
+    for i in range(n):
+        for j in range(n):
+            assert sum(m[i][k] * cof[j][k] for k in range(n)) == (d if i == j else 0)
+    assert (d == 0) == (rank(m) < n)
+    if d:
+        # det from the pivots and row swaps of a Fraction elimination
+        rows = [vec(r) for r in m]
+        prod = Fraction(1)
+        for k in range(n):
+            piv = next(i for i in range(k, n) if rows[i][k] != 0)
+            if piv != k:
+                rows[k], rows[piv] = rows[piv], rows[k]
+                prod = -prod
+            prod *= rows[k][k]
+            for i in range(k + 1, n):
+                f = rows[i][k] / rows[k][k]
+                rows[i] = tuple(x - f * y for x, y in zip(rows[i], rows[k]))
+        assert prod == d
 
 
 def test_affine_dim():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsp import kernel
-from bsp._kernel_py import _det
 from bsp.canon import canonical_key
 from bsp.errors import (
     BadParameterError,
@@ -18,7 +17,7 @@ from bsp.errors import (
     SingularBasisError,
 )
 from bsp.family import ProductMatrix, matrix_rank, verify_binary_products
-from bsp.linalg import affine_dim, rank, unit_vec, vec
+from bsp.linalg import affine_dim, det, dot, rank, solve, unit_vec, vec
 from bsp.polytope import (
     POLYTOPE_KINDS,
     _construction_vertices,
@@ -34,7 +33,6 @@ from bsp.polytope import (
     reference_slack,
     slack_pair_sizes,
     verify_lemma3,
-    vertices_from_facets,
 )
 
 FAST_DIMS = {
@@ -68,7 +66,7 @@ def test_not_full_dimensional_raises():
 
 def _minor_det(rows: list[list[int]], skip_col: int, dim: int) -> int:
     sub = [[row[c] for c in range(dim) if c != skip_col] for row in rows]
-    return _det(sub) if sub else 1
+    return det(sub) if sub else 1
 
 
 def brute_force_facets(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
@@ -172,6 +170,19 @@ def test_closed_form_slacks_match_pipeline():
             got = canonical_key(construct_polytope(kind, d).slack_matrix())
             ref = canonical_key(reference_slack(kind, d))
             assert got == ref, (kind, d)
+
+
+def vertices_from_facets(d: int, fs: list) -> set:
+    """Brute-force vertex enumeration of the H-polytope: feasible unique
+    solutions of d-subsets of facet equalities."""
+    out = set()
+    for combo in combinations(fs, d):
+        res = solve(tuple(f.normal for f in combo), vec(f.offset for f in combo))
+        if res.solution is not None and res.unique:
+            x = res.solution
+            if all(dot(f.normal, x) <= f.offset for f in fs):
+                out.add(x)
+    return out
 
 
 def test_facet_scan_h_to_v_roundtrip():
