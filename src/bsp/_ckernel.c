@@ -4,25 +4,19 @@
  *
  * Plain C99 with no Python API.  bsp/_kernel_c.py loads the compiled
  * library through ctypes, checks every argument before it gets here, and
- * turns the results into the values bsp._kernel_py returns; see that
- * module for the algorithm.  Callers own every output buffer.
+ * turns the results into the values bsp._kernel_py returns.  Callers own
+ * every output buffer.
  *
- * A subset of the cube {0,1}^d is a bitset whose bit y is the point with
- * coordinates (y & 1, y >> 1 & 1, ...); bit 0, the origin, belongs to
- * every family and is ignored on input.
- *
- * Closure of a set S.  B is the greedy basis of S (its first linearly
- * independent points in ascending order), r = |B|, and M is B followed
- * by the unit vectors that complete it to a basis of R^d.  Fraction-free
- * Gauss-Jordan gives D = +-det(M) and the integer matrix inv = D M^-1, so
- * D times the coordinates of a point y in the rows of M is
- * w_i(y) = sum over set bits j of y of inv[j][i].  A pattern sigma, a
- * subset of the basis positions 0..r-1, stands for the partner vector a
- * with <a, b_i> = [i in sigma] and <a, e> = 0 on the completing unit
- * vectors; then D <a, y> = t(y, sigma) = sum over i in sigma of w_i(y).
- * A pattern is valid when t is 0 or D on every point of S, and the
- * closure is every point y with w_i(y) = 0 for i >= r (y in the span of
- * B) and t(y, sigma) in {0, D} for every valid sigma.
+ * The design is the one described in the docstring of bsp/_kernel_py.py:
+ * a set is closed on its greedy basis B, with the matrix M (B and the
+ * completing unit vectors), w(y) = D times the coordinates of a point y
+ * in the rows of M, and per-point bitsets over the 2^r patterns sigma,
+ * ok[y] (t(y, sigma) in {0, D}) and one[y] (t(y, sigma) = D).  The
+ * valid patterns are the AND of ok over the set, the closure is the span
+ * points y with ok[y] & valid == valid, and the rows come from one.
+ * Here the fraction-free Gauss-Jordan elimination of close_set gives
+ * D = +-det(M) and inv = D M^-1, the same as bsp.linalg.det_adjugate up
+ * to the sign; the tables are rebuilt on every call rather than cached.
  *
  * All values are minors of 0/1 matrices of order <= 6 and their sums,
  * far inside int64.

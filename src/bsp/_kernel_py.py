@@ -7,12 +7,25 @@ outputs, and the active one is chosen in :mod:`bsp.kernel`.
 description needs unbounded integers, and the C kernel re-exports it.
 
 Everything here works on bit-packed data.  A subset of the 0/1 cube in
-dimension d is an integer whose bit m is the cube point with coordinate
-vector (m & 1, m >> 1 & 1, ...); the zero point (bit 0) is an implicit
-member of every family and is never stored.  All arithmetic is integer:
-for a basis matrix M chosen inside the family, products with the solution
-of M x = sigma are evaluated as cofactor sums and compared against det(M),
-which avoids rationals in the inner loop.
+dimension d is an integer whose bit y is the cube point with coordinate
+vector (y & 1, y >> 1 & 1, ...); the zero point (bit 0) is an implicit
+member of every family and is never stored.
+
+Closure of a set S, in both kernels.  B is the greedy basis of S (again
+and again, the lowest point of S outside the span of the points picked
+so far), r = |B|, and M is B followed by the unit vectors that complete
+it to a basis of R^d.  With D = det(M), D times the coordinates of a
+point y in the rows of M is w(y) = sum over set bits j of y of row j of
+adj(M), all integers.  A pattern sigma, a subset of the basis positions
+0..r-1, stands for the partner vector a with <a, b_i> = [i in sigma] and
+<a, e> = 0 on the completing unit vectors; then D <a, y> = t(y, sigma) =
+sum over i in sigma of w_i(y).  Each basis has bitsets over the 2^r
+patterns for each point y of its span (w_i(y) = 0 for i >= r): ok[y]
+holds the sigma with t(y, sigma) in {0, D}, one[y] those with
+t(y, sigma) = D.  The valid patterns are the AND of ok[m] over the
+members m of S, the closure is every span point y with
+ok[y] & valid == valid, and the product-matrix rows are one[m] & valid,
+read column by column.
 
 Each lectic set is closed once.  :func:`enum_branch` takes the rank and
 the product-matrix rows of every closed set from the closure data of the
@@ -26,139 +39,135 @@ from __future__ import annotations
 
 from math import gcd
 
-from .linalg import cofactor_matrix, det
+from .linalg import det_adjugate, independent_rows
 
 BACKEND = "python"
 
+# every cache below is emptied when it reaches this many entries
 _MAX_CACHED_BASES = 60000
+_tables_cache: dict = {}  # (d, greedy basis) -> _BasisTables
+_span_cache: dict = {}  # (d, basis prefix) -> (span bitset, linear forms)
+_patterns_cache: dict = {}  # (D, w restricted to the basis) -> (ok, one)
+
+
+def _remember(cache: dict, key, value):
+    if len(cache) >= _MAX_CACHED_BASES:
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 class _BasisTables:
-    """Per-basis precomputation shared by every family with the same
-    greedy basis: determinant, cofactors, and the cofactor sums that turn
-    closure checks into integer comparisons."""
+    """What closures on one greedy basis need (see the module docstring):
+    ``det`` = D, ``rank`` = r, ``cof`` (cofactor row i of M, for
+    :func:`a_vector_data`), ``span`` (the bitset of the cube points in
+    the span of B) and, indexed by cube point, ``ok`` and ``one`` (zero
+    off the span; ``ok[0]`` holds every pattern)."""
 
-    __slots__ = ("det", "rank", "cof", "w", "t")
+    __slots__ = ("det", "rank", "cof", "span", "ok", "one")
 
-    def __init__(self, d: int, basis: tuple[int, ...], helpers: tuple[int, ...]):
+    def __init__(self, d: int, basis: tuple[int, ...], helpers: list[int]):
         rows = [[(m >> i) & 1 for i in range(d)] for m in basis]
-        for h in helpers:
-            rows.append([1 if i == h else 0 for i in range(d)])
-        self.rank = len(basis)
-        self.det = det(rows)
-        self.cof = cofactor_matrix(rows)
-        # w[y][i] = sum over set bits j of y of cof[i][j]
-        w = [[0] * d for _ in range(1 << d)]
+        rows += [[int(i == h) for i in range(d)] for h in helpers]
+        r = self.rank = len(basis)
+        self.det, adj = det_adjugate(rows)
+        self.cof = list(zip(*adj))
+        self.span = 1
+        self.ok = [(1 << (1 << r)) - 1] + [0] * ((1 << d) - 1)
+        self.one = [0] * (1 << d)
+        w = [[0] * d]
         for y in range(1, 1 << d):
             low = y & -y
-            idx = low.bit_length() - 1
-            prev = w[y ^ low]
-            cof_col = [self.cof[i][idx] for i in range(d)]
-            w[y] = [prev[i] + cof_col[i] for i in range(d)]
-        self.w = w
-        # t[y][sigma] = sum over set bits i of sigma of w[y][i],
-        # sigma ranging over subsets of the basis positions 0..rank-1
-        r = self.rank
-        t = [[0] * (1 << r) for _ in range(1 << d)]
-        for y in range(1 << d):
-            wy = self.w[y]
-            ty = t[y]
-            for sigma in range(1, 1 << r):
-                low = sigma & -sigma
-                ty[sigma] = ty[sigma ^ low] + wy[low.bit_length() - 1]
-        self.t = t
+            w.append([a + b for a, b in zip(w[y ^ low], adj[low.bit_length() - 1])])
+            if not any(w[y][r:]):
+                self.span |= 1 << y
+                key = (self.det, tuple(w[y][:r]))
+                hit = _patterns_cache.get(key)
+                self.ok[y], self.one[y] = hit or _remember(_patterns_cache, key, _patterns(*key))
 
 
-_tables_cache: dict[tuple[int, tuple[int, ...]], _BasisTables] = {}
+def _patterns(det: int, w: tuple[int, ...]) -> tuple[int, int]:
+    """(ok, one) of a point with this w on a basis with this det."""
+    t = [0]  # t[sigma] = sum over set bits i of sigma of w[i]
+    for wi in w:
+        t += [x + wi for x in t]
+    ok = one = 0
+    for sigma, x in enumerate(t):
+        if not x or x == det:
+            ok |= 1 << sigma
+            one |= (x == det) << sigma
+    return ok, one
 
 
-def _echelon_add(ech: list[tuple[int, list[int]]], v: list[int]) -> bool:
-    """Reduce the integer vector ``v`` against the fraction-free echelon
-    rows ``ech`` (pivot, row) and append it when it is independent of
-    them."""
-    for piv, row in ech:
-        if v[piv]:
-            a, b = row[piv], v[piv]
-            v = [a * x - b * y for x, y in zip(v, row)]
-    piv = next((i for i, x in enumerate(v) if x), None)
-    if piv is None:
-        return False
-    ech.append((piv, v))
-    return True
-
-
-def _greedy_basis(d: int, members: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First linearly independent members in ascending mask order, plus the
-    unit coordinates completing them to a basis of R^d."""
-    ech: list[tuple[int, list[int]]] = []
-    basis: list[int] = []
-    for m in members:
-        if len(basis) == d:
-            break
-        if _echelon_add(ech, [(m >> i) & 1 for i in range(d)]):
-            basis.append(m)
-    helpers = []
-    for i in range(d):
-        if len(basis) + len(helpers) == d:
-            break
-        if _echelon_add(ech, [1 if j == i else 0 for j in range(d)]):
-            helpers.append(i)
-    return tuple(basis), tuple(helpers)
-
-
-def _tables(d: int, basis: tuple[int, ...], helpers: tuple[int, ...]) -> _BasisTables:
-    key = (d, basis)
-    tab = _tables_cache.get(key)
-    if tab is None:
-        if len(_tables_cache) >= _MAX_CACHED_BASES:
-            _tables_cache.clear()
-        tab = _BasisTables(d, basis, helpers)
-        _tables_cache[key] = tab
-    return tab
+def _annihilate(d: int, forms: list[list[int]], y: int) -> list[list[int]] | None:
+    """Primitive integer linear forms spanning those that vanish on U and
+    on the cube point y, given ``forms`` spanning those that vanish on U;
+    None when y is in U."""
+    vals = [sum(f[j] for j in range(d) if (y >> j) & 1) for f in forms]
+    k = next((k for k, v in enumerate(vals) if v), None)
+    if k is None:
+        return None
+    out = []
+    for i, (f, v) in enumerate(zip(forms, vals)):
+        if i != k:
+            f = [vals[k] * a - v * b for a, b in zip(f, forms[k])]
+            g = gcd(*f)
+            out.append([a // g for a in f])
+    return out
 
 
 def _closure_data(d: int, sset: int):
     """Closure of the family {0} + set bits of sset inside the cube.
 
-    Returns (closed bitset, rank, valid sigma list, tables).  The valid
-    sigmas, in increasing order, enumerate the partner family A of the
-    closed set (for spanning input each sigma is one A vector).
+    Returns (closed bitset, rank, valid pattern bitset, tables).  The
+    valid patterns enumerate the partner family A of the closed set (for
+    spanning input each pattern is one A vector).  The greedy basis is
+    found from the cached span of each of its prefixes.
     """
-    members = [m for m in range(1, 1 << d) if (sset >> m) & 1]
-    basis, helpers = _greedy_basis(d, members)
-    tab = _tables(d, basis, helpers)
-    det = tab.det
-    r = tab.rank
-    t = tab.t
-    valid = []
-    for sigma in range(1 << r):
-        ok = True
-        for m in members:
-            v = t[m][sigma]
-            if v != 0 and v != det:
-                ok = False
-                break
-        if ok:
-            valid.append(sigma)
-    w = tab.w
+    sset &= (1 << (1 << d)) - 2  # the cube points other than the origin
+    basis: tuple[int, ...] = ()
+    key = (d, basis)
+    span, forms = _span_cache.get(key) or _remember(
+        _span_cache, key, (1, [[int(i == j) for j in range(d)] for i in range(d)])
+    )
+    while rest := sset & ~span:
+        y = (rest & -rest).bit_length() - 1
+        basis += (y,)
+        key = (d, basis)
+        hit = _span_cache.get(key)
+        if hit is None:
+            forms = _annihilate(d, forms, y)
+            span = (1 << (1 << d)) - 1
+            for f in forms:
+                vals = [0]  # vals[x] = f(x) for every cube point x
+                for c in f:
+                    vals += [v + c for v in vals]
+                span &= sum(1 << x for x, v in enumerate(vals) if not v)
+            hit = _remember(_span_cache, key, (span, forms))
+        span, forms = hit
+    tab = _tables_cache.get(key)
+    if tab is None:
+        helpers = []
+        for i in range(d):
+            if (cut := _annihilate(d, forms, 1 << i)) is not None:
+                helpers.append(i)
+                forms = cut
+        tab = _remember(_tables_cache, key, _BasisTables(d, basis, helpers))
+    ok = tab.ok
+    valid = ok[0]
+    rest = sset
+    while rest:
+        low = rest & -rest
+        valid &= ok[low.bit_length() - 1]
+        rest ^= low
     closed = 0
-    for y in range(1, 1 << d):
-        wy = w[y]
-        ok = True
-        for i in range(r, d):
-            if wy[i] != 0:
-                ok = False
-                break
-        if ok:
-            ty = t[y]
-            for sigma in valid:
-                v = ty[sigma]
-                if v != 0 and v != det:
-                    ok = False
-                    break
-        if ok:
-            closed |= 1 << y
-    return closed, r, valid, tab
+    rest = tab.span & ~1
+    while rest:
+        low = rest & -rest
+        if ok[low.bit_length() - 1] & valid == valid:
+            closed |= low
+        rest ^= low
+    return closed, tab.rank, valid, tab
 
 
 def closure_and_rank(d: int, sset: int) -> tuple[int, int]:
@@ -166,22 +175,31 @@ def closure_and_rank(d: int, sset: int) -> tuple[int, int]:
     return closed, r
 
 
-def _rows(d: int, closed: int, valid: list[int], tab: _BasisTables) -> tuple[list[int], int]:
+def _rows(closed: int, valid: int, tab: _BasisTables) -> tuple[list[int], int]:
     """Product-matrix rows of ``closed`` against the partner vectors given
     by ``valid`` and ``tab`` (the closure data of any set whose closure is
-    ``closed``)."""
-    members = [0] + [m for m in range(1, 1 << d) if (closed >> m) & 1]
-    n = len(members)
-    det = tab.det
-    t = tab.t
-    rows = []
-    for sigma in valid:
-        row = 0
-        for j, m in enumerate(members):
-            if t[m][sigma] == det:
-                row |= 1 << (n - 1 - j)
-        rows.append(row)
-    return rows, n
+    ``closed``): column j is one[y] & valid for the j-th member y, spread
+    over the rows by its set bits."""
+    pos = {}
+    rest = valid
+    while rest:
+        low = rest & -rest
+        pos[low] = len(pos)
+        rest ^= low
+    rows = [0] * len(pos)
+    one = tab.one
+    bit = 1 << closed.bit_count()  # the zero point is column 0 and all zero
+    rest = closed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        bit >>= 1
+        col = one[low.bit_length() - 1] & valid
+        while col:
+            s = col & -col
+            rows[pos[s]] |= bit
+            col ^= s
+    return rows, closed.bit_count() + 1
 
 
 def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
@@ -192,21 +210,17 @@ def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
     increasing sigma, the level pattern on the greedy basis.
     """
     _, _, valid, tab = _closure_data(d, closed)
-    return _rows(d, closed, valid, tab)
+    return _rows(closed & ((1 << (1 << d)) - 2), valid, tab)
 
 
 def a_vector_data(d: int, closed: int) -> tuple[int, list[tuple[int, ...]]]:
     """Exact partner vectors of a closed set: (denominator, numerators)."""
     _, r, valid, tab = _closure_data(d, closed)
-    nums = []
-    for sigma in valid:
-        coord = [0] * d
-        for i in range(r):
-            if (sigma >> i) & 1:
-                row = tab.cof[i]
-                coord = [a + b for a, b in zip(coord, row)]
-        nums.append(tuple(coord))
-    return tab.det, nums
+    cof = tab.cof
+    return tab.det, [
+        tuple(sum(cof[i][j] for i in range(r) if (sigma >> i) & 1) for j in range(d))
+        for sigma in range(1 << r) if (valid >> sigma) & 1
+    ]
 
 
 def _next_closed_data(d: int, current: int):
@@ -233,14 +247,15 @@ def next_closed(d: int, current: int) -> int:
 
 
 def _transpose(rows: list[int], m: int, n: int) -> list[int]:
-    cols = []
-    for j in range(n):
-        col = 0
-        jbit = 1 << (n - 1 - j)
-        for i in range(m):
-            if rows[i] & jbit:
-                col |= 1 << (m - 1 - i)
-        cols.append(col)
+    """Bit m-1-i of column j is bit n-1-j of row i."""
+    cols = [0] * n
+    bit = 1 << m
+    for row in rows:
+        bit >>= 1
+        while row:
+            j = row.bit_length()
+            cols[n - j] |= bit
+            row ^= 1 << (j - 1)
     return cols
 
 
@@ -273,14 +288,8 @@ def enum_branch(d: int, top_count: int, p_index: int):
     are sorted (heuristic form, smallest representative bitset) pairs for
     the spanning ones.
     """
-    top_elems = [t + 1 for t in range(top_count)]
-    top_bits = 0
-    for e in top_elems:
-        top_bits |= 1 << e
-    p_bits = 0
-    for t in range(top_count):
-        if (p_index >> t) & 1:
-            p_bits |= 1 << top_elems[t]
+    top_bits = ((1 << top_count) - 1) << 1
+    p_bits = (p_index << 1) & top_bits
 
     out: dict[bytes, int] = {}
     visited = 0
@@ -293,7 +302,7 @@ def enum_branch(d: int, top_count: int, p_index: int):
         visited += 1
         if r == d:
             spanning += 1
-            hb = heuristic_form(*_rows(d, a, valid, tab))
+            hb = heuristic_form(*_rows(a, valid, tab))
             prev = out.get(hb)
             if prev is None or a < prev:
                 out[hb] = a
@@ -318,7 +327,7 @@ def facet_scan(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, 
     facets are the extreme rays of the cone of y = (normal, offset) with
     <normal, v> - offset <= 0 for every point v.  The first dim + 1
     affinely independent points cut out a simplicial cone whose rays are
-    the rows of their cofactor matrix.  The other points are added in
+    the columns of their adjugate.  The other points are added in
     order: each keeps the rays on its side and replaces those it cuts off
     by the combinations, tight on it, of every adjacent pair it
     separates.  A ray carries its zero set, the bitset of points tight on
@@ -328,25 +337,20 @@ def facet_scan(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, 
     """
     if dim < 1 or not verts:
         raise ValueError(f"no facets for {len(verts)} points in dimension {dim}")
-    base = verts[0]
-    ech: list[tuple[int, list[int]]] = []
-    simplex = [0]
-    for i in range(1, len(verts)):
-        if len(ech) == dim:
-            break
-        if _echelon_add(ech, [x - y for x, y in zip(verts[i], base)]):
-            simplex.append(i)
-    if len(ech) < dim:
+    diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
+    simplex = [0] + [i + 1 for i in independent_rows(diffs, limit=dim)]
+    if len(simplex) <= dim:
         raise ValueError(f"the points do not affinely span R^{dim}")
 
     h = [list(verts[i]) + [-1] for i in simplex]
-    cof = cofactor_matrix(h)
-    # row j of cof has product det(h) with h[j] and 0 with the other rows;
-    # the sign makes that product negative, so every point is on the <= side
-    sign = -1 if sum(x * y for x, y in zip(h[0], cof[0])) > 0 else 1
+    det_h, adj = det_adjugate(h)
+    # column j of adj(h) has product det(h) with h[j] and 0 with the other
+    # rows; the sign makes that product negative, so every point is on the
+    # <= side
+    sign = -1 if det_h > 0 else 1
     tight = sum(1 << i for i in simplex)
     rays = []
-    for i, row in zip(simplex, cof):
+    for i, row in zip(simplex, zip(*adj)):
         g = gcd(*row)
         rays.append((tuple(sign * x // g for x in row), tight ^ (1 << i)))
 

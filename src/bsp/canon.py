@@ -129,7 +129,13 @@ def canonical_key(mat: ProductMatrix, include_transpose: bool = False) -> bytes:
     orientation with fewer rows; transposing commutes with canonical
     labeling, so transpose-equivalent matrices land on the same key.
     """
-    m, n, rows = mat.m, mat.n, [int(r, 2) if r else 0 for r in mat.bits]
+    return rows_key([int(r, 2) if r else 0 for r in mat.bits], mat.n, include_transpose)
+
+
+def rows_key(rows: list[int], n: int, include_transpose: bool = False) -> bytes:
+    """:func:`canonical_key` of the matrix with these int rows over n
+    columns (column j at bit n-1-j), as the kernel hands them over."""
+    m = len(rows)
     if include_transpose and m > n:
         m, n, rows = n, m, _transpose(rows, n)
     if include_transpose and m == n:

@@ -38,8 +38,7 @@ from .family import BspPair, VectorFamily
 from .linalg import (
     Vec,
     affine_dim,
-    cofactor_matrix,
-    det,
+    det_adjugate,
     independent_rows,
     int_rows,
     neg,
@@ -252,12 +251,10 @@ def decompose(p: BspPair, b_d: Vec | None = None) -> Decomposition:
             )
 
     # tau(pi(b)) = U^T adj(G) U b / (det(G) db) for the rows U of a basis
-    # of A0 over da; the Gram matrix G = U U^T is symmetric, so adj(G) is
-    # its cofactor matrix
+    # of A0 over da and their Gram matrix G = U U^T
     basis = [a0[i] for i in independent_rows(a0)]
-    gram = [[_dot(u, v) for v in basis] for u in basis]
-    adj = cofactor_matrix(gram)
-    tau_den = (det(gram) if basis else 1) * db
+    det_g, adj = det_adjugate([[_dot(u, v) for v in basis] for u in basis])
+    tau_den = det_g * db
     tau_pi_b = set()
     for r in {tuple(_dot(u, b) for u in basis) for b in vecs_b}:
         s = [_dot(row, r) for row in adj]

@@ -22,7 +22,8 @@ from importlib import resources
 from operator import index
 
 from . import kernel
-from .canon import canonical_from_key, canonical_key
+from .canon import canonical_from_key, rows_key
+from .canon import canonical_key  # noqa: F401  (perfbench traces it under this name)
 from .errors import BadParameterError, CheckpointCorruptError, parsing
 from .family import ProductMatrix
 
@@ -127,16 +128,11 @@ def _run_branch(args: tuple[int, int, int]):
     return (p_index, *kernel.enum_branch(d, top_count, p_index))
 
 
-def _class_key(d: int, rows: list[int], n: int) -> bytes:
-    """Canonical key, up to transpose, of the product matrix of a closed
-    spanning set (so its rank is d) given as kernel rows."""
-    bits = tuple(format(r, f"0{n}b") for r in rows)
-    return canonical_key(ProductMatrix(len(rows), n, bits, d), include_transpose=True)
-
-
 def _classify(args: tuple[int, int]) -> bytes:
+    """Canonical key, up to transpose, of the product matrix of a closed
+    spanning set."""
     d, mask = args
-    return _class_key(d, *kernel.pair_rows(d, mask))
+    return rows_key(*kernel.pair_rows(d, mask), include_transpose=True)
 
 
 def _catalog(d: int, keys) -> Catalog:
@@ -248,7 +244,7 @@ def brute_force(d: int) -> Catalog:
     for bits in range(1 << ((1 << d) - 1)):
         sset = bits << 1
         if impl.closure_and_rank(d, sset) == (sset, d):
-            keys.add(_class_key(d, *impl.pair_rows(d, sset)))
+            keys.add(rows_key(*impl.pair_rows(d, sset), include_transpose=True))
     return _catalog(d, keys)
 
 

@@ -1,5 +1,5 @@
 """Exact vectors; integer scaling; one fraction-free echelon for rank and
-bases; Bareiss determinants; Gauss-Jordan solving.
+bases; fraction-free determinant and adjugate; Gauss-Jordan solving.
 
 Vectors are plain tuples of ``fractions.Fraction`` (hashable, so families
 can live in sets), or of ints for 0/1 and +-1 data; matrices are sequences
@@ -94,38 +94,34 @@ def vec_over(row: Iterable[int], den: int) -> Vec:
     return tuple(Fraction(x, den) for x in row)
 
 
-def det(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    m = [row[:] for row in rows]
+def det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det(M), adj(M)) of a nonsingular square integer matrix; raises
+    ValueError when M is singular or not square.
+
+    One fraction-free Gauss-Jordan elimination on [M | I] (Bareiss's
+    division by the previous pivot is exact, so every entry stays an
+    integer minor): it ends at [D I | D M^-1] with D = +-det(M), the sign
+    that of the row swaps."""
     n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
+    if any(len(row) != n for row in m):
+        raise ValueError("det_adjugate takes a square matrix")
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            raise ValueError("singular matrix")
+        if p != k:
+            a[k], a[p] = a[p], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def cofactor_matrix(m: list[list[int]]) -> list[list[int]]:
-    """Cofactors of a square integer matrix; the transpose is its adjugate."""
-    n = len(m)
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            sign = -1 if (i + j) & 1 else 1
-            cof[i][j] = sign * (det(minor) if minor else 1)
-    return cof
+        ak = a[k]
+        piv = ak[k]
+        for i, ai in enumerate(a):
+            if i != k:
+                c = ai[k]
+                a[i] = [(piv * x - c * y) // prev for x, y in zip(ai, ak)]
+        prev = piv
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list[int]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsp import kernel
-from bsp.canon import canonical_from_key, canonical_key
+from bsp.canon import canonical_from_key, canonical_key, rows_key
 from bsp.family import ProductMatrix, close_pair, matrix_rank, product_matrix
 from bsp.family import VectorFamily
 
@@ -150,19 +150,41 @@ def test_class_counts_match_oeis_a002724():
         assert len(keys) == expected
 
 
-def test_lectic_d5_keys_match_golden_digest():
-    """Keys of the 1,000 recorded d=5 lectic draws the benchmark
-    classifies, pinned byte for byte."""
+def lectic_d5_rows():
+    """Kernel rows of the 1,000 recorded d=5 lectic draws the benchmark
+    classifies."""
     data = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "lectic_d5.txt"
     lines = data.read_text("ascii").splitlines()
+    return [kernel.pair_rows(5, int(x)) for x in lines if x and not x.startswith("#")]
+
+
+def test_lectic_d5_keys_match_golden_digest():
+    """Keys of the 1,000 recorded d=5 lectic draws, pinned byte for
+    byte."""
     keys = []
-    for closed in (int(x) for x in lines if x and not x.startswith("#")):
-        rows, n = kernel.pair_rows(5, closed)
+    for rows, n in lectic_d5_rows():
         mat = ProductMatrix(len(rows), n, tuple(format(r, f"0{n}b") for r in rows), 5)
         keys.append(canonical_key(mat, include_transpose=True))
     assert len(keys) == 1000 and len(set(keys)) == 157
     digest = hashlib.sha256(b"\n".join(k.hex().encode() for k in keys)).hexdigest()
     assert digest == "0b6dd1febe0c0f4a4d830d42b2d8072145007f11ff22e1f6b88b3e819aae54b5"
+
+
+def test_rows_key_matches_canonical_key():
+    """Keys taken straight from kernel rows are those of the matrix the
+    rows spell, on the 1,000 d=5 draws and their shuffled copies, with
+    and without the transpose flag."""
+    rng = random.Random(5)
+    for i, (rows, n) in enumerate(lectic_d5_rows()):
+        mat = ProductMatrix(len(rows), n, tuple(format(r, f"0{n}b") for r in rows), 5)
+        assert rows_key(rows, n, include_transpose=True) == canonical_key(
+            mat, include_transpose=True
+        )
+        if i % 10 == 0:
+            copy = shuffled(mat, rng)
+            copy_rows = [int(r, 2) for r in copy.bits]
+            for flag in (False, True):
+                assert rows_key(copy_rows, n, flag) == canonical_key(copy, flag)
 
 
 def explicit_pair_isomorphism(p1, p2, include_transpose=True):

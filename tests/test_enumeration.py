@@ -7,6 +7,7 @@ import pytest
 from bsp.canon import canonical_key
 from bsp.enumeration import (
     Catalog,
+    branch_split,
     brute_force,
     enumerate_catalog,
     figure1_reference,
@@ -14,6 +15,7 @@ from bsp.enumeration import (
     verify_against_reference,
 )
 from bsp.errors import CheckpointCorruptError
+from bsp.kernel import enum_branch
 from bsp.family import (
     closure,
     is_closed_pair,
@@ -23,6 +25,7 @@ from bsp.family import (
 )
 
 D4_MAXIMAL = {(5, 16), (6, 12), (7, 10), (8, 9), (9, 8), (10, 7), (12, 6), (16, 5)}
+D4_SHA256 = "5f02d0532beacc4f0df0c6341460a2d5d29e5bcdd896787e8f81ad5247a4696b"
 
 
 def test_enumerate_d1():
@@ -50,7 +53,20 @@ def test_enumerate_d4_maximal_pairs():
     assert set(st.maximal_pairs) == D4_MAXIMAL
     assert st.max_product == 80  # (d+1) 2^d
     digest = hashlib.sha256(cat.to_jsonl().encode()).hexdigest()
-    assert digest == "5f02d0532beacc4f0df0c6341460a2d5d29e5bcdd896787e8f81ad5247a4696b"
+    assert digest == D4_SHA256
+
+
+def test_next_closure_counts_d4():
+    """The d=4 search visits the same lattice whatever the closure code:
+    8,059 closed sets, 6,963 of them spanning, 1,545 heuristic forms
+    over the 16 branches and 196 after merging them."""
+    top = branch_split(4)
+    results = [enum_branch(4, top, p) for p in range(1 << top)]
+    assert len(results) == 16
+    assert sum(visited for visited, _, _ in results) == 8059
+    assert sum(spanning for _, spanning, _ in results) == 6963
+    assert sum(len(items) for _, _, items in results) == 1545
+    assert len({hb for _, _, items in results for hb, _ in items}) == 196
 
 
 def test_catalog_entries_are_closed_spanning_pairs():
@@ -112,8 +128,7 @@ def test_checkpoint_resume(tmp_path):
     ck = str(tmp_path / "ck.json")
     full = enumerate_catalog(4)
     # simulate a partial run: do a few branches by hand, write checkpoint
-    from bsp.enumeration import _checkpoint_write, branch_split
-    from bsp.kernel import enum_branch
+    from bsp.enumeration import _checkpoint_write
 
     top = branch_split(4)
     partial = {}

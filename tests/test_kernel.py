@@ -1,6 +1,7 @@
 """Cross-checks between the C kernel, the pure-Python twin, and the
 generic Fraction implementation."""
 
+import hashlib
 import importlib.util
 import random
 import shutil
@@ -13,6 +14,7 @@ import pytest
 import bsp
 from bsp import enumeration, kernel
 from bsp.family import a_max, closure, family_from_masks
+from test_enumeration import D4_SHA256
 from test_polytope import brute_force_facets
 
 SRC = Path(bsp.__file__).parent
@@ -99,6 +101,30 @@ def test_catalogs_identical_across_backends(kc, monkeypatch):
         assert enumeration.enumerate_catalog(d).to_jsonl() == text
 
 
+def test_python_kernel_caches_cleared_when_full(monkeypatch):
+    """With room for 2 entries, the caches of the pure-Python kernel are
+    emptied on nearly every miss; nothing it returns may change."""
+    expected = [kp.enum_branch(4, 4, p) for p in range(16)]
+    got = {}
+
+    def recording_enum_branch(d, top_count, p_index):
+        got[p_index] = kp.enum_branch(d, top_count, p_index)
+        return got[p_index]
+
+    caches = (kp._tables_cache, kp._span_cache, kp._patterns_cache)
+    for cache in caches:
+        cache.clear()
+    monkeypatch.setattr(kp, "_MAX_CACHED_BASES", 2)
+    monkeypatch.delenv("BSP_WORKERS", raising=False)  # branches run in this process
+    for name in ("closure_and_rank", "pair_rows", "heuristic_form"):
+        monkeypatch.setattr(kernel, name, getattr(kp, name))
+    monkeypatch.setattr(kernel, "enum_branch", recording_enum_branch)
+    text = enumeration.enumerate_catalog(4, workers=1).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+    assert [got[p] for p in range(16)] == expected
+    assert max(len(cache) for cache in caches) <= 2
+
+
 def test_c_kernel_rejects_out_of_range_input(kc):
     for mask in (-7, 1 << 16):
         for fn in (kc.closure_and_rank, kc.pair_rows, kc.a_vector_data, kc.next_closed):
@@ -147,28 +173,45 @@ def test_enum_branch_matches_next_closed_walk(impl):
             assert impl.enum_branch(d, k, p) == _enum_branch_reference(impl, d, k, p), (d, k, p)
 
 
+def _matches_fraction_closure(impl, d, masks) -> bool:
+    """Check the kernel closure and partner vectors of a family of cube
+    points against the generic rational ones; False when the family does
+    not span R^d (nothing to check)."""
+    fam = family_from_masks(masks, d)
+    if not fam.spans():
+        return False
+    sset = 0
+    for m in masks:
+        sset |= 1 << m
+    closed, rank = impl.closure_and_rank(d, sset)
+    assert rank == d
+    got = family_from_masks([m for m in range(1, 1 << d) if (closed >> m) & 1], d)
+    assert got == closure(fam)
+    # partner family agrees too
+    den, nums = impl.a_vector_data(d, closed)
+    avecs = {tuple(Fraction(x, den) for x in num) for num in nums}
+    assert avecs == a_max(got).vectors
+    return True
+
+
 def test_kernel_closure_matches_generic_fraction_closure(impl):
     """The bit-packed cube closure agrees with the generic rational one."""
     rng = random.Random(13)
     for d in (2, 3, 4):
         for _ in range(25):
             masks = rng.sample(range(1, 1 << d), rng.randint(1, (1 << d) - 1))
-            fam = family_from_masks(masks, d)
-            if not fam.spans():
-                continue
-            sset = 0
-            for m in masks:
-                sset |= 1 << m
-            closed, rank = impl.closure_and_rank(d, sset)
-            assert rank == d
-            got = family_from_masks(
-                [m for m in range(1, 1 << d) if (closed >> m) & 1], d
-            )
-            assert got == closure(fam)
-            # partner family agrees too
-            den, nums = impl.a_vector_data(d, closed)
-            avecs = {tuple(Fraction(x, den) for x in num) for num in nums}
-            assert avecs == a_max(got).vectors
+            _matches_fraction_closure(impl, d, masks)
+    # d=5 from 5 to 12 points, so that closures of many sizes come up,
+    # not mostly the whole cube
+    rng = random.Random(14)
+    checked = 0
+    sizes = set()
+    while checked < 12:
+        masks = rng.sample(range(1, 32), rng.randint(5, 12))
+        if _matches_fraction_closure(impl, 5, masks):
+            checked += 1
+            sizes.add(impl.closure_and_rank(5, sum(1 << m for m in masks))[0].bit_count())
+    assert len(sizes) >= 5
 
 
 def test_closure_is_extensive_and_idempotent_bitwise(impl):

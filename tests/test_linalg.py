@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from bsp.errors import SingularBasisError
 from bsp.linalg import (
     affine_dim,
-    cofactor_matrix,
-    det,
+    det_adjugate,
     dot,
     dual_basis,
     format_rat,
@@ -177,6 +176,71 @@ def test_det_and_cofactors_against_gauss_jordan(m):
                 f = rows[i][k] / rows[k][k]
                 rows[i] = tuple(x - f * y for x, y in zip(rows[i], rows[k]))
         assert prod == d
+
+
+def det(rows: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of a small integer matrix: the
+    oracle for :func:`bsp.linalg.det_adjugate`."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def cofactor_matrix(m: list[list[int]]) -> list[list[int]]:
+    """Cofactors of a square integer matrix, one minor each; the transpose
+    is its adjugate."""
+    n = len(m)
+    cof = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [m[r][c] for c in range(n) if c != j] for r in range(n) if r != i
+            ]
+            sign = -1 if (i + j) & 1 else 1
+            cof[i][j] = sign * (det(minor) if minor else 1)
+    return cof
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+))
+def test_det_adjugate_matches_cofactor_oracle(m):
+    d = det(m)
+    if d == 0:
+        with pytest.raises(ValueError):
+            det_adjugate(m)
+        return
+    got, adj = det_adjugate(m)
+    assert got == d
+    cof = cofactor_matrix(m)
+    assert adj == [[cof[j][i] for j in range(len(m))] for i in range(len(m))]
+
+
+def test_det_adjugate_edge_cases():
+    assert det_adjugate([]) == (1, [])
+    assert det_adjugate([[-3]]) == (-3, [[1]])
+    # a row swap is needed: det = -1 and the matrix is its own inverse
+    assert det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    for singular in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError):
+            det_adjugate(singular)
+    with pytest.raises(ValueError):
+        det_adjugate([[1, 0]])
 
 
 def test_affine_dim():

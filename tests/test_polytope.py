@@ -17,7 +17,7 @@ from bsp.errors import (
     SingularBasisError,
 )
 from bsp.family import ProductMatrix, matrix_rank, verify_binary_products
-from bsp.linalg import affine_dim, det, dot, rank, solve, unit_vec, vec
+from bsp.linalg import affine_dim, dot, rank, solve, unit_vec, vec
 from bsp.polytope import (
     POLYTOPE_KINDS,
     _construction_vertices,
@@ -34,6 +34,7 @@ from bsp.polytope import (
     slack_pair_sizes,
     verify_lemma3,
 )
+from test_linalg import det
 
 FAST_DIMS = {
     "cube": (1, 2, 3, 4, 5),
