@@ -31,9 +31,7 @@
 
 typedef struct {
     int rank;
-    int sign;                   /* det(M) = sign * den */
     int64_t den;                /* D */
-    int64_t inv[MAXD][MAXD];    /* D M^-1 */
     uint64_t valid;             /* bit sigma: sigma is a valid pattern */
     uint64_t closed;
     uint64_t one[MAXP];         /* bit sigma of one[y]: t(y, sigma) = D */
@@ -116,11 +114,11 @@ static void close_set(int d, uint64_t sset, closure_t *c)
 {
     int64_t a[MAXD][2 * MAXD] = {{0}};
     int64_t m[MAXD][MAXD];
+    int64_t inv[MAXD][MAXD];    /* D M^-1 */
     int64_t prev = 1;
 
     sset &= ~(uint64_t)1;
     c->rank = basis_rows(d, sset, m);
-    c->sign = 1;
     for (int i = 0; i < d; i++) {
         memcpy(a[i], m[i], d * sizeof m[i][0]);
         a[i][d + i] = 1;
@@ -137,7 +135,6 @@ static void close_set(int d, uint64_t sset, closure_t *c)
                 a[k][j] = a[p][j];
                 a[p][j] = t;
             }
-            c->sign = -c->sign;
         }
         for (int i = 0; i < d; i++) {
             if (i == k)
@@ -150,7 +147,7 @@ static void close_set(int d, uint64_t sset, closure_t *c)
     c->den = prev;
     for (int i = 0; i < d; i++)
         for (int j = 0; j < d; j++)
-            c->inv[i][j] = a[i][d + j];
+            inv[i][j] = a[i][d + j];
 
     int r = c->rank, nsig = 1 << r;
     uint64_t all = nsig == 64 ? ~(uint64_t)0 : ((uint64_t)1 << nsig) - 1;
@@ -164,7 +161,7 @@ static void close_set(int d, uint64_t sset, closure_t *c)
         int low = lowest_bit((uint64_t)y);
         int in_span = 1;
         for (int i = 0; i < d; i++) {
-            w[y][i] = w[y & (y - 1)][i] + c->inv[low][i];
+            w[y][i] = w[y & (y - 1)][i] + inv[low][i];
             if (i >= r && w[y][i] != 0)
                 in_span = 0;
         }
@@ -320,30 +317,6 @@ int bsp_pair_rows(int d, uint64_t closed, uint64_t *rows, int *n)
     closure_t c;
     close_set(d, closed, &c);
     return rows_of(d, closed, &c, rows, n);
-}
-
-/* Partner vectors of a closed set as numerators over *det, one per valid
-   pattern in increasing order: nums[k*d + j] is sum over i in sigma of
-   cofactor (i, j) of M.  nums: 64*d words; returns the vector count. */
-int bsp_a_vector_data(int d, uint64_t closed, int64_t *det, int64_t *nums)
-{
-    closure_t c;
-    int count = 0;
-    close_set(d, closed, &c);
-    *det = c.sign * c.den;
-    for (int s = 0; s < (1 << c.rank); s++) {
-        if (!((c.valid >> s) & 1))
-            continue;
-        for (int j = 0; j < d; j++) {
-            int64_t x = 0;
-            for (int i = 0; i < c.rank; i++)
-                if ((s >> i) & 1)
-                    x += c.inv[j][i];   /* cofactor (i, j) = sign * inv[j][i] */
-            nums[count * d + j] = c.sign * x;
-        }
-        count++;
-    }
-    return count;
 }
 
 int bsp_next_closed(int d, uint64_t current, uint64_t *next)

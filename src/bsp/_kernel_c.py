@@ -36,7 +36,7 @@ _MAX_DIM = 6
 _FORM_WORDS = 66  # header, 64 rows, mask: FORM_WORDS in _ckernel.c
 _TABLE_RECORDS = 512  # forms held before enum_branch hands them over
 
-_u64, _i64, _int = ctypes.c_uint64, ctypes.c_int64, ctypes.c_int
+_u64, _int = ctypes.c_uint64, ctypes.c_int
 try:
     _lib = ctypes.CDLL(str(_LIBRARY))
 except OSError as exc:  # not a loadable library, e.g. built for another platform
@@ -44,7 +44,6 @@ except OSError as exc:  # not a loadable library, e.g. built for another platfor
 for _name, _args in {
     "bsp_closure_and_rank": (_int, _u64, ctypes.POINTER(_u64)),
     "bsp_pair_rows": (_int, _u64, ctypes.POINTER(_u64), ctypes.POINTER(_int)),
-    "bsp_a_vector_data": (_int, _u64, ctypes.POINTER(_i64), ctypes.POINTER(_i64)),
     "bsp_next_closed": (_int, _u64, ctypes.POINTER(_u64)),
     "bsp_heuristic_form": (ctypes.POINTER(_u64), _int, _int),
     "bsp_enum_branch": (_int, _int, _u64, ctypes.POINTER(_u64), ctypes.POINTER(_u64),
@@ -74,14 +73,6 @@ def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
     rows, n = (_u64 * 64)(), _int()
     m = _lib.bsp_pair_rows(d, closed, rows, ctypes.byref(n))
     return rows[:m], n.value
-
-
-def a_vector_data(d: int, closed: int) -> tuple[int, list[tuple[int, ...]]]:
-    _check_set(d, closed)
-    det, nums = _i64(), (_i64 * (64 * d))()
-    count = _lib.bsp_a_vector_data(d, closed, ctypes.byref(det), nums)
-    flat = nums[: count * d]
-    return det.value, [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]
 
 
 def next_closed(d: int, current: int) -> int:

@@ -59,19 +59,17 @@ def _remember(cache: dict, key, value):
 
 class _BasisTables:
     """What closures on one greedy basis need (see the module docstring):
-    ``det`` = D, ``rank`` = r, ``cof`` (cofactor row i of M, for
-    :func:`a_vector_data`), ``span`` (the bitset of the cube points in
+    ``det`` = D, ``rank`` = r, ``span`` (the bitset of the cube points in
     the span of B) and, indexed by cube point, ``ok`` and ``one`` (zero
     off the span; ``ok[0]`` holds every pattern)."""
 
-    __slots__ = ("det", "rank", "cof", "span", "ok", "one")
+    __slots__ = ("det", "rank", "span", "ok", "one")
 
     def __init__(self, d: int, basis: tuple[int, ...], helpers: list[int]):
         rows = [[(m >> i) & 1 for i in range(d)] for m in basis]
         rows += [[int(i == h) for i in range(d)] for h in helpers]
         r = self.rank = len(basis)
         self.det, adj = det_adjugate(rows)
-        self.cof = list(zip(*adj))
         self.span = 1
         self.ok = [(1 << (1 << r)) - 1] + [0] * ((1 << d) - 1)
         self.one = [0] * (1 << d)
@@ -211,16 +209,6 @@ def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
     """
     _, _, valid, tab = _closure_data(d, closed)
     return _rows(closed & ((1 << (1 << d)) - 2), valid, tab)
-
-
-def a_vector_data(d: int, closed: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Exact partner vectors of a closed set: (denominator, numerators)."""
-    _, r, valid, tab = _closure_data(d, closed)
-    cof = tab.cof
-    return tab.det, [
-        tuple(sum(cof[i][j] for i in range(r) if (sigma >> i) & 1) for j in range(d))
-        for sigma in range(1 << r) if (valid >> sigma) & 1
-    ]
 
 
 def _next_closed_data(d: int, current: int):

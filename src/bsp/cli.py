@@ -165,7 +165,8 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
-def _load_polytopes(paths: list[str]):
+def _json_files(paths: list[str]) -> list[str]:
+    """The paths, each directory replaced by its .json files in name order."""
     files = []
     for p in paths:
         if os.path.isdir(p):
@@ -174,13 +175,14 @@ def _load_polytopes(paths: list[str]):
             )
         else:
             files.append(p)
-    return [(f, Polytope2L.from_json(_read_json(f))) for f in files]
+    return files
 
 
 def cmd_polytope_check(args) -> int:
     status = EXIT_OK
     reports = []
-    for label, poly in _load_polytopes(args.files):
+    polytopes = [(f, Polytope2L.from_json(_read_json(f))) for f in _json_files(args.files)]
+    for label, poly in polytopes:
         entry = {
             "file": label,
             "d": poly.d,
@@ -283,15 +285,7 @@ def cmd_conjecture(args) -> int:
         if violations:
             status = EXIT_VERIFY
     if args.slack:
-        files = []
-        for p in args.slack:
-            if os.path.isdir(p):
-                files += sorted(
-                    os.path.join(p, f) for f in os.listdir(p) if f.endswith(".json")
-                )
-            else:
-                files.append(p)
-        slacks = [(f, ProductMatrix.from_json(_read_json(f))) for f in files]
+        slacks = [(f, ProductMatrix.from_json(_read_json(f))) for f in _json_files(args.slack)]
         entries = audit_conjecture_on_slacks(slacks, args.dim)
         payload["slacks"] = [e.to_json() for e in entries]
         if any(not e.passed for e in entries):
@@ -315,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--dim", type=int, required=True)
     p.add_argument("--out", help="catalog JSONL path (default stdout)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (env BSP_WORKERS overrides)")
+                   help="worker processes (default 1)")
     p.add_argument("--checkpoint", help="checkpoint JSON path (resume if present)")
     p.set_defaults(func=cmd_enumerate)
 

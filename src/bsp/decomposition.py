@@ -12,17 +12,17 @@ translate A when the zero side is the smaller one, then flip the signs of
 offending B members.  A normalized pair can carry products in {0, -1} on
 the A1 side; only the A0 side is guaranteed to stay 0/1.
 
-All of it runs on Python ints: A is held as integer rows over one positive
-denominator da and B over db (:func:`linalg.int_rows`), so <a, b> in
-{0, 1} reads as an integer product in {0, da * db}.  Translating A keeps
-its scale, and so does flipping the sign of a B member.  The fiber key
-<b_d, b_d> b - <b, b_d> b_d is a fixed positive multiple of pi(b), so
-fiber grouping and the no-opposite-points check stay exact.  Every a in
+All of it runs on the integer rows the families store (see
+:mod:`bsp.family`), A over its denominator da and B over db.
+Translating A keeps its scale, and so does flipping the sign of a B
+member.  The fiber key <b_d, b_d> b - <b, b_d> b_d is a fixed positive
+multiple of pi(b), so fiber grouping and the no-opposite-points check
+stay exact.  Every a in
 A0 is orthogonal to b_d, so <a, pi(b)> = <a, b>: the projection tau of
 pi(b) onto span(A0) depends only on the products of b with a basis of A0,
 and one integer adjugate and determinant of that basis' Gram matrix per
 decomposition give it without a solve per fiber.  Fractions are built
-only for the returned families, b_d and error messages.
+only for b_d and error messages.
 """
 
 from __future__ import annotations
@@ -31,23 +31,21 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import BspError, NormalizationFailedError
 from .family import BspPair, VectorFamily
 from .linalg import (
+    Row,
     Vec,
     affine_dim,
     det_adjugate,
     independent_rows,
-    int_rows,
+    int_dot,
     neg,
     rank,
     vec,
     vec_over,
 )
-
-Row = tuple[int, ...]
 
 
 class DecompositionError(BspError):
@@ -60,18 +58,10 @@ class CounterexampleFound(BspError):
         self.witness = witness
 
 
-def _dot(u: Row, v: Row) -> int:
-    return sum(map(mul, u, v))
-
-
-def _family(d: int, rows, vecs: dict[Row, Vec]) -> VectorFamily:
-    return VectorFamily(d, frozenset(vecs[r] for r in rows))
-
-
 def _split_by_bd(a_rows: list[Row], bd: Row, unit: int) -> tuple[list[Row], list[Row]]:
     a0, a1 = [], []
     for a in a_rows:
-        p = _dot(a, bd)
+        p = int_dot(a, bd)
         if p == 0:
             a0.append(a)
         elif p == unit:
@@ -85,19 +75,18 @@ def _split_by_bd(a_rows: list[Row], bd: Row, unit: int) -> tuple[list[Row], list
 
 def _fiber_key(b: Row, bd: Row, kb: int) -> Row:
     # <bd, bd> b - <b, bd> bd, with kb = <bd, bd> > 0
-    c = _dot(b, bd)
+    c = int_dot(b, bd)
     return tuple(kb * x - c * y for x, y in zip(b, bd))
 
 
 def tied_bd_choices(p: BspPair) -> list[Vec]:
     """All nonzero b in B attaining the maximal value of
     max(dim A0, dim A1), best (lexicographically largest) first."""
-    da, a_rows = int_rows(p.family_a.vectors)
-    db, b_rows = int_rows(p.family_b.vectors)
+    a_rows, db = list(p.family_a.rows), p.family_b.den
     scored = []
-    for b in sorted(b_rows):
+    for b in sorted(p.family_b.rows):
         if any(b):
-            a0, a1 = _split_by_bd(a_rows, b, da * db)
+            a0, a1 = _split_by_bd(a_rows, b, p.family_a.den * db)
             scored.append((max(affine_dim(a0), affine_dim(a1)), b))
     best = max(v for v, _ in scored)
     return [vec_over(b, db) for v, b in sorted(scored, reverse=True) if v == best]
@@ -133,16 +122,16 @@ def normalize(p: BspPair, b_d: Vec) -> NormalizedPair:
 
 
 def _normalize(p: BspPair, b_d: Vec):
-    """:func:`normalize`, its members keyed by their integer rows (A over
-    da, B sorted and over db), b_d over db, da and db."""
-    b_d = vec(b_d)
-    if b_d not in p.family_b.vectors:
+    """:func:`normalize`, the integer rows of its A over da and of its B
+    (sorted) over db, b_d over db, da and db."""
+    if b_d not in p.family_b:
         raise DecompositionError("b_d is not a member of B")
     d = p.dim
-    da, a_rows = int_rows(p.family_a.vectors)
-    db, (bd, *b_rows) = int_rows([b_d, *p.family_b.vectors])
+    da, db = p.family_a.den, p.family_b.den
+    a_rows = list(p.family_a.rows)
+    bd = tuple(int(c * db) for c in vec(b_d))
     unit = da * db
-    b_set = set(b_rows)
+    b_set = set(p.family_b.rows)
 
     a0, a1 = _split_by_bd(a_rows, bd, unit)
     translated = False
@@ -162,19 +151,18 @@ def _normalize(p: BspPair, b_d: Vec):
     flipped = 0
     new_b = set()
     for b in b_set:
-        s0 = {_dot(a, b) for a in a0}
-        if s0 == {0, -unit} or (s0 == {0} and {_dot(a, b) for a in a1p} == {0, -unit}):
+        s0 = {int_dot(a, b) for a in a0}
+        if s0 == {0, -unit} or (s0 == {0} and {int_dot(a, b) for a in a1p} == {0, -unit}):
             b = neg(b)
             flipped += 1
         new_b.add(b)
     b_rows = sorted(new_b)
 
     _assert_normalized(a_rows, b_rows, bd, unit)
-    vecs_a = {r: vec_over(r, da) for r in a_rows}
-    vecs_b = {r: vec_over(r, db) for r in b_rows}
-    n = NormalizedPair(d, _family(d, a_rows, vecs_a), _family(d, b_rows, vecs_b),
+    n = NormalizedPair(d, VectorFamily.from_rows(d, da, a_rows),
+                       VectorFamily.from_rows(d, db, b_rows),
                        vec_over(bd, db), translated, flipped)
-    return n, vecs_a, vecs_b, bd, da, db
+    return n, a_rows, b_rows, bd, da, db
 
 
 def _assert_normalized(a_rows: list[Row], b_rows: list[Row], bd: Row, unit: int) -> None:
@@ -182,15 +170,15 @@ def _assert_normalized(a_rows: list[Row], b_rows: list[Row], bd: Row, unit: int)
     if len(a0) < len(a1):
         raise NormalizationFailedError("|A0| < |A1| after normalization")
     for b in b_rows:
-        s0 = {_dot(a, b) for a in a0}
+        s0 = {int_dot(a, b) for a in a0}
         if not s0 <= {0, unit}:
             s0 = {Fraction(x, unit) for x in s0}
             raise NormalizationFailedError(f"A0 products {s0} not in 0/1")
-        sa = s0 | {_dot(a, b) for a in a1}
+        sa = s0 | {int_dot(a, b) for a in a1}
         if not (sa <= {0, unit} or sa <= {0, -unit}):
             sa = {Fraction(x, unit) for x in sa}
             raise NormalizationFailedError(f"products {sa} not one-signed")
-    kb = _dot(bd, bd)
+    kb = int_dot(bd, bd)
     keys = {_fiber_key(b, bd, kb) for b in b_rows}
     for y in keys:
         if any(y) and neg(y) in keys:
@@ -221,13 +209,13 @@ def decompose(p: BspPair, b_d: Vec | None = None) -> Decomposition:
     :func:`choose_bd` when not given)."""
     if b_d is None:
         b_d = choose_bd(p)
-    n, vecs_a, vecs_b, bd, da, db = _normalize(p, b_d)
+    n, a_rows, b_rows, bd, da, db = _normalize(p, b_d)
     d = n.dim
-    a0, a1 = _split_by_bd(list(vecs_a), bd, da * db)
+    a0, a1 = _split_by_bd(a_rows, bd, da * db)
 
-    kb = _dot(bd, bd)
+    kb = int_dot(bd, bd)
     fibers: dict[Row, list[Row]] = {}
-    for b in vecs_b:
+    for b in b_rows:
         fibers.setdefault(_fiber_key(b, bd, kb), []).append(b)
     max_fiber = max(len(v) for v in fibers.values())
     b_star = [v[0] for v in fibers.values() if len(v) == 1]
@@ -236,8 +224,8 @@ def decompose(p: BspPair, b_d: Vec | None = None) -> Decomposition:
     zero = (0,) * d
     b0, b1 = [], []
     for b in rest:
-        const0 = len({_dot(a, b) for a in a0}) == 1
-        const1 = len({_dot(a, b) for a in a1}) == 1
+        const0 = len({int_dot(a, b) for a in a0}) == 1
+        const1 = len({int_dot(a, b) for a in a1}) == 1
         if const0 and const1:
             # preference: 0 and b_d live in B1, the rest goes to B0
             (b1 if b == zero or b == bd else b0).append(b)
@@ -247,30 +235,28 @@ def decompose(p: BspPair, b_d: Vec | None = None) -> Decomposition:
             b0.append(b)
         else:
             raise DecompositionError(
-                f"{vecs_b[b]} is constant on neither side; is the pair maximal?"
+                f"{vec_over(b, db)} is constant on neither side; is the pair maximal?"
             )
 
     # tau(pi(b)) = U^T adj(G) U b / (det(G) db) for the rows U of a basis
     # of A0 over da and their Gram matrix G = U U^T
     basis = [a0[i] for i in independent_rows(a0)]
-    det_g, adj = det_adjugate([[_dot(u, v) for v in basis] for u in basis])
-    tau_den = det_g * db
-    tau_pi_b = set()
-    for r in {tuple(_dot(u, b) for u in basis) for b in vecs_b}:
-        s = [_dot(row, r) for row in adj]
-        tau = tuple(_dot(s, col) for col in zip(*basis)) if basis else zero
-        tau_pi_b.add(vec_over(tau, tau_den))
+    det_g, adj = det_adjugate([[int_dot(u, v) for v in basis] for u in basis])
+    tau_pi_b = []
+    for r in {tuple(int_dot(u, b) for u in basis) for b in b_rows}:
+        s = [int_dot(row, r) for row in adj]
+        tau_pi_b.append(tuple(int_dot(s, col) for col in zip(*basis)) if basis else zero)
     return Decomposition(
         pair=n,
         b_d=n.b_d,
-        a0=_family(d, a0, vecs_a),
-        a1=_family(d, a1, vecs_a),
-        b_star=_family(d, b_star, vecs_b),
-        b0=_family(d, b0, vecs_b),
-        b1=_family(d, b1, vecs_b),
+        a0=VectorFamily.from_rows(d, da, a0),
+        a1=VectorFamily.from_rows(d, da, a1),
+        b_star=VectorFamily.from_rows(d, db, b_star),
+        b0=VectorFamily.from_rows(d, db, b0),
+        b1=VectorFamily.from_rows(d, db, b1),
         u0_dim=affine_dim(a0),  # A0 contains 0, so affine = linear span dim
-        pi_b=VectorFamily(d, frozenset(vec_over(y, kb * db) for y in fibers)),
-        tau_pi_b=VectorFamily(d, frozenset(tau_pi_b)),
+        pi_b=VectorFamily.from_rows(d, kb * db, fibers),
+        tau_pi_b=VectorFamily.from_rows(d, det_g * db, tau_pi_b),
         max_fiber=max_fiber,
     )
 
@@ -307,10 +293,10 @@ def audit(dec: Decomposition) -> AuditReport:
     nb0, nb1, nbs = len(dec.b0), len(dec.b1), len(dec.b_star)
     npi = len(dec.pi_b)
     ntau = len(dec.tau_pi_b)
-    dim_a0 = affine_dim(int_rows(dec.a0.vectors)[1])
-    dim_a1 = affine_dim(int_rows(dec.a1.vectors)[1])
-    dim_b0 = rank(dec.b0.vectors)
-    dim_b1 = rank(dec.b1.vectors)
+    dim_a0 = affine_dim(list(dec.a0.rows))
+    dim_a1 = affine_dim(list(dec.a1.rows))
+    dim_b0 = rank(dec.b0.rows)
+    dim_b1 = rank(dec.b1.rows)
 
     def leq(name: str, lhs: int, rhs: int) -> AuditItem:
         return AuditItem(name, lhs, rhs, lhs <= rhs)
@@ -377,7 +363,8 @@ def check_lemslice(
     theorem, so that signals a harness bug).
     """
     ground = _lemslice_ground(d)
-    zero = (0,) * d
+    # each point with its opposite; zero has none that counts
+    pairs = [(v, neg(v) if any(v) else None) for v in ground]
     checked = 0
     tight = 0
 
@@ -397,7 +384,7 @@ def check_lemslice(
         for mask in range(1 << n):
             x = [ground[i] for i in range(n) if (mask >> i) & 1]
             xs = set(x)
-            if any(v != zero and neg(v) in xs for v in x):
+            if any(o in xs for v, o in pairs if v in xs):
                 continue
             handle(x)
     elif mode == "random":
@@ -405,9 +392,9 @@ def check_lemslice(
         for _ in range(trials):
             x = []
             xs = set()
-            for v in ground:
+            for v, o in pairs:
                 if rng.getrandbits(1):
-                    if v != zero and neg(v) in xs:
+                    if o in xs:
                         continue
                     x.append(v)
                     xs.add(v)

@@ -109,15 +109,6 @@ class Catalog:
             return cls.from_jsonl(fh.read())
 
 
-def resolve_workers(workers: int | None) -> int:
-    env = os.environ.get("BSP_WORKERS")
-    if env:
-        return max(1, int(env))
-    if workers is None:
-        return 1
-    return max(1, workers)
-
-
 def branch_split(d: int) -> int:
     """Number of most-significant ground elements fixed per branch."""
     return max(0, min(4 * (d - 3), (1 << d) - 1 - 8))
@@ -193,7 +184,7 @@ def enumerate_catalog(
     independent of the worker count and of the kernel backend."""
     if not 1 <= d <= MAX_DIM:
         raise BadParameterError(f"d must be in [1, {MAX_DIM}]")
-    nworkers = resolve_workers(workers)
+    nworkers = max(1, workers or 1)
     top_count = branch_split(d)
     nbranches = 1 << top_count
 

@@ -5,47 +5,88 @@ The central objects are pairs of finite families (A, B) spanning R^d with
 inclusion-wise maximal partner of a spanning family, and their composition
 ``closure`` is the closure operator whose fixpoints are exactly the
 maximal pairs.
+
+A :class:`VectorFamily` stores its members as integer numerator rows over
+``den``, the least positive common denominator (:meth:`VectorFamily.of`
+is the one place that scales rational vectors, through
+:func:`linalg.int_rows`).  Over denominators da and db, <a, b> is 0 or 1
+exactly when the integer product of the rows is 0 or da * db, so every
+check here runs on Python ints; ``Fraction`` tuples appear only when a
+family is parsed or printed (:attr:`VectorFamily.vectors`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index, mul
+from math import gcd
+from operator import add, index
 from typing import Iterable, NamedTuple
 
 from . import linalg
 from .errors import DimensionMismatchError, NotSpanningError, parsing
-from .linalg import Vec, dot, independent_rows, int_rows, rank, solve, vec, vec_over
+from .linalg import (
+    Row,
+    Vec,
+    det_adjugate,
+    independent_rows,
+    int_dot,
+    int_rows,
+    rank,
+    vec,
+    vec_over,
+)
 
 
 @dataclass(frozen=True)
 class VectorFamily:
-    """A finite set of rational vectors of a common dimension."""
+    """A finite set of rational vectors of a common dimension: the members
+    are ``row / den`` for the integer ``rows``.  ``den`` is the least
+    positive common denominator, so families with the same members compare
+    and hash equal however they were built."""
 
     dim: int
-    vectors: frozenset[Vec]
+    den: int
+    rows: frozenset[Row]
 
     @classmethod
     def of(cls, dim: int, vectors: Iterable) -> "VectorFamily":
-        vs = frozenset(vec(v) for v in vectors)
+        vs = [vec(v) for v in vectors]
         for v in vs:
             if len(v) != dim:
                 raise DimensionMismatchError(f"vector {v} has length {len(v)} != {dim}")
-        return cls(dim, vs)
+        den, rows = int_rows(vs)
+        return cls(dim, den, frozenset(rows))
+
+    @classmethod
+    def from_rows(cls, dim: int, den: int, rows: Iterable[Row]) -> "VectorFamily":
+        """The family {row / den}; ``den`` is any nonzero int, and the
+        rows and ``den`` are divided by their common gcd."""
+        rows = set(rows)
+        g = gcd(den, *(x for r in rows for x in r))
+        if den < 0:
+            g = -g
+        if g != 1:
+            rows = {tuple(x // g for x in r) for r in rows}
+        return cls(dim, den // g, frozenset(rows))
+
+    @property
+    def vectors(self) -> frozenset[Vec]:
+        """The members as ``Fraction`` tuples."""
+        return frozenset(vec_over(r, self.den) for r in self.rows)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     def __contains__(self, v) -> bool:
-        return vec(v) in self.vectors
+        return tuple(c * self.den for c in vec(v)) in self.rows
 
     def sorted(self) -> list[Vec]:
-        return sorted(self.vectors)
+        # a positive scale keeps the order of the members
+        return [vec_over(r, self.den) for r in sorted(self.rows)]
 
     def spans(self) -> bool:
-        return rank(self.vectors) == self.dim
+        return rank(self.rows) == self.dim
 
     def to_json(self) -> dict:
         return {
@@ -68,21 +109,16 @@ class Violation(NamedTuple):
 
 def verify_binary_products(a: VectorFamily, b: VectorFamily) -> Violation | None:
     """None when every product is exactly 0 or 1; the first offending
-    triple (in sorted order) otherwise.
-
-    Runs on the integer rows: over denominators da and db, a product is
-    in {0, 1} exactly when the integer product is in {0, da * db}."""
+    triple (in sorted order) otherwise."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} vs {b.dim}")
-    da, rows_a = int_rows(a.vectors)
-    db, rows_b = int_rows(b.vectors)
-    rows_b.sort()  # a positive scale keeps the order of the members
-    unit = da * db
-    for u in sorted(rows_a):
+    unit = a.den * b.den
+    rows_b = sorted(b.rows)
+    for u in sorted(a.rows):
         for v in rows_b:
-            p = sum(map(mul, u, v))
+            p = int_dot(u, v)
             if p != 0 and p != unit:
-                return Violation(vec_over(u, da), vec_over(v, db), Fraction(p, unit))
+                return Violation(vec_over(u, a.den), vec_over(v, b.den), Fraction(p, unit))
     return None
 
 
@@ -133,23 +169,26 @@ class BspPair:
 def a_max(b: VectorFamily) -> VectorFamily:
     """The full partner {x : <x, v> in {0,1} for all v in b}.
 
-    Computed by fixing a basis inside b, solving all 2^d level assignments
-    on it and filtering against the rest of the family.  Always contains
-    the zero vector; has at most 2^d members.
+    Computed by fixing a basis M inside b (integer rows over b.den) and
+    taking all 2^d level assignments sigma on it: x = b.den adj(M) sigma /
+    det(M), whose product with a member row v is <adj(M) sigma, v> /
+    det(M).  Those with products in {0, 1} against the rest of the family
+    are kept.  Always contains the zero vector; has at most 2^d members.
     """
     d = b.dim
-    members = b.sorted()
-    basis = [members[i] for i in independent_rows(members, d)]
-    if len(basis) < d:
+    members = sorted(b.rows)
+    picked = independent_rows(members, d)
+    if len(picked) < d:
         raise NotSpanningError("family does not span R^d")
-    rest = [v for v in members if v not in basis]
-    out: list[Vec] = []
-    for sigma in itertools.product((0, 1), repeat=d):
-        x = solve(tuple(basis), vec(sigma)).solution
-        assert x is not None
-        if all(dot(x, v) in (0, 1) for v in rest):
-            out.append(x)
-    return VectorFamily.of(d, out)
+    det, adj = det_adjugate([members[i] for i in picked])
+    rest = [v for i, v in enumerate(members) if i not in picked]
+    sums = [(0,) * d]  # adj(M) sigma for every sigma
+    for col in zip(*adj):
+        sums += [tuple(map(add, s, col)) for s in sums]
+    return VectorFamily.from_rows(d, det, (
+        tuple(b.den * x for x in s) for s in sums
+        if all(int_dot(s, v) in (0, det) for v in rest)
+    ))
 
 
 def b_max(a: VectorFamily) -> VectorFamily:
@@ -209,15 +248,13 @@ def matrix_rank(bits: Iterable[str]) -> int:
 
 
 def product_matrix(p: BspPair) -> ProductMatrix:
-    da, rows_a = int_rows(p.family_a.vectors)
-    db, cols_b = int_rows(p.family_b.vectors)
-    cols_b.sort()
-    unit = da * db
+    unit = p.family_a.den * p.family_b.den
+    cols_b = sorted(p.family_b.rows)
     bits = tuple(
-        "".join("1" if sum(map(mul, a, b)) == unit else "0" for b in cols_b)
-        for a in sorted(rows_a)
+        "".join("1" if int_dot(a, b) == unit else "0" for b in cols_b)
+        for a in sorted(p.family_a.rows)
     )
-    return ProductMatrix(len(rows_a), len(cols_b), bits, matrix_rank(bits))
+    return ProductMatrix(len(bits), len(cols_b), bits, matrix_rank(bits))
 
 
 def pair_from_product_matrix(mat: ProductMatrix, d: int) -> BspPair:
@@ -230,38 +267,38 @@ def pair_from_product_matrix(mat: ProductMatrix, d: int) -> BspPair:
     """
     if mat.rank_d != d:
         raise ValueError(f"matrix rank {mat.rank_d} != d = {d}")
-    grid = [[Fraction(int(c)) for c in row] for row in mat.bits]
+    grid = [[int(c) for c in row] for row in mat.bits]
     basis_rows = independent_rows(grid, d)
-    b_vectors = [tuple(grid[i][j] for i in basis_rows) for j in range(mat.n)]
-    col_basis = independent_rows(b_vectors, d)
+    b_rows = [tuple(grid[i][j] for i in basis_rows) for j in range(mat.n)]
+    col_basis = independent_rows(b_rows, d)
     if len(col_basis) < d:
         raise ValueError("columns do not span")
-    bmat = tuple(b_vectors[j] for j in col_basis)
-    a_vectors = []
-    for i in range(mat.m):
-        rhs = vec(grid[i][j] for j in col_basis)
-        x = solve(bmat, rhs).solution
-        if x is None:
-            raise ValueError("inconsistent product matrix")
-        if any(dot(x, b_vectors[j]) != grid[i][j] for j in range(mat.n)):
+    # row i of A solves <x, b_j> = grid[i][j] on the basis columns j:
+    # x = adj(N) rhs / det(N) for the matrix N of those columns' rows
+    det, adj = det_adjugate([b_rows[j] for j in col_basis])
+    a_rows = []
+    for row in grid:
+        rhs = [row[j] for j in col_basis]
+        x = tuple(int_dot(r, rhs) for r in adj)
+        if any(int_dot(x, b) != det * g for b, g in zip(b_rows, row)):
             raise ValueError("matrix is not realizable at rank d")
-        a_vectors.append(x)
-    return BspPair.of(d, a_vectors, b_vectors)
+        a_rows.append(x)
+    # every product was checked against the 0/1 grid, whose rank is d, so
+    # both families span R^d
+    return BspPair(d, VectorFamily.from_rows(d, det, a_rows), VectorFamily.from_rows(d, 1, b_rows))
 
 
 def cube_vertices(d: int) -> list[Vec]:
     """All 0/1 points of R^d, ordered by bitmask (bit i = coordinate i)."""
-    return [
-        vec(((mask >> i) & 1) for i in range(d)) for mask in range(1 << d)
-    ]
+    return [vec(_mask_row(mask, d)) for mask in range(1 << d)]
 
 
-def mask_to_vec(mask: int, d: int) -> Vec:
-    return vec(((mask >> i) & 1) for i in range(d))
+def _mask_row(mask: int, d: int) -> Row:
+    return tuple((mask >> i) & 1 for i in range(d))
 
 
 def family_from_masks(masks: Iterable[int], d: int, include_zero: bool = True) -> VectorFamily:
     ms = set(masks)
     if include_zero:
         ms.add(0)
-    return VectorFamily.of(d, [mask_to_vec(m, d) for m in ms])
+    return VectorFamily.from_rows(d, 1, (_mask_row(m, d) for m in ms))

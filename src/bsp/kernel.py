@@ -25,7 +25,6 @@ else:
 BACKEND = _impl.BACKEND
 closure_and_rank = _impl.closure_and_rank
 pair_rows = _impl.pair_rows
-a_vector_data = _impl.a_vector_data
 next_closed = _impl.next_closed
 heuristic_form = _impl.heuristic_form
 enum_branch = _impl.enum_branch

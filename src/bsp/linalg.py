@@ -1,26 +1,29 @@
 """Exact vectors; integer scaling; one fraction-free echelon for rank and
 bases; fraction-free determinant and adjugate; Gauss-Jordan solving.
 
-Vectors are plain tuples of ``fractions.Fraction`` (hashable, so families
-can live in sets), or of ints for 0/1 and +-1 data; matrices are sequences
-of row tuples.  Everything here is exact: no floating point is allowed
-anywhere near a predicate.  :func:`int_rows` is the one place where a
-family becomes integer rows over a shared denominator, so that products
-and comparisons run on Python ints.  Every rank and basis question goes
-through :func:`independent_rows`, a fraction-free greedy echelon on those
-rows; :func:`solve` runs Gauss-Jordan elimination on Fractions, because
-its solutions are rational.
+Vectors are plain tuples of ``fractions.Fraction`` or of ints; matrices
+are sequences of row tuples.  Everything here is exact: no floating point
+is allowed anywhere near a predicate.  :func:`int_rows` scales rational
+vectors to integer rows over their least common denominator, the form in
+which :class:`bsp.family.VectorFamily` stores a family, and
+:func:`vec_over` turns a row back into Fractions for printing.  Every
+rank and basis question goes through :func:`independent_rows`, a
+fraction-free greedy echelon on integer rows, and :func:`det_adjugate`
+solves square integer systems; :func:`solve` runs Gauss-Jordan
+elimination on Fractions, for data that is genuinely rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, SingularBasisError
 
 Vec = tuple[Fraction, ...]
+Row = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,6 +55,15 @@ def zero_vec(dim: int) -> Vec:
 
 def unit_vec(dim: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(dim))
+
+
+def unit_row(dim: int, i: int, s: int = 1) -> Row:
+    """The integer row s e_i."""
+    return tuple(s if j == i else 0 for j in range(dim))
+
+
+def int_dot(u: Row, v: Row) -> int:
+    return sum(map(mul, u, v))
 
 
 def dot(u: Vec, v: Vec) -> Fraction:

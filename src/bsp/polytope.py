@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import index, mul
+from math import lcm
+from operator import index
 
 from . import kernel
 from .canon import canonical_key
@@ -24,20 +25,25 @@ from .errors import (
     SingularBasisError,
     parsing,
 )
-from .family import BspPair, ProductMatrix, matrix_rank
+from .family import BspPair, ProductMatrix, VectorFamily, matrix_rank
 from .linalg import (
+    Row,
     Vec,
     add,
+    int_dot,
     int_rows,
     neg,
     rank,
     scale,
     solve,
     sub,
+    unit_row,
     unit_vec,
     vec,
+    vec_over,
     zero_vec,
 )
+
 
 @dataclass(frozen=True)
 class Facet:
@@ -47,16 +53,24 @@ class Facet:
 
 @dataclass(frozen=True)
 class Polytope2L:
+    """conv(vertices): the vertices are ``rows / den``, sorted integer rows
+    over their least positive common denominator."""
+
     d: int
-    vertices: tuple[Vec, ...]  # sorted
+    den: int
+    rows: tuple[Row, ...]
     facets: tuple[Facet, ...]
     two_level: bool
-    # values[i][j] = <normal of facet i, vertex j>
-    values: tuple[tuple[Fraction, ...], ...] = field(repr=False, compare=False)
+    # slacks[i][j] = den * (offset - <normal, vertex j>) of facet i
+    slacks: tuple[Row, ...] = field(repr=False, compare=False)
+
+    @property
+    def vertices(self) -> tuple[Vec, ...]:
+        return tuple(vec_over(r, self.den) for r in self.rows)
 
     @property
     def f0(self) -> int:
-        return len(self.vertices)
+        return len(self.rows)
 
     @property
     def n_facets(self) -> int:
@@ -70,11 +84,7 @@ class Polytope2L:
         order); only defined for 2-level polytopes."""
         if not self.two_level:
             raise NotTwoLevelError("slack matrix requires a 2-level polytope")
-        cols = list(zip(self.facets, self.values))
-        bits = tuple(
-            "".join("0" if row[j] == f.offset else "1" for f, row in cols)
-            for j in range(self.f0)
-        )
+        bits = tuple("".join("1" if x else "0" for x in col) for col in zip(*self.slacks))
         return ProductMatrix(len(bits), len(self.facets), bits, matrix_rank(bits))
 
     def to_json(self) -> dict:
@@ -119,33 +129,37 @@ def polytope_from_vertices(d: int, vertices) -> Polytope2L:
     if any(len(v) != d for v in verts):
         raise BadParameterError("vertex of wrong dimension")
     fs, den, scaled, raw = _facets(d, verts)
-    # integer products of each facet normal with the scaled vertices
-    table = [[sum(map(mul, n, v)) for v in scaled] for n, _ in raw]
+    slacks = tuple(tuple(c - int_dot(n, v) for v in scaled) for n, c in raw)
     for i, v in enumerate(verts):
-        if rank([n for (n, c), row in zip(raw, table) if row[i] == c]) < d:
+        if rank([n for (n, _), row in zip(raw, slacks) if row[i] == 0]) < d:
             raise BadParameterError(
                 f"point [{', '.join(str(c) for c in v)}] is not a vertex of the hull"
             )
-    two = all(len(set(row)) == 2 for row in table)
-    values = tuple(tuple(Fraction(x, den) for x in row) for row in table)
-    return Polytope2L(d, tuple(verts), tuple(fs), two, values)
+    two = all(len(set(row)) == 2 for row in slacks)
+    return Polytope2L(d, den, tuple(scaled), tuple(fs), two, slacks)
 
 
 def extract_pair(p: Polytope2L) -> BspPair:
     """The binary-scalar-product pair of a 2-level polytope: vertices
     (shifted so 0 is one of them) against scaled facet normals, one per
-    parallel facet class, plus the zero vector."""
+    parallel facet class, plus the zero vector.
+
+    Built from the integer slacks, which already decide the pair: after
+    the shift facet i takes the values 0 at the origin and s_i / den on
+    its other level, for s_i = slack at the origin - the other slack, so
+    <vertex, normal * den / s_i> is 0 or 1.  Both families span R^d, as
+    the polytope is full-dimensional."""
     if not p.two_level:
         raise NotTwoLevelError("pair extraction requires a 2-level polytope")
-    v0 = p.vertices[0]  # lex-least vertex becomes the origin
-    verts = [sub(v, v0) for v in p.vertices]
-    b: set[Vec] = {zero_vec(p.d)}
-    for f, row in zip(p.facets, p.values):
-        # after the shift the facet takes two values on the vertices: 0 at
-        # the origin and s on the other hyperplane
-        s = next(x - row[0] for x in row if x != row[0])
-        b.add(scale(f.normal, 1 / s))
-    return BspPair.of(p.d, verts, b)
+    r0 = p.rows[0]  # lex-least vertex becomes the origin
+    steps = [row[0] - next(x for x in row if x != row[0]) for row in p.slacks]
+    den_b = lcm(*steps)
+    b = [(0,) * p.d] + [
+        tuple(int(x) * p.den * (den_b // s) for x in f.normal)
+        for f, s in zip(p.facets, steps)
+    ]
+    return BspPair(p.d, VectorFamily.from_rows(p.d, p.den, [sub(r, r0) for r in p.rows]),
+                   VectorFamily.from_rows(p.d, den_b, b))
 
 
 @dataclass(frozen=True)
@@ -227,51 +241,36 @@ def construct_polytope(kind: str, d: int) -> Polytope2L:
     return polytope_from_vertices(d, _construction_vertices(kind, d))
 
 
-def _construction_vertices(kind: str, d: int) -> list[Vec]:
+def _construction_vertices(kind: str, d: int) -> list[Row]:
     if kind == "cube":
         if d < 1:
             raise BadParameterError("cube needs d >= 1")
-        return [
-            vec(bits) for bits in itertools.product((0, 1), repeat=d)
-        ]
+        return list(itertools.product((0, 1), repeat=d))
     if kind == "cross":
         if d < 1:
             raise BadParameterError("cross needs d >= 1")
-        out = []
-        for i in range(d):
-            out.append(unit_vec(d, i))
-            out.append(neg(unit_vec(d, i)))
-        return out
+        return [unit_row(d, i, s) for i in range(d) for s in (1, -1)]
     if kind == "simplex":
         if d < 1:
             raise BadParameterError("simplex needs d >= 1")
-        return [zero_vec(d)] + [unit_vec(d, i) for i in range(d)]
+        return [(0,) * d] + [unit_row(d, i) for i in range(d)]
     if kind == "prism":
         if d < 2:
             raise BadParameterError("prism needs d >= 2")
-        base = [zero_vec(d - 1)] + [unit_vec(d - 1, i) for i in range(d - 1)]
-        return [vec(tuple(s) + (t,)) for s in base for t in (0, 1)]
+        base = [(0,) * (d - 1)] + [unit_row(d - 1, i) for i in range(d - 1)]
+        return [s + (t,) for s in base for t in (0, 1)]
     if kind == "suspension-cube":
         if d < 2:
             raise BadParameterError("suspension-cube needs d >= 2")
-        out = [
-            vec(signs + (0,))
-            for signs in itertools.product((-1, 1), repeat=d - 1)
-        ]
-        out.append(unit_vec(d, d - 1))
-        out.append(neg(unit_vec(d, d - 1)))
-        return out
+        out = [signs + (0,) for signs in itertools.product((-1, 1), repeat=d - 1)]
+        return out + [unit_row(d, d - 1), unit_row(d, d - 1, -1)]
     if kind == "cross-x-segment":
         if d < 2:
             raise BadParameterError("cross-x-segment needs d >= 2")
-        out = []
-        for i in range(d - 1):
-            for si in (-1, 1):
-                for sd in (-1, 1):
-                    v = add(scale(unit_vec(d, i), Fraction(si)),
-                            scale(unit_vec(d, d - 1), Fraction(sd)))
-                    out.append(v)
-        return out
+        return [
+            add(unit_row(d, i, si), unit_row(d, d - 1, sd))
+            for i in range(d - 1) for si in (-1, 1) for sd in (-1, 1)
+        ]
     raise BadParameterError(f"unknown polytope kind: {kind!r}")
 
 

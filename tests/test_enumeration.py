@@ -115,15 +115,6 @@ def test_worker_count_does_not_change_output():
     assert c1.to_jsonl() == c2.to_jsonl()
 
 
-def test_env_override_workers(monkeypatch):
-    from bsp.enumeration import resolve_workers
-
-    monkeypatch.setenv("BSP_WORKERS", "5")
-    assert resolve_workers(1) == 5
-    monkeypatch.delenv("BSP_WORKERS")
-    assert resolve_workers(None) == 1
-
-
 def test_checkpoint_resume(tmp_path):
     ck = str(tmp_path / "ck.json")
     full = enumerate_catalog(4)

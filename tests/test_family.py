@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from bsp.errors import NotSpanningError
 from bsp.family import (
     BspPair,
+    ProductMatrix,
     VectorFamily,
     a_max,
     b_max,
@@ -84,6 +86,35 @@ def test_verify_binary_products_matches_fraction_double_loop(pair):
         assert type(got.value) is Fraction
         assert got.a in a.vectors and got.b in b.vectors
         assert all(type(c) is Fraction for c in got.a + got.b)
+
+
+@st.composite
+def families_with_copies(draw):
+    """Rational vectors with denominators 1..6, a reordered copy of the
+    list and a factor k >= 1."""
+    d = draw(st.integers(1, 4))
+    coords = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    vectors = draw(st.lists(st.tuples(*[coords] * d), max_size=8))
+    return d, vectors, draw(st.permutations(vectors)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=200)
+@given(families_with_copies())
+def test_family_storage_is_canonical(data):
+    d, vectors, reordered, k = data
+    f = fam(d, vectors)
+    assert f.vectors == set(vectors)
+    assert f.sorted() == sorted(set(vectors))
+    assert all(v in f for v in vectors)
+    # den is the least positive common denominator
+    assert f.den == lcm(*(c.denominator for v in vectors for c in v))
+    assert all(tuple(Fraction(x, f.den) for x in r) in f.vectors for r in f.rows)
+    # equal members give equal objects, however they were built
+    for g in (fam(d, reordered),
+              VectorFamily.from_rows(d, k * f.den, [tuple(k * x for x in r) for r in f.rows]),
+              VectorFamily.from_rows(d, -k * f.den, [tuple(-k * x for x in r) for r in f.rows])):
+        assert g == f and hash(g) == hash(f)
+        assert g.den == f.den and g.rows == f.rows
 
 
 def test_a_max_cube_case():
@@ -202,9 +233,14 @@ def test_pair_from_product_matrix_roundtrip():
     p = close_pair(fam(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)]))
     m = product_matrix(p)
     q = pair_from_product_matrix(m, 3)
+    q.validate()
     assert q.sizes() == p.sizes()
     # reconstruction realizes the same matrix up to row/column order
     assert canonical_key(product_matrix(q)) == canonical_key(m)
+    # a matrix whose stated rank is wrong is refused
+    for bits in (("100", "010", "001"), ("00", "00")):
+        with pytest.raises(ValueError):
+            pair_from_product_matrix(ProductMatrix(len(bits), len(bits[0]), bits, 2), 2)
 
 
 def test_a_max_contains_standard_basis_for_cube_subfamilies():

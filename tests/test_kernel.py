@@ -6,7 +6,6 @@ import importlib.util
 import random
 import shutil
 import subprocess
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -66,7 +65,6 @@ def _assert_agree(kc, d, sset):
     closed = cc[0]
     rows = kp.pair_rows(d, closed)
     assert kc.pair_rows(d, closed) == rows
-    assert kc.a_vector_data(d, closed) == kp.a_vector_data(d, closed)
     assert kc.next_closed(d, sset) == kp.next_closed(d, sset)
     assert kc.heuristic_form(*rows) == kp.heuristic_form(*rows)
 
@@ -115,7 +113,6 @@ def test_python_kernel_caches_cleared_when_full(monkeypatch):
     for cache in caches:
         cache.clear()
     monkeypatch.setattr(kp, "_MAX_CACHED_BASES", 2)
-    monkeypatch.delenv("BSP_WORKERS", raising=False)  # branches run in this process
     for name in ("closure_and_rank", "pair_rows", "heuristic_form"):
         monkeypatch.setattr(kernel, name, getattr(kp, name))
     monkeypatch.setattr(kernel, "enum_branch", recording_enum_branch)
@@ -127,7 +124,7 @@ def test_python_kernel_caches_cleared_when_full(monkeypatch):
 
 def test_c_kernel_rejects_out_of_range_input(kc):
     for mask in (-7, 1 << 16):
-        for fn in (kc.closure_and_rank, kc.pair_rows, kc.a_vector_data, kc.next_closed):
+        for fn in (kc.closure_and_rank, kc.pair_rows, kc.next_closed):
             with pytest.raises(ValueError):
                 fn(4, mask)
     for d in (0, 7):
@@ -174,9 +171,9 @@ def test_enum_branch_matches_next_closed_walk(impl):
 
 
 def _matches_fraction_closure(impl, d, masks) -> bool:
-    """Check the kernel closure and partner vectors of a family of cube
-    points against the generic rational ones; False when the family does
-    not span R^d (nothing to check)."""
+    """Check the kernel closure and product-matrix rows of a family of
+    cube points against the generic rational closure and partner; False
+    when the family does not span R^d (nothing to check)."""
     fam = family_from_masks(masks, d)
     if not fam.spans():
         return False
@@ -187,10 +184,19 @@ def _matches_fraction_closure(impl, d, masks) -> bool:
     assert rank == d
     got = family_from_masks([m for m in range(1, 1 << d) if (closed >> m) & 1], d)
     assert got == closure(fam)
-    # partner family agrees too
-    den, nums = impl.a_vector_data(d, closed)
-    avecs = {tuple(Fraction(x, den) for x in num) for num in nums}
-    assert avecs == a_max(got).vectors
+    # partner family agrees too: a row holds a partner vector's products
+    # with the columns, zero first, then the members in ascending mask
+    # order; the members span R^d, so a row determines its vector
+    rows, n = impl.pair_rows(d, closed)
+    columns = [(0,) * d] + [tuple((m >> i) & 1 for i in range(d))
+                            for m in range(1, 1 << d) if (closed >> m) & 1]
+    assert n == len(columns)
+    want = []
+    for x in a_max(got).vectors:
+        products = [sum(a * b for a, b in zip(x, c)) for c in columns]
+        assert set(products) <= {0, 1}
+        want.append(sum(int(p) << (n - 1 - j) for j, p in enumerate(products)))
+    assert sorted(rows) == sorted(want)
     return True
 
 

@@ -109,7 +109,7 @@ def _assert_scan_matches_oracle(dim, pts):
 ])
 def test_facet_scan_matches_brute_force_on_constructions(kind, d):
     # the d=5 cube is slow only for the oracle: C(32, 5) subsets
-    pts = sorted(tuple(int(c) for c in v) for v in _construction_vertices(kind, d))
+    pts = sorted(_construction_vertices(kind, d))
     _assert_scan_matches_oracle(d, pts)
 
 
@@ -211,12 +211,12 @@ def test_extract_pair_triangle():
 
 
 def test_extract_pair_spans_and_verifies():
-    for kind in POLYTOPE_KINDS:
-        p = construct_polytope(kind, 4)
-        pair = extract_pair(p)
-        assert rank(pair.family_a.sorted()) == 4
-        assert rank(pair.family_b.sorted()) == 4
-        assert verify_binary_products(pair.family_a, pair.family_b) is None
+    # extract_pair builds the pair from the slacks without validating it
+    for d in (2, 3, 4, 5):
+        for kind in POLYTOPE_KINDS:
+            pair = extract_pair(construct_polytope(kind, d))
+            pair.validate()  # both families span, every product is 0 or 1
+            assert pair.sizes() == slack_pair_sizes(reference_slack(kind, d)), (kind, d)
 
 
 def test_thm1_cube_equality():
