@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 
 from . import kernel
@@ -298,6 +299,23 @@ def cmd_conjecture(args) -> int:
     return status
 
 
+def cmd_info(args) -> int:
+    try:
+        kernel.get_backend("c")
+        c_kernel = {"loads": True}
+    except ImportError as exc:
+        c_kernel = {"loads": False, "error": str(exc)}
+    caches = kernel.get_backend("python").CACHES
+    _emit({
+        "backend": kernel.BACKEND,
+        "c_kernel": c_kernel,
+        "python": platform.python_version(),
+        # entries held by the pure-Python kernel's caches in this process
+        "python_kernel_caches": {name: len(cache) for name, cache in caches.items()},
+    }, args.out)
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bsp",
@@ -373,6 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dimension for slack audits")
     p.add_argument("--out")
     p.set_defaults(func=cmd_conjecture)
+
+    p = sub.add_parser("info", help="kernel backend, C kernel status and Python version")
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_info)
 
     return ap
 

@@ -15,6 +15,7 @@ elimination on Fractions, for data that is genuinely rational.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -139,21 +140,22 @@ def det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
 def independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list[int]:
     """Indices of the rows that are independent of the rows before them.
 
-    One fraction-free greedy echelon pass on the :func:`int_rows` of the
-    input: each row is reduced against the echelon rows found so far and
-    divided by the gcd of its entries, so no Fraction arithmetic happens
-    and entries stay small.  Every echelon row is zero at the pivot
-    columns of the rows before it, so one sweep in order clears all
-    pivots.  Stops after ``limit`` picks or when the picks reach the
-    column count.
+    One fraction-free greedy echelon pass: each row (ints or Fractions) is
+    scaled to integers by its own denominators as it is read, which is a
+    positive scale and keeps independence, then reduced against the
+    echelon rows found so far and divided by the gcd of its entries, so no
+    Fraction arithmetic happens and entries stay small.  Every echelon row
+    is zero at the pivot columns of the rows before it, so one sweep in
+    order clears all pivots.  Stops after ``limit`` picks or when the
+    picks reach the column count, without reading further rows.
     """
-    _, ints = int_rows(rows)
-    if not ints:
-        return []
-    cap = len(ints[0]) if limit is None else min(limit, len(ints[0]))
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
     picked: list[int] = []
-    for i, r in enumerate(ints):
+    cap = limit
+    for i, v in enumerate(rows):
+        den = lcm(*[c.denominator for c in v])
+        r = [c.numerator * (den // c.denominator) for c in v]
+        cap = len(r) if cap is None else min(cap, len(r))
         if len(picked) >= cap:
             break
         for col, e in echelon:
@@ -167,6 +169,8 @@ def independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list
         g = gcd(*r)
         echelon.append((piv, [x // g for x in r] if g > 1 else r))
         picked.append(i)
+        if len(picked) == cap:
+            break
     return picked
 
 
@@ -240,4 +244,4 @@ def affine_dim(points: Sequence[Vec]) -> int:
     if not points:
         return -1
     p0 = points[0]
-    return rank([sub(p, p0) for p in points[1:]])
+    return len(independent_rows([*map(operator.sub, p, p0)] for p in points[1:]))

@@ -1,7 +1,9 @@
 import json
+import platform
 
 import pytest
 
+from bsp import kernel
 from bsp.cli import main
 
 
@@ -241,3 +243,29 @@ def test_usage_error_is_exit_1_not_2(capsys):
     assert main(["totally-bogus-command"]) == 1
     assert main(["enumerate"]) == 1  # missing required -d
     assert main(["--help"]) == 0
+
+
+def test_info_reports_backend_and_c_kernel(capsys, monkeypatch):
+    code, out, _ = run(["info"], capsys)
+    assert code == 0
+    info = json.loads(out)
+    assert info["backend"] == kernel.BACKEND
+    assert info["python"] == platform.python_version()
+    caches = info["python_kernel_caches"]
+    assert sorted(caches) == ["forms", "patterns", "span", "tables"]
+    assert all(isinstance(n, int) and n >= 0 for n in caches.values())
+    if kernel.BACKEND == "c":
+        assert info["c_kernel"] == {"loads": True}
+
+    real = kernel.get_backend
+    for error in ("the C kernel is not built", None):
+        def get_backend(name=None, error=error):
+            if name == "c" and error:
+                raise ImportError(error)
+            return real("python" if name == "c" else name)
+
+        monkeypatch.setattr(kernel, "get_backend", get_backend)
+        code, out, _ = run(["info"], capsys)
+        assert code == 0
+        want = {"loads": False, "error": error} if error else {"loads": True}
+        assert json.loads(out)["c_kernel"] == want

@@ -109,8 +109,7 @@ def test_python_kernel_caches_cleared_when_full(monkeypatch):
         got[p_index] = kp.enum_branch(d, top_count, p_index)
         return got[p_index]
 
-    caches = (kp._tables_cache, kp._span_cache, kp._patterns_cache)
-    for cache in caches:
+    for cache in kp.CACHES.values():
         cache.clear()
     monkeypatch.setattr(kp, "_MAX_CACHED_BASES", 2)
     for name in ("closure_and_rank", "pair_rows", "heuristic_form"):
@@ -119,7 +118,7 @@ def test_python_kernel_caches_cleared_when_full(monkeypatch):
     text = enumeration.enumerate_catalog(4, workers=1).to_jsonl()
     assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
     assert [got[p] for p in range(16)] == expected
-    assert max(len(cache) for cache in caches) <= 2
+    assert max(len(cache) for cache in kp.CACHES.values()) <= 2
 
 
 def test_c_kernel_rejects_out_of_range_input(kc):
@@ -135,6 +134,48 @@ def test_c_kernel_rejects_out_of_range_input(kc):
             kc.enum_branch(4, top_count, p_index)
     with pytest.raises(ValueError):
         kc.heuristic_form([4], 2)
+
+
+def test_heuristic_form_rejects_out_of_range_rows(impl):
+    for rows, n in (([4], 2), ([-1], 3), ([0] * 65, 3), ([1], 65), ([], -1)):
+        with pytest.raises(ValueError):
+            impl.heuristic_form(rows, n)
+
+
+def test_edge_inputs_give_the_former_values(impl):
+    """The empty set, d=1, and d=6 sets holding cube point 63 (the top bit
+    of a 64-bit word), against the values of the former per-bit loops."""
+    for d in range(1, 7):
+        assert impl.closure_and_rank(d, 0) == (0, 0)
+        assert impl.pair_rows(d, 0) == ([0], 1)
+        assert impl.next_closed(d, 0) == 1 << ((1 << d) - 1)
+    assert [impl.closure_and_rank(1, s) for s in range(4)] == [(0, 0), (0, 0), (2, 1), (2, 1)]
+    assert impl.pair_rows(1, 2) == ([0, 1], 2)
+    assert impl.next_closed(1, 2) == -1
+    assert impl.enum_branch(1, 0, 0) == (2, 1, [(b"2,2:\x00\x01", 2)])
+    assert impl.enum_branch(1, 1, 0) == (1, 0, [])
+    top = 1 << 63
+    for sset, rank, rows, nxt in (
+        (top, 1, [0, 1], 1 << 62),
+        (top | 2, 2, [0, 2, 1, 3], top >> 1 | 2),
+        (top | 0b10110, 4, [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15],
+         top >> 1 | 0b10110),
+    ):
+        assert impl.closure_and_rank(6, sset) == (sset, rank)
+        assert impl.pair_rows(6, sset) == (rows, len(rows).bit_length())
+        assert impl.next_closed(6, sset) == nxt
+    cube = (1 << 64) - 2
+    assert impl.closure_and_rank(6, cube | 1) == (cube, 6)
+    # row i + 1 holds coordinate i of each point
+    assert impl.pair_rows(6, cube) == ([0, 0x5555555555555555, 0x3333333333333333,
+                                        0x0F0F0F0F0F0F0F0F, 0x00FF00FF00FF00FF,
+                                        0x0000FFFF0000FFFF, 0x00000000FFFFFFFF], 64)
+    assert impl.next_closed(6, cube) == -1
+    assert impl.heuristic_form([], 0) == b"0,0:"
+    assert impl.heuristic_form([0, 0], 0) == b"2,0:"
+    assert impl.heuristic_form([], 5) == b"0,5:"
+    wide = impl.heuristic_form([(1 << 64) - 1, 1], 64)
+    assert wide == b"2,64:" + bytes.fromhex("00" * 7 + "01" + "ff" * 8)
 
 
 def test_shim_without_loadable_library_raises_import_error(tmp_path):
@@ -168,6 +209,19 @@ def test_enum_branch_matches_next_closed_walk(impl):
     for d, k in ((2, 0), (3, 2), (4, 4)):
         for p in range(1 << k):
             assert impl.enum_branch(d, k, p) == _enum_branch_reference(impl, d, k, p), (d, k, p)
+
+
+@pytest.mark.parametrize("p_index", [255, 37])
+def test_python_enum_branch_d5_cold_and_warm(kc, p_index):
+    """A d=5 branch on the pure-Python kernel, from empty caches and then
+    from the caches it filled, against the C kernel and the walk of
+    public steps."""
+    expected = kc.enum_branch(5, 8, p_index)
+    for cache in kp.CACHES.values():
+        cache.clear()
+    assert kp.enum_branch(5, 8, p_index) == expected
+    assert kp.enum_branch(5, 8, p_index) == expected
+    assert _enum_branch_reference(kp, 5, 8, p_index) == expected
 
 
 def _matches_fraction_closure(impl, d, masks) -> bool:

@@ -127,6 +127,16 @@ def test_independent_rows_integer_input():
     assert rank([(1, 0), (0, 1)]) == 2
 
 
+def test_independent_rows_stops_reading_at_the_cap():
+    def rows():
+        yield (Fraction(1, 2), Fraction(1, 3))
+        yield (3, 2)  # the first row times 6
+        yield (0, 1)
+        raise AssertionError("read past the column count")
+
+    assert independent_rows(rows()) == [0, 2]
+
+
 def test_int_rows_shared_denominator():
     assert int_rows([]) == (1, [])
     assert int_rows([(1, -2), (0, 3)]) == (1, [(1, -2), (0, 3)])
