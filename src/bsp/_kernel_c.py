@@ -6,11 +6,12 @@ The library is built next to this module by ``setup.py`` (``pip install
 importing this module raises ImportError and :mod:`bsp.kernel` falls back
 to the pure-Python twin.  Nothing is compiled at import time.
 
-Every function returns exactly what its twin returns.  Arguments are
-checked here, because ctypes would silently wrap a negative or oversized
-integer: a dimension outside 1..6, a bitset outside [0, 2^(2^d)) or a
-branch outside the valid range raises ValueError.  ``facet_scan`` is the
-twin's: its exact double description needs unbounded integers.
+Every function returns exactly what its twin returns, and checks its
+arguments with the twin's ``check_*`` functions before ctypes could
+silently wrap a negative or oversized integer: a dimension outside 1..6,
+a bitset outside [0, 2^(2^d)) or a branch outside the valid range raises
+ValueError in both kernels.  ``facet_scan`` is the twin's: its exact
+double description needs unbounded integers.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 from . import _kernel_py
+from ._kernel_py import check_branch, check_rows, check_set
 
 _LIBRARY = next(
     (path for path in (Path(__file__).with_name("_ckernel" + s) for s in EXTENSION_SUFFIXES)
@@ -32,7 +34,6 @@ import ctypes  # noqa: E402  (only once the library is known to exist)
 
 BACKEND = "c"
 
-_MAX_DIM = 6
 _FORM_WORDS = 66  # header, 64 rows, mask: FORM_WORDS in _ckernel.c
 _TABLE_RECORDS = 512  # forms held before enum_branch hands them over
 
@@ -54,29 +55,22 @@ for _name, _args in {
     _fn.restype = None if _name == "bsp_heuristic_form" else _int
 
 
-def _check_set(d: int, sset: int) -> None:
-    if not 1 <= d <= _MAX_DIM:
-        raise ValueError(f"d must be in [1, {_MAX_DIM}], got {d}")
-    if not 0 <= sset < 1 << (1 << d):
-        raise ValueError(f"bitset {sset} is outside [0, 2^{1 << d})")
-
-
 def closure_and_rank(d: int, sset: int) -> tuple[int, int]:
-    _check_set(d, sset)
+    check_set(d, sset)
     closed = _u64()
     rank = _lib.bsp_closure_and_rank(d, sset, ctypes.byref(closed))
     return closed.value, rank
 
 
 def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
-    _check_set(d, closed)
+    check_set(d, closed)
     rows, n = (_u64 * 64)(), _int()
     m = _lib.bsp_pair_rows(d, closed, rows, ctypes.byref(n))
     return rows[:m], n.value
 
 
 def next_closed(d: int, current: int) -> int:
-    _check_set(d, current)
+    check_set(d, current)
     nxt = _u64()
     return nxt.value if _lib.bsp_next_closed(d, current, ctypes.byref(nxt)) else -1
 
@@ -87,19 +81,14 @@ def _form_bytes(rows: list[int], n: int) -> bytes:
 
 
 def heuristic_form(rows: list[int], n: int) -> bytes:
-    if not (0 <= n <= 64 and len(rows) <= 64 and all(0 <= r < 1 << n for r in rows)):
-        raise ValueError("heuristic_form takes at most 64 rows of n <= 64 bits")
+    check_rows(rows, n)
     buf = (_u64 * 64)(*rows)
     _lib.bsp_heuristic_form(buf, len(rows), n)
     return _form_bytes(buf[: len(rows)], n)
 
 
 def enum_branch(d: int, top_count: int, p_index: int):
-    _check_set(d, 0)
-    if not 0 <= top_count < 1 << d:
-        raise ValueError(f"top_count must be in [0, {(1 << d) - 1}], got {top_count}")
-    if not 0 <= p_index < 1 << top_count:
-        raise ValueError(f"p_index must be in [0, 2^{top_count}), got {p_index}")
+    check_branch(d, top_count, p_index)
     state = (_u64 * 4)()  # last set visited, visited, spanning, phase (2: done)
     recs = (_u64 * (_TABLE_RECORDS * _FORM_WORDS))()
     slots = (ctypes.c_int32 * (2 * _TABLE_RECORDS))()

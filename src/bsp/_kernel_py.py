@@ -66,10 +66,37 @@ _forms_cache: dict = {}  # sorted rows joined by commas -> heuristic form
 CACHES = {"tables": _tables_cache, "span": _span_cache, "patterns": _patterns_cache,
           "forms": _forms_cache}
 
+MAX_DIM = 6  # a cube bitset fits a 64-bit word, as the C kernel needs
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 # per d: the narrowest array type for a cube bitset; the empty basis's span
-_POINTS_TYPE = [next(c for c in "BHILQ" if array(c).itemsize * 8 >= 1 << d) for d in range(7)]
-_NO_BASIS = [(1, [[int(i == j) for j in range(d)] for i in range(d)]) for d in range(7)]
+_POINTS_TYPE = [next(c for c in "BHILQ" if array(c).itemsize * 8 >= 1 << d)
+                for d in range(MAX_DIM + 1)]
+_NO_BASIS = [(1, [[int(i == j) for j in range(d)] for i in range(d)])
+             for d in range(MAX_DIM + 1)]
+
+
+def check_set(d: int, sset: int) -> None:
+    """The argument contract of both kernels for a dimension and a cube
+    bitset: ValueError unless 1 <= d <= MAX_DIM and 0 <= sset < 2^(2^d)."""
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"d must be in [1, {MAX_DIM}], got {d}")
+    if not 0 <= sset < 1 << (1 << d):
+        raise ValueError(f"bitset {sset} is outside [0, 2^{1 << d})")
+
+
+def check_branch(d: int, top_count: int, p_index: int) -> None:
+    """The argument contract of both kernels' :func:`enum_branch`."""
+    check_set(d, 0)
+    if not 0 <= top_count < 1 << d:
+        raise ValueError(f"top_count must be in [0, {(1 << d) - 1}], got {top_count}")
+    if not 0 <= p_index < 1 << top_count:
+        raise ValueError(f"p_index must be in [0, 2^{top_count}), got {p_index}")
+
+
+def check_rows(rows: list[int], n: int) -> None:
+    """The argument contract of both kernels' :func:`heuristic_form`."""
+    if not (0 <= n <= 64 and len(rows) <= 64 and all(0 <= r < 1 << n for r in rows)):
+        raise ValueError("heuristic_form takes at most 64 rows of n <= 64 bits")
 
 
 def _remember(cache: dict, key, value):
@@ -189,6 +216,7 @@ def _closure_data(d: int, sset: int, key: int):
 
 
 def closure_and_rank(d: int, sset: int) -> tuple[int, int]:
+    check_set(d, sset)
     return _closure_data(d, sset, d)[:2]
 
 
@@ -206,6 +234,7 @@ def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
     2^(n-1-j) of a row is the product with column j.  Rows are ordered by
     increasing sigma, the level pattern on the greedy basis.
     """
+    check_set(d, closed)
     closed &= (1 << (1 << d)) - 2
     tab, valid = _basis(d, closed, d)
     return [int(r, 2) for r in _row_strings(closed, valid, tab)], closed.bit_count() + 1
@@ -232,6 +261,7 @@ def _next_closed_data(d: int, current: int, key: int):
 def next_closed(d: int, current: int) -> int:
     """Lectically smallest closed set greater than ``current`` (-1 at the
     end)."""
+    check_set(d, current)
     data = _next_closed_data(d, current, d)
     return -1 if data is None else data[0]
 
@@ -255,8 +285,7 @@ def heuristic_form(rows: list[int], n: int) -> bytes:
     """Cheap permutation-stable signature: alternately sort rows and
     columns until stable.  Equal signatures imply permutation-equivalent
     matrices (the converse is handled later by exact canonicalization)."""
-    if not (0 <= n <= 64 and len(rows) <= 64 and all(0 <= r < 1 << n for r in rows)):
-        raise ValueError("heuristic_form takes at most 64 rows of n <= 64 bits")
+    check_rows(rows, n)
     return _form(sorted(bin(r | 1 << n)[3:] for r in rows), n)
 
 
@@ -273,6 +302,7 @@ def enum_branch(d: int, top_count: int, p_index: int):
     are sorted (heuristic form, smallest representative bitset) pairs for
     the spanning ones.
     """
+    check_branch(d, top_count, p_index)
     top_bits = ((1 << top_count) - 1) << 1
     p_bits = (p_index << 1) & top_bits
 

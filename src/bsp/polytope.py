@@ -10,13 +10,14 @@ brute-force scan over those subsets is the oracle it is tested against.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import index
 
 from . import kernel
-from .canon import canonical_key
+from .canon import canonical_key  # noqa: F401  (perfbench's tracer self-test looks it up here)
 from .errors import (
     BadParameterError,
     MalformedSlackError,
@@ -121,7 +122,8 @@ def _facets(d: int, vertices: list[Vec]):
 
 def polytope_from_vertices(d: int, vertices) -> Polytope2L:
     """The polytope conv(vertices).  Every point must be a vertex, that is
-    its incident facet normals span R^d; any other point raises
+    no other point lies on every facet it lies on (else the face cut out
+    by those facets holds a segment through it); any other point raises
     BadParameterError, since it would inflate f0 in the bound checks."""
     if d < 1:
         raise BadParameterError(f"polytopes need d >= 1, got {d}")
@@ -130,13 +132,20 @@ def polytope_from_vertices(d: int, vertices) -> Polytope2L:
         raise BadParameterError("vertex of wrong dimension")
     fs, den, scaled, raw = _facets(d, verts)
     slacks = tuple(tuple(c - int_dot(n, v) for v in scaled) for n, c in raw)
-    for i, v in enumerate(verts):
-        if rank([n for (n, _), row in zip(raw, slacks) if row[i] == 0]) < d:
+    zeros = _zero_sets(zip(*slacks))
+    for i, z in enumerate(zeros):
+        if any(y & z == z for j, y in enumerate(zeros) if j != i):
             raise BadParameterError(
-                f"point [{', '.join(str(c) for c in v)}] is not a vertex of the hull"
+                f"point [{', '.join(str(c) for c in verts[i])}] is not a vertex of the hull"
             )
     two = all(len(set(row)) == 2 for row in slacks)
     return Polytope2L(d, den, tuple(scaled), tuple(fs), two, slacks)
+
+
+def _zero_sets(rows) -> list[int]:
+    """Bit j of entry i is set when ``rows[i][j]`` is 0: by facet, the
+    vertices on it; by vertex (the transposed slacks), its facets."""
+    return [sum(1 << j for j, x in enumerate(row) if not x) for row in rows]
 
 
 def extract_pair(p: Polytope2L) -> BspPair:
@@ -211,23 +220,43 @@ def check_thm2(p: Polytope2L, special: str | None = None) -> PolytopeBoundReport
 
 
 def detect_special(p: Polytope2L) -> str:
-    """'cube' or 'cross' when the slack matrix is permutation-equivalent
-    to the reference cube/cross slack for dimension d, else 'neither'.
-
-    Slack-permutation equivalence is decided with the canonical key; the
-    d <= 3 affine-map oracle in the tests backs the identification.
-    """
+    """'cube' or 'cross' when the 0/1 slack matrix is a row and column
+    permutation of the d-cube's or the d-cross-polytope's, else 'neither';
+    see :func:`special_kind`.  Cube is tested first, so the square (both)
+    is a cube."""
     if not p.two_level:
         raise NotTwoLevelError("special-shape detection requires 2-level input")
-    # keys encode the matrix shape, so other f-vector ends cannot match
-    ends = p.f_vector_ends()
-    kinds = [k for k in ("cube", "cross") if ends == expected_f_vector_ends(k, p.d)]
-    if kinds:
-        key = canonical_key(p.slack_matrix())
-        for kind in kinds:
-            if key == canonical_key(reference_slack(kind, p.d)):
-                return kind
+    return special_kind(p.d, _zero_sets(zip(*p.slacks)), _zero_sets(p.slacks))
+
+
+def special_kind(d: int, rows: list[int], cols: list[int]) -> str:
+    """'cube', 'cross' or 'neither' for the 0/1 matrix with these row
+    bitsets (over the columns) and column bitsets (over the rows).  Taking
+    the zeros or the ones of the matrix as the set bits gives the same
+    verdict.
+
+    A 0/1 matrix is a row and column permutation of the d-cube's slack
+    matrix (vertex x against columns x_i and 1 - x_i) exactly when it has
+    2^d pairwise distinct rows and its 2d columns split into d pairs that
+    sum to the all-ones column.  The rows then read off one column per
+    pair are 2^d distinct points of {0,1}^d, that is all of them.  The
+    cross-polytope's slack matrix is the transpose of the cube's, so the
+    same test on the transpose decides it.  Both tests are exact; the
+    tests check them against the canonical key of :func:`reference_slack`.
+    """
+    if _cube_like(d, rows, cols):
+        return "cube"
+    if _cube_like(d, cols, rows):
+        return "cross"
     return "neither"
+
+
+def _cube_like(d: int, rows: list[int], cols: list[int]) -> bool:
+    if len(rows) != 1 << d or len(cols) != 2 * d or len(set(rows)) != len(rows):
+        return False
+    full = (1 << len(rows)) - 1
+    count = Counter(cols)
+    return all(count[c] == count[full ^ c] for c in count)
 
 
 # ---------------------------------------------------------------------------

@@ -121,19 +121,21 @@ def test_python_kernel_caches_cleared_when_full(monkeypatch):
     assert max(len(cache) for cache in kp.CACHES.values()) <= 2
 
 
-def test_c_kernel_rejects_out_of_range_input(kc):
+def test_kernel_rejects_out_of_range_input(impl):
+    """Both backends share one argument contract (``_kernel_py.check_*``)."""
     for mask in (-7, 1 << 16):
-        for fn in (kc.closure_and_rank, kc.pair_rows, kc.next_closed):
+        for fn in (impl.closure_and_rank, impl.pair_rows, impl.next_closed):
             with pytest.raises(ValueError):
                 fn(4, mask)
     for d in (0, 7):
+        for fn in (impl.closure_and_rank, impl.pair_rows, impl.next_closed):
+            with pytest.raises(ValueError):
+                fn(d, 2)
         with pytest.raises(ValueError):
-            kc.closure_and_rank(d, 2)
-    for top_count, p_index in ((16, 0), (-1, 0), (4, 16), (4, -1)):
+            impl.enum_branch(d, 0, 0)
+    for d, top_count, p_index in ((4, 16, 0), (4, -1, 0), (4, 4, 16), (4, 4, -1), (2, 4, 0)):
         with pytest.raises(ValueError):
-            kc.enum_branch(4, top_count, p_index)
-    with pytest.raises(ValueError):
-        kc.heuristic_form([4], 2)
+            impl.enum_branch(d, top_count, p_index)
 
 
 def test_heuristic_form_rejects_out_of_range_rows(impl):

@@ -32,6 +32,7 @@ from bsp.polytope import (
     polytope_from_vertices,
     reference_slack,
     slack_pair_sizes,
+    special_kind,
     verify_lemma3,
 )
 from test_linalg import det
@@ -150,8 +151,8 @@ def test_pentagon_is_not_two_level():
 
 
 def test_non_vertex_point_is_rejected():
-    # a 2-level rectangle plus two edge midpoints: the midpoints lie on
-    # one facet only, so their incident normals have rank 1 < d
+    # a 2-level rectangle plus two edge midpoints: the midpoint [1, 0]
+    # lies only on the bottom facet, which [0, 0] and [2, 0] lie on too
     pts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
     with pytest.raises(BadParameterError, match=r"point \[1, 0\] is not a vertex"):
         polytope_from_vertices(2, pts)
@@ -259,7 +260,8 @@ def test_detect_special_low_dim_duality():
 
 
 def test_detect_special_affine_oracle_d_le_3():
-    """Slack-key identification agrees with an explicit affine-map search."""
+    """Slack-bitset identification agrees with an explicit affine-map
+    search."""
     cases = [
         ("cube", 2), ("cube", 3), ("cross", 2), ("cross", 3),
         ("suspension-cube", 3), ("cross-x-segment", 3), ("prism", 3),
@@ -270,11 +272,134 @@ def test_detect_special_affine_oracle_d_le_3():
         verdict = detect_special(p)
         aff_cube = affinely_isomorphic(p, construct_polytope("cube", d))
         aff_cross = affinely_isomorphic(p, construct_polytope("cross", d))
-        # the cube key is tried first, so an affine cube (including the
+        # the cube test is tried first, so an affine cube (including the
         # d=2 diamond, which is both) always reports "cube"
         assert (verdict == "cube") == aff_cube, (kind, d)
         assert (verdict == "cross") == (aff_cross and not aff_cube), (kind, d)
         assert (verdict == "neither") == (not aff_cube and not aff_cross), (kind, d)
+
+
+def _key_verdict(slack: ProductMatrix, d: int) -> str:
+    """The former detection: canonical keys against the references."""
+    key = canonical_key(slack)
+    for kind in ("cube", "cross"):
+        if key == canonical_key(reference_slack(kind, d)):
+            return kind
+    return "neither"
+
+
+def _bit_verdict(slack: ProductMatrix, d: int) -> str:
+    return special_kind(d, [int(r, 2) for r in slack.bits],
+                        [int(c, 2) for c in slack.column_bits()])
+
+
+def _matrix(rows: list[str]) -> ProductMatrix:
+    return ProductMatrix(len(rows), len(rows[0]), tuple(rows), 0)
+
+
+def _permuted(slack: ProductMatrix, rng) -> ProductMatrix:
+    rows, cols = list(slack.bits), list(range(slack.n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return _matrix(["".join(r[j] for j in cols) for r in rows])
+
+
+def _mutants(slack: ProductMatrix, rng):
+    """One flipped entry, one row overwritten by a copy of another, and
+    one column overwritten by a copy of another that is not its
+    complement (so some column is left without one)."""
+    rows = list(slack.bits)
+    i, j = rng.randrange(slack.m), rng.randrange(slack.n)
+    flip = "1" if rows[i][j] == "0" else "0"
+    yield _matrix(rows[:i] + [rows[i][:j] + flip + rows[i][j + 1:]] + rows[i + 1:])
+    k = rng.choice([k for k in range(slack.m) if k != i])
+    yield _matrix(rows[:i] + [rows[k]] + rows[i + 1:])
+    cols = list(slack.column_bits())
+    comp = {c: "".join("1" if x == "0" else "0" for x in c) for c in cols}
+    k = rng.choice([k for k in range(slack.n) if k != j and cols[k] != comp[cols[j]]])
+    cols[j] = cols[k]
+    yield _matrix(["".join(col[r] for col in cols) for r in range(slack.m)])
+
+
+def test_special_detection_matches_canonical_key_oracle():
+    """The bitset cube/cross test gives the verdict the canonical keys of
+    the reference slacks give, on the constructions, on permuted
+    references and on their near-misses."""
+    for kind in POLYTOPE_KINDS:
+        for d in (2, 3, 4, 5):
+            p = construct_polytope(kind, d)
+            assert detect_special(p) == _key_verdict(p.slack_matrix(), d), (kind, d)
+    p = construct_polytope("cube", 6)
+    assert detect_special(p) == _key_verdict(p.slack_matrix(), 6) == "cube"
+    rng = random.Random(11)
+    verdicts = set()
+    for kind in ("cube", "cross"):
+        for d in (2, 3, 4, 5):
+            for _ in range(3):
+                perm = _permuted(reference_slack(kind, d), rng)
+                want = "cube" if d == 2 else kind  # the square is both
+                assert _bit_verdict(perm, d) == _key_verdict(perm, d) == want, (kind, d)
+                for mutant in _mutants(perm, rng):
+                    got = _bit_verdict(mutant, d)
+                    assert got == _key_verdict(mutant, d), (kind, d, mutant.bits)
+                    verdicts.add(got)
+    assert verdicts == {"neither"}
+
+
+def _rank_first_non_vertex(d: int, pts):
+    """The former vertex test: the first point, in sorted order, whose
+    incident facet normals do not span R^d; None when there is none."""
+    verts = sorted({vec(v) for v in pts})
+    fs = facets(d, verts)
+    for v in verts:
+        if rank([f.normal for f in fs if dot(f.normal, v) == f.offset]) < d:
+            return v
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_vertex_test_matches_rank_oracle(d, monkeypatch):
+    """Zero-set containment rejects the same first point as the rank of
+    the incident facet normals, on random integer points with interior
+    points, edge midpoints and repeats, and never calls a rank."""
+    import bsp.polytope
+
+    def no_rank(*_):
+        raise AssertionError("polytope_from_vertices called rank")
+
+    monkeypatch.setattr(bsp.polytope, "rank", no_rank)
+    rng = random.Random(100 + d)
+    cube = [tuple(2 * c for c in v) for v in _construction_vertices("cube", d)]
+    outcomes = set()
+    for trial in range(60):
+        if trial % 3 == 0:  # an even cube with its centre or an edge midpoint
+            extra = [(1,) * d, (1,) + (0,) * (d - 1)][trial % 2]
+            pts = cube + [extra]
+        else:
+            pts = [tuple(2 * rng.randint(-2, 2) for _ in range(d))
+                   for _ in range(rng.randint(d + 1, d + 6))]
+            for _ in range(rng.randint(0, 3)):  # midpoints: edges, interior
+                p, q = rng.sample(pts, 2)
+                pts.append(tuple((a + b) // 2 for a, b in zip(p, q)))
+            pts += rng.sample(pts, rng.randint(0, 2))  # repeats
+        rng.shuffle(pts)
+        try:
+            want = _rank_first_non_vertex(d, pts)
+        except NotFullDimensionalError:
+            with pytest.raises(NotFullDimensionalError):
+                polytope_from_vertices(d, pts)
+            outcomes.add("flat")
+            continue
+        if want is None:
+            assert polytope_from_vertices(d, pts).f0 == len(set(pts))
+            outcomes.add("vertices")
+        else:
+            msg = f"point [{', '.join(str(c) for c in want)}] is not a vertex of the hull"
+            with pytest.raises(BadParameterError) as err:
+                polytope_from_vertices(d, pts)
+            assert str(err.value) == msg
+            outcomes.add("rejected")
+    assert {"vertices", "rejected"} <= outcomes
 
 
 def affinely_isomorphic(p, q):
