@@ -4,9 +4,12 @@ generalized conjecture test."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .canon import canonical_key
-from .family import BspPair, product_matrix
+from .errors import NotCubePairError
+from .family import BspPair
+from .linalg import int_dot
 
 
 @dataclass(frozen=True)
@@ -74,20 +77,32 @@ class EqualityClassification:
 
 
 def check_thm6_equality(p: BspPair) -> EqualityClassification:
-    """When |A||B| = (d+1) 2^d, one family has size d+1 and the other is a
-    cube: its product matrix with the small side must be permutation
-    equivalent to the reference cube-pair matrix."""
+    """When |A||B| = (d+1) 2^d, one family has size 2^d (the cube side)
+    and the other d+1, and their product matrix is a row and column
+    permutation of the cube pair's; anything else raises
+    NotCubePairError.
+
+    The test runs on the rows of the cube side as bitsets over the other
+    side: they must be pairwise distinct, and one column must be all
+    zeros.  Then the other d columns read off 2^d distinct points of
+    {0,1}^d, that is all of them, as in the cube pair {0,1}^d against
+    {0, e_1, ..., e_d}.  The tests check the verdict against canonical
+    keys.  At d = 1 both sides have size 2, and the test reads either."""
     d = p.dim
     sizes = p.sizes()
     if p.product() != (d + 1) << d:
         return EqualityClassification(False, None, sizes)
-    assert sorted(sizes) == [d + 1, 1 << d], f"equality case with sizes {sizes}"
-    from .constructions import construct_example
-
-    ref = canonical_key(product_matrix(construct_example("cube-pair", d)), include_transpose=True)
-    got = canonical_key(product_matrix(p), include_transpose=True)
-    assert got == ref, "equality case not isomorphic to the cube pair"
-    cube_side = "a" if sizes[0] == (1 << d) else "b"
+    if (1 << d) not in sizes:
+        raise NotCubePairError(f"equality case with sizes {sizes}")
+    cube_side = "a" if sizes[0] == 1 << d else "b"
+    cube, other = (p.family_a, p.family_b) if cube_side == "a" else (p.family_b, p.family_a)
+    unit = cube.den * other.den
+    others = list(other.rows)
+    rows = {sum(1 << j for j, v in enumerate(others) if int_dot(u, v) == unit)
+            for u in cube.rows}
+    # a column is all zeros when its bit is in no row
+    if len(rows) != 1 << d or reduce(or_, rows) == (1 << len(others)) - 1:
+        raise NotCubePairError("equality case not isomorphic to the cube pair")
     return EqualityClassification(True, cube_side, sizes)
 
 

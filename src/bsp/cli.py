@@ -192,11 +192,10 @@ def cmd_polytope_check(args) -> int:
             "two_level": poly.two_level,
         }
         if poly.two_level:
-            special = detect_special(poly)
             t1 = check_thm1(poly)
-            t2 = check_thm2(poly, special)
+            t2 = check_thm2(poly)
             pair = extract_pair(poly)
-            entry["special"] = special
+            entry["special"] = detect_special(poly)
             entry["checks"] = [t1.to_json(), t2.to_json()]
             entry["pair_sizes"] = list(pair.sizes())
             if not (t1.passed and t2.passed):

@@ -80,6 +80,7 @@ def expected_sizes(kind: str, d: int, k: int | None = None) -> tuple[int, int]:
     if kind == "example3" or kind == "example4":
         return ((1 << (d - 1)) + 1, 2 * d)
     if kind == "example5":
-        assert k is not None
+        if k is None:
+            raise BadParameterError("example5 needs k")
         return ((1 << (d - k)) + k, (1 << k) * (d - k + 1))
     raise BadParameterError(f"unknown example kind: {kind!r}")

@@ -27,7 +27,7 @@ from .canon import canonical_key  # noqa: F401  (perfbench traces it under this 
 from .errors import BadParameterError, CheckpointCorruptError, parsing
 from .family import ProductMatrix
 
-MAX_DIM = 6  # kernel bitsets are 64-bit wide
+MAX_DIM = kernel.MAX_DIM
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,12 @@ class MalformedSlackError(BspError):
     pass
 
 
+class NotCubePairError(BspError):
+    """A pair of the Theorem 6 equality size (d+1) 2^d whose product
+    matrix is not the cube pair's, which the theorem rules out for a valid
+    pair."""
+
+
 class NormalizationFailedError(BspError):
     """Raised when the sign/translation normalization cannot satisfy its
     post-conditions; this signals a bug, not a valid outcome."""

@@ -2,25 +2,39 @@
 
 The C kernel (:mod:`bsp._kernel_c`) is preferred when its library has
 been built; the pure-Python twin is the fallback.  Set BSP_KERNEL=python
-(or =c) to force a backend.  Both expose the same functions with
-identical outputs.
+or BSP_KERNEL=c to force a backend; any other value raises ValueError.
+Both expose the same functions with identical outputs.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 
-_choice = os.environ.get("BSP_KERNEL", "").strip().lower()
+from ._kernel_py import MAX_DIM  # noqa: F401  (bitsets of up to 2^6 cube points)
 
-if _choice in ("python", "py", "pure"):
-    from . import _kernel_py as _impl
-elif _choice in ("c", "compiled"):
-    from . import _kernel_c as _impl  # type: ignore[no-redef]
+_MODULES = {"python": "._kernel_py", "c": "._kernel_c"}
+
+
+def get_backend(name: str | None = None):
+    """The kernel module called ``name`` ("python" or "c"), or the active
+    one when ``name`` is None.  Raises ValueError on any other name and
+    ImportError when the C kernel is asked for but not built."""
+    if name is None:
+        return _impl
+    if name not in _MODULES:
+        raise ValueError(f"unknown kernel backend: {name!r} (use 'python' or 'c')")
+    return importlib.import_module(_MODULES[name], __package__)
+
+
+_choice = os.environ.get("BSP_KERNEL", "").strip().lower()
+if _choice:
+    _impl = get_backend(_choice)
 else:
     try:
-        from . import _kernel_c as _impl  # type: ignore[no-redef]
+        _impl = get_backend("c")
     except ImportError:
-        from . import _kernel_py as _impl  # type: ignore[no-redef]
+        _impl = get_backend("python")
 
 BACKEND = _impl.BACKEND
 closure_and_rank = _impl.closure_and_rank
@@ -29,18 +43,3 @@ next_closed = _impl.next_closed
 heuristic_form = _impl.heuristic_form
 enum_branch = _impl.enum_branch
 facet_scan = _impl.facet_scan
-
-
-def get_backend(name: str | None = None):
-    """Return a kernel module by name (for benchmarks and cross-checks)."""
-    if name in (None, "", "active"):
-        return _impl
-    if name in ("python", "py", "pure"):
-        from . import _kernel_py
-
-        return _kernel_py
-    if name in ("c", "compiled"):
-        from . import _kernel_c
-
-        return _kernel_c
-    raise ValueError(f"unknown kernel backend: {name!r}")

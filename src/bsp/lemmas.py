@@ -83,15 +83,20 @@ def _count_small_difference(p: int, q: int) -> int:
     return count
 
 
-def check_lemma1(d: int, full_enumeration_limit: int = 6) -> OracleReport:
+# the full (S1, S2, S) enumeration takes 8^n steps for n = d - 1
+_FULL_ENUMERATION_LIMIT = 6
+
+
+def check_lemma1(d: int) -> OracleReport:
     """For S1, S2 in [d-1] with |S2 - S1| > 1 the family of S with
     |S cap S2| - |S cap S1| in {-1, 0, 1} has at most (7/8) 2^(d-1) sets.
 
     The count only depends on p = |S2 - S1| and q = |S1 - S2| (elements
     outside the symmetric difference are free), so shapes (p, q) are
-    enumerated directly; for small d the full (S1, S2, S) enumeration is
-    run as well and compared.  Each shape count is also cross-checked
-    against the three-binomials closed form from the proof's bijection.
+    enumerated directly; for n = d - 1 up to _FULL_ENUMERATION_LIMIT the
+    full (S1, S2, S) enumeration is run as well and compared.  Each shape
+    count is also cross-checked against the three-binomials closed form
+    from the proof's bijection.
     """
     n = d - 1
     checked = 0
@@ -109,7 +114,7 @@ def check_lemma1(d: int, full_enumeration_limit: int = 6) -> OracleReport:
                 violations.append(("bound", p, q, count))
             elif 8 * count == 7 << n:
                 equalities.append((p, q))
-    if n <= full_enumeration_limit:
+    if n <= _FULL_ENUMERATION_LIMIT:
         # S1, S2 and S as bitmasks over [n]
         for s1 in range(1 << n):
             for s2 in range(1 << n):

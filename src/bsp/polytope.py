@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import index
+from typing import Sequence
 
 from . import kernel
 from .canon import canonical_key  # noqa: F401  (perfbench's tracer self-test looks it up here)
@@ -31,6 +32,7 @@ from .linalg import (
     Row,
     Vec,
     add,
+    format_rat,
     int_dot,
     int_rows,
     neg,
@@ -47,23 +49,23 @@ from .linalg import (
 
 
 @dataclass(frozen=True)
-class Facet:
-    normal: Vec  # primitive integer normal; polytope satisfies <n, x> <= offset
-    offset: Fraction
-
-
-@dataclass(frozen=True)
 class Polytope2L:
     """conv(vertices): the vertices are ``rows / den``, sorted integer rows
-    over their least positive common denominator."""
+    over their least positive common denominator.  ``facets`` are the
+    kernel's sorted (primitive normal, offset) integer pairs over ``den``:
+    <normal, row> <= offset for every row, with equality on the facet."""
 
     d: int
     den: int
     rows: tuple[Row, ...]
-    facets: tuple[Facet, ...]
+    facets: tuple[tuple[Row, int], ...]
     two_level: bool
-    # slacks[i][j] = den * (offset - <normal, vertex j>) of facet i
+    # slacks[i][j] = offset - <normal, row j> of facet i
     slacks: tuple[Row, ...] = field(repr=False, compare=False)
+    # bit j of facet_zeros[i] (of vertex_zeros[j]) is set when vertex j
+    # lies on facet i
+    facet_zeros: tuple[int, ...] = field(repr=False, compare=False)
+    vertex_zeros: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def vertices(self) -> tuple[Vec, ...]:
@@ -89,8 +91,6 @@ class Polytope2L:
         return ProductMatrix(len(bits), len(self.facets), bits, matrix_rank(bits))
 
     def to_json(self) -> dict:
-        from .linalg import format_rat
-
         return {
             "d": self.d,
             "vertices": [[format_rat(c) for c in v] for v in self.vertices],
@@ -99,53 +99,47 @@ class Polytope2L:
     @classmethod
     def from_json(cls, obj: dict) -> "Polytope2L":
         with parsing("polytope"):
-            d, verts = index(obj["d"]), [vec(v) for v in obj["vertices"]]
+            d, verts = index(obj["d"]), obj["vertices"]
         return polytope_from_vertices(d, verts)
 
 
-def facets(d: int, vertices: list[Vec]) -> list[Facet]:
-    """All facet hyperplanes of conv(vertices), which must affinely span
-    R^d (else NotFullDimensionalError)."""
-    return _facets(d, vertices)[0]
-
-
-def _facets(d: int, vertices: list[Vec]):
-    """:func:`facets`, the vertices' :func:`linalg.int_rows` (denominator,
-    rows) and the kernel's integer (normal, offset) pairs."""
-    den, scaled = int_rows(vertices)
-    try:
-        raw = kernel.facet_scan(d, scaled)
-    except ValueError as exc:
-        raise NotFullDimensionalError("vertex set is not full-dimensional") from exc
-    return [Facet(vec(n), Fraction(c, den)) for n, c in raw], den, scaled, raw
-
-
 def polytope_from_vertices(d: int, vertices) -> Polytope2L:
-    """The polytope conv(vertices).  Every point must be a vertex, that is
-    no other point lies on every facet it lies on (else the face cut out
-    by those facets holds a segment through it); any other point raises
-    BadParameterError, since it would inflate f0 in the bound checks."""
+    """The polytope conv(vertices), for points given as sequences of ints,
+    Fractions or "p/q" strings (anything else raises MalformedInputError).
+    Every point must be a vertex, that is no other point lies on every
+    facet it lies on (else the face cut out by those facets holds a
+    segment through it); any other point raises BadParameterError, since
+    it would inflate f0 in the bound checks.  Points that do not affinely
+    span R^d raise NotFullDimensionalError."""
+    with parsing("polytope"):
+        points = {vec(v) for v in vertices}
     if d < 1:
         raise BadParameterError(f"polytopes need d >= 1, got {d}")
-    verts = sorted({vec(v) for v in vertices})
-    if any(len(v) != d for v in verts):
+    if any(len(v) != d for v in points):
         raise BadParameterError("vertex of wrong dimension")
-    fs, den, scaled, raw = _facets(d, verts)
-    slacks = tuple(tuple(c - int_dot(n, v) for v in scaled) for n, c in raw)
-    zeros = _zero_sets(zip(*slacks))
-    for i, z in enumerate(zeros):
-        if any(y & z == z for j, y in enumerate(zeros) if j != i):
-            raise BadParameterError(
-                f"point [{', '.join(str(c) for c in verts[i])}] is not a vertex of the hull"
-            )
+    den, rows = int_rows(sorted(points))
+    try:
+        facets = tuple(kernel.facet_scan(d, rows))
+    except ValueError as exc:
+        raise NotFullDimensionalError("vertex set is not full-dimensional") from exc
+    slacks = tuple(tuple(c - int_dot(n, r) for r in rows) for n, c in facets)
+    facet_zeros, vertex_zeros = _zero_sets(slacks)
+    for i, z in enumerate(vertex_zeros):
+        if any(y & z == z for j, y in enumerate(vertex_zeros) if j != i):
+            point = ", ".join(format_rat(Fraction(x, den)) for x in rows[i])
+            raise BadParameterError(f"point [{point}] is not a vertex of the hull")
     two = all(len(set(row)) == 2 for row in slacks)
-    return Polytope2L(d, den, tuple(scaled), tuple(fs), two, slacks)
+    return Polytope2L(d, den, tuple(rows), facets, two, slacks, facet_zeros, vertex_zeros)
 
 
-def _zero_sets(rows) -> list[int]:
-    """Bit j of entry i is set when ``rows[i][j]`` is 0: by facet, the
-    vertices on it; by vertex (the transposed slacks), its facets."""
-    return [sum(1 << j for j, x in enumerate(row) if not x) for row in rows]
+def _zero_sets(slacks: tuple[Row, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The zero sets of the slacks, by facet (bit j: vertex j is on the
+    facet) and by vertex (bit i: the vertex is on facet i)."""
+
+    def zeros(rows) -> tuple[int, ...]:
+        return tuple(sum(1 << j for j, x in enumerate(row) if not x) for row in rows)
+
+    return zeros(slacks), zeros(zip(*slacks))
 
 
 def extract_pair(p: Polytope2L) -> BspPair:
@@ -164,8 +158,7 @@ def extract_pair(p: Polytope2L) -> BspPair:
     steps = [row[0] - next(x for x in row if x != row[0]) for row in p.slacks]
     den_b = lcm(*steps)
     b = [(0,) * p.d] + [
-        tuple(int(x) * p.den * (den_b // s) for x in f.normal)
-        for f, s in zip(p.facets, steps)
+        tuple(x * p.den * (den_b // s) for x in n) for (n, _), s in zip(p.facets, steps)
     ]
     return BspPair(p.d, VectorFamily.from_rows(p.d, p.den, [sub(r, r0) for r in p.rows]),
                    VectorFamily.from_rows(p.d, den_b, b))
@@ -205,14 +198,13 @@ def check_thm1(p: Polytope2L) -> PolytopeBoundReport:
     )
 
 
-def check_thm2(p: Polytope2L, special: str | None = None) -> PolytopeBoundReport:
+def check_thm2(p: Polytope2L) -> PolytopeBoundReport:
     """f0 * f_{d-1} <= (d-1) 2^{d+1} + 8(d-1) for 2-level polytopes that
-    are neither cubes nor cross-polytopes (affinely).  ``special`` is
-    :func:`detect_special` of ``p`` when the caller already has it."""
+    are neither cubes nor cross-polytopes (affinely)."""
     prod = p.f0 * p.n_facets
     d = p.d
     bound = ((d - 1) << (d + 1)) + 8 * (d - 1)
-    applicable = d > 1 and (special or detect_special(p)) == "neither"
+    applicable = d > 1 and detect_special(p) == "neither"
     return PolytopeBoundReport(
         "non-special-bound", p.f0, p.n_facets, prod, bound, applicable,
         (prod <= bound) if applicable else True, prod == bound,
@@ -226,10 +218,10 @@ def detect_special(p: Polytope2L) -> str:
     is a cube."""
     if not p.two_level:
         raise NotTwoLevelError("special-shape detection requires 2-level input")
-    return special_kind(p.d, _zero_sets(zip(*p.slacks)), _zero_sets(p.slacks))
+    return special_kind(p.d, p.vertex_zeros, p.facet_zeros)
 
 
-def special_kind(d: int, rows: list[int], cols: list[int]) -> str:
+def special_kind(d: int, rows: Sequence[int], cols: Sequence[int]) -> str:
     """'cube', 'cross' or 'neither' for the 0/1 matrix with these row
     bitsets (over the columns) and column bitsets (over the rows).  Taking
     the zeros or the ones of the matrix as the set bits gives the same
@@ -251,7 +243,7 @@ def special_kind(d: int, rows: list[int], cols: list[int]) -> str:
     return "neither"
 
 
-def _cube_like(d: int, rows: list[int], cols: list[int]) -> bool:
+def _cube_like(d: int, rows: Sequence[int], cols: Sequence[int]) -> bool:
     if len(rows) != 1 << d or len(cols) != 2 * d or len(set(rows)) != len(rows):
         return False
     full = (1 << len(rows)) - 1
@@ -263,7 +255,17 @@ def _cube_like(d: int, rows: list[int], cols: list[int]) -> bool:
 # constructions
 # ---------------------------------------------------------------------------
 
-POLYTOPE_KINDS = ("suspension-cube", "cross-x-segment", "cube", "cross", "simplex", "prism")
+# the kinds with the least d each is defined for
+_MIN_DIM = {"suspension-cube": 2, "cross-x-segment": 2, "cube": 1, "cross": 1, "simplex": 1,
+            "prism": 2}
+POLYTOPE_KINDS = tuple(_MIN_DIM)
+
+
+def _check_kind(kind: str, d: int) -> None:
+    if kind not in _MIN_DIM:
+        raise BadParameterError(f"unknown polytope kind: {kind!r}")
+    if d < _MIN_DIM[kind]:
+        raise BadParameterError(f"{kind} needs d >= {_MIN_DIM[kind]}")
 
 
 def construct_polytope(kind: str, d: int) -> Polytope2L:
@@ -271,39 +273,28 @@ def construct_polytope(kind: str, d: int) -> Polytope2L:
 
 
 def _construction_vertices(kind: str, d: int) -> list[Row]:
+    _check_kind(kind, d)
     if kind == "cube":
-        if d < 1:
-            raise BadParameterError("cube needs d >= 1")
         return list(itertools.product((0, 1), repeat=d))
     if kind == "cross":
-        if d < 1:
-            raise BadParameterError("cross needs d >= 1")
         return [unit_row(d, i, s) for i in range(d) for s in (1, -1)]
     if kind == "simplex":
-        if d < 1:
-            raise BadParameterError("simplex needs d >= 1")
         return [(0,) * d] + [unit_row(d, i) for i in range(d)]
     if kind == "prism":
-        if d < 2:
-            raise BadParameterError("prism needs d >= 2")
         base = [(0,) * (d - 1)] + [unit_row(d - 1, i) for i in range(d - 1)]
         return [s + (t,) for s in base for t in (0, 1)]
     if kind == "suspension-cube":
-        if d < 2:
-            raise BadParameterError("suspension-cube needs d >= 2")
         out = [signs + (0,) for signs in itertools.product((-1, 1), repeat=d - 1)]
         return out + [unit_row(d, d - 1), unit_row(d, d - 1, -1)]
-    if kind == "cross-x-segment":
-        if d < 2:
-            raise BadParameterError("cross-x-segment needs d >= 2")
-        return [
-            add(unit_row(d, i, si), unit_row(d, d - 1, sd))
-            for i in range(d - 1) for si in (-1, 1) for sd in (-1, 1)
-        ]
-    raise BadParameterError(f"unknown polytope kind: {kind!r}")
+    # cross-x-segment
+    return [
+        add(unit_row(d, i, si), unit_row(d, d - 1, sd))
+        for i in range(d - 1) for si in (-1, 1) for sd in (-1, 1)
+    ]
 
 
 def expected_f_vector_ends(kind: str, d: int) -> tuple[int, int]:
+    _check_kind(kind, d)
     if kind == "cube":
         return (1 << d, 2 * d)
     if kind == "cross":
@@ -314,15 +305,16 @@ def expected_f_vector_ends(kind: str, d: int) -> tuple[int, int]:
         return (2 * d, d + 2)
     if kind == "suspension-cube":
         return (2 + (1 << (d - 1)), 4 * (d - 1))
-    if kind == "cross-x-segment":
-        return (4 * (d - 1), 2 + (1 << (d - 1)))
-    raise BadParameterError(f"unknown polytope kind: {kind!r}")
+    return (4 * (d - 1), 2 + (1 << (d - 1)))  # cross-x-segment
 
 
 def reference_slack(kind: str, d: int) -> ProductMatrix:
     """Closed-form slack matrices of the shipped constructions; these stay
     cheap at dimensions where the 2^d-vertex constructions would not.  The
-    tests cross-validate them against the facet pipeline at small d."""
+    tests cross-validate them against the facet pipeline at small d.  Raises
+    BadParameterError on the (kind, d) that :func:`construct_polytope`
+    rejects."""
+    _check_kind(kind, d)
     rows: list[str] = []
     if kind == "cube":
         for m in range(1 << d):
@@ -358,7 +350,7 @@ def reference_slack(kind: str, d: int) -> ProductMatrix:
             rows.append("".join(str((1 - s * v[i]) // 2) for (i, s, t) in cols))
         for apex in (1, -1):
             rows.append("".join(str((1 - t * apex) // 2) for (i, s, t) in cols))
-    elif kind == "cross-x-segment":
+    else:  # cross-x-segment
         cols = [1, -1] + list(itertools.product((-1, 1), repeat=d - 1))
         for i in range(d - 1):
             for si in (-1, 1):
@@ -370,8 +362,6 @@ def reference_slack(kind: str, d: int) -> ProductMatrix:
                         else:
                             row.append(str((1 - col[i] * si) // 2))
                     rows.append("".join(row))
-    else:
-        raise BadParameterError(f"unknown polytope kind: {kind!r}")
     bits = tuple(rows)
     return ProductMatrix(len(bits), len(bits[0]), bits, matrix_rank(bits))
 
@@ -410,7 +400,8 @@ def verify_lemma3(basis: list[Vec]) -> Lemma3Certificate:
 
     def apply_map(x: Vec) -> Vec:
         coeffs = solve(rows, x).solution
-        assert coeffs is not None
+        if coeffs is None:  # the rank test above rules this out
+            raise SingularBasisError("the map's source vectors are dependent")
         img = zero_vec(d)
         for lam, t in zip(coeffs, targets):
             img = add(img, scale(t, lam))
@@ -453,25 +444,19 @@ class SlackAuditEntry:
 def slack_pair_sizes(slack: ProductMatrix) -> tuple[int, int]:
     """(|A|, |B|) sizes the pair extraction yields from a 0/1 slack:
     vertices against parallel facet classes plus the zero vector.
-    Parallel facet pairs have complementary slack columns."""
+    Parallel facet pairs have complementary slack columns.  A polytope's
+    slack matrix has no repeated row (vertex) or column (facet), so one
+    that does raises MalformedSlackError."""
     if any(c not in "01" for row in slack.bits for c in row):
         raise MalformedSlackError("slack entries must be 0/1")
     if slack.m == 0 or slack.n == 0:
         raise MalformedSlackError("empty slack matrix")
-    cols = slack.column_bits()
-    paired = [False] * slack.n
-    pairs = 0
-    complement = {}
-    for j, col in enumerate(cols):
-        comp = "".join("1" if c == "0" else "0" for c in col)
-        if comp in complement and not paired[complement[comp]]:
-            k = complement[comp]
-            paired[j] = paired[k] = True
-            pairs += 1
-        elif col not in complement:
-            complement[col] = j
-    classes = slack.n - pairs
-    return (slack.m, classes + 1)
+    cols = {int(c, 2) for c in slack.column_bits()}
+    if len(set(slack.bits)) != slack.m or len(cols) != slack.n:
+        raise MalformedSlackError("slack matrix has repeated rows or columns")
+    full = (1 << slack.m) - 1
+    pairs = sum(full ^ c in cols for c in cols) // 2
+    return (slack.m, slack.n - pairs + 1)
 
 
 def audit_conjecture_on_slacks(

@@ -89,7 +89,7 @@ def test_criterion_4_bound_suite():
             t3 = check_thm3(pair)
             assert t3.passed
             if t4.equality:
-                cls6 = check_thm6_equality(pair)  # asserts internally
+                cls6 = check_thm6_equality(pair)  # raises unless a cube pair
                 assert cls6.is_equality_case
                 assert sorted(pair.sizes()) == [d + 1, 1 << d]
     report(4, "all cataloged pairs (d<=4) pass both size bounds; "

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from bsp.bounds import (
@@ -6,9 +12,12 @@ from bsp.bounds import (
     check_thm4,
     check_thm6_equality,
 )
+from bsp.canon import canonical_key
 from bsp.constructions import construct_example, expected_sizes
-from bsp.errors import BadParameterError
-from bsp.family import verify_binary_products
+from bsp.errors import BadParameterError, NotCubePairError
+from bsp.family import BspPair, VectorFamily, product_matrix, verify_binary_products
+from bsp.linalg import unit_row
+from test_decomposition import _catalog_pairs
 
 
 def test_thm4_equality_cases():
@@ -49,6 +58,88 @@ def test_thm6_classification():
     assert one.is_equality_case
 
 
+def _key_verdict(p: BspPair):
+    """The former Theorem 6 test: canonical keys of the product matrices
+    of the pair and of the reference cube pair.  None when the pair is not
+    of the equality size, else whether the keys agree."""
+    d = p.dim
+    if p.product() != (d + 1) << d:
+        return None
+    ref = product_matrix(construct_example("cube-pair", d))
+    return canonical_key(product_matrix(p), True) == canonical_key(ref, True)
+
+
+def _bit_verdict(p: BspPair):
+    try:
+        cls = check_thm6_equality(p)
+    except NotCubePairError:
+        return False
+    return True if cls.is_equality_case else None
+
+
+def _cube_pair_mutants(d: int):
+    """Equality-size pairs (not valid ones) next to the cube pair
+    {0,1}^d against {0, e_1, ..., e_d}: 2 e_d for e_d makes rows with
+    x_d = 0 and 1 equal, and e_1 - e_2 - ... - e_d for 0 puts one 1 (at
+    e_1) into the zero column."""
+    a = construct_example("cube-pair", d).family_a
+    b = [unit_row(d, i) for i in range(d)]
+    doubled = b[:-1] + [unit_row(d, d - 1, 2), (0,) * d]
+    one_bit = b + [tuple(1 if i == 0 else -1 for i in range(d))]
+    for rows in (doubled, one_bit):
+        yield BspPair(d, a, VectorFamily.from_rows(d, 1, rows))
+
+
+def test_thm6_bitset_verdict_matches_canonical_key_oracle():
+    pairs = [q for p in _catalog_pairs(4) for q in (p, p.transposed())]
+    for d in range(1, 6):
+        for k in range(d + 1):
+            p = construct_example("example5", d, k=k)
+            pairs += [p, p.transposed()]
+        pairs.append(construct_example("cube-pair", d))
+    verdicts = {}
+    for p in pairs:
+        got = _bit_verdict(p)
+        assert got == _key_verdict(p), (p.dim, p.sizes())
+        verdicts[got] = verdicts.get(got, 0) + 1
+    assert verdicts == {None: 46, True: 41}
+    for d in range(2, 6):
+        for p in _cube_pair_mutants(d):
+            for q in (p, p.transposed()):
+                assert _bit_verdict(q) is _key_verdict(q) is False, (d, q.sizes())
+                with pytest.raises(NotCubePairError, match="not isomorphic"):
+                    check_thm6_equality(q)
+
+
+def test_thm6_rejects_equality_size_without_a_cube_side():
+    # 12 = (2+1) 2^2 with sizes (6, 2), so neither side has 2^2 members
+    a = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+    p = BspPair(2, VectorFamily.from_rows(2, 1, a), VectorFamily.from_rows(2, 1, [(1, 0), (0, 1)]))
+    with pytest.raises(NotCubePairError, match="sizes"):
+        check_thm6_equality(p)
+
+
+def test_thm6_raises_under_python_O():
+    """The check is an explicit raise, so it survives ``python -O``."""
+    code = textwrap.dedent("""
+        from bsp.bounds import check_thm6_equality
+        from bsp.errors import NotCubePairError
+        from bsp.family import BspPair, VectorFamily
+        a = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+        b = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 2)]
+        p = BspPair(3, VectorFamily.from_rows(3, 1, a), VectorFamily.from_rows(3, 1, b))
+        try:
+            check_thm6_equality(p)
+        except NotCubePairError:
+            print("raised")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "raised\n"), out.stderr
+
+
 def test_construct_example_sizes_match_closed_forms():
     for d in range(2, 11):
         for kind in ("example3", "example4"):
@@ -77,6 +168,8 @@ def test_construct_example_bad_parameters():
         construct_example("nonsense", 3)
     with pytest.raises(BadParameterError):
         construct_example("example3", 0)
+    with pytest.raises(BadParameterError, match="example5 needs k"):
+        expected_sizes("example5", 3)
 
 
 def test_conjecture1_examples():

@@ -82,27 +82,23 @@ def test_polytope_check_and_example(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["cube", "cross"])
 def test_polytope_check_decides_special_once(tmp_path, capsys, monkeypatch, kind):
-    """The special-shape verdict is computed once and shared by the report
-    and the bound check, and it runs no canonical search."""
+    """The slack zero sets behind the special-shape verdict are computed
+    once per polytope and shared by the report and the bound check, and
+    the check runs no canonical search."""
     import bsp.canon
-    import bsp.cli
     import bsp.polytope
 
     calls, keys = [], []
-    detect, key = bsp.polytope.detect_special, bsp.canon._key
-
-    def counted(p):
-        calls.append(p)
-        return detect(p)
-
-    monkeypatch.setattr(bsp.cli, "detect_special", counted)
-    monkeypatch.setattr(bsp.polytope, "detect_special", counted)
+    zero_sets, key = bsp.polytope._zero_sets, bsp.canon._key
+    monkeypatch.setattr(bsp.polytope, "_zero_sets", lambda s: calls.append(s) or zero_sets(s))
     monkeypatch.setattr(bsp.canon, "_key", lambda *a: keys.append(a) or key(*a))
     f = tmp_path / "p.json"
     run(["polytope", "example", "--kind", kind, "-d", "4", "--out", str(f)], capsys)
-    code, out, _ = run(["polytope", "check", str(f)], capsys)
-    assert code == 0 and json.loads(out)["polytopes"][0]["special"] == kind
-    assert len(calls) == 1 and not keys
+    calls.clear()
+    code, out, _ = run(["polytope", "check", str(f), str(f)], capsys)
+    reports = json.loads(out)["polytopes"]
+    assert code == 0 and [r["special"] for r in reports] == [kind, kind]
+    assert len(calls) == 2 and not keys
 
 
 def test_polytope_check_non_two_level_exit2(tmp_path, capsys):

@@ -3,9 +3,11 @@ generic Fraction implementation."""
 
 import hashlib
 import importlib.util
+import os
 import random
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,30 @@ def kc(tmp_path_factory):
 @pytest.fixture(params=["python", "c"])
 def impl(request):
     return kp if request.param == "python" else request.getfixturevalue("kc")
+
+
+def test_backend_names():
+    assert kernel.get_backend() is kernel.get_backend(kernel.BACKEND)
+    assert kernel.get_backend("python").BACKEND == "python"
+    for name in ("py", "pure", "compiled", "active", "", "Python"):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            kernel.get_backend(name)
+
+
+def test_bsp_kernel_environment_variable():
+    """BSP_KERNEL=python selects the twin; a misspelt value raises instead
+    of silently running the default backend."""
+    code = "import bsp.kernel as k; print(k.BACKEND)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    for value, want in (("python", "python"), ("pyhton", None), ("pure", None)):
+        out = subprocess.run([sys.executable, "-c", code], env=dict(env, BSP_KERNEL=value),
+                             capture_output=True, text=True, timeout=60)
+        if want:
+            assert (out.returncode, out.stdout) == (0, want + "\n"), out.stderr
+        else:
+            assert out.returncode != 0
+            assert f"unknown kernel backend: {value!r}" in out.stderr
 
 
 def _random_set(rng, d):

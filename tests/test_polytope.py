@@ -17,7 +17,7 @@ from bsp.errors import (
     SingularBasisError,
 )
 from bsp.family import ProductMatrix, matrix_rank, verify_binary_products
-from bsp.linalg import affine_dim, dot, rank, solve, unit_vec, vec
+from bsp.linalg import affine_dim, dot, int_rows, rank, solve, unit_vec, vec
 from bsp.polytope import (
     POLYTOPE_KINDS,
     _construction_vertices,
@@ -28,7 +28,6 @@ from bsp.polytope import (
     detect_special,
     expected_f_vector_ends,
     extract_pair,
-    facets,
     polytope_from_vertices,
     reference_slack,
     slack_pair_sizes,
@@ -48,8 +47,8 @@ FAST_DIMS = {
 
 
 def test_unit_square_has_four_facets():
-    fs = facets(2, [vec((0, 0)), vec((1, 0)), vec((0, 1)), vec((1, 1))])
-    assert len(fs) == 4
+    p = polytope_from_vertices(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert p.facets == (((-1, 0), 0), ((0, -1), 0), ((0, 1), 1), ((1, 0), 1))
 
 
 def test_simplex_facet_count():
@@ -63,7 +62,25 @@ def test_suspension_d3_facet_count():
 
 def test_not_full_dimensional_raises():
     with pytest.raises(NotFullDimensionalError):
-        facets(2, [vec((0, 0)), vec((1, 1)), vec((2, 2))])
+        polytope_from_vertices(2, [(0, 0), (1, 1), (2, 2)])
+
+
+def test_facets_are_the_kernel_scan_over_den():
+    """Polytope2L keeps the kernel's integer (normal, offset) pairs over
+    its denominator, and its slacks and zero sets are theirs."""
+    verts = [("1/2", 0), (0, "1/3"), ("-1/2", 0), (0, "-1/3"), ("1/2", "1/3")]
+    for d, pts in [(2, verts)] + [(d, _construction_vertices(kind, d))
+                                  for kind in POLYTOPE_KINDS for d in (2, 3, 4)]:
+        p = polytope_from_vertices(d, pts)
+        assert (p.den, list(p.rows)) == int_rows(sorted({vec(v) for v in pts}))
+        assert list(p.facets) == kernel.facet_scan(d, list(p.rows))
+        for (n, c), slack, zeros in zip(p.facets, p.slacks, p.facet_zeros):
+            assert slack == tuple(c - dot(n, r) for r in p.rows)
+            assert zeros == sum(1 << j for j, s in enumerate(slack) if s == 0)
+        assert p.vertex_zeros == tuple(
+            sum(1 << i for i, z in enumerate(p.facet_zeros) if z >> j & 1) for j in range(p.f0)
+        )
+        assert not any(isinstance(x, Fraction) for r in p.rows + p.slacks for x in r)
 
 
 def _minor_det(rows: list[list[int]], skip_col: int, dim: int) -> int:
@@ -174,15 +191,21 @@ def test_closed_form_slacks_match_pipeline():
             assert got == ref, (kind, d)
 
 
+def fraction_facets(p) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """The facets as rational (normal, offset) pairs: <normal, x> <= offset
+    on the vertices x = row / den."""
+    return [(vec(n), Fraction(c, p.den)) for n, c in p.facets]
+
+
 def vertices_from_facets(d: int, fs: list) -> set:
     """Brute-force vertex enumeration of the H-polytope: feasible unique
     solutions of d-subsets of facet equalities."""
     out = set()
     for combo in combinations(fs, d):
-        res = solve(tuple(f.normal for f in combo), vec(f.offset for f in combo))
+        res = solve(tuple(n for n, _ in combo), vec(c for _, c in combo))
         if res.solution is not None and res.unique:
             x = res.solution
-            if all(dot(f.normal, x) <= f.offset for f in fs):
+            if all(dot(n, x) <= c for n, c in fs):
                 out.add(x)
     return out
 
@@ -191,7 +214,7 @@ def test_facet_scan_h_to_v_roundtrip():
     for kind in POLYTOPE_KINDS:
         for d in (2, 3, 4):
             p = construct_polytope(kind, d)
-            assert vertices_from_facets(d, list(p.facets)) == set(p.vertices), (kind, d)
+            assert vertices_from_facets(d, fraction_facets(p)) == set(p.vertices), (kind, d)
 
 
 def test_extract_pair_cube():
@@ -350,9 +373,13 @@ def _rank_first_non_vertex(d: int, pts):
     """The former vertex test: the first point, in sorted order, whose
     incident facet normals do not span R^d; None when there is none."""
     verts = sorted({vec(v) for v in pts})
-    fs = facets(d, verts)
-    for v in verts:
-        if rank([f.normal for f in fs if dot(f.normal, v) == f.offset]) < d:
+    _, rows = int_rows(verts)
+    try:
+        fs = kernel.facet_scan(d, rows)
+    except ValueError:
+        raise NotFullDimensionalError("flat") from None
+    for v, r in zip(verts, rows):
+        if rank([n for n, c in fs if dot(n, r) == c]) < d:
             return v
     return None
 
@@ -500,6 +527,31 @@ def test_malformed_slack():
     bad = ProductMatrix(2, 2, ("01", "2x"), 1)
     with pytest.raises(MalformedSlackError):
         slack_pair_sizes(bad)
+
+
+def test_slack_with_repeated_rows_or_columns_is_malformed():
+    # columns x, x, ~x, ~x and x, ~x, ~x, x: the pair count once depended
+    # on which of the two orders came in
+    for rows in (["0011", "0011", "1100", "1100"], ["0110", "0110", "1001", "1001"],
+                 ["000", "001", "110", "111"], ["01", "01", "10"]):
+        for mat in (_matrix(rows), _matrix(rows).transposed()):
+            with pytest.raises(MalformedSlackError, match="repeated"):
+                slack_pair_sizes(mat)
+
+
+def test_closed_forms_reject_what_construct_polytope_rejects():
+    for kind in POLYTOPE_KINDS + ("whatever",):
+        for d in range(-1, 4):
+            try:
+                p = construct_polytope(kind, d)
+            except BadParameterError as exc:
+                for closed_form in (reference_slack, expected_f_vector_ends):
+                    with pytest.raises(BadParameterError, match=str(exc)):
+                        closed_form(kind, d)
+            else:
+                ref = reference_slack(kind, d)
+                assert len(set(ref.bits)) == ref.m and len(set(ref.column_bits())) == ref.n
+                assert expected_f_vector_ends(kind, d) == p.f_vector_ends()
 
 
 def test_construct_polytope_bad_parameters():
