@@ -51,7 +51,7 @@ from array import array
 from functools import reduce
 from itertools import compress
 from math import gcd
-from operator import and_
+from operator import and_, mul
 
 from .linalg import det_adjugate, independent_rows
 
@@ -379,7 +379,7 @@ def facet_scan(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, 
         bit = 1 << i
         keep, pos, neg = [], [], []
         for y, z in rays:
-            s = sum(a * x for a, x in zip(y, v)) - y[dim]
+            s = sum(map(mul, y, v)) - y[dim]
             if s > 0:
                 pos.append((s, y, z))
             elif s < 0:

@@ -11,8 +11,10 @@ A :class:`VectorFamily` stores its members as integer numerator rows over
 is the one place that scales rational vectors, through
 :func:`linalg.int_rows`).  Over denominators da and db, <a, b> is 0 or 1
 exactly when the integer product of the rows is 0 or da * db, so every
-check here runs on Python ints; ``Fraction`` tuples appear only when a
-family is parsed or printed (:attr:`VectorFamily.vectors`).
+check here runs on Python ints.  Input is read by :func:`linalg.coords`,
+which keeps integral coordinates as ints, so ``Fraction`` tuples appear
+only for genuinely rational input and when a family is printed
+(:attr:`VectorFamily.vectors`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import DimensionMismatchError, NotSpanningError, parsing
 from .linalg import (
     Row,
     Vec,
+    coords,
     det_adjugate,
     independent_rows,
     int_dot,
@@ -51,7 +54,10 @@ class VectorFamily:
 
     @classmethod
     def of(cls, dim: int, vectors: Iterable) -> "VectorFamily":
-        vs = [vec(v) for v in vectors]
+        """The family of the given vectors, each read by
+        :func:`linalg.coords` (ints, Fractions, integer, "p/q" or decimal
+        strings)."""
+        vs = [coords(v) for v in vectors]
         for v in vs:
             if len(v) != dim:
                 raise DimensionMismatchError(f"vector {v} has length {len(v)} != {dim}")
@@ -79,7 +85,7 @@ class VectorFamily:
         return len(self.rows)
 
     def __contains__(self, v) -> bool:
-        return tuple(c * self.den for c in vec(v)) in self.rows
+        return tuple(c * self.den for c in coords(v)) in self.rows
 
     def sorted(self) -> list[Vec]:
         # a positive scale keeps the order of the members
@@ -97,8 +103,7 @@ class VectorFamily:
     @classmethod
     def from_json(cls, obj: dict) -> "VectorFamily":
         with parsing("family"):
-            d, vectors = index(obj["d"]), [vec(v) for v in obj["vectors"]]
-        return cls.of(d, vectors)
+            return cls.of(index(obj["d"]), obj["vectors"])
 
 
 class Violation(NamedTuple):
@@ -161,9 +166,11 @@ class BspPair:
     def from_json(cls, obj: dict) -> "BspPair":
         with parsing("pair"):
             d = index(obj["d"])
-            a = [vec(v) for v in obj["a"]["vectors"]]
-            b = [vec(v) for v in obj["b"]["vectors"]]
-        return cls.of(d, a, b)
+            a = VectorFamily.of(d, obj["a"]["vectors"])
+            b = VectorFamily.of(d, obj["b"]["vectors"])
+        pair = cls(d, a, b)
+        pair.validate()
+        return pair
 
 
 def a_max(b: VectorFamily) -> VectorFamily:

@@ -3,7 +3,9 @@ bases; fraction-free determinant and adjugate; Gauss-Jordan solving.
 
 Vectors are plain tuples of ``fractions.Fraction`` or of ints; matrices
 are sequences of row tuples.  Everything here is exact: no floating point
-is allowed anywhere near a predicate.  :func:`int_rows` scales rational
+is allowed anywhere near a predicate.  Input coordinates are read by
+:func:`coord`, which keeps integral input as ints and makes a Fraction
+only of genuinely rational input.  :func:`int_rows` scales rational
 vectors to integer rows over their least common denominator, the form in
 which :class:`bsp.family.VectorFamily` stores a family, and
 :func:`vec_over` turns a row back into Fractions for printing.  Every
@@ -30,15 +32,36 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rat(value) -> Fraction:
-    """Coerce ints, Fractions or "p/q" strings to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def coord(value) -> int | Fraction:
+    """One exact coordinate, as read from input: an int for an int or an
+    integer string, a Fraction for a Fraction or for a string that
+    ``Fraction`` reads and ``int`` does not ("p/q", exact decimals such as
+    "0.5" or "1e2").  Integral input never becomes a Fraction.  A bool, a
+    float or any other type raises TypeError, and a string neither reads
+    raises ValueError."""
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return int(value)
+        except ValueError:
+            return Fraction(value)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def coords(v: Iterable) -> tuple[int | Fraction, ...]:
+    """The coordinates of one input vector, each read by :func:`coord`.
+    A str or bytes is not a vector (TypeError): read character by
+    character, "01" would pass for the point (0, 1)."""
+    if isinstance(v, (str, bytes)):
+        raise TypeError(f"not a vector: {v!r}")
+    return tuple(map(coord, v))
+
+
+def rat(value) -> Fraction:
+    """:func:`coord` as a Fraction, for code that divides with ``/``."""
+    c = coord(value)
+    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def format_rat(q: Fraction) -> str:
@@ -46,8 +69,10 @@ def format_rat(q: Fraction) -> str:
     return str(q)
 
 
-def vec(coords: Iterable) -> Vec:
-    return tuple(rat(c) for c in coords)
+def vec(v: Iterable) -> Vec:
+    """:func:`coords` as Fractions, for :func:`solve` and the other code
+    that divides with ``/``."""
+    return tuple(map(rat, coords(v)))
 
 
 def zero_vec(dim: int) -> Vec:
@@ -90,8 +115,10 @@ def scale(u: Vec, s: Fraction) -> Vec:
 
 
 def int_rows(vectors: Iterable[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
-    """The least positive common denominator of the entries (ints or
-    Fractions) and the integer numerator rows over it, in input order.
+    """The least positive common denominator of the entries (ints,
+    Fractions or a mix of both, as :func:`coords` reads them) and the
+    integer numerator rows over it, in input order.  All-int rows come
+    back unchanged over 1.
 
     Scaling by one positive number keeps the lexicographic order of the
     rows, and a product of two scaled rows is the exact product times

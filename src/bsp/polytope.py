@@ -32,6 +32,7 @@ from .linalg import (
     Row,
     Vec,
     add,
+    coords,
     format_rat,
     int_dot,
     int_rows,
@@ -105,14 +106,19 @@ class Polytope2L:
 
 def polytope_from_vertices(d: int, vertices) -> Polytope2L:
     """The polytope conv(vertices), for points given as sequences of ints,
-    Fractions or "p/q" strings (anything else raises MalformedInputError).
+    Fractions, or integer, "p/q" or exact decimal strings, each read by
+    :func:`linalg.coords`; anything else, a bool or a string in place of
+    a point included, raises MalformedInputError.  Integral points stay
+    int tuples throughout: they are deduplicated, sorted and scaled (over
+    ``den`` = 1) without a Fraction.
+
     Every point must be a vertex, that is no other point lies on every
     facet it lies on (else the face cut out by those facets holds a
     segment through it); any other point raises BadParameterError, since
     it would inflate f0 in the bound checks.  Points that do not affinely
     span R^d raise NotFullDimensionalError."""
     with parsing("polytope"):
-        points = {vec(v) for v in vertices}
+        points = {coords(v) for v in vertices}
     if d < 1:
         raise BadParameterError(f"polytopes need d >= 1, got {d}")
     if any(len(v) != d for v in points):

@@ -124,6 +124,8 @@ def test_polytope_check_non_vertex_point_exit_1(tmp_path, capsys):
 
 
 CATALOG_LINE_NO_MATRIX = '{"d":2,"size_a":3,"size_b":3,"key":"00"}\n'
+# a valid pair file but for the vectors of A
+PAIR_WITH_A = '{"d": 2, "a": {"d": 2, "vectors": %s}, "b": {"d": 2, "vectors": [[0, 0], [1, 0], [0, 1]]}}'
 
 
 @pytest.mark.parametrize("argv, text, error", [
@@ -142,10 +144,18 @@ CATALOG_LINE_NO_MATRIX = '{"d":2,"size_a":3,"size_b":3,"key":"00"}\n'
      "MalformedInputError"),
     (["enumerate", "-d", "2", "--checkpoint"], '{"d": 2}', "CheckpointCorruptError"),
     (["stats", "CATALOG", "--reference"], "size_a,size_b\n2;2\n", "MalformedInputError"),
+    (["polytope", "check"], '{"d": 2, "vertices": ["00", "10", "01"]}', "MalformedInputError"),
+    (["polytope", "check"], '{"d": 1, "vertices": "01"}', "MalformedInputError"),
+    (["verify-pair"], PAIR_WITH_A % '["00", "10", "01"]', "MalformedInputError"),
+    (["polytope", "check"], '{"d": 2, "vertices": [[false, false], [true, false], [false, true]]}',
+     "MalformedInputError"),
+    (["verify-pair"], PAIR_WITH_A % '[[false, false], [true, false], [false, true]]',
+     "MalformedInputError"),
 ], ids=["polytope-missing", "polytope-float", "polytope-d0", "polytope-empty",
         "verify-pair", "conjecture-slack",
         "conjecture-catalog", "stats", "stats-not-json", "audit", "audit-shape", "enumerate-checkpoint",
-        "stats-reference"])
+        "stats-reference", "polytope-string-vertices", "polytope-string-vertex-list",
+        "verify-pair-string-vectors", "polytope-bool", "verify-pair-bool"])
 def test_malformed_input_file_is_exit_1(tmp_path, capsys, argv, text, error):
     if "CATALOG" in argv:
         cat = tmp_path / "cat2.jsonl"

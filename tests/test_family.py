@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsp.errors import NotSpanningError
+from bsp.errors import MalformedInputError, NotSpanningError
 from bsp.family import (
     BspPair,
     ProductMatrix,
@@ -225,6 +225,20 @@ def test_pair_roundtrip_json():
     p = close_pair(fam(2, [(0, 0), (1, 0), (1, 1)]))
     q = BspPair.from_json(json.loads(json.dumps(p.to_json())))
     assert q == p
+
+
+def test_family_json_reads_integral_coordinates_as_ints():
+    f = VectorFamily.from_json({"d": 2, "vectors": [["1", 0], ["1/2", "0.5"], [" 2 ", "4/2"]]})
+    assert f == fam(2, [(1, 0), (Fraction(1, 2), Fraction(1, 2)), (2, 2)])
+    assert f.den == 2 and (Fraction(1, 2), "1/2") in f and ("2", 2) in f
+    assert all(type(x) is int for r in VectorFamily.from_json(
+        {"d": 2, "vectors": [["1", 0], [2, "-3"]]}).rows for x in r)
+
+
+@pytest.mark.parametrize("vectors", [["10", "01"], "10", [[True, False], [False, True]]])
+def test_family_json_rejects_strings_and_bools_as_vectors(vectors):
+    with pytest.raises(MalformedInputError):
+        VectorFamily.from_json({"d": 2, "vectors": vectors})
 
 
 def test_pair_from_product_matrix_roundtrip():

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bsp.errors import SingularBasisError
+from bsp.errors import MalformedInputError, SingularBasisError, parsing
 from bsp.linalg import (
     affine_dim,
+    coord,
+    coords,
     det_adjugate,
     dot,
     dual_basis,
@@ -76,9 +78,57 @@ def test_dual_basis_singular():
 
 def test_rat_parsing_roundtrip():
     assert rat("1/2") == Fraction(1, 2)
-    assert rat("-3") == Fraction(-3)
+    assert rat("-3") == Fraction(-3) and type(rat("-3")) is Fraction
     assert format_rat(Fraction(1, 2)) == "1/2"
     assert format_rat(Fraction(4)) == "4"
+
+
+# numerals in the forms Fraction reads (signs, whitespace, underscores,
+# "p/q", decimals, exponents) and near misses of them
+NUMERALS = st.from_regex(
+    r"\A\s?[+-]?([0-9]{1,3}(_?[0-9]{1,2})?)?(\.[0-9]{0,2})?([eE][+-]?[0-9]{1,2})?"
+    r"(/_?[0-9]{0,3})?\s?\Z"
+)
+
+
+@given(st.one_of(st.integers(), st.fractions(), NUMERALS, st.text(max_size=6)))
+def test_coord_reads_what_fraction_reads(x):
+    """coord agrees with Fraction on every input Fraction reads, as an int
+    exactly for ints and integer strings, and fails wherever Fraction
+    does."""
+    try:
+        want = Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(MalformedInputError), parsing("coordinate"):
+            coord(x)
+        return
+    got = coord(x)
+    assert got == want
+    rational = isinstance(x, Fraction) or isinstance(x, str) and any(c in x for c in "/.eE")
+    assert type(got) is (Fraction if rational else int)
+    assert rat(x) == want and type(rat(x)) is Fraction
+
+
+@pytest.mark.parametrize("x", [True, False, 0.5, 1.0, float("nan"), None, b"1", [1]])
+def test_coord_rejects_bools_floats_and_other_types(x):
+    with pytest.raises(MalformedInputError), parsing("coordinate"):
+        coord(x)
+    with pytest.raises(MalformedInputError), parsing("coordinate"):
+        rat(x)
+
+
+@pytest.mark.parametrize("v", ["01", "", b"01", "1/2"])
+def test_a_string_is_not_a_vector(v):
+    for read in (coords, vec):
+        with pytest.raises(MalformedInputError), parsing("vector"):
+            read(v)
+
+
+def test_coords_keep_integral_input_as_ints():
+    assert coords(["1", -2, " 3 ", "1/2", "0.5", Fraction(4)]) == (
+        1, -2, 3, Fraction(1, 2), Fraction(1, 2), Fraction(4))
+    assert [type(c) for c in coords(["1", -2, "4/2"])] == [int, int, Fraction]
+    assert vec(["1", -2]) == (Fraction(1), Fraction(-2))
 
 
 @st.composite
@@ -140,6 +190,7 @@ def test_independent_rows_stops_reading_at_the_cap():
 def test_int_rows_shared_denominator():
     assert int_rows([]) == (1, [])
     assert int_rows([(1, -2), (0, 3)]) == (1, [(1, -2), (0, 3)])
+    assert int_rows([(1, Fraction(1, 2)), (2, 0)]) == (2, [(2, 1), (4, 0)])
     rows = [vec(("1/2", "-1/3")), vec((2, "1/6")), vec((0, 0))]
     assert int_rows(rows) == (6, [(3, -2), (12, 1), (0, 0)])
 

@@ -83,6 +83,45 @@ def test_facets_are_the_kernel_scan_over_den():
         assert not any(isinstance(x, Fraction) for r in p.rows + p.slacks for x in r)
 
 
+def _input_forms(pts):
+    """The same points as ints, integer strings, Fractions and "p/q"
+    strings."""
+    return ([list(v) for v in pts], [[str(c) for c in v] for v in pts],
+            [[Fraction(c) for c in v] for v in pts], [[f"{2 * c}/2" for c in v] for v in pts])
+
+
+def test_input_forms_give_the_same_polytope():
+    for kind in POLYTOPE_KINDS:
+        for d in (2, 3, 4):
+            first, *rest = (polytope_from_vertices(d, f)
+                            for f in _input_forms(_construction_vertices(kind, d)))
+            for p in rest:
+                assert (p.den, p.rows, p.facets, p.slacks) == (
+                    first.den, first.rows, first.facets, first.slacks)
+                assert p.vertex_zeros == first.vertex_zeros and p.two_level == first.two_level
+
+
+def test_integral_input_builds_no_fraction(monkeypatch):
+    """Ints and integer strings stay ints from parse to slacks."""
+    inputs = [form for kind in POLYTOPE_KINDS
+              for form in _input_forms(_construction_vertices(kind, 4))[:2]]
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for form in inputs:
+        p = polytope_from_vertices(4, form)
+        for check in (check_thm1, check_thm2, extract_pair):
+            check(p)
+    assert made == []
+    polytope_from_vertices(2, [("1/2", 0), (0, 1), (1, 1)])
+    assert made  # the counter sees genuinely rational input
+
+
 def _minor_det(rows: list[list[int]], skip_col: int, dim: int) -> int:
     sub = [[row[c] for c in range(dim) if c != skip_col] for row in rows]
     return det(sub) if sub else 1
