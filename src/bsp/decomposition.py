@@ -12,17 +12,31 @@ translate A when the zero side is the smaller one, then flip the signs of
 offending B members.  A normalized pair can carry products in {0, -1} on
 the A1 side; only the A0 side is guaranteed to stay 0/1.
 
-All of it runs on the integer rows the families store (see
-:mod:`bsp.family`), A over its denominator da and B over db.
-Translating A keeps its scale, and so does flipping the sign of a B
-member.  The fiber key <b_d, b_d> b - <b, b_d> b_d is a fixed positive
-multiple of pi(b), so fiber grouping and the no-opposite-points check
-stay exact.  Every a in
-A0 is orthogonal to b_d, so <a, pi(b)> = <a, b>: the projection tau of
-pi(b) onto span(A0) depends only on the products of b with a basis of A0,
-and one integer adjugate and determinant of that basis' Gram matrix per
-decomposition give it without a solve per fiber.  Fractions are built
-only for b_d and error messages.
+All of it reads one integer product matrix per pair.  The families store
+integer rows (see :mod:`bsp.family`), A over its denominator da and B
+over db; :class:`_Products` sorts them and takes every product once, as a
+column of P over da * db per member of B, checked to be 0 or 1.
+
+- Scoring a candidate b_d splits A by its column and takes the affine
+  dimensions of the two sides; the tied candidates are those with the
+  largest score, and these dimensions are the ones the audit reports.
+- Translating A by a* = min(A1) subtracts row a* of P, and b_d -> -b_d
+  negates its column.  A0 and A1 trade places, and since a translation
+  keeps affine dimensions, their scored dimensions trade with them.
+- Flipping the sign of a member of B negates its column.  Neither step
+  changes a denominator.
+- The post-hoc checks of the normalization and the test of which side a
+  doubled fiber is constant on read the normalized P.
+
+Only the fibers read the rows of B: the key <b_d, b_d> b - <b, b_d> b_d
+is a fixed positive multiple of pi(b), so fiber grouping and the
+no-opposite-points check stay exact.  Every a in A0 is orthogonal to
+b_d, so <a, pi(b)> = <a, b>: the projection tau of pi(b) onto span(A0)
+depends only on the column of b at a basis of A0, and one integer
+adjugate and determinant of that basis' Gram matrix per decomposition
+give it without a solve per fiber.  The echelons left per decomposition
+are that basis and the ranks of B0 and B1.  Fractions are built only for
+the b_d handed back and for error messages.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BspError, NormalizationFailedError
 from .family import BspPair, VectorFamily
@@ -38,12 +53,13 @@ from .linalg import (
     Row,
     Vec,
     affine_dim,
+    coords,
     det_adjugate,
     independent_rows,
     int_dot,
     neg,
     rank,
-    vec,
+    sub,
     vec_over,
 )
 
@@ -58,56 +74,249 @@ class CounterexampleFound(BspError):
         self.witness = witness
 
 
-def _split_by_bd(a_rows: list[Row], bd: Row, unit: int) -> tuple[list[Row], list[Row]]:
-    a0, a1 = [], []
-    for a in a_rows:
-        p = int_dot(a, bd)
-        if p == 0:
-            a0.append(a)
-        elif p == unit:
-            a1.append(a)
-        else:
-            raise DecompositionError(
-                f"product {Fraction(p, unit)} with the distinguished vector"
-            )
-    return a0, a1
-
-
-def _fiber_key(b: Row, bd: Row, kb: int) -> Row:
-    # <bd, bd> b - <b, bd> bd, with kb = <bd, bd> > 0
-    c = int_dot(b, bd)
-    return tuple(kb * x - c * y for x, y in zip(b, bd))
-
-
-def tied_bd_choices(p: BspPair) -> list[Vec]:
-    """All nonzero b in B attaining the maximal value of
-    max(dim A0, dim A1), best (lexicographically largest) first."""
-    a_rows, db = list(p.family_a.rows), p.family_b.den
-    scored = []
-    for b in sorted(p.family_b.rows):
-        if any(b):
-            a0, a1 = _split_by_bd(a_rows, b, p.family_a.den * db)
-            scored.append((max(affine_dim(a0), affine_dim(a1)), b))
-    best = max(v for v, _ in scored)
-    return [vec_over(b, db) for v, b in sorted(scored, reverse=True) if v == best]
-
-
-def choose_bd(p: BspPair) -> Vec:
-    """A dimension-maximizing b_d; ties broken by lexicographic order."""
-    return tied_bd_choices(p)[0]
-
-
 @dataclass(frozen=True)
 class NormalizedPair:
     dim: int
     family_a: VectorFamily
     family_b: VectorFamily
-    b_d: Vec
+    bd: Row  # b_d over family_b.den
     translated: bool
     flipped: int  # number of sign-flipped B members
 
+    @property
+    def b_d(self) -> Vec:
+        return vec_over(self.bd, self.family_b.den)
+
     def sizes(self) -> tuple[int, int]:
         return (len(self.family_a), len(self.family_b))
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    pair: NormalizedPair
+    a0: VectorFamily
+    a1: VectorFamily
+    b_star: VectorFamily
+    b0: VectorFamily
+    b1: VectorFamily
+    u0_dim: int  # affine dimension of A0, which contains 0
+    a1_dim: int  # affine dimension of A1
+    pi_b: VectorFamily  # projection of B along b_d
+    tau_pi_b: VectorFamily  # further projection onto span(A0)
+    max_fiber: int  # largest preimage count of a projected point
+
+    @property
+    def dim(self) -> int:
+        return self.pair.dim
+
+    @property
+    def b_d(self) -> Vec:
+        return self.pair.b_d
+
+
+def _split(col: list[int], unit: int) -> tuple[list[int], list[int]]:
+    """The rows of A whose product in a column of P is 0, and those whose
+    product is 1."""
+    a0, a1 = [], []
+    for i, x in enumerate(col):
+        if x == 0:
+            a0.append(i)
+        elif x == unit:
+            a1.append(i)
+        else:
+            raise DecompositionError(
+                f"product {Fraction(x, unit)} with the distinguished vector"
+            )
+    return a0, a1
+
+
+class _Choice(NamedTuple):
+    """A candidate b_d: its column of P, the rows of A on either side and
+    their affine dimensions."""
+
+    col: int
+    a0: list[int]
+    a1: list[int]
+    dim0: int
+    dim1: int
+
+
+class _Normalized(NamedTuple):
+    pair: NormalizedPair
+    a_rows: list[Row]  # over da
+    b_rows: list[Row]  # over db, the column order of cols
+    cols: list[list[int]]  # cols[j][i] = <a_i, b_j> over da * db
+    a0: list[int]
+    a1: list[int]
+    dims: tuple[int, int]  # affine dimensions of A0 and A1
+    const: list[tuple[bool, bool]]  # column j constant on A0, on A1
+    fibers: dict[Row, list[int]]  # fiber key -> columns
+
+
+class _Products:
+    """The sorted integer rows of a pair and their product matrix P, built
+    once and shared by every b_d of the pair."""
+
+    def __init__(self, p: BspPair):
+        self.dim = p.dim
+        self.da, self.db = p.family_a.den, p.family_b.den
+        self.unit = unit = self.da * self.db
+        self.a_rows = sorted(p.family_a.rows)
+        self.b_rows = sorted(p.family_b.rows)
+        self.cols = [[int_dot(a, b) for a in self.a_rows] for b in self.b_rows]
+        bad = next((x for col in self.cols for x in col if x and x != unit), None)
+        if bad is not None:
+            raise DecompositionError(f"product {Fraction(bad, unit)} of A and B")
+
+    def choice(self, b_d) -> _Choice:
+        """The candidate of a member b_d of B, given as a vector."""
+        try:
+            j = self.b_rows.index(tuple(c * self.db for c in coords(b_d)))
+        except ValueError:
+            raise DecompositionError("b_d is not a member of B") from None
+        return self._scored(j)
+
+    def _scored(self, j: int) -> _Choice:
+        a0, a1 = _split(self.cols[j], self.unit)
+        a = self.a_rows
+        return _Choice(j, a0, a1, affine_dim([a[i] for i in a0]), affine_dim([a[i] for i in a1]))
+
+    def tied(self) -> list[_Choice]:
+        """The nonzero members of B attaining the maximal value of
+        max(dim A0, dim A1), lexicographically largest first."""
+        scored = [self._scored(j) for j, b in enumerate(self.b_rows) if any(b)]
+        best = max(max(c.dim0, c.dim1) for c in scored)
+        return [c for c in reversed(scored) if max(c.dim0, c.dim1) == best]
+
+    def b_d(self, c: _Choice) -> Vec:
+        return vec_over(self.b_rows[c.col], self.db)
+
+    def normalize(self, c: _Choice) -> _Normalized:
+        """Translate and flip along the candidate, then check the result
+        post hoc; a failed check raises NormalizationFailedError."""
+        unit, k = self.unit, c.col
+        a_rows, b_rows, cols = self.a_rows, list(self.b_rows), list(self.cols)
+        _, a0, a1, dim0, dim1 = c
+        if not a1:
+            raise DecompositionError("b_d is orthogonal to A")
+        translated = len(a0) < len(a1)
+        if translated:
+            s = a1[0]  # a* = min(A1), the rows being sorted
+            a_rows = [sub(a, a_rows[s]) for a in a_rows]
+            cols = [[x - col[s] for x in col] for col in cols]
+            cols[k] = [-x for x in cols[k]]
+            b_rows[k] = neg(b_rows[k])
+            a0, a1, dim0, dim1 = a1, a0, dim1, dim0
+
+        # products of A0 must land in {0, 1}; members orthogonal to A0 are
+        # oriented by A1 translated by its least member.  Each column is
+        # checked post hoc as soon as its sign is settled.
+        s = a1[0]
+        binary, negative = {0, unit}, {0, -unit}
+        flipped = 0
+        const = []
+        for j, col in enumerate(cols):
+            s0 = {col[i] for i in a0}
+            s1 = {col[i] for i in a1}
+            if s0 == negative or (s0 == {0} and {x - col[s] for x in s1} == negative):
+                cols[j] = [-x for x in col]
+                b_rows[j] = neg(b_rows[j])
+                s0, s1 = {-x for x in s0}, {-x for x in s1}
+                flipped += 1
+            if not s0 <= binary:
+                s0 = {Fraction(x, unit) for x in s0}
+                raise NormalizationFailedError(f"A0 products {s0} not in 0/1")
+            sa = s0 | s1
+            if not (sa <= binary or sa <= negative):
+                sa = {Fraction(x, unit) for x in sa}
+                raise NormalizationFailedError(f"products {sa} not one-signed")
+            const.append((len(s0) == 1, len(s1) == 1))
+        if _split(cols[k], unit) != (a0, a1):  # raises if not 0/1
+            raise NormalizationFailedError("the split along b_d moved")
+        if len(a0) < len(a1):
+            raise NormalizationFailedError("|A0| < |A1| after normalization")
+        bd = b_rows[k]
+        kb = int_dot(bd, bd)
+        fibers: dict[Row, list[int]] = {}
+        for j, b in enumerate(b_rows):
+            # <bd, bd> b - <b, bd> bd, a positive multiple of pi(b)
+            t = int_dot(b, bd)
+            fibers.setdefault(tuple(kb * x - t * y for x, y in zip(b, bd)), []).append(j)
+        for y in fibers:
+            if any(y) and neg(y) in fibers:
+                raise NormalizationFailedError("projection contains opposite points")
+
+        d = self.dim
+        fam_b = VectorFamily.from_rows(d, self.db, b_rows)
+        g = self.db // fam_b.den
+        n = NormalizedPair(d, VectorFamily.from_rows(d, self.da, a_rows), fam_b,
+                           tuple(x // g for x in bd), translated, flipped)
+        return _Normalized(n, a_rows, b_rows, cols, a0, a1, (dim0, dim1), const, fibers)
+
+    def decompose(self, c: _Choice) -> Decomposition:
+        """Normalize along the candidate and split the pair."""
+        n = self.normalize(c)
+        d, da, db = self.dim, self.da, self.db
+        b_rows = n.b_rows
+        bd = b_rows[c.col]
+        zero = (0,) * d
+        b_star, b0, b1 = [], [], []
+        for members in n.fibers.values():
+            if len(members) == 1:
+                b_star.append(b_rows[members[0]])
+                continue
+            for j in members:
+                b = b_rows[j]
+                const0, const1 = n.const[j]
+                if const0 and const1:
+                    # preference: 0 and b_d live in B1, the rest goes to B0
+                    (b1 if b == zero or b == bd else b0).append(b)
+                elif const1:
+                    b1.append(b)
+                elif const0:
+                    b0.append(b)
+                else:
+                    raise DecompositionError(
+                        f"{vec_over(b, db)} is constant on neither side; is the pair maximal?"
+                    )
+
+        # tau(pi(b)) = (U b)^T adj(G) U / (det(G) db) for the rows U of a
+        # basis of A0 over da and their (symmetric) Gram matrix G = U U^T; U b
+        # is the column of b at the basis rows
+        a0 = [n.a_rows[i] for i in n.a0]
+        picked = [n.a0[i] for i in independent_rows(a0)]
+        basis = [n.a_rows[i] for i in picked]
+        det_g, adj = det_adjugate([[int_dot(u, v) for v in basis] for u in basis])
+        adj_u = [[int_dot(row, u) for row in adj] for u in zip(*basis)]  # by columns
+        tau_pi_b = {
+            tuple(int_dot(r, w) for w in adj_u) if basis else zero
+            for r in {tuple(col[i] for i in picked) for col in n.cols}
+        }
+        return Decomposition(
+            pair=n.pair,
+            a0=VectorFamily.from_rows(d, da, a0),
+            a1=VectorFamily.from_rows(d, da, (n.a_rows[i] for i in n.a1)),
+            b_star=VectorFamily.from_rows(d, db, b_star),
+            b0=VectorFamily.from_rows(d, db, b0),
+            b1=VectorFamily.from_rows(d, db, b1),
+            u0_dim=n.dims[0],
+            a1_dim=n.dims[1],
+            pi_b=VectorFamily.from_rows(d, int_dot(bd, bd) * db, n.fibers),
+            tau_pi_b=VectorFamily.from_rows(d, det_g * db, tau_pi_b),
+            max_fiber=max(len(v) for v in n.fibers.values()),
+        )
+
+
+def tied_bd_choices(p: BspPair) -> list[Vec]:
+    """All nonzero b in B attaining the maximal value of
+    max(dim A0, dim A1), best (lexicographically largest) first."""
+    core = _Products(p)
+    return [core.b_d(c) for c in core.tied()]
+
+
+def choose_bd(p: BspPair) -> Vec:
+    """A dimension-maximizing b_d; ties broken by lexicographic order."""
+    return tied_bd_choices(p)[0]
 
 
 def normalize(p: BspPair, b_d: Vec) -> NormalizedPair:
@@ -118,147 +327,15 @@ def normalize(p: BspPair, b_d: Vec) -> NormalizedPair:
     Each property is asserted post hoc; a failure raises
     NormalizationFailedError (a bug, not a valid outcome).
     """
-    return _normalize(p, b_d)[0]
-
-
-def _normalize(p: BspPair, b_d: Vec):
-    """:func:`normalize`, the integer rows of its A over da and of its B
-    (sorted) over db, b_d over db, da and db."""
-    if b_d not in p.family_b:
-        raise DecompositionError("b_d is not a member of B")
-    d = p.dim
-    da, db = p.family_a.den, p.family_b.den
-    a_rows = list(p.family_a.rows)
-    bd = tuple(int(c * db) for c in vec(b_d))
-    unit = da * db
-    b_set = set(p.family_b.rows)
-
-    a0, a1 = _split_by_bd(a_rows, bd, unit)
-    translated = False
-    if len(a0) < len(a1):
-        a_star = min(a1)
-        a_rows = [tuple(x - y for x, y in zip(a, a_star)) for a in a_rows]
-        b_set.discard(bd)
-        bd = neg(bd)
-        b_set.add(bd)
-        translated = True
-        a0, a1 = _split_by_bd(a_rows, bd, unit)
-
-    # products of A0 must land in {0, 1}; members orthogonal to A0 are
-    # oriented by the translated A1 side
-    a_star1 = min(a1)
-    a1p = [tuple(x - y for x, y in zip(a, a_star1)) for a in a1]
-    flipped = 0
-    new_b = set()
-    for b in b_set:
-        s0 = {int_dot(a, b) for a in a0}
-        if s0 == {0, -unit} or (s0 == {0} and {int_dot(a, b) for a in a1p} == {0, -unit}):
-            b = neg(b)
-            flipped += 1
-        new_b.add(b)
-    b_rows = sorted(new_b)
-
-    _assert_normalized(a_rows, b_rows, bd, unit)
-    n = NormalizedPair(d, VectorFamily.from_rows(d, da, a_rows),
-                       VectorFamily.from_rows(d, db, b_rows),
-                       vec_over(bd, db), translated, flipped)
-    return n, a_rows, b_rows, bd, da, db
-
-
-def _assert_normalized(a_rows: list[Row], b_rows: list[Row], bd: Row, unit: int) -> None:
-    a0, a1 = _split_by_bd(a_rows, bd, unit)  # raises if not 0/1
-    if len(a0) < len(a1):
-        raise NormalizationFailedError("|A0| < |A1| after normalization")
-    for b in b_rows:
-        s0 = {int_dot(a, b) for a in a0}
-        if not s0 <= {0, unit}:
-            s0 = {Fraction(x, unit) for x in s0}
-            raise NormalizationFailedError(f"A0 products {s0} not in 0/1")
-        sa = s0 | {int_dot(a, b) for a in a1}
-        if not (sa <= {0, unit} or sa <= {0, -unit}):
-            sa = {Fraction(x, unit) for x in sa}
-            raise NormalizationFailedError(f"products {sa} not one-signed")
-    kb = int_dot(bd, bd)
-    keys = {_fiber_key(b, bd, kb) for b in b_rows}
-    for y in keys:
-        if any(y) and neg(y) in keys:
-            raise NormalizationFailedError("projection contains opposite points")
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    pair: NormalizedPair
-    b_d: Vec
-    a0: VectorFamily
-    a1: VectorFamily
-    b_star: VectorFamily
-    b0: VectorFamily
-    b1: VectorFamily
-    u0_dim: int
-    pi_b: VectorFamily  # projection of B along b_d
-    tau_pi_b: VectorFamily  # further projection onto span(A0)
-    max_fiber: int  # largest preimage count of a projected point
-
-    @property
-    def dim(self) -> int:
-        return self.pair.dim
+    core = _Products(p)
+    return core.normalize(core.choice(b_d)).pair
 
 
 def decompose(p: BspPair, b_d: Vec | None = None) -> Decomposition:
     """Normalize and split a maximal pair along b_d (chosen by
     :func:`choose_bd` when not given)."""
-    if b_d is None:
-        b_d = choose_bd(p)
-    n, a_rows, b_rows, bd, da, db = _normalize(p, b_d)
-    d = n.dim
-    a0, a1 = _split_by_bd(a_rows, bd, da * db)
-
-    kb = int_dot(bd, bd)
-    fibers: dict[Row, list[Row]] = {}
-    for b in b_rows:
-        fibers.setdefault(_fiber_key(b, bd, kb), []).append(b)
-    max_fiber = max(len(v) for v in fibers.values())
-    b_star = [v[0] for v in fibers.values() if len(v) == 1]
-    rest = [b for v in fibers.values() if len(v) > 1 for b in v]
-
-    zero = (0,) * d
-    b0, b1 = [], []
-    for b in rest:
-        const0 = len({int_dot(a, b) for a in a0}) == 1
-        const1 = len({int_dot(a, b) for a in a1}) == 1
-        if const0 and const1:
-            # preference: 0 and b_d live in B1, the rest goes to B0
-            (b1 if b == zero or b == bd else b0).append(b)
-        elif const1:
-            b1.append(b)
-        elif const0:
-            b0.append(b)
-        else:
-            raise DecompositionError(
-                f"{vec_over(b, db)} is constant on neither side; is the pair maximal?"
-            )
-
-    # tau(pi(b)) = U^T adj(G) U b / (det(G) db) for the rows U of a basis
-    # of A0 over da and their Gram matrix G = U U^T
-    basis = [a0[i] for i in independent_rows(a0)]
-    det_g, adj = det_adjugate([[int_dot(u, v) for v in basis] for u in basis])
-    tau_pi_b = []
-    for r in {tuple(int_dot(u, b) for u in basis) for b in b_rows}:
-        s = [int_dot(row, r) for row in adj]
-        tau_pi_b.append(tuple(int_dot(s, col) for col in zip(*basis)) if basis else zero)
-    return Decomposition(
-        pair=n,
-        b_d=n.b_d,
-        a0=VectorFamily.from_rows(d, da, a0),
-        a1=VectorFamily.from_rows(d, da, a1),
-        b_star=VectorFamily.from_rows(d, db, b_star),
-        b0=VectorFamily.from_rows(d, db, b0),
-        b1=VectorFamily.from_rows(d, db, b1),
-        u0_dim=affine_dim(a0),  # A0 contains 0, so affine = linear span dim
-        pi_b=VectorFamily.from_rows(d, kb * db, fibers),
-        tau_pi_b=VectorFamily.from_rows(d, det_g * db, tau_pi_b),
-        max_fiber=max_fiber,
-    )
+    core = _Products(p)
+    return core.decompose(core.tied()[0] if b_d is None else core.choice(b_d))
 
 
 @dataclass(frozen=True)
@@ -293,8 +370,7 @@ def audit(dec: Decomposition) -> AuditReport:
     nb0, nb1, nbs = len(dec.b0), len(dec.b1), len(dec.b_star)
     npi = len(dec.pi_b)
     ntau = len(dec.tau_pi_b)
-    dim_a0 = affine_dim(list(dec.a0.rows))
-    dim_a1 = affine_dim(list(dec.a1.rows))
+    dim_a0, dim_a1 = dec.u0_dim, dec.a1_dim
     dim_b0 = rank(dec.b0.rows)
     dim_b1 = rank(dec.b1.rows)
 
@@ -327,8 +403,11 @@ def audit(dec: Decomposition) -> AuditReport:
 
 def audit_pair(p: BspPair, all_tied: bool = True) -> list[tuple[Vec, AuditReport]]:
     """Decompose and audit for the chosen b_d, or every tied choice."""
-    choices = tied_bd_choices(p) if all_tied else [choose_bd(p)]
-    return [(b, audit(decompose(p, b))) for b in choices]
+    core = _Products(p)
+    choices = core.tied()
+    if not all_tied:
+        choices = choices[:1]
+    return [(core.b_d(c), audit(core.decompose(c))) for c in choices]
 
 
 # ---------------------------------------------------------------------------

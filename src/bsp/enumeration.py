@@ -19,13 +19,13 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from importlib import resources
-from operator import index
 
 from . import kernel
 from .canon import canonical_from_key, rows_key
 from .canon import canonical_key  # noqa: F401  (perfbench traces it under this name)
 from .errors import BadParameterError, CheckpointCorruptError, parsing
 from .family import ProductMatrix
+from .linalg import int_field
 
 MAX_DIM = kernel.MAX_DIM
 
@@ -87,7 +87,7 @@ class Catalog:
                 continue
             with parsing("catalog line"):
                 obj = json.loads(line)
-                line_d, key = index(obj["d"]), bytes.fromhex(obj["key"])
+                line_d, key = int_field(obj["d"]), bytes.fromhex(obj["key"])
                 shape = {"rows": obj["size_a"], "cols": obj["size_b"], "bits": obj["matrix"]}
             mat = ProductMatrix.from_json(shape)
             d = line_d if d is None else d
@@ -152,12 +152,12 @@ def _checkpoint_read(path: str, d: int, top_count: int) -> tuple[set[int], dict[
     try:
         with open(path, encoding="ascii") as fh:
             payload = json.load(fh)
-        if payload["d"] != d or payload["top_count"] != top_count:
+        if int_field(payload["d"]) != d or int_field(payload["top_count"]) != top_count:
             raise CheckpointCorruptError(
                 f"checkpoint is for d={payload.get('d')}, top={payload.get('top_count')}"
             )
-        done = set(payload["done_branches"])
-        partial = {bytes.fromhex(h): int(m) for h, m in payload["partial_keys"]}
+        done = set(map(int_field, payload["done_branches"]))
+        partial = {bytes.fromhex(h): int_field(m) for h, m in payload["partial_keys"]}
         if not all(0 <= b < (1 << top_count) for b in done):
             raise CheckpointCorruptError("branch index out of range")
     except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -57,12 +57,12 @@ class MalformedInputError(BspError):
 
 @contextmanager
 def parsing(what: str):
-    """Report a missing key or a mistyped value met while reading the
-    fields of ``what`` from a decoded JSON document as a
-    MalformedInputError."""
+    """Report a missing key, a mistyped value or a vector of the wrong
+    length met while reading the fields of ``what`` from a decoded JSON
+    document as a MalformedInputError."""
     try:
         yield
     except KeyError as exc:
         raise MalformedInputError(f"{what}: missing key {exc}") from None
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, DimensionMismatchError) as exc:
         raise MalformedInputError(f"{what}: {exc}") from None

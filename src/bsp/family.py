@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
-from operator import add, index
+from operator import add
 from typing import Iterable, NamedTuple
 
 from . import linalg
@@ -34,6 +35,7 @@ from .linalg import (
     det_adjugate,
     independent_rows,
     int_dot,
+    int_field,
     int_rows,
     rank,
     vec,
@@ -69,7 +71,7 @@ class VectorFamily:
         """The family {row / den}; ``den`` is any nonzero int, and the
         rows and ``den`` are divided by their common gcd."""
         rows = set(rows)
-        g = gcd(den, *(x for r in rows for x in r))
+        g = gcd(den, *chain.from_iterable(rows))
         if den < 0:
             g = -g
         if g != 1:
@@ -103,7 +105,7 @@ class VectorFamily:
     @classmethod
     def from_json(cls, obj: dict) -> "VectorFamily":
         with parsing("family"):
-            return cls.of(index(obj["d"]), obj["vectors"])
+            return cls.of(int_field(obj["d"]), obj["vectors"])
 
 
 class Violation(NamedTuple):
@@ -165,7 +167,7 @@ class BspPair:
     @classmethod
     def from_json(cls, obj: dict) -> "BspPair":
         with parsing("pair"):
-            d = index(obj["d"])
+            d = int_field(obj["d"])
             a = VectorFamily.of(d, obj["a"]["vectors"])
             b = VectorFamily.of(d, obj["b"]["vectors"])
         pair = cls(d, a, b)
@@ -242,7 +244,7 @@ class ProductMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "ProductMatrix":
         with parsing("product matrix"):
-            m, n, bits = index(obj["rows"]), index(obj["cols"]), tuple(obj["bits"])
+            m, n, bits = int_field(obj["rows"]), int_field(obj["cols"]), tuple(obj["bits"])
             if len(bits) != m or any(len(r) != n for r in bits):
                 raise ValueError("inconsistent matrix dimensions")
             if any(c not in "01" for r in bits for c in r):

@@ -5,9 +5,10 @@ Vectors are plain tuples of ``fractions.Fraction`` or of ints; matrices
 are sequences of row tuples.  Everything here is exact: no floating point
 is allowed anywhere near a predicate.  Input coordinates are read by
 :func:`coord`, which keeps integral input as ints and makes a Fraction
-only of genuinely rational input.  :func:`int_rows` scales rational
-vectors to integer rows over their least common denominator, the form in
-which :class:`bsp.family.VectorFamily` stores a family, and
+only of genuinely rational input, and integer fields such as a dimension
+by :func:`int_field`, which refuses a bool.  :func:`int_rows` scales
+rational vectors to integer rows over their least common denominator, the
+form in which :class:`bsp.family.VectorFamily` stores a family, and
 :func:`vec_over` turns a row back into Fractions for printing.  Every
 rank and basis question goes through :func:`independent_rows`, a
 fraction-free greedy echelon on integer rows, and :func:`det_adjugate`
@@ -43,17 +44,33 @@ def coord(value) -> int | Fraction:
         try:
             return int(value)
         except ValueError:
+            pass
+        try:
+            # int refuses the separators \x1c-\x1f around a numeral, which
+            # str.strip and Fraction take for whitespace
+            return int(value.strip())
+        except ValueError:
             return Fraction(value)
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def int_field(value) -> int:
+    """One integer field of an input document, such as a dimension or a
+    size: an int, where a bool (JSON true/false) or any other type raises
+    TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"not an integer: {value!r}")
+    return operator.index(value)
+
+
 def coords(v: Iterable) -> tuple[int | Fraction, ...]:
     """The coordinates of one input vector, each read by :func:`coord`.
-    A str or bytes is not a vector (TypeError): read character by
-    character, "01" would pass for the point (0, 1)."""
-    if isinstance(v, (str, bytes)):
+    A str, bytes or dict (a JSON object) is not a vector (TypeError): read
+    character by character, "01" would pass for the point (0, 1), and read
+    key by key, {"0": "x", "1": "y"} would too."""
+    if isinstance(v, (str, bytes, dict)):
         raise TypeError(f"not a vector: {v!r}")
     return tuple(map(coord, v))
 

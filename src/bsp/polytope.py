@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import index
 from typing import Sequence
 
 from . import kernel
@@ -35,6 +34,7 @@ from .linalg import (
     coords,
     format_rat,
     int_dot,
+    int_field,
     int_rows,
     neg,
     rank,
@@ -100,7 +100,7 @@ class Polytope2L:
     @classmethod
     def from_json(cls, obj: dict) -> "Polytope2L":
         with parsing("polytope"):
-            d, verts = index(obj["d"]), obj["vertices"]
+            d, verts = int_field(obj["d"]), obj["vertices"]
         return polytope_from_vertices(d, verts)
 
 

@@ -151,11 +151,16 @@ PAIR_WITH_A = '{"d": 2, "a": {"d": 2, "vectors": %s}, "b": {"d": 2, "vectors": [
      "MalformedInputError"),
     (["verify-pair"], PAIR_WITH_A % '[[false, false], [true, false], [false, true]]',
      "MalformedInputError"),
+    (["polytope", "check"], '{"d": 1, "vertices": [{"0": "x"}, {"1": "y"}]}',
+     "MalformedInputError"),
+    (["polytope", "check"], '{"d": true, "vertices": [[0], [1]]}', "MalformedInputError"),
+    (["verify-pair"], PAIR_WITH_A % '[[0, 0], [1, 0, 0], [0, 1]]', "MalformedInputError"),
 ], ids=["polytope-missing", "polytope-float", "polytope-d0", "polytope-empty",
         "verify-pair", "conjecture-slack",
         "conjecture-catalog", "stats", "stats-not-json", "audit", "audit-shape", "enumerate-checkpoint",
         "stats-reference", "polytope-string-vertices", "polytope-string-vertex-list",
-        "verify-pair-string-vectors", "polytope-bool", "verify-pair-bool"])
+        "verify-pair-string-vectors", "polytope-bool", "verify-pair-bool",
+        "polytope-mapping-vertices", "polytope-bool-d", "verify-pair-wrong-length"])
 def test_malformed_input_file_is_exit_1(tmp_path, capsys, argv, text, error):
     if "CATALOG" in argv:
         cat = tmp_path / "cat2.jsonl"

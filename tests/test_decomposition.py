@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from bsp.cli import main
 from bsp.constructions import construct_example
 from bsp.decomposition import (
+    AuditItem,
+    AuditReport,
     CounterexampleFound,
     DecompositionError,
     audit,
@@ -66,6 +69,28 @@ def project_onto_span(x: Vec, spanning: list[Vec]) -> Vec:
     return y
 
 
+def _fraction_rank(vectors) -> int:
+    """Rank by Gaussian elimination on Fractions, apart from the integer
+    echelon of :mod:`bsp.linalg`."""
+    rows = [list(v) for v in vectors]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def _ref_affine_dim(points) -> int:
+    points = list(points)
+    return _fraction_rank([sub(p, points[0]) for p in points[1:]]) if points else -1
+
+
 def _ref_split(a_vectors, b_d):
     a0 = [a for a in a_vectors if dot(a, b_d) == 0]
     a1 = [a for a in a_vectors if dot(a, b_d) == 1]
@@ -75,7 +100,7 @@ def _ref_split(a_vectors, b_d):
 
 def _ref_bd_value(p, b):
     a0, a1 = _ref_split(p.family_a.vectors, b)
-    return max(affine_dim(a0), affine_dim(a1))
+    return max(_ref_affine_dim(a0), _ref_affine_dim(a1))
 
 
 def _ref_tied(p):
@@ -142,11 +167,42 @@ def _ref_decompose(p, b_d):
         "b_star": {v[0] for v in fibers.values() if len(v) == 1},
         "b0": b0,
         "b1": b1,
-        "u0_dim": affine_dim(a0),
+        "u0_dim": _ref_affine_dim(a0),
         "pi_b": set(fibers),
         "tau_pi_b": {project_onto_span(y, a0) for y in fibers},
         "max_fiber": max(len(v) for v in fibers.values()),
     }
+
+
+def _ref_audit(d: int, ref: dict) -> AuditReport:
+    """Every claim of :func:`audit` from the fields of :func:`_ref_decompose`,
+    each dimension by Fraction elimination."""
+    na, nb, na0, na1, nb0, nb1, nbs, npi, ntau = (len(ref[k]) for k in (
+        "family_a", "family_b", "a0", "a1", "b0", "b1", "b_star", "pi_b", "tau_pi_b"))
+    u0 = ref["u0_dim"]
+    dim_a0, dim_a1 = (max(_ref_affine_dim(ref[k]), 0) for k in ("a0", "a1"))
+    dim_b0, dim_b1 = (_fraction_rank(ref[k]) for k in ("b0", "b1"))
+    claims = [
+        ("claim2-max-preimages", ref["max_fiber"], 2),
+        ("partition-identity", nb, 2 * npi - nbs),
+        ("inequality0", na * nb, 2 * na0 * npi + na1 * (nb0 + nb1)),
+        ("claim3-projection-count", npi, 2 ** (d - 1 - u0) * ntau),
+        ("claim5-side0", na0 * nb0, 2 ** d),
+        ("claim5-side1", na1 * nb1, 2 ** d),
+        ("eq8-side1", na1 * nb1, 2 ** d),
+        ("eq8-side0-strengthened", na0 * (nb0 + 2), 2 ** d),
+        ("inequality1", na * nb, (u0 + 1) * 2 ** d + na0 * nb0 + na1 * nb1),
+        ("size-bound-a0", na0, 2 ** dim_a0),
+        ("size-bound-a1", na1, 2 ** dim_a1),
+        ("size-bound-b0", nb0, 2 ** dim_b0),
+        ("size-bound-b1", nb1, 2 ** dim_b1),
+        ("dim-sum-side0", dim_a0 + dim_b0, d),
+        ("dim-sum-side1", dim_a1 + dim_b1, d),
+    ]
+    return AuditReport(tuple(
+        AuditItem(name, lhs, rhs, lhs == rhs if name == "partition-identity" else lhs <= rhs)
+        for name, lhs, rhs in claims
+    ))
 
 
 def _fields(dec):
@@ -164,17 +220,27 @@ def _fields(dec):
     return out
 
 
-def _assert_matches_reference(p) -> int:
-    """decompose equals the Fraction reference, field by field, for every
-    tied b_d; returns the number of tied choices."""
+def _assert_matches_reference(p) -> Counter:
+    """decompose equals the Fraction reference field by field, and
+    audit_pair equals both the audit of each decompose and the reference
+    audit claim by claim, for every tied b_d.  Counts the tied choices and
+    those whose normalization translates A or flips members of B."""
     tied = tied_bd_choices(p)
     assert tied == _ref_tied(p)
+    seen = Counter()
+    audits = []
     for b_d in tied:
         assert all(type(c) is Fraction for c in b_d)
         dec = decompose(p, b_d)
         assert dec.b_d == dec.pair.b_d
-        assert _fields(dec) == _ref_decompose(p, b_d), b_d
-    return len(tied)
+        ref = _ref_decompose(p, b_d)
+        assert _fields(dec) == ref, b_d
+        rep = audit(dec)
+        assert rep == _ref_audit(p.dim, ref), b_d
+        audits.append((b_d, rep))
+        seen.update(choices=1, translated=ref["translated"], flipped=ref["flipped"] > 0)
+    assert audit_pair(p) == audits
+    return seen
 
 
 def cube_pair_d2():
@@ -313,6 +379,15 @@ def test_decompose_rejects_foreign_bd():
         normalize(cube_pair_d2(), vec((7, 7)))
 
 
+def test_decompose_rejects_zero_bd_and_non_binary_products():
+    with pytest.raises(DecompositionError, match="orthogonal"):
+        decompose(cube_pair_d2(), vec((0, 0)))
+    two = BspPair(2, VectorFamily.of(2, [(0, 0), (2, 0), (0, 1)]), cube_pair_d2().family_b)
+    for run in (audit_pair, tied_bd_choices, lambda p: decompose(p, vec((0, 1)))):
+        with pytest.raises(DecompositionError, match="product 2 "):
+            run(two)
+
+
 def test_lemslice_exhaustive_small():
     r1 = check_lemslice(1)
     assert r1.mode == "exhaustive" and r1.checked > 0
@@ -357,22 +432,24 @@ def _catalog_pairs(d_max: int) -> list[BspPair]:
 
 
 def test_decompose_matches_reference_on_catalogs():
-    pairs = choices = 0
+    pairs, seen = 0, Counter()
     for pair in _catalog_pairs(4):
         for oriented in (pair, pair.transposed()):
-            choices += _assert_matches_reference(oriented)
+            seen += _assert_matches_reference(oriented)
             pairs += 1
-    assert (pairs, choices) == (42, 242)
+    assert (pairs, seen["choices"]) == (42, 242)
+    assert (seen["translated"], seen["flipped"]) == (59, 61)
 
 
 def test_decompose_matches_reference_on_closed_examples():
-    choices = 0
+    seen = Counter()
     for kind in ("example3", "example4"):
         for d in (2, 3, 4):
             closed = close_pair(construct_example(kind, d).family_b)
-            choices += _assert_matches_reference(closed)
-            choices += _assert_matches_reference(closed.transposed())
-    assert choices == 55
+            seen += _assert_matches_reference(closed)
+            seen += _assert_matches_reference(closed.transposed())
+    assert seen["choices"] == 55
+    assert (seen["translated"], seen["flipped"]) == (11, 11)
 
 
 def _image(v: Vec, rows: list[Vec]) -> Vec:
@@ -404,13 +481,32 @@ def _rational_image(pair: BspPair, rng: random.Random) -> BspPair:
 
 def test_decompose_matches_reference_on_rational_images():
     rng = random.Random(7)
-    choices = 0
+    seen = Counter()
     for pair in _catalog_pairs(4):
         if pair.dim > 1:
             image = _rational_image(pair, rng)
-            choices += _assert_matches_reference(image)
-            choices += _assert_matches_reference(image.transposed())
-    assert choices == 240
+            seen += _assert_matches_reference(image)
+            seen += _assert_matches_reference(image.transposed())
+    assert seen["choices"] == 240
+    assert (seen["translated"], seen["flipped"]) == (59, 61)
+
+
+def test_audit_pair_builds_fractions_only_for_the_returned_bd(monkeypatch):
+    """Each tied choice costs d Fractions, the b_d handed back; the
+    product matrix, normalization, fibers and ranks run on ints."""
+    pairs = [q for p in _catalog_pairs(4) if p.dim == 4 for q in (p, p.transposed())]
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for pair in pairs:
+        made.clear()
+        results = audit_pair(pair)
+        assert 0 < len(made) <= 4 * len(results)
 
 
 def test_audit_catalog_d4_output_is_pinned(tmp_path, capsys):

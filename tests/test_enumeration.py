@@ -152,6 +152,13 @@ def test_checkpoint_corrupt(tmp_path):
                                   "partial_keys": [["00", mask]]}), encoding="ascii")
         with pytest.raises(CheckpointCorruptError):
             enumerate_catalog(3, checkpoint_path=str(ck))
+    # integer fields are JSON ints: true and 1.0 would pass for 1
+    for d, payload in ((4, {"d": 4, "top_count": 4, "done_branches": [True]}),
+                       (4, {"d": 4, "top_count": 4, "done_branches": [1.0]}),
+                       (1, {"d": True, "top_count": 0, "done_branches": []})):
+        ck.write_text(json.dumps({**payload, "partial_keys": []}), encoding="ascii")
+        with pytest.raises(CheckpointCorruptError):
+            enumerate_catalog(d, checkpoint_path=str(ck))
 
 
 def test_stats_achievable_and_figure_points():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bsp.errors import MalformedInputError, SingularBasisError, parsing
@@ -14,6 +14,7 @@ from bsp.linalg import (
     dual_basis,
     format_rat,
     independent_rows,
+    int_field,
     int_rows,
     rank,
     rat,
@@ -92,6 +93,7 @@ NUMERALS = st.from_regex(
 
 
 @given(st.one_of(st.integers(), st.fractions(), NUMERALS, st.text(max_size=6)))
+@example("0\x1f")
 def test_coord_reads_what_fraction_reads(x):
     """coord agrees with Fraction on every input Fraction reads, as an int
     exactly for ints and integer strings, and fails wherever Fraction
@@ -122,6 +124,23 @@ def test_a_string_is_not_a_vector(v):
     for read in (coords, vec):
         with pytest.raises(MalformedInputError), parsing("vector"):
             read(v)
+
+
+def test_a_mapping_is_not_a_vector():
+    # iterated, the mapping would read as its keys, the point (0, 1)
+    for read in (coords, vec):
+        with pytest.raises(MalformedInputError), parsing("vector"):
+            read({"0": "x", "1": "y"})
+
+
+@pytest.mark.parametrize("x", [True, False, 1.0, "2", None])
+def test_int_field_rejects_bools_and_other_types(x):
+    with pytest.raises(MalformedInputError), parsing("field"):
+        int_field(x)
+
+
+def test_int_field_reads_ints():
+    assert [int_field(x) for x in (0, 4, -1)] == [0, 4, -1]
 
 
 def test_coords_keep_integral_input_as_ints():
