@@ -13,19 +13,26 @@ member of every family and is never stored.
 
 Closure of a set S, in both kernels.  B is the greedy basis of S (again
 and again, the lowest point of S outside the span of the points picked
-so far), r = |B|, and M is B followed by the unit vectors that complete
-it to a basis of R^d.  With D = det(M), D times the coordinates of a
-point y in the rows of M is w(y) = sum over set bits j of y of row j of
-adj(M), all integers.  A pattern sigma, a subset of the basis positions
-0..r-1, stands for the partner vector a with <a, b_i> = [i in sigma] and
-<a, e> = 0 on the completing unit vectors; then D <a, y> = t(y, sigma) =
-sum over i in sigma of w_i(y).  Each basis has bitsets over the 2^r
-patterns for each point y of its span (w_i(y) = 0 for i >= r): ok[y]
-holds the sigma with t(y, sigma) in {0, D}, one[y] those with
-t(y, sigma) = D.  The valid patterns are the AND of ok[m] over the
-members m of S, the closure is every span point y with
-ok[y] & valid == valid, and the product-matrix rows are one[m] & valid,
-read column by column.
+so far), r = |B|, and M is B followed by unit vectors that complete it
+to a basis of R^d.  With integer linear forms phi_0..phi_{d-1} and a
+denominator D with phi_i(m_j) = D [i = j] on the rows m_j of M, D times
+the coordinates of a point y in the rows of M is w(y) = (phi_i(y))_i.
+A pattern sigma, a subset of the basis positions 0..r-1, stands for the
+partner vector a with <a, b_i> = [i in sigma] and <a, e> = 0 on the
+completing unit vectors; then D <a, y> = t(y, sigma) = sum over i in
+sigma of w_i(y).  Each basis has bitsets over the 2^r patterns for each
+point y of its span (w_i(y) = 0 for i >= r): ok[y] holds the sigma with
+t(y, sigma) in {0, D}, one[y] those with t(y, sigma) = D.  The valid
+patterns are the AND of ok[m] over the members m of S, the closure is
+every span point y with ok[y] & valid == valid, and the product-matrix
+rows are one[m] & valid, read column by column.  On the span, neither
+the choice of unit vectors nor the scale of D changes the tables.  C
+takes D = +-det(M) and phi_i = column i of adj(M) per closure; the twin
+carries D > 0 and the phi along the greedy basis from M = I, D = 1: the
+next point p takes the place of the first unit row e_k with phi_k(p) =
+v != 0 by an integer rank-one update (Sherman & Morrison 1950), phi_i
+<- v phi_i - phi_i(p) phi_k (i != k), phi_k <- D phi_k, D <- D v, all
+divided by their gcd.  A prefix spans where phi_r..phi_{d-1} vanish.
 
 Each lectic set is closed once.  :func:`enum_branch` takes the rank and
 the product-matrix rows of every closed set from the closure data of the
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 from array import array
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 from operator import and_, mul
 
@@ -60,7 +67,7 @@ BACKEND = "python"
 # every cache below is emptied when it reaches this many entries
 _MAX_CACHED_BASES = 60000
 _tables_cache: dict = {}  # basis bitset << 3 | d -> _BasisTables
-_span_cache: dict = {}  # basis prefix bitset << 3 | d -> (span bitset, linear forms)
+_span_cache: dict = {}  # basis prefix bitset << 3 | d -> (span bitset, D, phi_0 .. phi_{d-1})
 _patterns_cache: dict = {}  # (D, w restricted to the basis) -> (ok, one)
 _forms_cache: dict = {}  # sorted rows joined by commas -> heuristic form
 CACHES = {"tables": _tables_cache, "span": _span_cache, "patterns": _patterns_cache,
@@ -71,7 +78,7 @@ _SELECT = bytes.maketrans(b"01", b"\0\1")
 # per d: the narrowest array type for a cube bitset; the empty basis's span
 _POINTS_TYPE = [next(c for c in "BHILQ" if array(c).itemsize * 8 >= 1 << d)
                 for d in range(MAX_DIM + 1)]
-_NO_BASIS = [(1, [[int(i == j) for j in range(d)] for i in range(d)])
+_NO_BASIS = [(1, 1, *(int(i == j) for i in range(d) for j in range(d)))
              for d in range(MAX_DIM + 1)]
 
 
@@ -111,13 +118,20 @@ def _flags(x: int) -> bytes:
     return bin(x)[:1:-1].encode().translate(_SELECT)
 
 
+def _values(f) -> list[int]:
+    """The linear form with coefficients f at every cube point, indexed
+    by the point's bitset (the subset sums of f)."""
+    vals = [0]
+    for c in f:
+        vals += [v + c for v in vals]
+    return vals
+
+
 def _patterns(det: int, w: tuple[int, ...]) -> tuple[int, str]:
-    """(ok, one) of a point with this w on a basis with this det: ok as a
+    """(ok, one) of a point with this w on a basis with this D: ok as a
     bitset, one as a '0'/'1' string indexed by sigma."""
     if (hit := _patterns_cache.get(key := (det, w))) is None:
-        t = [0]  # t[sigma] = sum over set bits i of sigma of w[i]
-        for wi in w:
-            t += [x + wi for x in t]
+        t = _values(w)  # t[sigma] = sum over set bits i of sigma of w[i]
         ok = int("".join("1" if x in (0, det) else "0" for x in reversed(t)), 2)
         hit = _remember(_patterns_cache, key, (ok, "".join("1" if x == det else "0" for x in t)))
     return hit
@@ -125,78 +139,61 @@ def _patterns(det: int, w: tuple[int, ...]) -> tuple[int, str]:
 
 class _BasisTables:
     """What closures on one greedy basis need (see the module docstring):
-    its cache ``key``, ``det`` = D, ``rank`` = r, ``ok`` and ``one`` by
-    cube point (0 and zeros off the span of B; ``ok[0]`` holds every
-    pattern) and ``pts`` (bit y of pts[sigma] is bit sigma of ok[y]; None
-    until :func:`_closure_data` first needs it)."""
+    its cache ``key``, ``det`` = D (the denominator carried in its span
+    cache entry), ``rank`` = r, ``ok`` and ``one`` by cube point (0 and
+    zeros off the span of B; ``ok[0]`` holds every pattern) and ``pts``
+    (bit y of pts[sigma] is bit sigma of ok[y]; None until
+    :func:`_closure_data` first needs it)."""
 
     __slots__ = ("key", "det", "rank", "ok", "one", "pts")
 
-    def __init__(self, d: int, key: int, helpers: list[int]):
-        basis = [y for y in range(1 << d) if (key >> 3 >> y) & 1]
-        rows = [[(m >> i) & 1 for i in range(d)] for m in basis]
-        rows += [[int(i == h) for i in range(d)] for h in helpers]
-        r = self.rank = len(basis)
-        self.det, adj = det_adjugate(rows)
-        self.key, self.pts = key, None
-        origin = _patterns(self.det, (0,) * r)
+    def __init__(self, d: int, key: int, entry: tuple[int, ...]):
+        r = self.rank = (key >> 3).bit_count()
+        span, det = entry[:2]
+        self.key, self.det, self.pts = key, det, None
+        origin = _patterns(det, (0,) * r)
         self.ok = [origin[0]] + [0] * ((1 << d) - 1)
         self.one = [origin[1]] * (1 << d)
-        w = [[0] * d]
-        for y in range(1, 1 << d):
-            low = y & -y
-            w.append([a + b for a, b in zip(w[y ^ low], adj[low.bit_length() - 1])])
-            if not any(w[y][r:]):
-                self.ok[y], self.one[y] = _patterns(self.det, tuple(w[y][:r]))
+        at = _flags(span & ~1)
+        w = zip(*[compress(_values(entry[i:i + d]), at) for i in range(2, 2 + r * d, d)])
+        for y, wy in zip(compress(range(1 << d), at), w):
+            self.ok[y], self.one[y] = _patterns(det, wy)
 
 
-def _annihilate(d: int, forms: list[list[int]], y: int) -> list[list[int]] | None:
-    """Primitive integer linear forms spanning those that vanish on U and
-    on the cube point y, given ``forms`` spanning those that vanish on U;
-    None when y is in U."""
-    vals = [sum(f[j] for j in range(d) if (y >> j) & 1) for f in forms]
-    k = next((k for k, v in enumerate(vals) if v), None)
-    if k is None:
-        return None
-    out = []
-    for i, (f, v) in enumerate(zip(forms, vals)):
-        if i != k:
-            f = [vals[k] * a - v * b for a, b in zip(f, forms[k])]
-            g = gcd(*f)
-            out.append([a // g for a in f])
-    return out
+def _extend(d: int, key: int, entry: tuple[int, ...]) -> tuple[int, ...]:
+    """Span cache entry of the basis prefix with cache key ``key``, given
+    ``entry``, that of the prefix without its last point (see the module
+    docstring)."""
+    r, den, at_y = (key >> 3).bit_count(), entry[1], _flags((key >> 3).bit_length() - 1)
+    phi = [entry[i:i + d] for i in range(2, 2 + d * d, d)]
+    vals = [sum(compress(f, at_y)) for f in phi]
+    k = next(k for k in range(r - 1, d) if vals[k])
+    v, fk = vals.pop(k), phi.pop(k)
+    phi = [[v * a - x * b for a, b in zip(f, fk)] for f, x in zip(phi, vals)]
+    phi.insert(r - 1, [den * b for b in fk])
+    den *= v
+    flat = list(chain(*phi))
+    if (g := gcd(den, *flat) * (1 if den > 0 else -1)) != 1:
+        den //= g
+        flat = [c // g for c in flat]
+    span = (1 << (1 << d)) - 1
+    for f in phi[r:]:
+        span &= int("".join("0" if x else "1" for x in reversed(_values(f))), 2)
+    return (span, den, *flat)
 
 
 def _basis(d: int, sset: int, key: int) -> tuple[_BasisTables, int]:
     """Tables of the greedy basis of the cube points in sset (the origin
-    excluded) and its valid patterns.  The basis is found from the cached
-    span of each of its prefixes, from the one with cache key ``key`` on
-    (``d`` for the empty one)."""
+    excluded) and its valid patterns.  The basis is walked point by point
+    through the span cache entry of each of its prefixes, from the one
+    with cache key ``key`` on (``d`` for the empty one); a missing entry
+    is extended from the one before."""
     if (hit := _span_cache.get(key)) is None:
         key, hit = d, _NO_BASIS[d]
-    span, forms = hit
-    while rest := sset & ~span:
-        low = rest & -rest
-        key += low << 3
-        hit = _span_cache.get(key)
-        if hit is None:
-            forms = _annihilate(d, forms, low.bit_length() - 1)
-            span = (1 << (1 << d)) - 1
-            for f in forms:
-                vals = [0]  # vals[x] = f(x) for every cube point x
-                for c in f:
-                    vals += [v + c for v in vals]
-                span &= sum(1 << x for x, v in enumerate(vals) if not v)
-            hit = _remember(_span_cache, key, (span, forms))
-        span, forms = hit
-    tab = _tables_cache.get(key)
-    if tab is None:
-        helpers = []
-        for i in range(d):
-            if (cut := _annihilate(d, forms, 1 << i)) is not None:
-                helpers.append(i)
-                forms = cut
-        tab = _remember(_tables_cache, key, _BasisTables(d, key, helpers))
+    while rest := sset & ~hit[0]:
+        key += (rest & -rest) << 3
+        hit = _span_cache.get(key) or _remember(_span_cache, key, _extend(d, key, hit))
+    tab = _tables_cache.get(key) or _remember(_tables_cache, key, _BasisTables(d, key, hit))
     return tab, reduce(and_, compress(tab.ok, _flags(sset)), tab.ok[0])
 
 

@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--dim", type=int, required=True)
     p.add_argument("--out", help="catalog JSONL path (default stdout)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default 1)")
+                   help="worker processes (default 1; at most one per branch)")
     p.add_argument("--checkpoint", help="checkpoint JSON path (resume if present)")
     p.set_defaults(func=cmd_enumerate)
 

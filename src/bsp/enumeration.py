@@ -19,6 +19,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from importlib import resources
+from time import monotonic
 
 from . import kernel
 from .canon import canonical_from_key, rows_key
@@ -181,10 +182,16 @@ def enumerate_catalog(
 ) -> Catalog:
     """Catalog of all closed spanning pairs in dimension d, one class per
     isomorphism type (up to transpose).  Deterministic: the result is
-    independent of the worker count and of the kernel backend."""
+    independent of the worker count and of the kernel backend.
+
+    ``workers`` (default 1) caps the worker processes; no more are started
+    than there are branches left to run.  ``progress`` receives one line
+    per finished branch, with the elapsed seconds and an ETA from the mean
+    time per branch finished in this call."""
     if not 1 <= d <= MAX_DIM:
         raise BadParameterError(f"d must be in [1, {MAX_DIM}]")
-    nworkers = max(1, workers or 1)
+    if workers is not None and workers < 1:
+        raise BadParameterError(f"workers must be at least 1, got {workers}")
     top_count = branch_split(d)
     nbranches = 1 << top_count
 
@@ -194,7 +201,9 @@ def enumerate_catalog(
         done, merged = _checkpoint_read(checkpoint_path, d, top_count)
     args = [(d, top_count, p) for p in range(nbranches) if p not in done]
 
-    parallel = nworkers > 1 and len(args) > 1
+    nworkers = min(workers or 1, len(args))
+    parallel = nworkers > 1
+    start, resumed = monotonic(), len(done)
     with multiprocessing.Pool(nworkers) if parallel else contextlib.nullcontext() as pool:
         run = pool.imap_unordered if parallel else map
         for p_index, visited, spanning, items in run(_run_branch, args):
@@ -206,8 +215,11 @@ def enumerate_catalog(
             if checkpoint_path:
                 _checkpoint_write(checkpoint_path, d, top_count, done, merged)
             if progress:
+                elapsed = monotonic() - start
+                eta = elapsed / (len(done) - resumed) * (nbranches - len(done))
                 progress(f"branch {len(done)}/{nbranches} done "
-                         f"({visited} closed, {spanning} spanning)")
+                         f"({visited} closed, {spanning} spanning), "
+                         f"{elapsed:.1f} s elapsed, ETA {eta:.1f} s")
 
         forms = [(d, mask) for mask in merged.values()]
         if parallel and len(forms) > 1000:

@@ -262,6 +262,7 @@ def test_json_artifacts_reparse(tmp_path, capsys):
 def test_usage_error_is_exit_1_not_2(capsys):
     assert main(["totally-bogus-command"]) == 1
     assert main(["enumerate"]) == 1  # missing required -d
+    assert main(["enumerate", "-d", "2", "--workers", "0"]) == 1
     assert main(["--help"]) == 0
 
 

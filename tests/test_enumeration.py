@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -14,7 +16,8 @@ from bsp.enumeration import (
     stats,
     verify_against_reference,
 )
-from bsp.errors import CheckpointCorruptError
+from bsp import enumeration
+from bsp.errors import BadParameterError, CheckpointCorruptError
 from bsp.kernel import enum_branch
 from bsp.family import (
     closure,
@@ -115,23 +118,83 @@ def test_worker_count_does_not_change_output():
     assert c1.to_jsonl() == c2.to_jsonl()
 
 
+class _RecordingPool:
+    """Stands in for ``multiprocessing.Pool``: records the requested size
+    and runs everything in this process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, args):
+        return map(fn, args)
+
+    def map(self, fn, args, chunksize=1):
+        return list(map(fn, args))
+
+
+def _partial_checkpoint(path, d, branches):
+    """Write the checkpoint of a run that has finished ``branches``."""
+    top = branch_split(d)
+    partial = {}
+    for p in branches:
+        for hb, mask in enum_branch(d, top, p)[2]:
+            if partial.get(hb, mask) >= mask:
+                partial[hb] = mask
+    enumeration._checkpoint_write(path, d, top, set(branches), partial)
+
+
+def test_worker_pool_is_bounded_by_pending_branches(tmp_path, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    text = enumerate_catalog(4, workers=100000).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+    ck = str(tmp_path / "ck.json")
+    _partial_checkpoint(ck, 4, range(3))
+    assert enumerate_catalog(4, workers=100000, checkpoint_path=ck).to_jsonl() == text
+    assert enumerate_catalog(4, workers=2).to_jsonl() == text
+    for workers in (None, 1):
+        assert enumerate_catalog(4, workers=workers).to_jsonl() == text
+    enumerate_catalog(3, workers=3)  # one branch: no pool
+    assert _RecordingPool.sizes == [16, 13, 2]
+    for workers in (0, -3):
+        with pytest.raises(BadParameterError, match="workers"):
+            enumerate_catalog(3, workers=workers)
+    assert _RecordingPool.sizes == [16, 13, 2]
+
+
+def test_progress_lines_report_elapsed_time_and_eta(tmp_path, monkeypatch):
+    """With a clock that advances 2 s per reading, branch k of 16 reports
+    2k s elapsed and 2 (16 - k) s left; a resumed run times only the
+    branches it runs itself."""
+    top = branch_split(4)
+    counts = [enum_branch(4, top, p)[:2] for p in range(1 << top)]
+    for resumed in (0, 3):
+        ck = str(tmp_path / "ck.json")
+        if resumed:
+            _partial_checkpoint(ck, 4, range(resumed))
+        monkeypatch.setattr(enumeration, "monotonic", itertools.count(100.0, 2.0).__next__)
+        lines = []
+        text = enumerate_catalog(4, checkpoint_path=ck, progress=lines.append).to_jsonl()
+        assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+        assert lines == [
+            f"branch {k}/16 done ({counts[k - 1][0]} closed, {counts[k - 1][1]} spanning), "
+            f"{2 * (k - resumed):.1f} s elapsed, ETA {2 * (16 - k):.1f} s"
+            for k in range(resumed + 1, 17)
+        ]
+
+
 def test_checkpoint_resume(tmp_path):
     ck = str(tmp_path / "ck.json")
     full = enumerate_catalog(4)
-    # simulate a partial run: do a few branches by hand, write checkpoint
-    from bsp.enumeration import _checkpoint_write
-
-    top = branch_split(4)
-    partial = {}
-    done = set()
-    for p in range(3):
-        _, _, items = enum_branch(4, top, p)
-        for hb, mask in items:
-            prev = partial.get(hb)
-            if prev is None or mask < prev:
-                partial[hb] = mask
-        done.add(p)
-    _checkpoint_write(ck, 4, top, done, partial)
+    _partial_checkpoint(ck, 4, range(3))
     resumed = enumerate_catalog(4, checkpoint_path=ck)
     assert resumed.to_jsonl() == full.to_jsonl()
     assert not os.path.exists(ck)  # consumed on completion

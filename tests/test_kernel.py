@@ -15,6 +15,7 @@ import pytest
 import bsp
 from bsp import enumeration, kernel
 from bsp.family import a_max, closure, family_from_masks
+from bsp.linalg import det_adjugate, independent_rows
 from test_enumeration import D4_SHA256
 from test_polytope import brute_force_facets
 
@@ -145,6 +146,64 @@ def test_python_kernel_caches_cleared_when_full(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
     assert [got[p] for p in range(16)] == expected
     assert max(len(cache) for cache in kp.CACHES.values()) <= 2
+
+
+def _tables_from_scratch(d, key):
+    """(rank, ok, one, pts) of the greedy basis with cache key ``key``,
+    rebuilt from det(M) and adj(M) of the basis followed by the unit
+    vectors that complete it (the module docstring of the twin)."""
+    basis = [y for y in range(1 << d) if (key >> 3 >> y) & 1]
+    r = len(basis)
+    rows = [[(y >> i) & 1 for i in range(d)] for y in basis]
+    units = [[int(i == j) for j in range(d)] for i in range(d)]
+    rows += [units[i - r] for i in independent_rows(rows + units)[r:]]
+    det, adj = det_adjugate(rows)
+    ok, one = [], []
+    for y in range(1 << d):
+        w = [sum(adj[j][i] for j in range(d) if (y >> j) & 1) for i in range(d)]
+        t = [sum(w[i] for i in range(r) if (s >> i) & 1) for s in range(1 << r)]
+        span = not any(w[r:])
+        ok.append(sum(1 << s for s, x in enumerate(t) if span and x in (0, det)))
+        one.append("".join("1" if span and x == det else "0" for x in t))
+    pts = [sum(1 << y for y in range(1 << d) if (ok[y] >> s) & 1) for s in range(1 << r)]
+    return r, ok, one, pts
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_python_basis_tables_match_adjugate_oracle(monkeypatch, cap):
+    """Every table the twin builds while enumerating d=4 and closing
+    seeded random sets at d=5 and d=6 equals the one rebuilt from scratch;
+    with a cap of 2 entries, prefixes are evicted in the middle of a
+    greedy-basis walk."""
+    for cache in kp.CACHES.values():
+        cache.clear()
+    if cap:
+        monkeypatch.setattr(kp, "_MAX_CACHED_BASES", cap)
+    built = []
+    remember = kp._remember
+
+    def recording_remember(cache, key, value):
+        if cache is kp._tables_cache:
+            built.append(value)
+        return remember(cache, key, value)
+
+    monkeypatch.setattr(kp, "_remember", recording_remember)
+    for name in ("closure_and_rank", "pair_rows", "heuristic_form", "enum_branch"):
+        monkeypatch.setattr(kernel, name, getattr(kp, name))
+    enumeration.enumerate_catalog(4, workers=1)
+    rng = random.Random(31)
+    for d in (5, 6):
+        for _ in range(30):
+            kp.pair_rows(d, kp.closure_and_rank(d, _random_set(rng, d))[0])
+    with_pts = 0
+    for tab in built:
+        rank, ok, one, pts = _tables_from_scratch(tab.key & 7, tab.key)
+        assert (tab.rank, tab.ok, tab.one) == (rank, ok, one), tab.key
+        if tab.pts is not None:
+            with_pts += 1
+            assert list(tab.pts) == pts, tab.key
+    assert len({t.key for t in built}) > 1491  # the d=4 catalog's tables and more
+    assert with_pts >= len(built) // 2
 
 
 def test_kernel_rejects_out_of_range_input(impl):
