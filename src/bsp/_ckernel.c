@@ -14,9 +14,10 @@
  * ok[y] (t(y, sigma) in {0, D}) and one[y] (t(y, sigma) = D).  The
  * valid patterns are the AND of ok over the set, the closure is the span
  * points y with ok[y] & valid == valid, and the rows come from one.
- * Here the fraction-free Gauss-Jordan elimination of close_set gives
- * D = +-det(M) and inv = D M^-1, the same as bsp.linalg.det_adjugate up
- * to the sign; the tables are rebuilt on every call rather than cached.
+ * close_set walks the points of the set in ascending order from M = I,
+ * D = 1, and extend puts each one outside the span into M by the twin's
+ * update, divided by the previous D instead of a gcd so that D stays
+ * +-det(M).  The tables are rebuilt on every call rather than cached.
  *
  * All values are minors of 0/1 matrices of order <= 6 and their sums,
  * far inside int64.
@@ -37,20 +38,6 @@ typedef struct {
     uint64_t one[MAXP];         /* bit sigma of one[y]: t(y, sigma) = D */
 } closure_t;
 
-static int64_t gcd64(int64_t a, int64_t b)
-{
-    if (a < 0)
-        a = -a;
-    if (b < 0)
-        b = -b;
-    while (b) {
-        int64_t t = a % b;
-        a = b;
-        b = t;
-    }
-    return a;
-}
-
 static int lowest_bit(uint64_t x)
 {
     int i = 0;
@@ -59,97 +46,53 @@ static int lowest_bit(uint64_t x)
     return i;
 }
 
-/* Adds v to the echelon rows ech (each zero at the pivots of the rows
-   before it) when v is independent of them; returns whether it did. */
-static int echelon_add(int d, int64_t ech[MAXD][MAXD], int *piv, int *nech, const int64_t *v0)
+/* Puts point y in place of the first unit row k >= r of M with
+   phi_k(y) != 0 and moves that row to r, keeping phi_i(m_j) = D [i = j]:
+   phi_i <- (phi_k(y) phi_i - phi_i(y) phi_k) / D for i != k (an exact
+   division, as D = +-det(M) before and after), D <- phi_k(y).  Returns 0,
+   changing nothing, when y is in the span of the first r rows. */
+static int extend(int d, int r, int y, int64_t phi[MAXD][MAXD], int64_t *den)
 {
-    int64_t v[MAXD];
-    memcpy(v, v0, d * sizeof *v);
-    for (int k = 0; k < *nech; k++) {
-        int64_t a = ech[k][piv[k]], b = v[piv[k]], g = 0;
-        if (b == 0)
-            continue;
-        for (int j = 0; j < d; j++) {
-            v[j] = a * v[j] - b * ech[k][j];
-            g = gcd64(g, v[j]);
-        }
-        for (int j = 0; g > 1 && j < d; j++)
-            v[j] /= g;
+    int64_t v[MAXD], fk[MAXD];
+    int k = -1;
+    for (int i = 0; i < d; i++) {
+        v[i] = 0;
+        for (int j = 0; j < d; j++)
+            if ((y >> j) & 1)
+                v[i] += phi[i][j];
+        if (k < 0 && i >= r && v[i] != 0)
+            k = i;
     }
-    int p = 0;
-    while (p < d && v[p] == 0)
-        p++;
-    if (p == d)
+    if (k < 0)
         return 0;
-    piv[*nech] = p;
-    memcpy(ech[*nech], v, d * sizeof *v);
-    (*nech)++;
-    return 1;
-}
-
-/* The greedy basis of the points of sset (its first independent points
-   in ascending order) and then the unit vectors completing it, as the
-   rows of m; returns the number of basis points. */
-static int basis_rows(int d, uint64_t sset, int64_t m[MAXD][MAXD])
-{
-    int64_t ech[MAXD][MAXD];
-    int piv[MAXD], nech = 0, rank;
-    for (int y = 1; y < (1 << d) && nech < d; y++) {
-        if (!((sset >> y) & 1))
+    memcpy(fk, phi[k], sizeof fk);
+    for (int i = 0; i < d; i++) {
+        if (i == k)
             continue;
         for (int j = 0; j < d; j++)
-            m[nech][j] = (y >> j) & 1;
-        echelon_add(d, ech, piv, &nech, m[nech]);
+            phi[i][j] = (v[k] * phi[i][j] - v[i] * fk[j]) / *den;
     }
-    rank = nech;
-    for (int i = 0; i < d && nech < d; i++) {
-        for (int j = 0; j < d; j++)
-            m[nech][j] = i == j;
-        echelon_add(d, ech, piv, &nech, m[nech]);
-    }
-    return rank;
+    memmove(phi[r + 1], phi[r], (k - r) * sizeof phi[r]);
+    memcpy(phi[r], fk, sizeof fk);
+    *den = v[k];
+    return 1;
 }
 
 static void close_set(int d, uint64_t sset, closure_t *c)
 {
-    int64_t a[MAXD][2 * MAXD] = {{0}};
-    int64_t m[MAXD][MAXD];
-    int64_t inv[MAXD][MAXD];    /* D M^-1 */
-    int64_t prev = 1;
+    int64_t phi[MAXD][MAXD] = {{0}};  /* from M = I, D = 1 */
+    int r = 0;
 
-    sset &= ~(uint64_t)1;
-    c->rank = basis_rows(d, sset, m);
-    for (int i = 0; i < d; i++) {
-        memcpy(a[i], m[i], d * sizeof m[i][0]);
-        a[i][d + i] = 1;
-    }
-    /* fraction-free Gauss-Jordan on [M | I]; every division is exact.
-       Only the columns right of the pivot are kept up to date. */
-    for (int k = 0; k < d; k++) {
-        int p = k;
-        while (a[p][k] == 0)
-            p++;
-        if (p != k) {
-            for (int j = 0; j < 2 * d; j++) {
-                int64_t t = a[k][j];
-                a[k][j] = a[p][j];
-                a[p][j] = t;
-            }
-        }
-        for (int i = 0; i < d; i++) {
-            if (i == k)
-                continue;
-            for (int j = k + 1; j < 2 * d; j++)
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev;
-        }
-        prev = a[k][k];
-    }
-    c->den = prev;
     for (int i = 0; i < d; i++)
-        for (int j = 0; j < d; j++)
-            inv[i][j] = a[i][d + j];
+        phi[i][i] = 1;
+    c->den = 1;
+    sset &= ~(uint64_t)1;
+    for (int y = 1; y < (1 << d) && r < d; y++)
+        if ((sset >> y) & 1)
+            r += extend(d, r, y, phi, &c->den);
+    c->rank = r;
 
-    int r = c->rank, nsig = 1 << r;
+    int nsig = 1 << r;
     uint64_t all = nsig == 64 ? ~(uint64_t)0 : ((uint64_t)1 << nsig) - 1;
     uint64_t ok[MAXP];          /* bit sigma: t(y, sigma) in {0, D} */
     int64_t w[MAXP][MAXD];
@@ -161,7 +104,7 @@ static void close_set(int d, uint64_t sset, closure_t *c)
         int low = lowest_bit((uint64_t)y);
         int in_span = 1;
         for (int i = 0; i < d; i++) {
-            w[y][i] = w[y & (y - 1)][i] + inv[low][i];
+            w[y][i] = w[y & (y - 1)][i] + phi[i][low];
             if (i >= r && w[y][i] != 0)
                 in_span = 0;
         }

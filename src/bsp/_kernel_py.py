@@ -26,13 +26,15 @@ t(y, sigma) in {0, D}, one[y] those with t(y, sigma) = D.  The valid
 patterns are the AND of ok[m] over the members m of S, the closure is
 every span point y with ok[y] & valid == valid, and the product-matrix
 rows are one[m] & valid, read column by column.  On the span, neither
-the choice of unit vectors nor the scale of D changes the tables.  C
-takes D = +-det(M) and phi_i = column i of adj(M) per closure; the twin
-carries D > 0 and the phi along the greedy basis from M = I, D = 1: the
-next point p takes the place of the first unit row e_k with phi_k(p) =
-v != 0 by an integer rank-one update (Sherman & Morrison 1950), phi_i
-<- v phi_i - phi_i(p) phi_k (i != k), phi_k <- D phi_k, D <- D v, all
-divided by their gcd.  A prefix spans where phi_r..phi_{d-1} vanish.
+the choice of unit vectors nor the scale of D changes the tables.  Both
+kernels build the phi by one walk along the greedy basis from M = I,
+D = 1: the next point p takes the place of the first unit row e_k with
+phi_k(p) = v != 0 by an integer rank-one update (Sherman & Morrison
+1950), phi_i <- v phi_i - phi_i(p) phi_k (i != k), phi_k <- D phi_k,
+D <- D v.  The walks differ only in normalization: C divides everything
+by the previous D (Bareiss 1968), which keeps D = +-det(M); the twin
+divides by the gcd and keeps D > 0, so that equal tables share
+``_patterns`` cache keys.  A prefix spans where phi_r..phi_{d-1} vanish.
 
 Each lectic set is closed once.  :func:`enum_branch` takes the rank and
 the product-matrix rows of every closed set from the closure data of the

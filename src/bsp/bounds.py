@@ -32,7 +32,7 @@ class BoundReport:
         }
 
 
-def check_product_bound(p: BspPair) -> BoundReport:
+def check_thm4(p: BspPair) -> BoundReport:
     """|A| |B| <= (d+1) 2^d for spanning pairs with binary products."""
     d = p.dim
     bound = (d + 1) << d
@@ -40,7 +40,7 @@ def check_product_bound(p: BspPair) -> BoundReport:
     return BoundReport("product-bound", prod, bound, True, prod <= bound, prod == bound)
 
 
-def check_large_pair_bound(p: BspPair) -> BoundReport:
+def check_thm3(p: BspPair) -> BoundReport:
     """|A| |B| <= d 2^d + 2d, applicable when both sizes are >= d+2."""
     d = p.dim
     bound = (d << d) + 2 * d
@@ -54,11 +54,6 @@ def check_large_pair_bound(p: BspPair) -> BoundReport:
         (prod <= bound) if applicable else True,
         applicable and prod == bound,
     )
-
-
-# spec names the theorems by number; keep those spellings on the API
-check_thm4 = check_product_bound
-check_thm3 = check_large_pair_bound
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .decomposition import audit_pair, check_lemslice
 from .enumeration import (
     Catalog,
     enumerate_catalog,
-    load_reference_csv,
+    parse_reference_csv,
     stats,
     verify_against_reference,
 )
@@ -103,7 +103,9 @@ def cmd_stats(args) -> int:
     if args.min_product_svg:
         _write(args.min_product_svg, min_product_svg(s.fig_min_product_points(), s.d))
     if args.reference:
-        diff = verify_against_reference(s, load_reference_csv(args.reference))
+        with open(args.reference, encoding="ascii") as fh:
+            reference = parse_reference_csv(fh.read())
+        diff = verify_against_reference(s, reference)
         summary["reference"] = {
             "equal": diff.equal,
             "missing": [list(p) for p in diff.missing],

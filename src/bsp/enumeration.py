@@ -22,9 +22,8 @@ from importlib import resources
 from time import monotonic
 
 from . import kernel
-from .canon import canonical_from_key, rows_key
-from .canon import canonical_key  # noqa: F401  (perfbench traces it under this name)
-from .errors import BadParameterError, CheckpointCorruptError, parsing
+from .canon import canonical_from_key, canonical_key, rows_key
+from .errors import BadParameterError, CheckpointCorruptError, MalformedInputError, parsing
 from .family import ProductMatrix
 from .linalg import int_field
 
@@ -81,7 +80,11 @@ class Catalog:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Catalog":
-        classes = []
+        """The catalog in ``text``.  Raises MalformedInputError, before any
+        verdict is drawn from it, unless every line has the catalog's d,
+        a matrix of rank d and that matrix's canonical key up to transpose,
+        and no key repeats."""
+        classes = {}
         d = None
         for line in text.splitlines():
             if not line.strip():
@@ -93,12 +96,17 @@ class Catalog:
             mat = ProductMatrix.from_json(shape)
             d = line_d if d is None else d
             if line_d != d:
-                raise ValueError("mixed dimensions in catalog")
-            classes.append(CatalogClass(mat.m, mat.n, mat, key))
+                raise MalformedInputError(f"catalog line: d = {line_d} after d = {d}")
+            if mat.rank_d != d:
+                raise MalformedInputError(f"catalog line: matrix rank {mat.rank_d} != d = {d}")
+            if canonical_key(mat, include_transpose=True) != key:
+                raise MalformedInputError(f"catalog line: key {key.hex()} is not its matrix's")
+            if key in classes:
+                raise MalformedInputError(f"catalog line: key {key.hex()} repeats")
+            classes[key] = CatalogClass(mat.m, mat.n, mat, key)
         if d is None:
-            raise ValueError("empty catalog")
-        classes.sort(key=lambda c: c.key)
-        return cls(d, tuple(classes), complete=True)
+            raise MalformedInputError("empty catalog")
+        return cls(d, tuple(classes[k] for k in sorted(classes)), complete=True)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -318,8 +326,8 @@ def verify_against_reference(s: SizeStats, reference: list[tuple[int, int]]) -> 
     )
 
 
-def load_reference_csv(path_or_text: str, from_text: bool = False) -> list[tuple[int, int]]:
-    text = path_or_text if from_text else open(path_or_text, encoding="ascii").read()
+def parse_reference_csv(text: str) -> list[tuple[int, int]]:
+    """The (size_a, size_b) rows of a reference CSV of achievable sizes."""
     out = []
     with parsing("reference csv"):
         for line in text.splitlines():
@@ -334,4 +342,4 @@ def load_reference_csv(path_or_text: str, from_text: bool = False) -> list[tuple
 def figure1_reference() -> list[tuple[int, int]]:
     """The d=5 achievable-size reference table shipped with the package."""
     text = resources.files("bsp.data").joinpath("figure1_d5.csv").read_text("ascii")
-    return load_reference_csv(text, from_text=True)
+    return parse_reference_csv(text)

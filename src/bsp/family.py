@@ -306,8 +306,6 @@ def _mask_row(mask: int, d: int) -> Row:
     return tuple((mask >> i) & 1 for i in range(d))
 
 
-def family_from_masks(masks: Iterable[int], d: int, include_zero: bool = True) -> VectorFamily:
-    ms = set(masks)
-    if include_zero:
-        ms.add(0)
-    return VectorFamily.from_rows(d, 1, (_mask_row(m, d) for m in ms))
+def family_from_masks(masks: Iterable[int], d: int) -> VectorFamily:
+    """The family of the cube points with these bitmasks, and the origin."""
+    return VectorFamily.from_rows(d, 1, (_mask_row(m, d) for m in {0, *masks}))

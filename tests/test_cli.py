@@ -1,10 +1,14 @@
+import functools
 import json
 import platform
+import random
+import warnings
 
 import pytest
 
 from bsp import kernel
 from bsp.cli import main
+from bsp.enumeration import enumerate_catalog
 
 
 def run(args, capsys):
@@ -124,6 +128,34 @@ def test_polytope_check_non_vertex_point_exit_1(tmp_path, capsys):
 
 
 CATALOG_LINE_NO_MATRIX = '{"d":2,"size_a":3,"size_b":3,"key":"00"}\n'
+
+
+@functools.cache
+def _catalog_d3() -> str:
+    return enumerate_catalog(3).to_jsonl()
+
+
+def _with_random_class(jsonl: str) -> str:
+    """The catalog and a random 9x20 0/1 matrix under key 00."""
+    rng = random.Random(0)
+    bits = ["".join(rng.choice("01") for _ in range(20)) for _ in range(9)]
+    return jsonl + json.dumps({"d": 3, "size_a": 9, "size_b": 20, "matrix": bits,
+                               "key": "00"}) + "\n"
+
+
+def _with_first_class_again(key: str | None):
+    """The catalog and its first class again, under ``key`` or its own."""
+    def tamper(jsonl: str) -> str:
+        first = json.loads(jsonl.splitlines()[0])
+        return jsonl + json.dumps(dict(first, key=key or first["key"])) + "\n"
+    return tamper
+
+
+TAMPERED_CATALOGS = {"random-class": _with_random_class,
+                     "other-key": _with_first_class_again("ff" * 12),
+                     "repeated-key": _with_first_class_again(None)}
+CATALOG_COMMANDS = {"conjecture": ["conjecture", "--catalog"], "stats": ["stats"],
+                    "audit": ["audit"]}
 # a valid pair file but for the vectors of A
 PAIR_WITH_A = '{"d": 2, "a": {"d": 2, "vectors": %s}, "b": {"d": 2, "vectors": [[0, 0], [1, 0], [0, 1]]}}'
 
@@ -155,17 +187,22 @@ PAIR_WITH_A = '{"d": 2, "a": {"d": 2, "vectors": %s}, "b": {"d": 2, "vectors": [
      "MalformedInputError"),
     (["polytope", "check"], '{"d": true, "vertices": [[0], [1]]}', "MalformedInputError"),
     (["verify-pair"], PAIR_WITH_A % '[[0, 0], [1, 0, 0], [0, 1]]', "MalformedInputError"),
+    *[(argv, tamper, "MalformedInputError")
+      for argv in CATALOG_COMMANDS.values() for tamper in TAMPERED_CATALOGS.values()],
 ], ids=["polytope-missing", "polytope-float", "polytope-d0", "polytope-empty",
         "verify-pair", "conjecture-slack",
         "conjecture-catalog", "stats", "stats-not-json", "audit", "audit-shape", "enumerate-checkpoint",
         "stats-reference", "polytope-string-vertices", "polytope-string-vertex-list",
         "verify-pair-string-vectors", "polytope-bool", "verify-pair-bool",
-        "polytope-mapping-vertices", "polytope-bool-d", "verify-pair-wrong-length"])
+        "polytope-mapping-vertices", "polytope-bool-d", "verify-pair-wrong-length",
+        *[f"{cmd}-{name}" for cmd in CATALOG_COMMANDS for name in TAMPERED_CATALOGS]])
 def test_malformed_input_file_is_exit_1(tmp_path, capsys, argv, text, error):
     if "CATALOG" in argv:
         cat = tmp_path / "cat2.jsonl"
         run(["enumerate", "-d", "2", "--out", str(cat)], capsys)
         argv = [str(cat) if a == "CATALOG" else a for a in argv]
+    if callable(text):  # a tampered copy of the d=3 catalog
+        text = text(_catalog_d3())
     f = tmp_path / "input.json"
     f.write_text(text)
     code, out, err = run(argv + [str(f)], capsys)
@@ -234,9 +271,13 @@ def test_stats_reference_mismatch_exit2(tmp_path, capsys):
     run(["enumerate", "-d", "2", "--out", str(cat)], capsys)
     ref = tmp_path / "ref.csv"
     ref.write_text("size_a,size_b\n2,2\n")
-    code, out, _ = run(["stats", str(cat), "--reference", str(ref)], capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(["stats", str(cat), "--reference", str(ref)], capsys)
     assert code == 2
     assert not json.loads(out)["reference"]["equal"]
+    # the reference file is closed, not left to the garbage collector
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_svg_artifacts_deterministic(tmp_path, capsys):

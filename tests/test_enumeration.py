@@ -102,6 +102,9 @@ def test_examples_appear_in_catalogs_after_closure():
 
 
 def test_jsonl_roundtrip(tmp_path):
+    for d in (1, 2, 4):  # every written catalog passes the load checks
+        cat = enumerate_catalog(d)
+        assert Catalog.from_jsonl(cat.to_jsonl()) == cat
     cat = enumerate_catalog(3)
     path = tmp_path / "cat3.jsonl"
     cat.save(str(path))
@@ -266,6 +269,7 @@ def test_figure1_reference_shipped_data():
 def test_enumerate_d5_reproduces_figure1():
     cat = enumerate_catalog(5, workers=os.cpu_count())
     assert len(cat) == 213
+    assert Catalog.from_jsonl(cat.to_jsonl()) == cat
     st = stats(cat)
     assert verify_against_reference(st, figure1_reference()).equal
     assert st.max_product == 192

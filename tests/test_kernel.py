@@ -36,15 +36,15 @@ def _load_shim(directory: Path):
 @pytest.fixture(scope="session")
 def kc(tmp_path_factory):
     """The C kernel compiled from source into a temporary directory (never
-    into the package) and loaded through the shim.  A compile error fails
-    the tests; only a missing compiler skips them."""
+    into the package) and loaded through the shim.  A compile error or
+    warning fails the tests; only a missing compiler skips them."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
     out = tmp_path_factory.mktemp("ckernel")
     subprocess.run(
-        [cc, "-std=c99", "-O2", "-shared", "-fPIC", str(SRC / "_ckernel.c"),
-         "-o", str(out / "_ckernel.so")],
+        [cc, "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+         str(SRC / "_ckernel.c"), "-o", str(out / "_ckernel.so")],
         check=True,
     )
     return _load_shim(out)
@@ -309,6 +309,13 @@ def test_python_enum_branch_d5_cold_and_warm(kc, p_index):
     assert kp.enum_branch(5, 8, p_index) == expected
     assert kp.enum_branch(5, 8, p_index) == expected
     assert _enum_branch_reference(kp, 5, 8, p_index) == expected
+
+
+@pytest.mark.slow
+def test_enum_branch_d5_identical_across_backends_on_every_branch(kc):
+    """Both kernels on all 256 d=5 branches."""
+    for p in range(256):
+        assert kc.enum_branch(5, 8, p) == kp.enum_branch(5, 8, p), p
 
 
 def _matches_fraction_closure(impl, d, masks) -> bool:
