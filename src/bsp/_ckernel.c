@@ -15,8 +15,8 @@
  * valid patterns are the AND of ok over the set, the closure is the span
  * points y with ok[y] & valid == valid, and the rows come from one.
  * close_set walks the points of the set in ascending order from M = I,
- * D = 1, and extend puts each one outside the span into M by the twin's
- * update, divided by the previous D instead of a gcd so that D stays
+ * D = 1, and extend, a transcription of bsp.linalg.extend, puts each one
+ * outside the span into M by the exact-division update that keeps D =
  * +-det(M).  The tables are rebuilt on every call rather than cached.
  *
  * All values are minors of 0/1 matrices of order <= 6 and their sums,

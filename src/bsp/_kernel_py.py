@@ -28,13 +28,16 @@ every span point y with ok[y] & valid == valid, and the product-matrix
 rows are one[m] & valid, read column by column.  On the span, neither
 the choice of unit vectors nor the scale of D changes the tables.  Both
 kernels build the phi by one walk along the greedy basis from M = I,
-D = 1: the next point p takes the place of the first unit row e_k with
+D = 1, :func:`bsp.linalg.extend` here and its transcription in C: the
+next point p takes the place of the first unit row e_k with
 phi_k(p) = v != 0 by an integer rank-one update (Sherman & Morrison
-1950), phi_i <- v phi_i - phi_i(p) phi_k (i != k), phi_k <- D phi_k,
-D <- D v.  The walks differ only in normalization: C divides everything
-by the previous D (Bareiss 1968), which keeps D = +-det(M); the twin
-divides by the gcd and keeps D > 0, so that equal tables share
-``_patterns`` cache keys.  A prefix spans where phi_r..phi_{d-1} vanish.
+1950) divided by the previous D (Bareiss 1968),
+phi_i <- (v phi_i - phi_i(p) phi_k) / D (i != k), phi_k kept, D <- v.
+Every division is exact and D = +-det(M).  A prefix spans where
+phi_r..phi_{d-1} vanish.  The twin's span cache holds this state as the
+walk leaves it; only a table, as it is built, divides D and
+phi_0..phi_{r-1} by their gcd with the sign that makes D > 0, so that
+equal tables share ``_patterns`` cache keys.
 
 Each lectic set is closed once.  :func:`enum_branch` takes the rank and
 the product-matrix rows of every closed set from the closure data of the
@@ -62,7 +65,7 @@ from itertools import chain, compress
 from math import gcd
 from operator import and_, mul
 
-from .linalg import det_adjugate, independent_rows
+from .linalg import extend, greedy_inverse
 
 BACKEND = "python"
 
@@ -141,47 +144,43 @@ def _patterns(det: int, w: tuple[int, ...]) -> tuple[int, str]:
 
 class _BasisTables:
     """What closures on one greedy basis need (see the module docstring):
-    its cache ``key``, ``det`` = D (the denominator carried in its span
-    cache entry), ``rank`` = r, ``ok`` and ``one`` by cube point (0 and
-    zeros off the span of B; ``ok[0]`` holds every pattern) and ``pts``
-    (bit y of pts[sigma] is bit sigma of ok[y]; None until
+    its cache ``key``, ``rank`` = r, ``ok`` and ``one`` by cube point (0
+    and zeros off the span of B; ``ok[0]`` holds every pattern) and
+    ``pts`` (bit y of pts[sigma] is bit sigma of ok[y]; None until
     :func:`_closure_data` first needs it)."""
 
-    __slots__ = ("key", "det", "rank", "ok", "one", "pts")
+    __slots__ = ("key", "rank", "ok", "one", "pts")
 
     def __init__(self, d: int, key: int, entry: tuple[int, ...]):
         r = self.rank = (key >> 3).bit_count()
-        span, det = entry[:2]
-        self.key, self.det, self.pts = key, det, None
+        span, det, *phi = entry[:2 + r * d]
+        # D and phi_0 .. phi_{r-1} over their gcd, D > 0: the _patterns key
+        if (g := gcd(det, *phi) * (1 if det > 0 else -1)) != 1:
+            det //= g
+            phi = [c // g for c in phi]
+        self.key, self.pts = key, None
         origin = _patterns(det, (0,) * r)
         self.ok = [origin[0]] + [0] * ((1 << d) - 1)
         self.one = [origin[1]] * (1 << d)
         at = _flags(span & ~1)
-        w = zip(*[compress(_values(entry[i:i + d]), at) for i in range(2, 2 + r * d, d)])
+        w = zip(*[compress(_values(phi[i:i + d]), at) for i in range(0, r * d, d)])
         for y, wy in zip(compress(range(1 << d), at), w):
             self.ok[y], self.one[y] = _patterns(det, wy)
 
 
 def _extend(d: int, key: int, entry: tuple[int, ...]) -> tuple[int, ...]:
     """Span cache entry of the basis prefix with cache key ``key``, given
-    ``entry``, that of the prefix without its last point (see the module
-    docstring)."""
-    r, den, at_y = (key >> 3).bit_count(), entry[1], _flags((key >> 3).bit_length() - 1)
+    ``entry``, that of the prefix without its last point: (phi, D) take
+    one :func:`linalg.extend` step, unreduced so that the next step's
+    division stays exact, and the span is where phi_r .. phi_{d-1}
+    vanish (see the module docstring)."""
+    r, at_y = (key >> 3).bit_count(), _flags((key >> 3).bit_length() - 1)
     phi = [entry[i:i + d] for i in range(2, 2 + d * d, d)]
-    vals = [sum(compress(f, at_y)) for f in phi]
-    k = next(k for k in range(r - 1, d) if vals[k])
-    v, fk = vals.pop(k), phi.pop(k)
-    phi = [[v * a - x * b for a, b in zip(f, fk)] for f, x in zip(phi, vals)]
-    phi.insert(r - 1, [den * b for b in fk])
-    den *= v
-    flat = list(chain(*phi))
-    if (g := gcd(den, *flat) * (1 if den > 0 else -1)) != 1:
-        den //= g
-        flat = [c // g for c in flat]
+    phi, den = extend(phi, entry[1], r - 1, [sum(compress(f, at_y)) for f in phi])
     span = (1 << (1 << d)) - 1
     for f in phi[r:]:
         span &= int("".join("0" if x else "1" for x in reversed(_values(f))), 2)
-    return (span, den, *flat)
+    return (span, den, *chain(*phi))
 
 
 def _basis(d: int, sset: int, key: int) -> tuple[_BasisTables, int]:
@@ -344,7 +343,8 @@ def facet_scan(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, 
     facets are the extreme rays of the cone of y = (normal, offset) with
     <normal, v> - offset <= 0 for every point v.  The first dim + 1
     affinely independent points cut out a simplicial cone whose rays are
-    the columns of their adjugate.  The other points are added in
+    the functionals phi_j of :func:`linalg.greedy_inverse` on the lifted
+    points (v, -1), negated when D > 0.  The other points are added in
     order: each keeps the rays on its side and replaces those it cuts off
     by the combinations, tight on it, of every adjacent pair it
     separates.  A ray carries its zero set, the bitset of points tight on
@@ -354,22 +354,19 @@ def facet_scan(dim: int, verts: list[tuple[int, ...]]) -> list[tuple[tuple[int, 
     """
     if dim < 1 or not verts:
         raise ValueError(f"no facets for {len(verts)} points in dimension {dim}")
-    diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
-    simplex = [0] + [i + 1 for i in independent_rows(diffs, limit=dim)]
+    simplex, den, phi = greedy_inverse(((*v, -1) for v in verts), dim + 1)
     if len(simplex) <= dim:
         raise ValueError(f"the points do not affinely span R^{dim}")
 
-    h = [list(verts[i]) + [-1] for i in simplex]
-    det_h, adj = det_adjugate(h)
-    # column j of adj(h) has product det(h) with h[j] and 0 with the other
-    # rows; the sign makes that product negative, so every point is on the
-    # <= side
-    sign = -1 if det_h > 0 else 1
+    # phi_j has product D with the lifted simplex point j and 0 with the
+    # others; the sign makes that product negative, so every point is on
+    # the <= side
+    sign = -1 if den > 0 else 1
     tight = sum(1 << i for i in simplex)
     rays = []
-    for i, row in zip(simplex, zip(*adj)):
-        g = gcd(*row)
-        rays.append((tuple(sign * x // g for x in row), tight ^ (1 << i)))
+    for i, f in zip(simplex, phi):
+        g = gcd(*f)
+        rays.append((tuple(sign * x // g for x in f), tight ^ (1 << i)))
 
     done = set(simplex)
     for i, v in enumerate(verts):

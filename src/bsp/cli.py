@@ -25,7 +25,7 @@ from .enumeration import (
     stats,
     verify_against_reference,
 )
-from .errors import BspError, MalformedInputError
+from .errors import BspError
 from .family import BspPair, ProductMatrix, pair_from_product_matrix, verify_binary_products
 from .lemmas import check_binom_bound, check_inequality2, check_lemma1, check_lemma2
 from .polytope import (
@@ -118,16 +118,15 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify_pair(args) -> int:
-    obj = _read_json(args.pair)
+    pair = BspPair.parse_json(_read_json(args.pair))
     try:
-        pair = BspPair.from_json(obj)
-    except MalformedInputError:
-        raise
+        pair.validate()
     except (BspError, ValueError) as exc:
         report = {"valid": False, "reason": str(exc)}
-        witness = verify_binary_products_from_json(obj)
+        witness = verify_binary_products(pair.family_a, pair.family_b)
         if witness is not None:
-            report["witness"] = witness
+            report["witness"] = [[str(c) for c in witness.a], [str(c) for c in witness.b],
+                                 str(witness.value)]
         _emit(report, args.out)
         return EXIT_VERIFY
     t4 = check_thm4(pair)
@@ -141,25 +140,6 @@ def cmd_verify_pair(args) -> int:
     }
     _emit(report, args.out)
     return EXIT_OK if t4.passed and t3.passed else EXIT_VERIFY
-
-
-def verify_binary_products_from_json(obj) -> list | None:
-    """Best-effort witness extraction for an invalid pair file."""
-    try:
-        from .family import VectorFamily
-
-        a = VectorFamily.from_json(obj["a"])
-        b = VectorFamily.from_json(obj["b"])
-        w = verify_binary_products(a, b)
-        if w is None:
-            return None
-        return [
-            [str(c) for c in w.a],
-            [str(c) for c in w.b],
-            str(w.value),
-        ]
-    except (BspError, ValueError, KeyError):
-        return None
 
 
 def cmd_example(args) -> int:
@@ -260,7 +240,7 @@ def cmd_lemmas(args) -> int:
         reports.append(check_lemma2(min(args.dmax, 6)).to_json())
     if args.all or args.lemslice:
         d = min(args.dmax, 5)
-        mode = "exhaustive" if d <= 2 else "random"
+        mode = "exhaustive" if d <= 3 else "random"
         reports.append(
             check_lemslice(d, mode=mode, seed=args.seed, trials=args.trials).to_json()
         )

@@ -32,11 +32,11 @@ Only the fibers read the rows of B: the key <b_d, b_d> b - <b, b_d> b_d
 is a fixed positive multiple of pi(b), so fiber grouping and the
 no-opposite-points check stay exact.  Every a in A0 is orthogonal to
 b_d, so <a, pi(b)> = <a, b>: the projection tau of pi(b) onto span(A0)
-depends only on the column of b at a basis of A0, and one integer
-adjugate and determinant of that basis' Gram matrix per decomposition
-give it without a solve per fiber.  The echelons left per decomposition
-are that basis and the ranks of B0 and B1.  Fractions are built only for
-the b_d handed back and for error messages.
+depends only on the column of b at a basis of A0, and one walk of
+:func:`linalg.greedy_inverse` on that basis' Gram matrix per
+decomposition gives it without a solve per fiber.  The echelons left per
+decomposition are that basis and the ranks of B0 and B1.  Fractions are
+built only for the b_d handed back and for error messages.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .linalg import (
     Vec,
     affine_dim,
     coords,
-    det_adjugate,
+    greedy_inverse,
     independent_rows,
     int_dot,
     neg,
@@ -280,16 +280,17 @@ class _Products:
                         f"{vec_over(b, db)} is constant on neither side; is the pair maximal?"
                     )
 
-        # tau(pi(b)) = (U b)^T adj(G) U / (det(G) db) for the rows U of a
-        # basis of A0 over da and their (symmetric) Gram matrix G = U U^T; U b
-        # is the column of b at the basis rows
+        # tau(pi(b)) = (U b)^T phi U / (D db) for the rows U of a basis of
+        # A0 over da, their (symmetric) Gram matrix G = U U^T and the walk
+        # phi = D G^-1 of greedy_inverse(G); U b is the column of b at the
+        # basis rows
         a0 = [n.a_rows[i] for i in n.a0]
         picked = [n.a0[i] for i in independent_rows(a0)]
         basis = [n.a_rows[i] for i in picked]
-        det_g, adj = det_adjugate([[int_dot(u, v) for v in basis] for u in basis])
-        adj_u = [[int_dot(row, u) for row in adj] for u in zip(*basis)]  # by columns
+        _, den_g, phi = greedy_inverse([[int_dot(u, v) for v in basis] for u in basis])
+        phi_u = [[int_dot(row, u) for row in phi] for u in zip(*basis)]  # by columns
         tau_pi_b = {
-            tuple(int_dot(r, w) for w in adj_u) if basis else zero
+            tuple(int_dot(r, w) for w in phi_u) if basis else zero
             for r in {tuple(col[i] for i in picked) for col in n.cols}
         }
         return Decomposition(
@@ -302,7 +303,7 @@ class _Products:
             u0_dim=n.dims[0],
             a1_dim=n.dims[1],
             pi_b=VectorFamily.from_rows(d, int_dot(bd, bd) * db, n.fibers),
-            tau_pi_b=VectorFamily.from_rows(d, det_g * db, tau_pi_b),
+            tau_pi_b=VectorFamily.from_rows(d, den_g * db, tau_pi_b),
             max_fiber=max(len(v) for v in n.fibers.values()),
         )
 
@@ -437,9 +438,10 @@ def check_lemslice(
 ) -> LemsliceReport:
     """No opposite-point-free subset of {0,1}^d + {0,-1}^d can beat 2^dim.
 
-    Exhaustive over all subsets for d <= 2; seeded random subsets
-    otherwise.  A violation raises CounterexampleFound (the result is a
-    theorem, so that signals a harness bug).
+    Exhaustive over all subsets for d <= 3 (4,374 opposite-free ones at
+    d = 3); seeded random subsets otherwise.  A violation raises
+    CounterexampleFound (the result is a theorem, so that signals a
+    harness bug).
     """
     ground = _lemslice_ground(d)
     # each point with its opposite; zero has none that counts
@@ -457,8 +459,8 @@ def check_lemslice(
             tight += 1
 
     if mode == "exhaustive":
-        if d > 2:
-            raise ValueError("exhaustive mode is limited to d <= 2")
+        if d > 3:
+            raise ValueError("exhaustive mode is limited to d <= 3")
         n = len(ground)
         for mask in range(1 << n):
             x = [ground[i] for i in range(n) if (mask >> i) & 1]

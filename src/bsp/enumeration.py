@@ -82,8 +82,10 @@ class Catalog:
     def from_jsonl(cls, text: str) -> "Catalog":
         """The catalog in ``text``.  Raises MalformedInputError, before any
         verdict is drawn from it, unless every line has the catalog's d,
-        a matrix of rank d and that matrix's canonical key up to transpose,
-        and no key repeats."""
+        a matrix of rank d with distinct rows, distinct columns, a zero
+        row and a zero column (both families hold 0 and span, so a
+        product matrix has all four) and that matrix's canonical key up
+        to transpose, and no key repeats."""
         classes = {}
         d = None
         for line in text.splitlines():
@@ -99,6 +101,11 @@ class Catalog:
                 raise MalformedInputError(f"catalog line: d = {line_d} after d = {d}")
             if mat.rank_d != d:
                 raise MalformedInputError(f"catalog line: matrix rank {mat.rank_d} != d = {d}")
+            for name, bits in (("row", mat.bits), ("column", mat.column_bits())):
+                if len(set(bits)) != len(bits):
+                    raise MalformedInputError(f"catalog line: a {name} of the matrix repeats")
+                if all("1" in x for x in bits):
+                    raise MalformedInputError(f"catalog line: the matrix has no zero {name}")
             if canonical_key(mat, include_transpose=True) != key:
                 raise MalformedInputError(f"catalog line: key {key.hex()} is not its matrix's")
             if key in classes:

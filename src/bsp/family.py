@@ -26,13 +26,12 @@ from math import gcd
 from operator import add
 from typing import Iterable, NamedTuple
 
-from . import linalg
 from .errors import DimensionMismatchError, NotSpanningError, parsing
 from .linalg import (
     Row,
     Vec,
     coords,
-    det_adjugate,
+    greedy_inverse,
     independent_rows,
     int_dot,
     int_field,
@@ -99,7 +98,7 @@ class VectorFamily:
     def to_json(self) -> dict:
         return {
             "d": self.dim,
-            "vectors": [[linalg.format_rat(c) for c in v] for v in self.sorted()],
+            "vectors": [[str(c) for c in v] for v in self.sorted()],
         }
 
     @classmethod
@@ -150,7 +149,8 @@ class BspPair:
             raise NotSpanningError("family B does not span R^d")
         witness = verify_binary_products(self.family_a, self.family_b)
         if witness is not None:
-            raise ValueError(f"product {witness.value} at ({witness.a}, {witness.b})")
+            a, b = (", ".join(map(str, v)) for v in (witness.a, witness.b))
+            raise ValueError(f"product {witness.value} at ([{a}], [{b}])")
 
     def sizes(self) -> tuple[int, int]:
         return (len(self.family_a), len(self.family_b))
@@ -165,12 +165,18 @@ class BspPair:
         return {"d": self.dim, "a": self.family_a.to_json(), "b": self.family_b.to_json()}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "BspPair":
+    def parse_json(cls, obj: dict) -> "BspPair":
+        """The pair a document holds, not yet validated; MalformedInputError
+        when the document does not hold two families of its dimension
+        ``d``."""
         with parsing("pair"):
             d = int_field(obj["d"])
-            a = VectorFamily.of(d, obj["a"]["vectors"])
-            b = VectorFamily.of(d, obj["b"]["vectors"])
-        pair = cls(d, a, b)
+            return cls(d, VectorFamily.of(d, obj["a"]["vectors"]),
+                       VectorFamily.of(d, obj["b"]["vectors"]))
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "BspPair":
+        pair = cls.parse_json(obj)
         pair.validate()
         return pair
 
@@ -179,24 +185,25 @@ def a_max(b: VectorFamily) -> VectorFamily:
     """The full partner {x : <x, v> in {0,1} for all v in b}.
 
     Computed by fixing a basis M inside b (integer rows over b.den) and
-    taking all 2^d level assignments sigma on it: x = b.den adj(M) sigma /
-    det(M), whose product with a member row v is <adj(M) sigma, v> /
-    det(M).  Those with products in {0, 1} against the rest of the family
-    are kept.  Always contains the zero vector; has at most 2^d members.
+    taking all 2^d level assignments sigma on it: with the functionals phi
+    and denominator D of :func:`linalg.greedy_inverse`, x = b.den
+    sum(sigma_i phi_i) / D, whose product with a member row v is
+    <sum(sigma_i phi_i), v> / D.  Those with products in {0, 1} against
+    the rest of the family are kept.  Always contains the zero vector; has
+    at most 2^d members.
     """
     d = b.dim
     members = sorted(b.rows)
-    picked = independent_rows(members, d)
+    picked, den, phi = greedy_inverse(members, d)
     if len(picked) < d:
         raise NotSpanningError("family does not span R^d")
-    det, adj = det_adjugate([members[i] for i in picked])
     rest = [v for i, v in enumerate(members) if i not in picked]
-    sums = [(0,) * d]  # adj(M) sigma for every sigma
-    for col in zip(*adj):
-        sums += [tuple(map(add, s, col)) for s in sums]
-    return VectorFamily.from_rows(d, det, (
+    sums = [(0,) * d]  # sum(sigma_i phi_i) for every sigma
+    for f in phi:
+        sums += [tuple(map(add, s, f)) for s in sums]
+    return VectorFamily.from_rows(d, den, (
         tuple(b.den * x for x in s) for s in sums
-        if all(int_dot(s, v) in (0, det) for v in rest)
+        if all(int_dot(s, v) in (0, den) for v in rest)
     ))
 
 
@@ -279,22 +286,22 @@ def pair_from_product_matrix(mat: ProductMatrix, d: int) -> BspPair:
     grid = [[int(c) for c in row] for row in mat.bits]
     basis_rows = independent_rows(grid, d)
     b_rows = [tuple(grid[i][j] for i in basis_rows) for j in range(mat.n)]
-    col_basis = independent_rows(b_rows, d)
+    col_basis, den, phi = greedy_inverse(b_rows, d)
     if len(col_basis) < d:
         raise ValueError("columns do not span")
     # row i of A solves <x, b_j> = grid[i][j] on the basis columns j:
-    # x = adj(N) rhs / det(N) for the matrix N of those columns' rows
-    det, adj = det_adjugate([b_rows[j] for j in col_basis])
+    # x = sum(grid[i][j] phi_j) / D over the picks j
+    cols = list(zip(*phi))
     a_rows = []
     for row in grid:
         rhs = [row[j] for j in col_basis]
-        x = tuple(int_dot(r, rhs) for r in adj)
-        if any(int_dot(x, b) != det * g for b, g in zip(b_rows, row)):
+        x = tuple(int_dot(c, rhs) for c in cols)
+        if any(int_dot(x, b) != den * g for b, g in zip(b_rows, row)):
             raise ValueError("matrix is not realizable at rank d")
         a_rows.append(x)
     # every product was checked against the 0/1 grid, whose rank is d, so
     # both families span R^d
-    return BspPair(d, VectorFamily.from_rows(d, det, a_rows), VectorFamily.from_rows(d, 1, b_rows))
+    return BspPair(d, VectorFamily.from_rows(d, den, a_rows), VectorFamily.from_rows(d, 1, b_rows))
 
 
 def cube_vertices(d: int) -> list[Vec]:

@@ -1,5 +1,5 @@
-"""Exact vectors; integer scaling; one fraction-free echelon for rank and
-bases; fraction-free determinant and adjugate; Gauss-Jordan solving.
+"""Exact vectors; integer scaling; one fraction-free echelon for rank;
+one greedy-basis walk for inverses; Gauss-Jordan solving.
 
 Vectors are plain tuples of ``fractions.Fraction`` or of ints; matrices
 are sequences of row tuples.  Everything here is exact: no floating point
@@ -9,11 +9,17 @@ only of genuinely rational input, and integer fields such as a dimension
 by :func:`int_field`, which refuses a bool.  :func:`int_rows` scales
 rational vectors to integer rows over their least common denominator, the
 form in which :class:`bsp.family.VectorFamily` stores a family, and
-:func:`vec_over` turns a row back into Fractions for printing.  Every
-rank and basis question goes through :func:`independent_rows`, a
-fraction-free greedy echelon on integer rows, and :func:`det_adjugate`
-solves square integer systems; :func:`solve` runs Gauss-Jordan
-elimination on Fractions, for data that is genuinely rational.
+:func:`vec_over` turns a row back into Fractions for printing.
+
+Every rank question goes through :func:`independent_rows`, a
+fraction-free greedy echelon on integer rows.  Every inverse goes through
+:func:`greedy_inverse`, the walk of both closure kernels: it picks the
+same rows and carries integer functionals phi_i and a denominator D with
+phi_i(picked row j) = D [i = j], one :func:`extend` per row.  Its
+exact-division update keeps every entry a minor and D = +-det of the
+picked rows and the unit rows that complete them (Bareiss, Math. Comp.
+1968).  :func:`solve` runs Gauss-Jordan elimination on Fractions; it and
+:func:`dual_basis` are the rational reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -81,11 +87,6 @@ def rat(value) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
-def format_rat(q: Fraction) -> str:
-    """Serialize as "p/q", or integer shorthand "n" when the denominator is 1."""
-    return str(q)
-
-
 def vec(v: Iterable) -> Vec:
     """:func:`coords` as Fractions, for :func:`solve` and the other code
     that divides with ``/``."""
@@ -115,6 +116,7 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
+# add, sub and neg act entrywise, on integer rows as on Fraction vectors
 def add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -149,36 +151,6 @@ def vec_over(row: Iterable[int], den: int) -> Vec:
     """The rational vector row / den: one row of :func:`int_rows` back as
     Fractions."""
     return tuple(Fraction(x, den) for x in row)
-
-
-def det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(det(M), adj(M)) of a nonsingular square integer matrix; raises
-    ValueError when M is singular or not square.
-
-    One fraction-free Gauss-Jordan elimination on [M | I] (Bareiss's
-    division by the previous pivot is exact, so every entry stays an
-    integer minor): it ends at [D I | D M^-1] with D = +-det(M), the sign
-    that of the row swaps."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("det_adjugate takes a square matrix")
-    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
-    sign, prev = 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            raise ValueError("singular matrix")
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        ak = a[k]
-        piv = ak[k]
-        for i, ai in enumerate(a):
-            if i != k:
-                c = ai[k]
-                a[i] = [(piv * x - c * y) // prev for x, y in zip(ai, ak)]
-        prev = piv
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list[int]:
@@ -221,6 +193,50 @@ def independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list
 def rank(rows: Iterable[Sequence]) -> int:
     """Exact rank over the rationals."""
     return len(independent_rows(rows))
+
+
+def extend(phi: Sequence[Sequence[int]], den: int, r: int,
+           vals: Sequence[int]) -> tuple[list[list[int]], int] | None:
+    """One step of the greedy-basis walk: (phi, D) with a point p added
+    to the basis, or None when p is in the span of the first r rows.
+
+    ``phi`` holds integer functionals with phi_i(m_j) = D [i = j] on the
+    rows m_j of M, the r basis points followed by unit rows, and ``vals``
+    = (phi_i(p))_i.  p takes the place of the first unit row k >= r with
+    phi_k(p) != 0: phi_i <- (phi_k(p) phi_i - phi_i(p) phi_k) / D for
+    i != k, an exact division as D = +-det(M) before and after, phi_k
+    moves to row r, and D <- phi_k(p).  This is ``extend`` of
+    ``_ckernel.c``, line for line."""
+    k = next((k for k in range(r, len(phi)) if vals[k]), None)
+    if k is None:
+        return None
+    v, fk = vals[k], phi[k]
+    out = [[(v * a - x * b) // den for a, b in zip(f, fk)]
+           for i, (f, x) in enumerate(zip(phi, vals)) if i != k]
+    out.insert(r, list(fk))
+    return out, v
+
+
+def greedy_inverse(rows: Iterable[Sequence[int]],
+                   limit: int | None = None) -> tuple[list[int], int, list[list[int]]]:
+    """(picked, D, phi) of the greedy basis of integer rows: ``picked``
+    are the indices :func:`independent_rows` returns, and phi_i(row
+    picked[j]) = D [i = j] for the n functionals phi of rows of length n,
+    walked by :func:`extend` from phi = I, D = 1.  On a square nonsingular
+    matrix M, D = +-det(M) and phi_i is D times column i of M^-1."""
+    picked: list[int] = []
+    den, phi = 1, []
+    for i, row in enumerate(rows):
+        if not i:
+            phi = [list(unit_row(len(row), j)) for j in range(len(row))]
+            cap = len(phi) if limit is None else min(limit, len(phi))
+        if len(picked) < cap and (
+                hit := extend(phi, den, len(picked), [int_dot(f, row) for f in phi])):
+            phi, den = hit
+            picked.append(i)
+        if len(picked) == cap:
+            break
+    return picked, den, phi
 
 
 class SolveResult(NamedTuple):

@@ -30,22 +30,14 @@ from .family import BspPair, ProductMatrix, VectorFamily, matrix_rank
 from .linalg import (
     Row,
     Vec,
-    add,
     coords,
-    format_rat,
+    greedy_inverse,
     int_dot,
     int_field,
     int_rows,
-    neg,
-    rank,
-    scale,
-    solve,
     sub,
     unit_row,
-    unit_vec,
-    vec,
     vec_over,
-    zero_vec,
 )
 
 
@@ -94,7 +86,7 @@ class Polytope2L:
     def to_json(self) -> dict:
         return {
             "d": self.d,
-            "vertices": [[format_rat(c) for c in v] for v in self.vertices],
+            "vertices": [[str(c) for c in v] for v in self.vertices],
         }
 
     @classmethod
@@ -132,7 +124,7 @@ def polytope_from_vertices(d: int, vertices) -> Polytope2L:
     facet_zeros, vertex_zeros = _zero_sets(slacks)
     for i, z in enumerate(vertex_zeros):
         if any(y & z == z for j, y in enumerate(vertex_zeros) if j != i):
-            point = ", ".join(format_rat(Fraction(x, den)) for x in rows[i])
+            point = ", ".join(str(Fraction(x, den)) for x in rows[i])
             raise BadParameterError(f"point [{point}] is not a vertex of the hull")
     two = all(len(set(row)) == 2 for row in slacks)
     return Polytope2L(d, den, tuple(rows), facets, two, slacks, facet_zeros, vertex_zeros)
@@ -294,7 +286,7 @@ def _construction_vertices(kind: str, d: int) -> list[Row]:
         return out + [unit_row(d, d - 1), unit_row(d, d - 1, -1)]
     # cross-x-segment
     return [
-        add(unit_row(d, i, si), unit_row(d, d - 1, sd))
+        unit_row(d - 1, i, si) + (sd,)
         for i in range(d - 1) for si in (-1, 1) for sd in (-1, 1)
     ]
 
@@ -391,33 +383,22 @@ def verify_lemma3(basis: list[Vec]) -> Lemma3Certificate:
     d = len(basis)
     if d < 1 or any(len(b) != d for b in basis):
         raise SingularBasisError("need d vectors of length d")
-    if rank(list(basis)) != d:
+    rows = int_rows(map(coords, basis))[1]
+    a, s = rows[:-1], tuple(map(sum, zip(*rows)))  # s = v + sum(a_i)
+    picked, den, phi = greedy_inverse(a + [s])
+    if len(picked) < d:
         raise SingularBasisError("vectors are linearly dependent")
-    a = [vec(b) for b in basis[:-1]]
-    v = vec(basis[-1])
-    s = v
-    for ai in a:
-        s = add(s, ai)
-    sources = a + [s]
-    ed = unit_vec(d, d - 1)
-    targets = [add(ed, unit_vec(d, i)) for i in range(d - 1)] + [scale(ed, Fraction(2))]
 
-    rows = tuple(vec(w[i] for w in sources) for i in range(d))  # W columns
+    def apply_map(x: Row) -> Vec:
+        # x = sum(phi_j(x) w_j) / D over the sources w = (a, s), so D times
+        # its shifted image is (phi_0(x), .., sum of those + 2 phi_{d-1}(x) - D)
+        w = [int_dot(f, x) for f in phi]
+        w[-1] = sum(w) + w[-1] - den
+        return vec_over(w, den)
 
-    def apply_map(x: Vec) -> Vec:
-        coeffs = solve(rows, x).solution
-        if coeffs is None:  # the rank test above rules this out
-            raise SingularBasisError("the map's source vectors are dependent")
-        img = zero_vec(d)
-        for lam, t in zip(coeffs, targets):
-            img = add(img, scale(t, lam))
-        return sub(img, ed)
-
-    points = [zero_vec(d)] + a + [s] + [sub(s, ai) for ai in a]
-    mapped = sorted(apply_map(x) for x in points)
-    want = sorted(
-        [unit_vec(d, i) for i in range(d)] + [neg(unit_vec(d, i)) for i in range(d)]
-    )
+    points = [(0,) * d, *a, s, *(sub(s, ai) for ai in a)]
+    mapped = sorted(map(apply_map, points))
+    want = sorted(unit_row(d, i, sign) for i in range(d) for sign in (1, -1))
     return Lemma3Certificate(mapped == want, tuple(mapped))
 
 

@@ -161,9 +161,10 @@ def test_criterion_8_lemma_oracles():
         assert check_lemma1(d).passed
     for d in range(2, 7):
         assert check_lemma2(d).passed
-    for d in (1, 2):
-        check_lemslice(d, mode="exhaustive")  # raises on violation
-    for d in (3, 4, 5):
+    for d in (1, 2, 3):
+        rep = check_lemslice(d, mode="exhaustive")  # raises on violation
+    assert (rep.checked, rep.tight) == (4374, 331)  # every opposite-free d=3 subset
+    for d in (4, 5):
         rep = check_lemslice(d, mode="random", seed=1, trials=100_000)
         assert rep.checked == 100_000
     rng = random.Random(2024)

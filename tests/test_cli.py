@@ -7,8 +7,10 @@ import warnings
 import pytest
 
 from bsp import kernel
+from bsp.canon import canonical_key
 from bsp.cli import main
 from bsp.enumeration import enumerate_catalog
+from bsp.family import ProductMatrix
 
 
 def run(args, capsys):
@@ -59,6 +61,22 @@ def test_verify_pair_violation_exit_2(tmp_path, capsys):
     report = json.loads(out)
     assert not report["valid"]
     assert report["witness"][2] == "2"
+
+
+@pytest.mark.parametrize("inner_d", [False, True])
+def test_verify_pair_reports_the_witness_of_the_pair_it_read(tmp_path, capsys, inner_d):
+    """The families need no "d" of their own, and the reason prints the
+    vectors as lists of numbers."""
+    pair = {"d": 2, "a": {"vectors": [[0, 0], [1, 0], [0, 1]]},
+            "b": {"vectors": [[0, 0], [1, 0], [0, 2]]}}
+    if inner_d:
+        pair["a"]["d"] = pair["b"]["d"] = 2
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(pair))
+    code, out, _ = run(["verify-pair", str(f)], capsys)
+    assert code == 2
+    assert json.loads(out) == {"valid": False, "reason": "product 2 at ([0, 1], [0, 2])",
+                               "witness": [["0", "1"], ["0", "2"], "2"]}
 
 
 def test_verify_pair_fractions_roundtrip(tmp_path, capsys):
@@ -151,9 +169,24 @@ def _with_first_class_again(key: str | None):
     return tamper
 
 
+def _with_last_class_changed(change):
+    """The catalog and its last class with its rows changed by ``change``,
+    under the key of the changed matrix (whose rank is still d)."""
+    def tamper(jsonl: str) -> str:
+        last = json.loads(jsonl.splitlines()[-1])
+        bits = change(last["matrix"])
+        mat = ProductMatrix(len(bits), len(bits[0]), tuple(bits), last["d"])
+        key = canonical_key(mat, include_transpose=True).hex()
+        return jsonl + json.dumps(dict(last, size_a=len(bits), matrix=bits, key=key)) + "\n"
+    return tamper
+
+
 TAMPERED_CATALOGS = {"random-class": _with_random_class,
                      "other-key": _with_first_class_again("ff" * 12),
-                     "repeated-key": _with_first_class_again(None)}
+                     "repeated-key": _with_first_class_again(None),
+                     "repeated-rows": _with_last_class_changed(lambda rows: rows + rows[1:3]),
+                     "no-zero-row": _with_last_class_changed(
+                         lambda rows: [r for r in rows if "1" in r])}
 CATALOG_COMMANDS = {"conjecture": ["conjecture", "--catalog"], "stats": ["stats"],
                     "audit": ["audit"]}
 # a valid pair file but for the vectors of A
@@ -228,6 +261,15 @@ def test_lemmas_command(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["pass"] and len(rep["reports"]) == 5
+
+
+def test_lemmas_lemslice_is_exhaustive_up_to_d3(capsys):
+    code, out, _ = run(["lemmas", "--lemslice", "--d", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["reports"] == [
+        {"d": 3, "mode": "exhaustive", "checked": 4374, "tight": 331}]
+    code, out, _ = run(["lemmas", "--lemslice", "--d", "4", "--trials", "50"], capsys)
+    assert code == 0 and json.loads(out)["reports"][0]["mode"] == "random"
 
 
 def test_lemmas_usage_error(capsys):

@@ -414,7 +414,7 @@ def test_lemslice_random_modes():
 
 def test_lemslice_rejects_big_exhaustive():
     with pytest.raises(ValueError):
-        check_lemslice(3, mode="exhaustive")
+        check_lemslice(4, mode="exhaustive")
 
 
 # ---------------------------------------------------------------------------

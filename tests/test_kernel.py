@@ -15,8 +15,9 @@ import pytest
 import bsp
 from bsp import enumeration, kernel
 from bsp.family import a_max, closure, family_from_masks
-from bsp.linalg import det_adjugate, independent_rows
+from bsp.linalg import independent_rows
 from test_enumeration import D4_SHA256
+from test_linalg import cofactor_matrix, det
 from test_polytope import brute_force_facets
 
 SRC = Path(bsp.__file__).parent
@@ -150,21 +151,22 @@ def test_python_kernel_caches_cleared_when_full(monkeypatch):
 
 def _tables_from_scratch(d, key):
     """(rank, ok, one, pts) of the greedy basis with cache key ``key``,
-    rebuilt from det(M) and adj(M) of the basis followed by the unit
-    vectors that complete it (the module docstring of the twin)."""
+    rebuilt from det(M) and the cofactors of M, the basis followed by the
+    unit vectors that complete it (the module docstring of the twin), as
+    the test oracles of :mod:`test_linalg` compute them."""
     basis = [y for y in range(1 << d) if (key >> 3 >> y) & 1]
     r = len(basis)
     rows = [[(y >> i) & 1 for i in range(d)] for y in basis]
     units = [[int(i == j) for j in range(d)] for i in range(d)]
     rows += [units[i - r] for i in independent_rows(rows + units)[r:]]
-    det, adj = det_adjugate(rows)
+    det_m, cof = det(rows), cofactor_matrix(rows)
     ok, one = [], []
     for y in range(1 << d):
-        w = [sum(adj[j][i] for j in range(d) if (y >> j) & 1) for i in range(d)]
+        w = [sum(cof[i][j] for j in range(d) if (y >> j) & 1) for i in range(d)]
         t = [sum(w[i] for i in range(r) if (s >> i) & 1) for s in range(1 << r)]
         span = not any(w[r:])
-        ok.append(sum(1 << s for s, x in enumerate(t) if span and x in (0, det)))
-        one.append("".join("1" if span and x == det else "0" for x in t))
+        ok.append(sum(1 << s for s, x in enumerate(t) if span and x in (0, det_m)))
+        one.append("".join("1" if span and x == det_m else "0" for x in t))
     pts = [sum(1 << y for y in range(1 << d) if (ok[y] >> s) & 1) for s in range(1 << r)]
     return r, ok, one, pts
 

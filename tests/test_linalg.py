@@ -9,10 +9,9 @@ from bsp.linalg import (
     affine_dim,
     coord,
     coords,
-    det_adjugate,
     dot,
     dual_basis,
-    format_rat,
+    greedy_inverse,
     independent_rows,
     int_field,
     int_rows,
@@ -80,8 +79,6 @@ def test_dual_basis_singular():
 def test_rat_parsing_roundtrip():
     assert rat("1/2") == Fraction(1, 2)
     assert rat("-3") == Fraction(-3) and type(rat("-3")) is Fraction
-    assert format_rat(Fraction(1, 2)) == "1/2"
-    assert format_rat(Fraction(4)) == "4"
 
 
 # numerals in the forms Fraction reads (signs, whitespace, underscores,
@@ -260,7 +257,7 @@ def test_det_and_cofactors_against_gauss_jordan(m):
 
 def det(rows: list[list[int]]) -> int:
     """Fraction-free (Bareiss) determinant of a small integer matrix: the
-    oracle for :func:`bsp.linalg.det_adjugate`."""
+    oracle for :func:`bsp.linalg.greedy_inverse`."""
     m = [row[:] for row in rows]
     n = len(m)
     sign = 1
@@ -294,33 +291,53 @@ def cofactor_matrix(m: list[list[int]]) -> list[list[int]]:
     return cof
 
 
+def _products_are_den_delta(rows, picked, den, phi):
+    """phi_i(row picked[j]) = den [i = j] for every functional phi_i."""
+    for i, f in enumerate(phi):
+        for j, p in enumerate(picked):
+            assert sum(x * y for x, y in zip(f, rows[p])) == (den if i == j else 0)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=7),
+        st.none() | st.integers(0, n),
+    )
+))
+def test_greedy_inverse_picks_the_echelon_rows(data):
+    rows, limit = data
+    picked, den, phi = greedy_inverse(rows, limit)
+    assert picked == independent_rows(rows, limit)
+    assert den != 0 and len(phi) == (len(rows[0]) if rows else 0)
+    _products_are_den_delta(rows, picked, den, phi)
+
+
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
     )
 ))
-def test_det_adjugate_matches_cofactor_oracle(m):
+def test_greedy_inverse_matches_cofactor_oracle(m):
+    picked, den, phi = greedy_inverse(m)
+    assert picked == independent_rows(m)
+    _products_are_den_delta(m, picked, den, phi)
     d = det(m)
     if d == 0:
-        with pytest.raises(ValueError):
-            det_adjugate(m)
+        assert len(picked) < len(m)
         return
-    got, adj = det_adjugate(m)
-    assert got == d
-    cof = cofactor_matrix(m)
-    assert adj == [[cof[j][i] for j in range(len(m))] for i in range(len(m))]
+    assert den in (d, -d)
+    # phi_i is den times column i of M^-1, and cofactor row i is det(M) times it
+    assert [[d * x for x in f] for f in phi] == [[den * x for x in c] for c in cofactor_matrix(m)]
 
 
-def test_det_adjugate_edge_cases():
-    assert det_adjugate([]) == (1, [])
-    assert det_adjugate([[-3]]) == (-3, [[1]])
-    # a row swap is needed: det = -1 and the matrix is its own inverse
-    assert det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
-    for singular in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
-        with pytest.raises(ValueError):
-            det_adjugate(singular)
-    with pytest.raises(ValueError):
-        det_adjugate([[1, 0]])
+def test_greedy_inverse_edge_cases():
+    assert greedy_inverse([]) == ([], 1, [])
+    assert greedy_inverse([[-3]]) == ([0], -3, [[1]])
+    # (0, 1) takes the place of e_1 and (1, 0) that of e_0: D = 1 = -det
+    assert greedy_inverse([[0, 1], [1, 0]]) == ([0, 1], 1, [[0, 1], [1, 0]])
+    assert greedy_inverse([[0]]) == ([], 1, [[1]])
+    assert greedy_inverse([[1, 2], [2, 4]])[0] == [0]
+    assert greedy_inverse([[1, 0, 1], [0, 1, 1], [1, 1, 2]])[0] == [0, 1]
 
 
 def test_affine_dim():

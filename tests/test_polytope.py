@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -427,13 +428,22 @@ def _rank_first_non_vertex(d: int, pts):
 def test_vertex_test_matches_rank_oracle(d, monkeypatch):
     """Zero-set containment rejects the same first point as the rank of
     the incident facet normals, on random integer points with interior
-    points, edge midpoints and repeats, and never calls a rank."""
-    import bsp.polytope
+    points, edge midpoints and repeats, and never calls a rank or an
+    echelon (in any package module that holds one)."""
 
     def no_rank(*_):
-        raise AssertionError("polytope_from_vertices called rank")
+        raise AssertionError("polytope_from_vertices called a rank")
 
-    monkeypatch.setattr(bsp.polytope, "rank", no_rank)
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("bsp.")]
+
+    def checked(pts):
+        with monkeypatch.context() as patch:
+            for mod in modules:
+                for name in ("rank", "independent_rows"):
+                    if hasattr(mod, name):
+                        patch.setattr(mod, name, no_rank)
+            return polytope_from_vertices(d, pts)
+
     rng = random.Random(100 + d)
     cube = [tuple(2 * c for c in v) for v in _construction_vertices("cube", d)]
     outcomes = set()
@@ -453,16 +463,16 @@ def test_vertex_test_matches_rank_oracle(d, monkeypatch):
             want = _rank_first_non_vertex(d, pts)
         except NotFullDimensionalError:
             with pytest.raises(NotFullDimensionalError):
-                polytope_from_vertices(d, pts)
+                checked(pts)
             outcomes.add("flat")
             continue
         if want is None:
-            assert polytope_from_vertices(d, pts).f0 == len(set(pts))
+            assert checked(pts).f0 == len(set(pts))
             outcomes.add("vertices")
         else:
             msg = f"point [{', '.join(str(c) for c in want)}] is not a vertex of the hull"
             with pytest.raises(BadParameterError) as err:
-                polytope_from_vertices(d, pts)
+                checked(pts)
             assert str(err.value) == msg
             outcomes.add("rejected")
     assert {"vertices", "rejected"} <= outcomes

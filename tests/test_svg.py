@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from bsp.svg import Overlay, emit_scatter, min_product_svg, size_scatter_svg
 
 
@@ -27,7 +29,7 @@ def test_golden_plots_are_byte_stable():
     from bsp.enumeration import enumerate_catalog, stats
 
     s = stats(enumerate_catalog(3))
-    golden = open("tests/golden/fig_sizes_d3.svg", encoding="ascii").read()
-    assert size_scatter_svg(s.fig_size_points(), 3) == golden
-    golden2 = open("tests/golden/fig_min_product_d3.svg", encoding="ascii").read()
-    assert min_product_svg(s.fig_min_product_points(), 3) == golden2
+    golden = Path(__file__).parent / "golden"
+    assert size_scatter_svg(s.fig_size_points(), 3) == (golden / "fig_sizes_d3.svg").read_text("ascii")
+    assert min_product_svg(s.fig_min_product_points(), 3) == (
+        golden / "fig_min_product_d3.svg").read_text("ascii")
