@@ -291,7 +291,8 @@ void bsp_heuristic_form(uint64_t *rows, int m, int n)
 
 /*
  * Closed sets whose pattern on the cube points 1..top_count is p_index,
- * in lectic order, as in bsp._kernel_py.enum_branch.  Each spanning one
+ * in lectic order; bsp._kernel_py.enum_branch walks the same sets as a
+ * Close-by-One tree and returns the same values.  Each spanning one
  * is reduced to its heuristic form and kept in a table of cap records of
  * FORM_WORDS words: header (row count | column count << 8), the sorted
  * rows, zero padding, and the smallest mask with that form.

@@ -39,26 +39,31 @@ walk leaves it; only a table, as it is built, divides D and
 phi_0..phi_{r-1} by their gcd with the sign that makes D > 0, so that
 equal tables share ``_patterns`` cache keys.
 
-Each lectic set is closed once.  :func:`enum_branch` takes the rank and
-the product-matrix rows of every closed set from the closure data of the
-Next-Closure candidate that produced it: a candidate and its closure
-have the same partner family, and the basis tables cover every cube
-point, so the rows are those of :func:`pair_rows` up to order (which
-:func:`heuristic_form` ignores).
+:func:`enum_branch` walks each branch as a Close-by-One tree.  A child
+adds one point j to a closed set a.  When j is in the span of a, the
+child closes on a's own tables: its valid patterns are valid & ok[j],
+since a's basis lies in the child and spans it.  Otherwise the child
+closes on the greedy basis of a + {j}.  The rank and the product-matrix
+rows of every closed set come from the tables it was closed on: a set
+and its closure have the same partner family, and the tables of any
+basis of the span inside the set give that family, so the rows are those
+of :func:`pair_rows` up to order (which :func:`heuristic_form` ignores).
 
-No Python loop here runs once per set bit: ``compress(seq, _flags(x))``
-gathers the entries of seq at the set bits of x.  valid is the AND of the
-gathered ok; the closure is the AND of pts[sigma] over the valid sigma,
-pts[sigma] being the bitset of the points whose ok holds sigma (an
-``array`` built by a string transpose of ok when a table first closes a
-set).  one[y] is a '0'/'1' string indexed by sigma, so the rows are
-``zip(*...)`` of the gathered strings at the valid sigma.
+Closing a set runs no Python loop over its members:
+``compress(seq, _flags(x))`` gathers the entries of seq at the set bits
+of x.  valid is the AND of the gathered ok; the closure is the AND of
+pts[sigma] over the valid sigma, pts[sigma] being the bitset of the
+points whose ok holds sigma (an ``array`` built with the table: ok
+packed one word per point into one integer and transposed as a bit
+matrix by delta swaps).  one[y] is a '0'/'1' string indexed by sigma,
+so the rows are ``zip(*...)`` of the gathered strings at the valid sigma.
 :func:`enum_branch` memoizes :func:`heuristic_form` on the sorted rows:
 at d=4 its 6,963 spanning sets have 347 distinct row-sorted matrices.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import reduce
 from itertools import chain, compress
@@ -85,6 +90,21 @@ _POINTS_TYPE = [next(c for c in "BHILQ" if array(c).itemsize * 8 >= 1 << d)
                 for d in range(MAX_DIM + 1)]
 _NO_BASIS = [(1, 1, *(int(i == j) for i in range(d) for j in range(d)))
              for d in range(MAX_DIM + 1)]
+
+
+def _swaps(w: int) -> list[tuple[int, int]]:
+    """The delta swaps (shift, mask) that transpose a w x w bit matrix
+    packed row by row into one integer (row i is bits i w .. i w + w - 1),
+    for w a power of 2: the one for k = w/2, w/4, .., 1 swaps the bits at
+    (i, j) and (i + k, j - k) where bit k is set in j and not in i."""
+    swaps = []
+    for k in (w >> s for s in range(1, w.bit_length())):
+        cols = sum(1 << j for j in range(w) if j & k)
+        swaps.append((k * (w - 1), sum(cols << i * w for i in range(w) if not i & k)))
+    return swaps
+
+
+_SWAPS = [_swaps(array(c).itemsize * 8) for c in _POINTS_TYPE]  # per d
 
 
 def check_set(d: int, sset: int) -> None:
@@ -146,8 +166,7 @@ class _BasisTables:
     """What closures on one greedy basis need (see the module docstring):
     its cache ``key``, ``rank`` = r, ``ok`` and ``one`` by cube point (0
     and zeros off the span of B; ``ok[0]`` holds every pattern) and
-    ``pts`` (bit y of pts[sigma] is bit sigma of ok[y]; None until
-    :func:`_closure_data` first needs it)."""
+    ``pts`` by pattern (bit y of pts[sigma] is bit sigma of ok[y])."""
 
     __slots__ = ("key", "rank", "ok", "one", "pts")
 
@@ -158,7 +177,7 @@ class _BasisTables:
         if (g := gcd(det, *phi) * (1 if det > 0 else -1)) != 1:
             det //= g
             phi = [c // g for c in phi]
-        self.key, self.pts = key, None
+        self.key = key
         origin = _patterns(det, (0,) * r)
         self.ok = [origin[0]] + [0] * ((1 << d) - 1)
         self.one = [origin[1]] * (1 << d)
@@ -166,6 +185,27 @@ class _BasisTables:
         w = zip(*[compress(_values(phi[i:i + d]), at) for i in range(0, r * d, d)])
         for y, wy in zip(compress(range(1 << d), at), w):
             self.ok[y], self.one[y] = _patterns(det, wy)
+        self.pts = _transposed(d, self.ok, 1 << r)
+
+
+def _transposed(d: int, rows: list[int], n: int) -> array:
+    """The first n rows of the transpose of the bit matrix whose row y is
+    rows[y], as an array of _POINTS_TYPE[d]: the rows packed into one
+    integer, one word each, and transposed by the delta swaps of
+    _SWAPS[d]."""
+    words = array(_POINTS_TYPE[d], rows)
+    size = words.itemsize
+    if sys.byteorder == "big":
+        words.byteswap()
+    x = int.from_bytes(words.tobytes(), "little")
+    for shift, mask in _SWAPS[d]:
+        t = (x ^ x >> shift) & mask
+        x ^= t | t << shift
+    words = array(_POINTS_TYPE[d])
+    words.frombytes(x.to_bytes(8 * size * size, "little")[:n * size])
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
 def _extend(d: int, key: int, entry: tuple[int, ...]) -> tuple[int, ...]:
@@ -206,10 +246,7 @@ def _closure_data(d: int, sset: int, key: int):
     valid patterns enumerate the partner family A of the closed set (for
     spanning input each pattern is one A vector)."""
     tab, valid = _basis(d, sset & (1 << (1 << d)) - 2, key)
-    if (pts := tab.pts) is None:  # transpose the ok bitsets as strings
-        cols = zip(*[format(x, "0%db" % (1 << tab.rank)) for x in reversed(tab.ok)])
-        pts = tab.pts = array(_POINTS_TYPE[d], [int("".join(c), 2) for c in cols][::-1])
-    closed = reduce(and_, compress(pts, _flags(valid))) & ~1
+    closed = reduce(and_, compress(tab.pts, _flags(valid))) & ~1
     return closed, tab.rank, valid, tab
 
 
@@ -238,30 +275,20 @@ def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
     return [int(r, 2) for r in _row_strings(closed, valid, tab)], closed.bit_count() + 1
 
 
-def _next_closed_data(d: int, current: int, key: int):
-    """Closure data (see :func:`_closure_data`) of the candidate whose
-    closure is the lectically next closed set after ``current``, or None
-    at the end.  Of two sets in lectic order, the greater one holds the
-    lowest cube point where they differ.  ``key`` is that of the greedy
-    basis of ``current`` (or ``d``); its points below a candidate's top
-    one are a prefix of the candidate's basis, as greedy picks ascend."""
+def next_closed(d: int, current: int) -> int:
+    """Lectically smallest closed set greater than ``current`` (-1 at the
+    end).  Of two sets in lectic order, the greater one holds the lowest
+    cube point where they differ."""
+    check_set(d, current)
     for i in range((1 << d) - 1, 0, -1):
         bit = 1 << i
         if current & bit:
             continue
         below = bit - 1
-        data = _closure_data(d, (current & below) | bit, key & (below << 3 | 7))
-        if (data[0] & below) == (current & below):
-            return data
-    return None
-
-
-def next_closed(d: int, current: int) -> int:
-    """Lectically smallest closed set greater than ``current`` (-1 at the
-    end)."""
-    check_set(d, current)
-    data = _next_closed_data(d, current, d)
-    return -1 if data is None else data[0]
+        closed = _closure_data(d, (current & below) | bit, d)[0]
+        if (closed & below) == (current & below):
+            return closed
+    return -1
 
 
 def _form(rows: list[str], n: int) -> bytes:
@@ -290,28 +317,45 @@ def heuristic_form(rows: list[int], n: int) -> bytes:
 def enum_branch(d: int, top_count: int, p_index: int):
     """All closed sets whose membership pattern on the ``top_count``
     lectically most significant cube points (masks 1..top_count) equals
-    ``p_index``, visited in lectic order.
+    ``p_index``, visited depth first as a Close-by-One tree.
 
     In the lectic order the smallest ground element is the most
     significant, so sets with a fixed pattern on masks 1..top_count form a
-    contiguous run and each branch can be enumerated independently.
+    contiguous run and each branch can be enumerated independently.  Its
+    closed sets all contain the root, the closure of its pattern (the
+    branch is empty when that closure adds a top point).  A node a, made
+    by adding point y, has a child for each point j > y outside a whose
+    closure of a + {j} adds no point below j (the canonicity test of
+    Kuznetsov 1993); every closed set of the branch is reached once.  A
+    child in the span of a closes as an AND on a's own tables (see the
+    module docstring).  A closure that fails the test at j is kept for
+    the node's whole subtree, and a descendant skips j while it holds a
+    point below j outside the descendant's set: by monotonicity its own
+    closure would hold that point too (FCbO: Krajca, Outrata & Vychodil
+    2010).
 
     Returns (visited closed sets, spanning closed sets, items) where items
     are sorted (heuristic form, smallest representative bitset) pairs for
-    the spanning ones.
+    the spanning ones; none of them depends on the order of the walk.
     """
     check_branch(d, top_count, p_index)
     top_bits = ((1 << top_count) - 1) << 1
     p_bits = (p_index << 1) & top_bits
+    a, r, valid, tab = _closure_data(d, p_bits, d)
+    if a & top_bits != p_bits:
+        return 0, 0, []
 
     out: dict[bytes, int] = {}
     forms = _forms_cache
     visited = spanning = 0
-    data = _closure_data(d, p_bits, d)
-    if data[0] != p_bits:
-        data = _next_closed_data(d, p_bits, d)
-    while data is not None and (data[0] & top_bits) == p_bits:
-        a, r, valid, tab = data
+    n = 1 << d
+    # (set, rank, valid patterns, tables, added point, base, failed closures
+    # by point); tab is the greedy basis of a set that agrees with the node's
+    # set up to point base, so its points up to base are a greedy prefix of
+    # every candidate in the node's subtree
+    stack = [(a, r, valid, tab, top_count, top_count, [0] * n)]
+    while stack:
+        a, r, valid, tab, y, base, failed = stack.pop()
         visited += 1
         if r == d:
             spanning += 1
@@ -321,8 +365,24 @@ def enum_branch(d: int, top_count: int, p_index: int):
             prev = out.get(hb)
             if prev is None or a < prev:
                 out[hb] = a
-        # tab.key is a's greedy basis too: closing added only span points above
-        data = _next_closed_data(d, a, tab.key)
+        ok, pts = tab.ok, tab.pts
+        prefix = tab.key & ((2 << base) - 1 << 3 | 7)
+        # the children share this list: none is popped before the loop ends
+        failed = failed.copy()
+        for j in range(y + 1, n):
+            bit = 1 << j
+            below = bit - 1
+            if a & bit or failed[j] & below & ~a:
+                continue
+            if ok_j := ok[j]:  # j is in the span of a
+                v = valid & ok_j
+                child = (reduce(and_, compress(pts, _flags(v))) & ~1, r, v, tab, j, base, failed)
+            else:
+                child = (*_closure_data(d, a | bit, prefix), j, j, failed)
+            if (child[0] ^ a) & below:
+                failed[j] = child[0]
+            else:
+                stack.append(child)
     return visited, spanning, sorted(out.items())
 
 

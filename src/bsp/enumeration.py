@@ -3,10 +3,12 @@
 Coordinates are fixed so that a basis of A is the standard basis; B then
 ranges over spanning subsets of {0,1}^d containing 0, and the maximal
 pairs are exactly the fixpoints of the closure operator b_max . a_max on
-that finite lattice.  Fixpoints are enumerated in lectic order
-(Next-Closure); the run is split into independent branches by the
+that finite lattice.  The run is split into independent branches by the
 membership pattern on the lectically most significant cube points, which
-gives worker parallelism and branch-level checkpointing for free.
+gives worker parallelism and branch-level checkpointing for free.  The C
+kernel enumerates the fixpoints of a branch in lectic order
+(Next-Closure), the pure-Python one as a Close-by-One tree (FCbO); both
+return the same sets.
 Classes are deduplicated by the canonical key of the product matrix, with
 transpose.
 """

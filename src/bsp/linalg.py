@@ -93,10 +93,6 @@ def vec(v: Iterable) -> Vec:
     return tuple(map(rat, coords(v)))
 
 
-def zero_vec(dim: int) -> Vec:
-    return (ZERO,) * dim
-
-
 def unit_vec(dim: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(dim))
 
@@ -110,12 +106,6 @@ def int_dot(u: Row, v: Row) -> int:
     return sum(map(mul, u, v))
 
 
-def dot(u: Vec, v: Vec) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"dot: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
 # add, sub and neg act entrywise, on integer rows as on Fraction vectors
 def add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
@@ -127,10 +117,6 @@ def sub(u: Vec, v: Vec) -> Vec:
 
 def neg(u: Vec) -> Vec:
     return tuple(-a for a in u)
-
-
-def scale(u: Vec, s: Fraction) -> Vec:
-    return tuple(a * s for a in u)
 
 
 def int_rows(vectors: Iterable[Sequence]) -> tuple[int, list[tuple[int, ...]]]:

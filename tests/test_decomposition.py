@@ -30,18 +30,16 @@ from bsp.linalg import (
     Vec,
     add,
     affine_dim,
-    dot,
     dual_basis,
     independent_rows,
     int_rows,
     neg,
     rank,
-    scale,
     solve,
     sub,
     vec,
-    zero_vec,
 )
+from test_linalg import dot, scale, zero_vec
 
 # ---------------------------------------------------------------------------
 # Fraction reference: the decomposition computed with rational dot products,

@@ -3,9 +3,16 @@ import itertools
 import json
 import multiprocessing
 import os
+import shutil
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import bsp
 from bsp.canon import canonical_key
 from bsp.enumeration import (
     Catalog,
@@ -201,6 +208,39 @@ def test_checkpoint_resume(tmp_path):
     resumed = enumerate_catalog(4, checkpoint_path=ck)
     assert resumed.to_jsonl() == full.to_jsonl()
     assert not os.path.exists(ck)  # consumed on completion
+
+
+def test_killed_run_resumes_to_the_same_bytes(tmp_path):
+    """A d=4 run in a subprocess kills itself with SIGKILL from its third
+    progress line, just after the checkpoint of branch 2 is written;
+    resumed from copies of that checkpoint at 1 and at 2 workers, it gives
+    the bytes of an uninterrupted run and removes each copy."""
+    code = textwrap.dedent("""
+        import os, signal, sys
+        from bsp.enumeration import enumerate_catalog
+        lines = []
+
+        def progress(line):
+            lines.append(line)
+            if len(lines) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        enumerate_catalog(4, workers=1, checkpoint_path=sys.argv[1], progress=progress)
+    """)
+    src = str(Path(bsp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    ck = tmp_path / "ck.json"
+    out = subprocess.run([sys.executable, "-c", code, str(ck)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == -signal.SIGKILL, out.stderr
+    assert json.loads(ck.read_text(encoding="ascii"))["done_branches"] == [0, 1, 2]
+    for workers in (1, 2):
+        copy = tmp_path / f"ck{workers}.json"
+        shutil.copy(ck, copy)
+        text = enumerate_catalog(4, workers=workers, checkpoint_path=str(copy)).to_jsonl()
+        assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+        assert not copy.exists()
+    assert list(tmp_path.iterdir()) == [ck]
 
 
 def test_checkpoint_corrupt(tmp_path):

@@ -23,7 +23,8 @@ from bsp.family import (
     product_matrix,
     verify_binary_products,
 )
-from bsp.linalg import unit_vec, vec, zero_vec
+from bsp.linalg import unit_vec, vec
+from test_linalg import zero_vec
 
 
 def fam(d, vectors):
@@ -262,7 +263,7 @@ def test_a_max_contains_standard_basis_for_cube_subfamilies():
     # with B, so a_max(B) must contain 0 and the standard basis
     import random
 
-    from bsp.linalg import unit_vec, zero_vec
+    from bsp.linalg import unit_vec
 
     rng = random.Random(3)
     for d in (2, 3, 4):

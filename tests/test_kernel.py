@@ -197,15 +197,10 @@ def test_python_basis_tables_match_adjugate_oracle(monkeypatch, cap):
     for d in (5, 6):
         for _ in range(30):
             kp.pair_rows(d, kp.closure_and_rank(d, _random_set(rng, d))[0])
-    with_pts = 0
     for tab in built:
         rank, ok, one, pts = _tables_from_scratch(tab.key & 7, tab.key)
-        assert (tab.rank, tab.ok, tab.one) == (rank, ok, one), tab.key
-        if tab.pts is not None:
-            with_pts += 1
-            assert list(tab.pts) == pts, tab.key
+        assert (tab.rank, tab.ok, tab.one, list(tab.pts)) == (rank, ok, one, pts), tab.key
     assert len({t.key for t in built}) > 1491  # the d=4 catalog's tables and more
-    assert with_pts >= len(built) // 2
 
 
 def test_kernel_rejects_out_of_range_input(impl):
@@ -295,9 +290,26 @@ def _enum_branch_reference(impl, d, top_count, p_index):
 
 
 def test_enum_branch_matches_next_closed_walk(impl):
-    for d, k in ((2, 0), (3, 2), (4, 4)):
-        for p in range(1 << k):
-            assert impl.enum_branch(d, k, p) == _enum_branch_reference(impl, d, k, p), (d, k, p)
+    """Every branch up to d=3, at every split (the empty ones, whose root
+    closure breaks the top pattern, included), and the d=4 branches."""
+    cases = [(d, k, p) for d in (1, 2, 3) for k in range(1 << d) for p in range(1 << k)]
+    cases += [(4, 4, p) for p in range(16)]
+    empty = 0
+    for c in cases:
+        got = impl.enum_branch(*c)
+        assert got == _enum_branch_reference(impl, *c), c
+        empty += got[0] == 0
+    assert empty > 0
+
+
+def test_python_enum_branch_d5_with_evicting_caches(monkeypatch):
+    """With room for 2 cache entries, the tables that nodes on the twin's
+    depth-first stack close with are evicted while the stack holds them."""
+    expected = _enum_branch_reference(kp, 5, 8, 37)
+    for cache in kp.CACHES.values():
+        cache.clear()
+    monkeypatch.setattr(kp, "_MAX_CACHED_BASES", 2)
+    assert kp.enum_branch(5, 8, 37) == expected
 
 
 @pytest.mark.parametrize("p_index", [255, 37])

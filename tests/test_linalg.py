@@ -9,7 +9,6 @@ from bsp.linalg import (
     affine_dim,
     coord,
     coords,
-    dot,
     dual_basis,
     greedy_inverse,
     independent_rows,
@@ -21,6 +20,23 @@ from bsp.linalg import (
     unit_vec,
     vec,
 )
+
+
+# Fraction vector helpers for test inputs and reference values; other test
+# modules import them from here
+
+
+def zero_vec(dim: int) -> tuple[Fraction, ...]:
+    return (Fraction(0),) * dim
+
+
+def dot(u, v) -> Fraction:
+    assert len(u) == len(v)
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def scale(u, s) -> tuple[Fraction, ...]:
+    return tuple(a * s for a in u)
 
 
 def test_rank_identity():

@@ -18,7 +18,7 @@ from bsp.errors import (
     SingularBasisError,
 )
 from bsp.family import ProductMatrix, matrix_rank, verify_binary_products
-from bsp.linalg import affine_dim, dot, int_rows, rank, solve, unit_vec, vec
+from bsp.linalg import affine_dim, int_rows, rank, solve, unit_vec, vec
 from bsp.polytope import (
     POLYTOPE_KINDS,
     _construction_vertices,
@@ -35,7 +35,7 @@ from bsp.polytope import (
     special_kind,
     verify_lemma3,
 )
-from test_linalg import det
+from test_linalg import det, dot
 
 FAST_DIMS = {
     "cube": (1, 2, 3, 4, 5),
