@@ -1,6 +1,6 @@
 /*
- * C kernel: the closure and enumeration loops of bsp._kernel_py on 64-bit
- * bitsets, d <= 6.
+ * C kernel: the closure of bsp._kernel_py on 64-bit bitsets, d <= 6, and
+ * its Close-by-One walk of an enumeration branch.
  *
  * Plain C99 with no Python API.  bsp/_kernel_c.py loads the compiled
  * library through ctypes, checks every argument before it gets here, and
@@ -17,7 +17,9 @@
  * close_set walks the points of the set in ascending order from M = I,
  * D = 1, and extend, a transcription of bsp.linalg.extend, puts each one
  * outside the span into M by the exact-division update that keeps D =
- * +-det(M).  The tables are rebuilt on every call rather than cached.
+ * +-det(M).  bsp_enum_branch walks the twin's tree: a child in its
+ * parent's span closes on the parent's tables, any other child on a
+ * fresh close_set.  Nothing is cached from one call to the next.
  *
  * All values are minors of 0/1 matrices of order <= 6 and their sums,
  * far inside int64.
@@ -35,6 +37,7 @@ typedef struct {
     int64_t den;                /* D */
     uint64_t valid;             /* bit sigma: sigma is a valid pattern */
     uint64_t closed;
+    uint64_t ok[MAXP];          /* bit sigma of ok[y]: t(y, sigma) in {0, D}; 0 off the span */
     uint64_t one[MAXP];         /* bit sigma of one[y]: t(y, sigma) = D */
 } closure_t;
 
@@ -78,6 +81,18 @@ static int extend(int d, int r, int y, int64_t phi[MAXD][MAXD], int64_t *den)
     return 1;
 }
 
+/* The closure of any set of span points of c whose valid patterns are v:
+   the points y != 0 with ok[y] & v == v.  v holds sigma = 0, which ok[y]
+   holds exactly on the span. */
+static uint64_t closure_of(int d, const closure_t *c, uint64_t v)
+{
+    uint64_t closed = 0;
+    for (int y = 1; y < (1 << d); y++)
+        if ((c->ok[y] & v) == v)
+            closed |= (uint64_t)1 << y;
+    return closed;
+}
+
 static void close_set(int d, uint64_t sset, closure_t *c)
 {
     int64_t phi[MAXD][MAXD] = {{0}};  /* from M = I, D = 1 */
@@ -94,11 +109,9 @@ static void close_set(int d, uint64_t sset, closure_t *c)
 
     int nsig = 1 << r;
     uint64_t all = nsig == 64 ? ~(uint64_t)0 : ((uint64_t)1 << nsig) - 1;
-    uint64_t ok[MAXP];          /* bit sigma: t(y, sigma) in {0, D} */
     int64_t w[MAXP][MAXD];
-    uint64_t span = 1;
     memset(w[0], 0, sizeof w[0]);
-    ok[0] = all;
+    c->ok[0] = all;
     c->one[0] = 0;
     for (int y = 1; y < (1 << d); y++) {
         int low = lowest_bit((uint64_t)y);
@@ -108,19 +121,18 @@ static void close_set(int d, uint64_t sset, closure_t *c)
             if (i >= r && w[y][i] != 0)
                 in_span = 0;
         }
-        ok[y] = c->one[y] = 0;
+        c->ok[y] = c->one[y] = 0;
         if (!in_span)
             continue;
-        span |= (uint64_t)1 << y;
         int64_t t[MAXP];
         t[0] = 0;
-        ok[y] = 1;
+        c->ok[y] = 1;
         for (int s = 1; s < nsig; s++) {
             t[s] = t[s & (s - 1)] + w[y][lowest_bit((uint64_t)s)];
             if (t[s] == 0)
-                ok[y] |= (uint64_t)1 << s;
+                c->ok[y] |= (uint64_t)1 << s;
             else if (t[s] == c->den) {
-                ok[y] |= (uint64_t)1 << s;
+                c->ok[y] |= (uint64_t)1 << s;
                 c->one[y] |= (uint64_t)1 << s;
             }
         }
@@ -128,11 +140,8 @@ static void close_set(int d, uint64_t sset, closure_t *c)
     c->valid = all;
     for (int y = 1; y < (1 << d); y++)
         if ((sset >> y) & 1)
-            c->valid &= ok[y];
-    c->closed = 0;
-    for (int y = 1; y < (1 << d); y++)
-        if (((span >> y) & 1) && (ok[y] & c->valid) == c->valid)
-            c->closed |= (uint64_t)1 << y;
+            c->valid &= c->ok[y];
+    c->closed = closure_of(d, c, c->valid);
 }
 
 /* Product-matrix rows of the closed set `closed` against the valid
@@ -160,21 +169,6 @@ static int rows_of(int d, uint64_t closed, const closure_t *c, uint64_t *rows, i
     return nrows;
 }
 
-/* Closure data of the candidate whose closure is the lectically next
-   closed set after `current`; 0 at the end. */
-static int next_closed(int d, uint64_t current, closure_t *c)
-{
-    for (int i = (1 << d) - 1; i > 0; i--) {
-        uint64_t bit = (uint64_t)1 << i, below = bit - 1;
-        if (current & bit)
-            continue;
-        close_set(d, (current & below) | bit, c);
-        if ((c->closed & below) == (current & below))
-            return 1;
-    }
-    return 0;
-}
-
 static void sort_u64(uint64_t *x, int n)
 {
     for (int i = 1; i < n; i++) {
@@ -199,6 +193,25 @@ static void transpose(const uint64_t *in, int m, int n, uint64_t *out)
     }
 }
 
+/* Sort rows and columns alternately until stable (at most 6 rounds),
+   in place; bsp._kernel_c adds the byte encoding of
+   bsp._kernel_py.heuristic_form. */
+static void heuristic_form(uint64_t *rows, int m, int n)
+{
+    uint64_t cols[MAXP], next[MAXP];
+    sort_u64(rows, m);
+    for (int round = 0; round < 6; round++) {
+        transpose(rows, m, n, cols);
+        sort_u64(cols, n);
+        transpose(cols, n, m, next);
+        sort_u64(next, m);
+        int same = memcmp(next, rows, m * sizeof *rows) == 0;
+        memcpy(rows, next, m * sizeof *rows);
+        if (same)
+            break;
+    }
+}
+
 /* Hash set of fixed-size records of `stride` words, the key in the
    first words; slots hold record index + 1, 0 when empty. */
 typedef struct {
@@ -217,8 +230,8 @@ static void table_init(table_t *t, uint64_t *recs, int32_t *slots, int stride, i
     memset(slots, 0, 2 * (size_t)cap * sizeof *slots);
 }
 
-/* The record whose first len words equal key, added when absent;
-   NULL when it is absent and the table is full. */
+/* The record whose first len words equal key, added when absent; the
+   caller empties the table as soon as it is full. */
 static uint64_t *table_get(table_t *t, const uint64_t *key, int len)
 {
     uint64_t h = 0;
@@ -230,8 +243,6 @@ static uint64_t *table_get(table_t *t, const uint64_t *key, int len)
     for (uint64_t s = h % nslots;; s = (s + 1) % nslots) {
         int32_t k = t->slots[s];
         if (k == 0) {
-            if (t->count == t->cap)
-                return NULL;
             uint64_t *rec = t->recs + (size_t)t->count * t->stride;
             memset(rec, 0, t->stride * sizeof *rec);
             memcpy(rec, key, len * sizeof *key);
@@ -246,14 +257,6 @@ static uint64_t *table_get(table_t *t, const uint64_t *key, int len)
 
 /* ---- exported ---------------------------------------------------- */
 
-int bsp_closure_and_rank(int d, uint64_t sset, uint64_t *closed)
-{
-    closure_t c;
-    close_set(d, sset, &c);
-    *closed = c.closed;
-    return c.rank;
-}
-
 /* rows: 64 words; returns the row count and sets *n. */
 int bsp_pair_rows(int d, uint64_t closed, uint64_t *rows, int *n)
 {
@@ -262,87 +265,99 @@ int bsp_pair_rows(int d, uint64_t closed, uint64_t *rows, int *n)
     return rows_of(d, closed, &c, rows, n);
 }
 
-int bsp_next_closed(int d, uint64_t current, uint64_t *next)
-{
-    closure_t c;
-    if (!next_closed(d, current, &c))
-        return 0;
-    *next = c.closed;
-    return 1;
-}
-
-/* Sort rows and columns alternately until stable (at most 6 rounds),
-   in place; bsp._kernel_py.heuristic_form adds the byte encoding. */
-void bsp_heuristic_form(uint64_t *rows, int m, int n)
-{
-    uint64_t cols[MAXP], next[MAXP];
-    sort_u64(rows, m);
-    for (int round = 0; round < 6; round++) {
-        transpose(rows, m, n, cols);
-        sort_u64(cols, n);
-        transpose(cols, n, m, next);
-        sort_u64(next, m);
-        int same = memcmp(next, rows, m * sizeof *rows) == 0;
-        memcpy(rows, next, m * sizeof *rows);
-        if (same)
-            break;
-    }
-}
-
 /*
  * Closed sets whose pattern on the cube points 1..top_count is p_index,
- * in lectic order; bsp._kernel_py.enum_branch walks the same sets as a
- * Close-by-One tree and returns the same values.  Each spanning one
- * is reduced to its heuristic form and kept in a table of cap records of
- * FORM_WORDS words: header (row count | column count << 8), the sorted
- * rows, zero padding, and the smallest mask with that form.
+ * walked as the Close-by-One tree of bsp._kernel_py.enum_branch, with
+ * the same values.  Each spanning one is reduced to its heuristic form
+ * and kept in a table of cap records of FORM_WORDS words: header (row
+ * count | column count << 8), the sorted rows, zero padding, and the
+ * smallest mask with that form.  When the table fills, flush(cap) hands
+ * the records over and the table starts empty again; the walk ends with
+ * flush(count) for the rest.  counts: visited, spanning, and the records
+ * taken, which flush adds to once it has read them; the walk stops at
+ * once when a flush has not.  slots: 2*cap words.
  *
- * state: [last set visited, visited count, spanning count, phase], phase
- * 0 to start, 1 to go on after the last set, 2 when the branch is done.
- * A call stops with phase 1 as soon as the table is full; the caller
- * reads the records and calls again.  slots: 2*cap words.  Returns the
- * record count.
+ * A node a, made by adding point y, tries each j > y outside a that no
+ * failed closure rules out; one that adds a point below j goes to
+ * failed[j], the others are pushed.  The walk is depth first, so the
+ * tables level[k] and failed[k] of the node expanded last at depth k
+ * stay in place while any child of that node is pending.  The pending
+ * children of each node on the path to the one being expanded lie
+ * strictly between its point and its child's, and that node's own lie
+ * after its point: at most 2^d - 1 nodes are ever pending, and depths
+ * run to 2^d.
  */
-int bsp_enum_branch(int d, int top_count, uint64_t p_index, uint64_t *state,
-                    uint64_t *recs, int32_t *slots, int cap)
+typedef struct {
+    closure_t c;
+    int y, depth;
+} node_t;
+
+void bsp_enum_branch(int d, int top_count, uint64_t p_index, uint64_t *counts,
+                     uint64_t *recs, int32_t *slots, int cap, void (*flush)(int))
 {
-    uint64_t top_bits = 0, p_bits = 0;
-    for (int t = 0; t < top_count; t++) {
-        top_bits |= (uint64_t)1 << (t + 1);
-        if ((p_index >> t) & 1)
-            p_bits |= (uint64_t)1 << (t + 1);
-    }
+    uint64_t top_bits = (((uint64_t)1 << top_count) - 1) << 1;
+    uint64_t p_bits = (p_index << 1) & top_bits;
+    node_t stack[MAXP];
+    closure_t level[MAXP + 1];
+    uint64_t failed[MAXP + 1][MAXP];
     table_t tab;
     table_init(&tab, recs, slots, FORM_WORDS, cap);
-    closure_t c;
-    int found;
-    if (state[3] == 0) {
-        close_set(d, p_bits, &c);
-        found = c.closed == p_bits || next_closed(d, p_bits, &c);
-    } else {
-        found = state[3] == 1 && next_closed(d, state[0], &c);
-    }
-    while (found && (c.closed & top_bits) == p_bits) {
-        uint64_t a = c.closed;
-        state[0] = a;
-        state[1]++;
-        if (c.rank == d) {
+    uint64_t handed = 0;
+    counts[0] = counts[1] = counts[2] = 0;
+    memset(failed[0], 0, sizeof failed[0]);
+    close_set(d, p_bits, &stack[0].c);
+    stack[0].y = top_count;
+    stack[0].depth = 1;
+    int top = (stack[0].c.closed & top_bits) == p_bits;
+    while (top > 0) {
+        node_t *node = &stack[--top];
+        int k = node->depth, y = node->y;
+        closure_t *c = &level[k];
+        *c = node->c;
+        uint64_t a = c->closed;
+        counts[0]++;
+        if (c->rank == d) {
             uint64_t key[FORM_WORDS];
-            int n, m = rows_of(d, a, &c, key + 1, &n);
-            state[2]++;
-            bsp_heuristic_form(key + 1, m, n);
+            int n, m = rows_of(d, a, c, key + 1, &n);
+            counts[1]++;
+            heuristic_form(key + 1, m, n);
             key[0] = (uint64_t)m | (uint64_t)n << 8;
             uint64_t *rec = table_get(&tab, key, 1 + m);
             /* a new record holds mask 0, and a spanning set is not empty */
             if (rec[FORM_WORDS - 1] == 0 || a < rec[FORM_WORDS - 1])
                 rec[FORM_WORDS - 1] = a;
             if (tab.count == cap) {
-                state[3] = 1;
-                return tab.count;
+                flush(cap);
+                if (counts[2] != (handed += cap))
+                    return;
+                table_init(&tab, recs, slots, FORM_WORDS, cap);
             }
         }
-        found = next_closed(d, a, &c);
+        memcpy(failed[k], failed[k - 1], sizeof failed[k]);
+        for (int j = y + 1; j < (1 << d); j++) {
+            uint64_t bit = (uint64_t)1 << j, below = bit - 1;
+            if ((a & bit) || (failed[k][j] & below & ~a))
+                continue;
+            closure_t *child = &stack[top].c;
+            if (c->ok[j]) {  /* j is in the span of a */
+                uint64_t v = c->valid & c->ok[j], b = closure_of(d, c, v);
+                if ((b ^ a) & below) {
+                    failed[k][j] = b;
+                    continue;
+                }
+                *child = *c;
+                child->valid = v;
+                child->closed = b;
+            } else {
+                close_set(d, a | bit, child);
+                if ((child->closed ^ a) & below) {
+                    failed[k][j] = child->closed;
+                    continue;
+                }
+            }
+            stack[top].y = j;
+            stack[top++].depth = k + 1;
+        }
     }
-    state[3] = 2;
-    return tab.count;
+    flush(tab.count);
 }

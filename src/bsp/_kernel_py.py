@@ -1,10 +1,12 @@
 """Pure-Python kernel: hot loops behind enumeration and facet enumeration.
 
 This module is the reference twin of the C kernel (``_ckernel.c``, loaded
-by :mod:`bsp._kernel_c`); both expose the same functions with identical
-outputs, and the active one is chosen in :mod:`bsp.kernel`.
-:func:`facet_scan` is implemented here only: its exact double
-description needs unbounded integers, and the C kernel re-exports it.
+by :mod:`bsp._kernel_c`), and the active one is chosen in
+:mod:`bsp.kernel`.  The C kernel runs :func:`pair_rows` and
+:func:`enum_branch`, with identical outputs, and re-exports every other
+function from here: the exact double description of :func:`facet_scan`
+needs unbounded integers, and the others run only outside the hot loops
+(checkpoint reads, oracles and tests).
 
 Everything here works on bit-packed data.  A subset of the 0/1 cube in
 dimension d is an integer whose bit y is the cube point with coordinate
@@ -39,11 +41,11 @@ walk leaves it; only a table, as it is built, divides D and
 phi_0..phi_{r-1} by their gcd with the sign that makes D > 0, so that
 equal tables share ``_patterns`` cache keys.
 
-:func:`enum_branch` walks each branch as a Close-by-One tree.  A child
-adds one point j to a closed set a.  When j is in the span of a, the
-child closes on a's own tables: its valid patterns are valid & ok[j],
-since a's basis lies in the child and spans it.  Otherwise the child
-closes on the greedy basis of a + {j}.  The rank and the product-matrix
+Both kernels' :func:`enum_branch` walk each branch as this Close-by-One
+tree.  A child adds one point j to a closed set a.  When j is in the span
+of a, the child closes on a's own tables: its valid patterns are
+valid & ok[j], since a's basis lies in the child and spans it.
+Otherwise the child closes on the greedy basis of a + {j}.  The rank and the product-matrix
 rows of every closed set come from the tables it was closed on: a set
 and its closure have the same partner family, and the tables of any
 basis of the span inside the set give that family, so the rows are those

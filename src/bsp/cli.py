@@ -25,7 +25,7 @@ from .enumeration import (
     stats,
     verify_against_reference,
 )
-from .errors import BspError
+from .errors import BadParameterError, BspError
 from .family import BspPair, ProductMatrix, pair_from_product_matrix, verify_binary_products
 from .lemmas import check_binom_bound, check_inequality2, check_lemma1, check_lemma2
 from .polytope import (
@@ -229,6 +229,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    # no dimension or no draw would check nothing and still pass
+    if args.dmax < 1 or args.trials < 1:
+        raise BadParameterError(
+            f"--d and --trials must be at least 1, got {args.dmax} and {args.trials}")
     reports = []
     if args.all or args.inequality2:
         reports.append(check_inequality2(args.dmax).to_json())

@@ -5,10 +5,9 @@ ranges over spanning subsets of {0,1}^d containing 0, and the maximal
 pairs are exactly the fixpoints of the closure operator b_max . a_max on
 that finite lattice.  The run is split into independent branches by the
 membership pattern on the lectically most significant cube points, which
-gives worker parallelism and branch-level checkpointing for free.  The C
-kernel enumerates the fixpoints of a branch in lectic order
-(Next-Closure), the pure-Python one as a Close-by-One tree (FCbO); both
-return the same sets.
+gives worker parallelism and branch-level checkpointing for free.  Both
+kernels walk the fixpoints of a branch as the same Close-by-One tree
+(FCbO, described in :mod:`bsp._kernel_py`).
 Classes are deduplicated by the canonical key of the product matrix, with
 transpose.
 """

@@ -277,6 +277,14 @@ def test_lemmas_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-5"], ["--d", "0"],
+                                   ["--d", "-1"]])
+def test_lemmas_refuses_to_check_nothing(capsys, flags):
+    code, out, err = run(["lemmas", "--lemslice", *flags], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "BadParameterError"
+
+
 def test_conjecture_catalog_and_slack(tmp_path, capsys):
     cat = tmp_path / "cat4.jsonl"
     run(["enumerate", "-d", "4", "--out", str(cat)], capsys)

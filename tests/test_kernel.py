@@ -88,13 +88,8 @@ def _random_set(rng, d):
 
 
 def _assert_agree(kc, d, sset):
-    cc = kc.closure_and_rank(d, sset)
-    assert cc == kp.closure_and_rank(d, sset)
-    closed = cc[0]
-    rows = kp.pair_rows(d, closed)
-    assert kc.pair_rows(d, closed) == rows
-    assert kc.next_closed(d, sset) == kp.next_closed(d, sset)
-    assert kc.heuristic_form(*rows) == kp.heuristic_form(*rows)
+    closed = kp.closure_and_rank(d, sset)[0]
+    assert kc.pair_rows(d, closed) == kp.pair_rows(d, closed)
 
 
 def test_backends_agree_exhaustively_small_d(kc):
@@ -112,11 +107,36 @@ def test_backends_agree_on_random_d4_d5(kc):
 
 @pytest.mark.parametrize("records", [512, 2])
 def test_enum_branch_identical_across_backends(kc, monkeypatch, records):
+    """Small branches, and d=6 sub-branches with 24 fixed points: one that
+    reaches the full cube (point 63, 64-column forms), and two larger ones
+    whose walks close many non-closed sets outside their parents' span."""
     # a 2-record table makes the C side hand its forms over many times
     monkeypatch.setattr(kc, "_TABLE_RECORDS", records)
     for d, k in ((2, 0), (3, 2), (4, 4)):
         for p in range(1 << k):
             assert kc.enum_branch(d, k, p) == kp.enum_branch(d, k, p)
+    for p, visited in (((1 << 24) - 1, 244), (12_888_810, 904), (6_312_081, 8_082)):
+        got = kc.enum_branch(6, 24, p)
+        assert got == kp.enum_branch(6, 24, p)
+        assert got[0] == visited
+
+
+@pytest.mark.parametrize("records", [512, 2])
+def test_enum_branch_raises_what_its_callback_raised(kc, monkeypatch, records):
+    """An exception in the callback that hands the forms over is raised
+    by enum_branch, not dropped by ctypes with a partial result, and the
+    walk stops at the first one."""
+    calls = []
+
+    def broken(rows, n):
+        calls.append(n)
+        raise ZeroDivisionError("form")
+
+    monkeypatch.setattr(kc, "_TABLE_RECORDS", records)
+    monkeypatch.setattr(kc, "_form_bytes", broken)
+    with pytest.raises(ZeroDivisionError, match="form"):
+        kc.enum_branch(4, 4, 0)
+    assert len(calls) == 1
 
 
 def test_catalogs_identical_across_backends(kc, monkeypatch):
@@ -420,7 +440,5 @@ def test_backends_agree_at_d6_spot_checks(kc):
         sset = 0
         for m in rng.sample(range(1, 64), rng.randint(6, 40)):
             sset |= 1 << m
-        cc = kc.closure_and_rank(6, sset)
-        assert cc == kp.closure_and_rank(6, sset)
-        closed = cc[0]
+        closed = kp.closure_and_rank(6, sset)[0]
         assert kc.pair_rows(6, closed) == kp.pair_rows(6, closed)
