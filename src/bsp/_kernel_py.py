@@ -57,10 +57,12 @@ of x.  valid is the AND of the gathered ok; the closure is the AND of
 pts[sigma] over the valid sigma, pts[sigma] being the bitset of the
 points whose ok holds sigma (an ``array`` built with the table: ok
 packed one word per point into one integer and transposed as a bit
-matrix by delta swaps).  one[y] is a '0'/'1' string indexed by sigma,
-so the rows are ``zip(*...)`` of the gathered strings at the valid sigma.
-:func:`enum_branch` memoizes :func:`heuristic_form` on the sorted rows:
-at d=4 its 6,963 spanning sets have 347 distinct row-sorted matrices.
+matrix by delta swaps).  The product-matrix rows are the gathered
+one[m] transposed the same way, read at the valid sigma.
+:func:`enum_branch` memoizes :func:`heuristic_form` on valid and the
+gathered one[m] & valid, which fix the matrix exactly, so rows are built
+only on a miss: at d=4 its 6,963 spanning sets have 347 distinct
+matrices.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ _MAX_CACHED_BASES = 60000
 _tables_cache: dict = {}  # basis bitset << 3 | d -> _BasisTables
 _span_cache: dict = {}  # basis prefix bitset << 3 | d -> (span bitset, D, phi_0 .. phi_{d-1})
 _patterns_cache: dict = {}  # (D, w restricted to the basis) -> (ok, one)
-_forms_cache: dict = {}  # sorted rows joined by commas -> heuristic form
+_forms_cache: dict = {}  # (valid, one[m] & valid for each member m) -> heuristic form
 CACHES = {"tables": _tables_cache, "span": _span_cache, "patterns": _patterns_cache,
           "forms": _forms_cache}
 
@@ -154,13 +156,14 @@ def _values(f) -> list[int]:
     return vals
 
 
-def _patterns(det: int, w: tuple[int, ...]) -> tuple[int, str]:
-    """(ok, one) of a point with this w on a basis with this D: ok as a
-    bitset, one as a '0'/'1' string indexed by sigma."""
+def _patterns(det: int, w: tuple[int, ...]) -> tuple[int, int]:
+    """(ok, one) of a point with this w on a basis with this D, as bitsets
+    over sigma."""
     if (hit := _patterns_cache.get(key := (det, w))) is None:
         t = _values(w)  # t[sigma] = sum over set bits i of sigma of w[i]
         ok = int("".join("1" if x in (0, det) else "0" for x in reversed(t)), 2)
-        hit = _remember(_patterns_cache, key, (ok, "".join("1" if x == det else "0" for x in t)))
+        one = int("".join("1" if x == det else "0" for x in reversed(t)), 2)
+        hit = _remember(_patterns_cache, key, (ok, one))
     return hit
 
 
@@ -257,11 +260,11 @@ def closure_and_rank(d: int, sset: int) -> tuple[int, int]:
     return _closure_data(d, sset, d)[:2]
 
 
-def _row_strings(closed: int, valid: int, tab: _BasisTables):
-    """Product-matrix rows of ``closed`` against the partner vectors given
-    by ``valid`` and ``tab`` (the closure data of any set whose closure is
-    ``closed``), as '0'/'1' strings."""
-    return map("".join, compress(zip(*compress(tab.one, _flags(closed | 1))), _flags(valid)))
+def _rows(d: int, cols, valid: int) -> list[int]:
+    """Product-matrix rows at the valid patterns, in increasing sigma, of
+    the members whose one[] bitsets are ``cols`` in column order: the
+    reversed columns transposed, so that column j lands at bit n-1-j."""
+    return list(compress(_transposed(d, cols[::-1], valid.bit_length()), _flags(valid)))
 
 
 def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
@@ -274,7 +277,8 @@ def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
     check_set(d, closed)
     closed &= (1 << (1 << d)) - 2
     tab, valid = _basis(d, closed, d)
-    return [int(r, 2) for r in _row_strings(closed, valid, tab)], closed.bit_count() + 1
+    cols = list(compress(tab.one, _flags(closed | 1)))
+    return _rows(d, cols, valid), len(cols)
 
 
 def next_closed(d: int, current: int) -> int:
@@ -293,11 +297,18 @@ def next_closed(d: int, current: int) -> int:
     return -1
 
 
-def _form(rows: list[str], n: int) -> bytes:
-    """:func:`heuristic_form` of sorted '0'/'1' rows of length n."""
+def heuristic_form(rows: list[int], n: int) -> bytes:
+    """Cheap permutation-stable signature: alternately sort rows and
+    columns until stable.  Equal signatures imply permutation-equivalent
+    matrices (the converse is handled later by exact canonicalization).
+
+    The form is ``b"m,n:"`` followed by the sorted rows, each as whole
+    big-endian bytes; :func:`form_rows` reads it back."""
+    check_rows(rows, n)
     m = len(rows)
     if not (m and n):
         return b"%d,%d:" % (m, n)
+    rows = sorted(bin(r | 1 << n)[3:] for r in rows)
     for _ in range(6):
         cols = sorted(map("".join, zip(*rows)))
         nxt = sorted(map("".join, zip(*cols)))
@@ -308,12 +319,15 @@ def _form(rows: list[str], n: int) -> bytes:
     return b"%d,%d:" % (m, n) + int(pad + pad.join(rows), 2).to_bytes(m * ((n + 7) // 8), "big")
 
 
-def heuristic_form(rows: list[int], n: int) -> bytes:
-    """Cheap permutation-stable signature: alternately sort rows and
-    columns until stable.  Equal signatures imply permutation-equivalent
-    matrices (the converse is handled later by exact canonicalization)."""
-    check_rows(rows, n)
-    return _form(sorted(bin(r | 1 << n)[3:] for r in rows), n)
+def form_rows(form: bytes) -> tuple[list[int], int]:
+    """The int rows and column count of the matrix a :func:`heuristic_form`
+    holds (the inverse of its packing), in the form's row order."""
+    head, _, packed = form.partition(b":")
+    m, n = map(int, head.split(b","))
+    width = (n + 7) // 8
+    if not width:
+        return [0] * m, n
+    return [int.from_bytes(packed[i:i + width], "big") for i in range(0, m * width, width)], n
 
 
 def enum_branch(d: int, top_count: int, p_index: int):
@@ -361,9 +375,10 @@ def enum_branch(d: int, top_count: int, p_index: int):
         visited += 1
         if r == d:
             spanning += 1
-            rows = sorted(_row_strings(a, valid, tab))
-            if (hb := forms.get(key := ",".join(rows))) is None:
-                hb = _remember(forms, key, _form(rows, len(rows[0])))
+            # the valid patterns and the members' one[] on them fix the matrix
+            key = (valid, *map(valid.__and__, compress(tab.one, _flags(a | 1))))
+            if (hb := forms.get(key)) is None:
+                hb = _remember(forms, key, heuristic_form(_rows(d, key[1:], valid), len(key) - 1))
             prev = out.get(hb)
             if prev is None or a < prev:
                 out[hb] = a

@@ -108,7 +108,7 @@ def _key(m: int, n: int, *orientations: list[int]) -> bytes:
     return b"%d,%d:" % (m, n) + packed.to_bytes((m * n + 7) // 8, "big")
 
 
-def _transpose(rows: list[int], n: int) -> list[int]:
+def transpose(rows: list[int], n: int) -> list[int]:
     """Rows of the transpose, in some row and column order (the key does
     not depend on either)."""
     cols = [0] * n
@@ -137,9 +137,9 @@ def rows_key(rows: list[int], n: int, include_transpose: bool = False) -> bytes:
     columns (column j at bit n-1-j), as the kernel hands them over."""
     m = len(rows)
     if include_transpose and m > n:
-        m, n, rows = n, m, _transpose(rows, n)
+        m, n, rows = n, m, transpose(rows, n)
     if include_transpose and m == n:
-        return _key(m, n, rows, _transpose(rows, n))
+        return _key(m, n, rows, transpose(rows, n))
     return _key(m, n, rows)
 
 

@@ -149,7 +149,9 @@ def cmd_example(args) -> int:
 
 
 def _json_files(paths: list[str]) -> list[str]:
-    """The paths, each directory replaced by its .json files in name order."""
+    """The paths, each directory replaced by its .json files in name order.
+    Raises BadParameterError when they name no file: checking nothing
+    would pass."""
     files = []
     for p in paths:
         if os.path.isdir(p):
@@ -158,6 +160,8 @@ def _json_files(paths: list[str]) -> list[str]:
             )
         else:
             files.append(p)
+    if not files:
+        raise BadParameterError(f"no .json file in {', '.join(paths)}")
     return files
 
 

@@ -8,8 +8,11 @@ membership pattern on the lectically most significant cube points, which
 gives worker parallelism and branch-level checkpointing for free.  Both
 kernels walk the fixpoints of a branch as the same Close-by-One tree
 (FCbO, described in :mod:`bsp._kernel_py`).
-Classes are deduplicated by the canonical key of the product matrix, with
-transpose.
+A branch returns each spanning closed set as the heuristic form of its
+product matrix.  The forms are merged, each is replaced by the form of its
+orientation with fewer rows (so transposed copies meet), and the classes
+are the distinct canonical keys, with transpose, read from the form bytes:
+one exact search per form left.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from importlib import resources
 from time import monotonic
 
 from . import kernel
-from .canon import canonical_from_key, canonical_key, rows_key
+from .canon import canonical_from_key, canonical_key, rows_key, transpose
 from .errors import BadParameterError, CheckpointCorruptError, MalformedInputError, parsing
 from .family import ProductMatrix
 from .linalg import int_field
@@ -136,11 +139,22 @@ def _run_branch(args: tuple[int, int, int]):
     return (p_index, *kernel.enum_branch(d, top_count, p_index))
 
 
-def _classify(args: tuple[int, int]) -> bytes:
-    """Canonical key, up to transpose, of the product matrix of a closed
-    spanning set."""
-    d, mask = args
-    return rows_key(*kernel.pair_rows(d, mask), include_transpose=True)
+def _oriented(form: bytes) -> bytes:
+    """The heuristic form of the matrix that ``form`` holds, taken in the
+    orientation with fewer rows; of a square matrix, the smaller of the
+    form and its transpose's form.  The result holds the same matrix up to
+    permutations and transpose, so it has the same key, and transposed
+    copies of one matrix meet."""
+    rows, n = kernel.form_rows(form)
+    if len(rows) < n:
+        return form
+    flipped = kernel.heuristic_form(transpose(rows, n), len(rows))
+    return flipped if len(rows) > n else min(form, flipped)
+
+
+def _classify(form: bytes) -> bytes:
+    """Canonical key, up to transpose, of the matrix a heuristic form holds."""
+    return rows_key(*kernel.form_rows(form), include_transpose=True)
 
 
 def _catalog(d: int, keys) -> Catalog:
@@ -237,7 +251,7 @@ def enumerate_catalog(
                          f"({visited} closed, {spanning} spanning), "
                          f"{elapsed:.1f} s elapsed, ETA {eta:.1f} s")
 
-        forms = [(d, mask) for mask in merged.values()]
+        forms = {_oriented(hb) for hb in merged}
         if parallel and len(forms) > 1000:
             keys = set(pool.map(_classify, forms, chunksize=256))
         else:

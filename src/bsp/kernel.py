@@ -11,7 +11,8 @@ from __future__ import annotations
 import importlib
 import os
 
-from ._kernel_py import MAX_DIM  # noqa: F401  (bitsets of up to 2^6 cube points)
+# bitsets of up to 2^6 cube points; both kernels' heuristic forms decode alike
+from ._kernel_py import MAX_DIM, form_rows  # noqa: F401
 
 _MODULES = {"python": "._kernel_py", "c": "._kernel_c"}
 

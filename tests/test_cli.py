@@ -285,6 +285,15 @@ def test_lemmas_refuses_to_check_nothing(capsys, flags):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "BadParameterError"
 
 
+@pytest.mark.parametrize("argv", [["polytope", "check"], ["conjecture", "-d", "4", "--slack"]])
+def test_paths_with_no_json_file_are_refused(tmp_path, capsys, argv):
+    """A directory with no .json file would check nothing and still pass."""
+    (tmp_path / "notes.txt").write_text("not a polytope", encoding="ascii")
+    code, out, err = run([*argv, str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "BadParameterError"
+
+
 def test_conjecture_catalog_and_slack(tmp_path, capsys):
     cat = tmp_path / "cat4.jsonl"
     run(["enumerate", "-d", "4", "--out", str(cat)], capsys)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bsp
-from bsp.canon import canonical_key
+from bsp.canon import canonical_key, rows_key
 from bsp.enumeration import (
     Catalog,
     branch_split,
@@ -178,6 +178,26 @@ def test_worker_pool_is_bounded_by_pending_branches(tmp_path, monkeypatch):
         with pytest.raises(BadParameterError, match="workers"):
             enumerate_catalog(3, workers=workers)
     assert _RecordingPool.sizes == [16, 13, 2]
+
+
+def test_classification_keys_each_form_once_up_to_transpose(monkeypatch):
+    """The 196 merged d=4 forms hold 91 matrices up to permutations and
+    transpose as the heuristic form sees them: one exact search each, and
+    no product matrix is rebuilt from its set."""
+    searched = []
+
+    def counting_rows_key(rows, n, include_transpose=False):
+        searched.append(n)
+        return rows_key(rows, n, include_transpose)
+
+    def no_pair_rows(d, mask):
+        raise AssertionError("classification rebuilt a product matrix")
+
+    monkeypatch.setattr(enumeration, "rows_key", counting_rows_key)
+    monkeypatch.setattr(enumeration.kernel, "pair_rows", no_pair_rows)
+    text = enumerate_catalog(4, workers=1).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+    assert len(searched) == 91
 
 
 def test_progress_lines_report_elapsed_time_and_eta(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 
 import bsp
 from bsp import enumeration, kernel
+from bsp.canon import rows_key
 from bsp.family import a_max, closure, family_from_masks
 from bsp.linalg import independent_rows
 from test_enumeration import D4_SHA256
@@ -186,7 +187,7 @@ def _tables_from_scratch(d, key):
         t = [sum(w[i] for i in range(r) if (s >> i) & 1) for s in range(1 << r)]
         span = not any(w[r:])
         ok.append(sum(1 << s for s, x in enumerate(t) if span and x in (0, det_m)))
-        one.append("".join("1" if span and x == det_m else "0" for x in t))
+        one.append(sum(1 << s for s, x in enumerate(t) if span and x == det_m))
     pts = [sum(1 << y for y in range(1 << d) if (ok[y] >> s) & 1) for s in range(1 << r)]
     return r, ok, one, pts
 
@@ -280,6 +281,56 @@ def test_edge_inputs_give_the_former_values(impl):
     assert impl.heuristic_form([], 5) == b"0,5:"
     wide = impl.heuristic_form([(1 << 64) - 1, 1], 64)
     assert wide == b"2,64:" + bytes.fromhex("00" * 7 + "01" + "ff" * 8)
+
+
+def test_form_rows_inverts_the_form_packing():
+    """The decoder reads back the rows a heuristic form packs, in the
+    form's order: on the edge shapes above, on an n that is not a multiple
+    of 8, and on seeded random matrices, where packing the decoded rows
+    again gives the form's bytes."""
+    for rows, n, want in (([], 0, []), ([0, 0], 0, [0, 0]), ([], 5, []),
+                          ([(1 << 64) - 1, 1], 64, [1, (1 << 64) - 1]),
+                          ([0b101, 0b011, 0b110], 3, [3, 5, 6]),
+                          ([0xFFF, 0x001], 12, [1, 0xFFF])):
+        assert kernel.form_rows(kp.heuristic_form(rows, n)) == (want, n)
+    assert kp.heuristic_form([0xFFF, 0x001], 12) == b"2,12:\x00\x01\x0f\xff"
+    rng = random.Random(5)
+    for _ in range(300):
+        m, n = rng.randint(0, 9), rng.randint(0, 20)
+        rows = [rng.getrandbits(n) for _ in range(m)]
+        form = kp.heuristic_form(rows, n)
+        got, n_got = kernel.form_rows(form)
+        width = (n + 7) // 8
+        assert form == b"%d,%d:" % (m, n) + b"".join(r.to_bytes(width, "big") for r in got)
+        assert n_got == n and rows_key(got, n) == rows_key(rows, n)
+
+
+def _assert_forms_key_like_their_sets(d, items):
+    """Each (heuristic form, closed spanning set) item: the form's bytes,
+    and the form of its orientation with fewer rows, have the key of the
+    set's own product matrix."""
+    for form, mask in items:
+        key = rows_key(*kp.pair_rows(d, mask), include_transpose=True)
+        merged = enumeration._oriented(form)
+        m, n = map(int, merged.partition(b":")[0].split(b","))
+        assert m <= n, (d, mask)
+        assert enumeration._classify(form) == key, (d, mask)
+        assert enumeration._classify(merged) == key, (d, mask)
+
+
+def test_forms_key_like_their_spanning_sets(kc):
+    """Every d=4 form, every form of d=5 branch 255 and every 25th of d=5
+    branches 0 and 37 (walked by the C kernel)."""
+    for p in range(16):
+        _assert_forms_key_like_their_sets(4, kp.enum_branch(4, 4, p)[2])
+    for p, step in ((255, 1), (0, 25), (37, 25)):
+        _assert_forms_key_like_their_sets(5, kc.enum_branch(5, 8, p)[2][::step])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p_index", [0, 37])
+def test_forms_key_like_their_spanning_sets_on_whole_d5_branches(kc, p_index):
+    _assert_forms_key_like_their_sets(5, kc.enum_branch(5, 8, p_index)[2])
 
 
 def test_shim_without_loadable_library_raises_import_error(tmp_path):
