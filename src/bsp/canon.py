@@ -20,9 +20,29 @@ computed only once a second node reaches the same trace.  This is sound:
 the memo only drops a subtree whose outcome an earlier equal state has
 already produced, so checking fewer states can only make the search
 explore more, never return a different key.
+
+The trace alone fixes the permuted matrix, since the key is packed
+straight from it.  So a known key certifies a matrix by a descent that
+follows only the key's trace (:func:`has_key`): at each level it branches
+only on the rows whose count vector is the trace's.  A complete path
+permutes the matrix into the key's matrix, so the certificate is sound.
+It is also complete: a matrix with that key reaches the trace along its
+own search's best path, and the descent tries every row that fits.
+Rows that fit a trace are few, so a certificate costs about one path of
+the search; states already tried at a level are kept in a memo as above
+and fail again.  A leaf whose trace equals a known one proves an
+isomorphism (McKay & Piperno, Practical graph isomorphism II, 2014), and
+the search uses this too.  At a branch whose trace so far is a prefix of
+the best trace, a child from which the descent reaches the best trace is
+skipped.  The isomorphism between that leaf and the best leaf maps the
+best leaf's ancestor at the child's depth onto the child.  That ancestor
+is not on the current path, so its subtree is already searched, and the
+child's subtree holds the same traces.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .family import ProductMatrix
 
@@ -47,10 +67,87 @@ def _state_key(blocks: list[int], rem: list[int]) -> tuple:
     return (sizes, tuple(cell.bit_count() for cell in cells), tuple(listed))
 
 
+def _seen(memo: dict, at, blocks: list[int], rem: list[int]) -> bool:
+    """Record the state reached at ``at`` (a trace, or a level of a
+    followed trace) in ``memo``; True when an equal state is already
+    there.  A place reached once holds its raw state, later ones normal
+    forms."""
+    seen = memo.get(at)
+    if seen is None:
+        memo[at] = (blocks, rem)
+        return False
+    if isinstance(seen, tuple):
+        seen = memo[at] = {_state_key(*seen)}
+    state = _state_key(blocks, rem)
+    if state in seen:
+        return True
+    seen.add(state)
+    return False
+
+
+def _follows(blocks: list[int], rem: list[int], level: int, target: tuple, memo: dict) -> bool:
+    """Whether the rows ``rem`` can be placed so that the trace goes on
+    from ``level`` exactly as ``target`` does.  ``memo`` holds the states
+    this descent already tried against ``target``."""
+    while rem:
+        cands = rem
+        for blk, ones in zip(blocks, target[level]):
+            cands = [row for row in cands if (row & blk).bit_count() == ones]
+        if not cands:
+            return False
+        level += 1
+        row = cands[0]
+        if cands.count(row) < len(cands):  # two distinct candidates
+            break
+        rem = rem.copy()
+        rem.remove(row)
+        blocks = _refine(blocks, row)
+    else:
+        return True
+    # an equal state tried before failed, else the descent had stopped
+    if _seen(memo, level, blocks, rem):
+        return False
+    for row in dict.fromkeys(cands):
+        rest = rem.copy()
+        rest.remove(row)
+        if _follows(_refine(blocks, row), rest, level, target, memo):
+            return True
+    return False
+
+
+def _pack(m: int, n: int, trace: tuple) -> bytes:
+    """The key of the matrix a count trace spells: ``b"m,n:"`` and the
+    row-major bit string packed big-endian.  Block sizes evolve
+    deterministically from the counts."""
+    packed, sizes = 0, [n]
+    for counts in trace:
+        parts: list[int] = []
+        for size, ones in zip(sizes, counts):
+            packed = packed << size | (1 << ones) - 1
+            parts += (size - ones, ones)
+        sizes = [size for size in parts if size]
+    return b"%d,%d:" % (m, n) + packed.to_bytes((m * n + 7) // 8, "big")
+
+
+@functools.lru_cache(maxsize=1024)
+def _unpack(key: bytes) -> tuple[int, int, tuple]:
+    """(m, n, count trace) of a key: its rows read in order, which is the
+    trace :func:`_pack` packed."""
+    head, _, packed = key.partition(b":")
+    m, n = (int(x) for x in head.split(b","))
+    bits, full = int.from_bytes(packed, "big"), (1 << n) - 1
+    blocks, trace = [full] if n else [], []
+    for i in range(m - 1, -1, -1):
+        row = bits >> i * n & full
+        trace.append(tuple([(row & blk).bit_count() for blk in blocks]))
+        blocks = _refine(blocks, row)
+    return m, n, tuple(trace)
+
+
 def _key(m: int, n: int, *orientations: list[int]) -> bytes:
-    """Serialised canonical form of the m x n matrix with the given rows,
-    ``b"m,n:"`` and the row-major bit string packed big-endian; the least
-    over several row lists when given (one search, one best, one memo)."""
+    """Serialised canonical form of the m x n matrix with the given rows
+    (see :func:`_pack`); the least over several row lists when given (one
+    search, one best, one memo)."""
     best = ((n + 1,),)  # compares above every trace
     visited: dict[tuple, tuple | set] = {}
 
@@ -79,33 +176,20 @@ def _key(m: int, n: int, *orientations: list[int]) -> bytes:
             return
         # identical trace prefix + equivalent state = identical outcome;
         # highly symmetric matrices would otherwise branch factorially
-        # (a trace seen once holds its raw state, later ones normal forms)
-        seen = visited.get(trace)
-        if seen is None:
-            visited[trace] = (blocks, rem)
-        else:
-            if isinstance(seen, tuple):
-                seen = visited[trace] = {_state_key(*seen)}
-            state = _state_key(blocks, rem)
-            if state in seen:
-                return
-            seen.add(state)
+        if _seen(visited, trace, blocks, rem):
+            return
         for row in dict.fromkeys(cands):
             rest = rem.copy()
             rest.remove(row)
-            dfs(_refine(blocks, row), rest, trace)
+            child = _refine(blocks, row)
+            # a child that reaches the best trace mirrors a searched node
+            if trace == best[: len(trace)] and _follows(child, rest, len(trace), best, {}):
+                continue
+            dfs(child, rest, trace)
 
     for rows in orientations:
         dfs([(1 << n) - 1] if n else [], rows, ())
-    # block sizes evolve deterministically from the chosen count trace
-    packed, sizes = 0, [n]
-    for counts in best:
-        parts: list[int] = []
-        for size, ones in zip(sizes, counts):
-            packed = packed << size | (1 << ones) - 1
-            parts += (size - ones, ones)
-        sizes = [size for size in parts if size]
-    return b"%d,%d:" % (m, n) + packed.to_bytes((m * n + 7) // 8, "big")
+    return _pack(m, n, best)
 
 
 def transpose(rows: list[int], n: int) -> list[int]:
@@ -132,15 +216,35 @@ def canonical_key(mat: ProductMatrix, include_transpose: bool = False) -> bytes:
     return rows_key([int(r, 2) if r else 0 for r in mat.bits], mat.n, include_transpose)
 
 
-def rows_key(rows: list[int], n: int, include_transpose: bool = False) -> bytes:
-    """:func:`canonical_key` of the matrix with these int rows over n
-    columns (column j at bit n-1-j), as the kernel hands them over."""
+def _orientations(rows: list[int], n: int, include_transpose: bool):
+    """(m, n, row lists) that :func:`rows_key` searches: with the flag,
+    the orientation with fewer rows, and both of a square matrix."""
     m = len(rows)
     if include_transpose and m > n:
         m, n, rows = n, m, transpose(rows, n)
     if include_transpose and m == n:
-        return _key(m, n, rows, transpose(rows, n))
-    return _key(m, n, rows)
+        return m, n, (rows, transpose(rows, n))
+    return m, n, (rows,)
+
+
+def rows_key(rows: list[int], n: int, include_transpose: bool = False) -> bytes:
+    """:func:`canonical_key` of the matrix with these int rows over n
+    columns (column j at bit n-1-j), as the kernel hands them over."""
+    m, n, orientations = _orientations(rows, n, include_transpose)
+    return _key(m, n, *orientations)
+
+
+def has_key(rows: list[int], n: int, key: bytes, include_transpose: bool = False) -> bool:
+    """Whether ``rows_key(rows, n, include_transpose) == key``, for a key
+    that :func:`rows_key` returned with the same flag.  Decided by
+    following the key's trace, not by a search (see the module
+    docstring)."""
+    m, n, orientations = _orientations(rows, n, include_transpose)
+    key_m, key_n, trace = _unpack(key)
+    if (key_m, key_n) != (m, n):
+        return False
+    memo: dict = {}  # a state that fails in one orientation fails in both
+    return any(_follows([(1 << n) - 1] if n else [], r, 0, trace, memo) for r in orientations)
 
 
 def canonical_from_key(key: bytes, rank_d: int) -> ProductMatrix:

@@ -9,10 +9,12 @@ gives worker parallelism and branch-level checkpointing for free.  Both
 kernels walk the fixpoints of a branch as the same Close-by-One tree
 (FCbO, described in :mod:`bsp._kernel_py`).
 A branch returns each spanning closed set as the heuristic form of its
-product matrix.  The forms are merged, each is replaced by the form of its
-orientation with fewer rows (so transposed copies meet), and the classes
-are the distinct canonical keys, with transpose, read from the form bytes:
-one exact search per form left.
+product matrix.  The forms are merged, and each is replaced by the form of
+its orientation with fewer rows, so transposed copies meet.  The forms
+left are grouped by an invariant of transpose-equivalence: the shape and
+the row and column degree multisets.  Within a group a form is keyed, up
+to transpose, by an exact search only when no key already found in the
+group certifies it (:func:`bsp.canon.has_key`): one search per class.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from importlib import resources
 from time import monotonic
 
 from . import kernel
-from .canon import canonical_from_key, canonical_key, rows_key, transpose
+from .canon import canonical_from_key, canonical_key, has_key, rows_key, transpose
 from .errors import BadParameterError, CheckpointCorruptError, MalformedInputError, parsing
 from .family import ProductMatrix
 from .linalg import int_field
@@ -152,9 +154,26 @@ def _oriented(form: bytes) -> bytes:
     return flipped if len(rows) > n else min(form, flipped)
 
 
-def _classify(form: bytes) -> bytes:
-    """Canonical key, up to transpose, of the matrix a heuristic form holds."""
-    return rows_key(*kernel.form_rows(form), include_transpose=True)
+def _invariant(form: bytes) -> tuple:
+    """Shape and row and column degree multisets of the matrix an
+    oriented form holds, the two multisets unordered when it is square so
+    that its transpose agrees: forms that differ here have different
+    keys."""
+    rows, n = kernel.form_rows(form)
+    degrees = [tuple(sorted(x.bit_count() for x in xs)) for xs in (rows, transpose(rows, n))]
+    return (len(rows), n, *(sorted(degrees) if len(rows) == n else degrees))
+
+
+def _classify(forms: list[bytes]) -> list[bytes]:
+    """Canonical keys, up to transpose, of the matrices that one group of
+    forms holds, one per class: a form is searched only when no key found
+    before certifies it, so every search finds a new class."""
+    keys: list[bytes] = []
+    for form in forms:
+        rows, n = kernel.form_rows(form)
+        if not any(has_key(rows, n, key, include_transpose=True) for key in keys):
+            keys.append(rows_key(rows, n, include_transpose=True))
+    return keys
 
 
 def _catalog(d: int, keys) -> Catalog:
@@ -217,7 +236,10 @@ def enumerate_catalog(
     ``workers`` (default 1) caps the worker processes; no more are started
     than there are branches left to run.  ``progress`` receives one line
     per finished branch, with the elapsed seconds and an ETA from the mean
-    time per branch finished in this call."""
+    time per branch finished in this call, then one line with the forms
+    merged, the forms after orientation, the exact searches, the forms
+    certified without one, the classes and the seconds classification
+    took."""
     if not 1 <= d <= MAX_DIM:
         raise BadParameterError(f"d must be in [1, {MAX_DIM}]")
     if workers is not None and workers < 1:
@@ -251,11 +273,20 @@ def enumerate_catalog(
                          f"({visited} closed, {spanning} spanning), "
                          f"{elapsed:.1f} s elapsed, ETA {eta:.1f} s")
 
+        classify_start = monotonic()
         forms = {_oriented(hb) for hb in merged}
-        if parallel and len(forms) > 1000:
-            keys = set(pool.map(_classify, forms, chunksize=256))
-        else:
-            keys = set(map(_classify, forms))
+        groups: dict[tuple, list[bytes]] = {}
+        for form in sorted(forms):
+            groups.setdefault(_invariant(form), []).append(form)
+        keys: set[bytes] = set()
+        searched = 0
+        for found in run(_classify, groups.values()):
+            keys.update(found)
+            searched += len(found)
+        if progress:
+            progress(f"classified {len(merged)} forms, {len(forms)} after orientation: "
+                     f"{searched} searched, {len(forms) - searched} certified, "
+                     f"{len(keys)} classes, {monotonic() - classify_start:.2f} s")
 
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)

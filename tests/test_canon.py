@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsp import kernel
-from bsp.canon import canonical_from_key, canonical_key, rows_key
+from bsp.canon import canonical_from_key, canonical_key, has_key, rows_key
 from bsp.family import ProductMatrix, close_pair, matrix_rank, product_matrix
 from bsp.family import VectorFamily
 
@@ -185,6 +185,64 @@ def test_rows_key_matches_canonical_key():
             copy_rows = [int(r, 2) for r in copy.bits]
             for flag in (False, True):
                 assert rows_key(copy_rows, n, flag) == canonical_key(copy, flag)
+
+
+def switched(bits, rng):
+    """A degree-preserving 2x2 switch: rows i, j and columns a, b with
+    1 0 / 0 1 there become 0 1 / 1 0 (the bits unchanged when there is
+    none).  Row and column degrees stay, the class often does not."""
+    rows = [list(r) for r in bits]
+    spots = [
+        (i, j, a, b)
+        for i, j in itertools.permutations(range(len(rows)), 2)
+        for a, b in itertools.permutations(range(len(rows[0]) if rows else 0), 2)
+        if rows[i][a] == rows[j][b] == "1" and rows[i][b] == rows[j][a] == "0"
+    ]
+    if spots:
+        i, j, a, b = rng.choice(spots)
+        rows[i][a], rows[i][b], rows[j][a], rows[j][b] = "0", "1", "1", "0"
+    return tuple(map("".join, rows))
+
+
+def test_has_key_certifies_exactly_the_brute_force_class():
+    """A matrix follows a key's trace exactly when its brute-force
+    canonical form is the key's: on small random matrices against
+    shuffled copies, transposes and degree-preserving switches (same row
+    and column degrees, often another class), with and without the
+    transpose flag."""
+    rng = random.Random(23)
+    switches = {True: 0, False: 0}  # outcomes on same-degree copies
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.choice((0.3, 0.5, 0.7))
+        bits = tuple(
+            "".join("1" if rng.random() < density else "0" for _ in range(n)) for _ in range(m)
+        )
+        mat = ProductMatrix(m, n, bits, 0)
+        copies = [shuffled(mat, rng).bits, mat.transposed().bits, switched(bits, rng)]
+        copies += [switched(copies[0], rng), switched(switched(copies[0], rng), rng)]
+        for flag in (False, True):
+            key = canonical_key(mat, flag)
+            want = brute_force_canonical(bits, n, flag)
+            for i, copy in enumerate(copies):
+                width = len(copy[0])
+                held = has_key([int(r, 2) for r in copy], width, key, flag)
+                assert held == (brute_force_canonical(copy, width, flag) == want)
+                switches[held] += i >= 2
+    assert min(switches.values()) >= 100, switches
+
+
+def test_has_key_certifies_copies_of_the_d5_draws():
+    """Every shuffled copy of the 1,000 recorded d=5 draws, and every
+    shuffled transpose, follows the original's key; these matrices are
+    large and symmetric enough that the descent branches and meets
+    states again."""
+    rng = random.Random(29)
+    for rows, n in lectic_d5_rows():
+        mat = ProductMatrix(len(rows), n, tuple(format(r, f"0{n}b") for r in rows), 5)
+        key = rows_key(rows, n, include_transpose=True)
+        for copy in (shuffled(mat, rng), shuffled(mat.transposed(), rng)):
+            assert has_key([int(r, 2) for r in copy.bits], copy.n, key, include_transpose=True)
 
 
 def explicit_pair_isomorphism(p1, p2, include_transpose=True):

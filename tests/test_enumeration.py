@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bsp
-from bsp.canon import canonical_key, rows_key
+from bsp.canon import canonical_key, has_key, rows_key
 from bsp.enumeration import (
     Catalog,
     branch_split,
@@ -23,7 +23,7 @@ from bsp.enumeration import (
     stats,
     verify_against_reference,
 )
-from bsp import enumeration
+from bsp import enumeration, kernel
 from bsp.errors import BadParameterError, CheckpointCorruptError
 from bsp.kernel import enum_branch
 from bsp.family import (
@@ -182,28 +182,55 @@ def test_worker_pool_is_bounded_by_pending_branches(tmp_path, monkeypatch):
 
 def test_classification_keys_each_form_once_up_to_transpose(monkeypatch):
     """The 196 merged d=4 forms hold 91 matrices up to permutations and
-    transpose as the heuristic form sees them: one exact search each, and
-    no product matrix is rebuilt from its set."""
-    searched = []
+    transpose as the heuristic form sees them, and 16 classes: 16 exact
+    searches, the other 75 forms each certified by the first key of a
+    class found before that it is tried on, and no product matrix rebuilt
+    from its set."""
+    searched, certified = [], []
 
     def counting_rows_key(rows, n, include_transpose=False):
         searched.append(n)
         return rows_key(rows, n, include_transpose)
 
+    def counting_has_key(rows, n, key, include_transpose=False):
+        held = has_key(rows, n, key, include_transpose)
+        certified.append(held)
+        return held
+
     def no_pair_rows(d, mask):
         raise AssertionError("classification rebuilt a product matrix")
 
     monkeypatch.setattr(enumeration, "rows_key", counting_rows_key)
+    monkeypatch.setattr(enumeration, "has_key", counting_has_key)
     monkeypatch.setattr(enumeration.kernel, "pair_rows", no_pair_rows)
     text = enumerate_catalog(4, workers=1).to_jsonl()
     assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
-    assert len(searched) == 91
+    assert (len(searched), len(certified), sum(certified)) == (16, 75, 75)
+
+
+def test_classification_matches_one_search_per_form_on_d5_branches():
+    """The forms of d=5 branches 37 and 255, walked by the pure-Python
+    kernel and oriented, classify to the key set that one exact search
+    per form gives, and every search finds a new class."""
+    twin = kernel.get_backend("python")
+    top = branch_split(5)
+    forms = {
+        enumeration._oriented(hb) for p in (37, 255) for hb, _ in twin.enum_branch(5, top, p)[2]
+    }
+    groups = {}
+    for form in sorted(forms):
+        groups.setdefault(enumeration._invariant(form), []).append(form)
+    found = [key for group in groups.values() for key in enumeration._classify(group)]
+    want = {rows_key(*kernel.form_rows(form), include_transpose=True) for form in forms}
+    assert len(found) == len(set(found)) == len(want) == 212
+    assert set(found) == want
 
 
 def test_progress_lines_report_elapsed_time_and_eta(tmp_path, monkeypatch):
     """With a clock that advances 2 s per reading, branch k of 16 reports
     2k s elapsed and 2 (16 - k) s left; a resumed run times only the
-    branches it runs itself."""
+    branches it runs itself.  The last line counts classification's
+    forms, searches and classes and reads the clock twice."""
     top = branch_split(4)
     counts = [enum_branch(4, top, p)[:2] for p in range(1 << top)]
     for resumed in (0, 3):
@@ -218,7 +245,8 @@ def test_progress_lines_report_elapsed_time_and_eta(tmp_path, monkeypatch):
             f"branch {k}/16 done ({counts[k - 1][0]} closed, {counts[k - 1][1]} spanning), "
             f"{2 * (k - resumed):.1f} s elapsed, ETA {2 * (16 - k):.1f} s"
             for k in range(resumed + 1, 17)
-        ]
+        ] + ["classified 196 forms, 91 after orientation: 16 searched, 75 certified, "
+             "16 classes, 2.00 s"]
 
 
 def test_checkpoint_resume(tmp_path):

@@ -308,14 +308,15 @@ def test_form_rows_inverts_the_form_packing():
 def _assert_forms_key_like_their_sets(d, items):
     """Each (heuristic form, closed spanning set) item: the form's bytes,
     and the form of its orientation with fewer rows, have the key of the
-    set's own product matrix."""
+    set's own product matrix, and the key found for the second certifies
+    the first."""
     for form, mask in items:
         key = rows_key(*kp.pair_rows(d, mask), include_transpose=True)
         merged = enumeration._oriented(form)
         m, n = map(int, merged.partition(b":")[0].split(b","))
         assert m <= n, (d, mask)
-        assert enumeration._classify(form) == key, (d, mask)
-        assert enumeration._classify(merged) == key, (d, mask)
+        assert enumeration._classify([form]) == [key], (d, mask)
+        assert enumeration._classify([merged, form]) == [key], (d, mask)
 
 
 def test_forms_key_like_their_spanning_sets(kc):
