@@ -30,7 +30,7 @@
 
 #define MAXD 6
 #define MAXP 64                 /* 2^MAXD cube points */
-#define FORM_WORDS (2 + MAXP)   /* form record: header, rows, mask */
+#define FORM_WORDS (2 + MAXP)   /* form record: header, packed rows, mask */
 
 typedef struct {
     int rank;
@@ -212,6 +212,24 @@ static void heuristic_form(uint64_t *rows, int m, int n)
     }
 }
 
+/* Packs rows[0..m) in place into the bytes of
+   bsp._kernel_py.heuristic_form: each row as (n + 7) / 8 big-endian
+   bytes, one after another, zero padded to whole words; returns the
+   number of words.  Row i is read before its bytes are written, and
+   they end at or before byte 8 (i + 1), where row i + 1 starts. */
+static int pack_rows(uint64_t *rows, int m, int n)
+{
+    unsigned char *out = (unsigned char *)rows;
+    int width = (n + 7) / 8, size = m * width, words = (size + 7) / 8;
+    for (int i = 0; i < m; i++) {
+        uint64_t r = rows[i];
+        for (int b = width - 1; b >= 0; b--, r >>= 8)
+            out[i * width + b] = (unsigned char)r;
+    }
+    memset(out + size, 0, (size_t)words * 8 - size);
+    return words;
+}
+
 /* Hash set of fixed-size records of `stride` words, the key in the
    first words; slots hold record index + 1, 0 when empty. */
 typedef struct {
@@ -270,12 +288,13 @@ int bsp_pair_rows(int d, uint64_t closed, uint64_t *rows, int *n)
  * walked as the Close-by-One tree of bsp._kernel_py.enum_branch, with
  * the same values.  Each spanning one is reduced to its heuristic form
  * and kept in a table of cap records of FORM_WORDS words: header (row
- * count | column count << 8), the sorted rows, zero padding, and the
- * smallest mask with that form.  When the table fills, flush(cap) hands
- * the records over and the table starts empty again; the walk ends with
- * flush(count) for the rest.  counts: visited, spanning, and the records
- * taken, which flush adds to once it has read them; the walk stops at
- * once when a flush has not.  slots: 2*cap words.
+ * count | column count << 8), the sorted rows packed as the form's
+ * bytes (pack_rows), zero padding, and the smallest mask with that form.
+ * When the table fills, flush(cap) hands the records over and the table
+ * starts empty again; the walk ends with flush(count) for the rest.
+ * counts: visited, spanning, and the records taken, which flush adds to
+ * once it has read them; the walk stops at once when a flush has not.
+ * slots: 2*cap words.
  *
  * A node a, made by adding point y, tries each j > y outside a that no
  * failed closure rules out; one that adds a point below j goes to
@@ -322,7 +341,7 @@ void bsp_enum_branch(int d, int top_count, uint64_t p_index, uint64_t *counts,
             counts[1]++;
             heuristic_form(key + 1, m, n);
             key[0] = (uint64_t)m | (uint64_t)n << 8;
-            uint64_t *rec = table_get(&tab, key, 1 + m);
+            uint64_t *rec = table_get(&tab, key, 1 + pack_rows(key + 1, m, n));
             /* a new record holds mask 0, and a spanning set is not empty */
             if (rec[FORM_WORDS - 1] == 0 || a < rec[FORM_WORDS - 1])
                 rec[FORM_WORDS - 1] = a;

@@ -40,7 +40,7 @@ import ctypes  # noqa: E402  (only once the library is known to exist)
 
 BACKEND = "c"
 
-_FORM_WORDS = 66  # header, 64 rows, mask: FORM_WORDS in _ckernel.c
+_FORM_WORDS = 66  # header, packed rows (64 words at most), mask: FORM_WORDS in _ckernel.c
 _TABLE_RECORDS = 512  # forms held before enum_branch hands them over
 
 _u64, _int = ctypes.c_uint64, ctypes.c_int
@@ -63,9 +63,12 @@ def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
     return rows[:m], n.value
 
 
-def _form_bytes(rows: list[int], n: int) -> bytes:
-    width = (n + 7) // 8
-    return b"%d,%d:" % (len(rows), n) + b"".join(r.to_bytes(width, "big") for r in rows)
+def _form_bytes(head: int, packed) -> bytes:
+    """The heuristic form of a record with header word ``head`` (row count
+    | column count << 8); ``packed`` holds the record from its rows on,
+    which C packed as :func:`heuristic_form` packs them."""
+    m, n = head & 0xFF, head >> 8
+    return b"%d,%d:" % (m, n) + packed[:m * ((n + 7) // 8)]
 
 
 def enum_branch(d: int, top_count: int, p_index: int):
@@ -76,10 +79,11 @@ def enum_branch(d: int, top_count: int, p_index: int):
     out: dict[bytes, int] = {}
 
     def flush(count):
-        flat = recs[: count * _FORM_WORDS]
-        for base in range(0, len(flat), _FORM_WORDS):
-            head, mask = flat[base], flat[base + _FORM_WORDS - 1]
-            hb = _form_bytes(flat[base + 1 : base + 1 + (head & 0xFF)], head >> 8)
+        raw = memoryview(recs).cast("B")
+        words = raw.cast("Q")
+        for base in range(0, count * _FORM_WORDS, _FORM_WORDS):
+            head, mask = words[base], words[base + _FORM_WORDS - 1]
+            hb = _form_bytes(head, raw[8 * base + 8 :])
             prev = out.get(hb)
             if prev is None or mask < prev:
                 out[hb] = mask

@@ -146,7 +146,14 @@ def _oriented(form: bytes) -> bytes:
     orientation with fewer rows; of a square matrix, the smaller of the
     form and its transpose's form.  The result holds the same matrix up to
     permutations and transpose, so it has the same key, and transposed
-    copies of one matrix meet."""
+    copies of one matrix meet.
+
+    Kept rather than leaving transposed copies to ``has_key`` with the
+    transpose flag, which certifies them directly: on the 25,502 merged
+    d=5 forms (2 shared cores, Python 3.11, CPU, median of 3) this takes
+    0.46 s of a classification that takes 1.23 s with it and 1.78 s
+    without it, when all 25,502 forms rather than 11,845 reach the
+    certificates and searches; at d=4, 2.6 ms of 7.4 ms against 9.2 ms."""
     rows, n = kernel.form_rows(form)
     if len(rows) < n:
         return form

@@ -373,7 +373,7 @@ def test_info_reports_backend_and_c_kernel(capsys, monkeypatch):
     assert info["backend"] == kernel.BACKEND
     assert info["python"] == platform.python_version()
     caches = info["python_kernel_caches"]
-    assert sorted(caches) == ["forms", "patterns", "span", "tables"]
+    assert sorted(caches) == ["forms", "patterns", "selectors", "span", "tables"]
     assert all(isinstance(n, int) and n >= 0 for n in caches.values())
     if kernel.BACKEND == "c":
         assert info["c_kernel"] == {"loads": True}

@@ -170,6 +170,23 @@ def test_python_kernel_caches_cleared_when_full(monkeypatch):
     assert max(len(cache) for cache in kp.CACHES.values()) <= 2
 
 
+def test_python_enum_branch_builds_each_d4_form_once(monkeypatch):
+    """From empty caches, the twin's 16 d=4 branches compute a heuristic
+    form once per distinct exact matrix, 347 times for 6,963 spanning
+    sets: the form memo's key is shared across bases and branches."""
+    calls, heuristic_form = [], kp.heuristic_form
+
+    def counting_heuristic_form(rows, n):
+        calls.append(n)
+        return heuristic_form(rows, n)
+
+    for cache in kp.CACHES.values():
+        cache.clear()
+    monkeypatch.setattr(kp, "heuristic_form", counting_heuristic_form)
+    assert sum(kp.enum_branch(4, 4, p)[1] for p in range(16)) == 6963
+    assert len(calls) == 347
+
+
 def _tables_from_scratch(d, key):
     """(rank, ok, one, pts) of the greedy basis with cache key ``key``,
     rebuilt from det(M) and the cofactors of M, the basis followed by the

@@ -20,3 +20,17 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_python_kernel_memo_is_bounded():
+    """Every module-level dict of the pure-Python kernel is one of its
+    ``CACHES``, which ``_remember`` empties at ``_MAX_CACHED_BASES``
+    entries and the cache-cap tests of test_kernel shrink: a memo kept
+    outside it would grow without bound."""
+    from bsp import _kernel_py
+
+    memos = {name for name, value in vars(_kernel_py).items()
+             if isinstance(value, dict) and not name.startswith("__") and value is not _kernel_py.CACHES}
+    caches = {id(cache) for cache in _kernel_py.CACHES.values()}
+    assert "_forms_cache" in memos
+    assert [name for name in sorted(memos) if id(getattr(_kernel_py, name)) not in caches] == []
