@@ -36,10 +36,10 @@ phi_k(p) = v != 0 by an integer rank-one update (Sherman & Morrison
 1950) divided by the previous D (Bareiss 1968),
 phi_i <- (v phi_i - phi_i(p) phi_k) / D (i != k), phi_k kept, D <- v.
 Every division is exact and D = +-det(M).  A prefix spans where
-phi_r..phi_{d-1} vanish.  The twin's span cache holds this state as the
-walk leaves it; only a table, as it is built, divides D and
-phi_0..phi_{r-1} by their gcd with the sign that makes D > 0, so that
-equal tables share ``_patterns`` cache keys.
+phi_r..phi_{d-1} vanish.  The twin keeps this state, as the walk
+leaves it, with the tables of each prefix; only filling the tables
+divides D and phi_0..phi_{r-1} by their gcd with the sign that makes
+D > 0, so that equal tables share ``_patterns`` cache keys.
 
 Both kernels' :func:`enum_branch` walk each branch as this Close-by-One
 tree.  A child adds one point j to a closed set a.  When j is in the span
@@ -84,12 +84,11 @@ BACKEND = "python"
 # every cache below is emptied when it reaches this many entries
 _MAX_CACHED_BASES = 60000
 _tables_cache: dict = {}  # basis bitset << 3 | d -> _BasisTables
-_span_cache: dict = {}  # basis prefix bitset << 3 | d -> (span bitset, D, phi_0 .. phi_{d-1})
 _patterns_cache: dict = {}  # (D, w restricted to the basis) -> (ok, one)
 _forms_cache: dict = {}  # (valid, one[m] for each member m) -> heuristic form
 _selectors_cache: dict = {}  # valid patterns of an in-span child -> _flags(valid)
-CACHES = {"tables": _tables_cache, "span": _span_cache, "patterns": _patterns_cache,
-          "forms": _forms_cache, "selectors": _selectors_cache}
+CACHES = {"tables": _tables_cache, "patterns": _patterns_cache, "forms": _forms_cache,
+          "selectors": _selectors_cache}
 
 MAX_DIM = 6  # a cube bitset fits a 64-bit word, as the C kernel needs
 _SELECT = bytes.maketrans(b"01", b"\0\1")
@@ -173,20 +172,25 @@ def _patterns(det: int, w: tuple[int, ...]) -> tuple[int, int]:
 
 class _BasisTables:
     """What closures on one greedy basis need (see the module docstring):
-    its cache ``key``, ``rank`` = r, ``ok`` and ``one`` by cube point (0
-    and zeros off the span of B; ``ok[0]`` holds every pattern) and
-    ``pts`` by pattern (bit y of pts[sigma] is bit sigma of ok[y])."""
+    its cache ``key``, ``rank`` = r and the ``entry`` (span bitset, D,
+    phi_0 .. phi_{d-1}) that :func:`_extend` takes one point further;
+    once :meth:`fill` ran, also ``ok`` and ``one`` by cube point (0 and
+    zeros off the span of B; ``ok[0]`` holds every pattern) and ``pts``
+    by pattern (bit y of pts[sigma] is bit sigma of ok[y]).  A prefix
+    that greedy-basis walks have only passed through is not filled."""
 
-    __slots__ = ("key", "rank", "ok", "one", "pts")
+    __slots__ = ("key", "rank", "entry", "ok", "one", "pts")
 
-    def __init__(self, d: int, key: int, entry: tuple[int, ...]):
-        r = self.rank = (key >> 3).bit_count()
-        span, det, *phi = entry[:2 + r * d]
+    def __init__(self, key: int, entry: tuple[int, ...]):
+        self.key, self.rank, self.entry = key, (key >> 3).bit_count(), entry
+
+    def fill(self, d: int) -> None:
+        r = self.rank
+        span, det, *phi = self.entry[:2 + r * d]
         # D and phi_0 .. phi_{r-1} over their gcd, D > 0: the _patterns key
         if (g := gcd(det, *phi) * (1 if det > 0 else -1)) != 1:
             det //= g
             phi = [c // g for c in phi]
-        self.key = key
         origin = _patterns(det, (0,) * r)
         self.ok = [origin[0]] + [0] * ((1 << d) - 1)
         self.one = [origin[1]] * (1 << d)
@@ -218,7 +222,7 @@ def _transposed(d: int, rows: list[int], n: int) -> array:
 
 
 def _extend(d: int, key: int, entry: tuple[int, ...]) -> tuple[int, ...]:
-    """Span cache entry of the basis prefix with cache key ``key``, given
+    """Table entry of the basis prefix with cache key ``key``, given
     ``entry``, that of the prefix without its last point: (phi, D) take
     one :func:`linalg.extend` step, unreduced so that the next step's
     division stays exact, and the span is where phi_r .. phi_{d-1}
@@ -235,15 +239,19 @@ def _extend(d: int, key: int, entry: tuple[int, ...]) -> tuple[int, ...]:
 def _basis(d: int, sset: int, key: int) -> tuple[_BasisTables, int]:
     """Tables of the greedy basis of the cube points in sset (the origin
     excluded) and its valid patterns.  The basis is walked point by point
-    through the span cache entry of each of its prefixes, from the one
-    with cache key ``key`` on (``d`` for the empty one); a missing entry
-    is extended from the one before."""
-    if (hit := _span_cache.get(key)) is None:
-        key, hit = d, _NO_BASIS[d]
-    while rest := sset & ~hit[0]:
+    through the tables of each of its prefixes, from the one with cache
+    key ``key`` on, or from the empty one (key ``d``) when that was
+    evicted; a missing one is made from the entry of the one before, and
+    only the basis's own tables are filled."""
+    if (tab := _tables_cache.get(key)) is None:
+        key = d
+        tab = _tables_cache.get(d) or _remember(_tables_cache, d, _BasisTables(d, _NO_BASIS[d]))
+    while rest := sset & ~tab.entry[0]:
         key += (rest & -rest) << 3
-        hit = _span_cache.get(key) or _remember(_span_cache, key, _extend(d, key, hit))
-    tab = _tables_cache.get(key) or _remember(_tables_cache, key, _BasisTables(d, key, hit))
+        tab = _tables_cache.get(key) or _remember(
+            _tables_cache, key, _BasisTables(key, _extend(d, key, tab.entry)))
+    if not hasattr(tab, "pts"):
+        tab.fill(d)
     return tab, reduce(and_, compress(tab.ok, _flags(sset)), tab.ok[0])
 
 

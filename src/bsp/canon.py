@@ -9,17 +9,9 @@ time.  A row's pattern at a level is its count vector, ``(row & blk)
 .bit_count()`` for each block, read as zeros before ones inside the block;
 placing the row refines every block into ``blk & ~row`` then ``blk & row``.
 Only rows achieving the least count vector are branched on, so the search
-is exact, and the key is packed straight from the least count trace.
-
-A step whose candidates hold a single distinct row is forced: that row is
-placed with no further bookkeeping.  Only at a node with two or more
-distinct candidates is the state (trace so far, remaining rows up to
-moving rows and moving columns inside blocks) looked up in a memo, and the
-node skipped if an equal state was seen.  The normal form of a state is
-computed only once a second node reaches the same trace.  This is sound:
-the memo only drops a subtree whose outcome an earlier equal state has
-already produced, so checking fewer states can only make the search
-explore more, never return a different key.
+is exact, and the key is packed straight from the least count trace.  A
+step whose candidates hold a single distinct row is forced and placed
+without branching.
 
 The trace alone fixes the permuted matrix, since the key is packed
 straight from it.  So a known key certifies a matrix by a descent that
@@ -28,16 +20,20 @@ only on the rows whose count vector is the trace's.  A complete path
 permutes the matrix into the key's matrix, so the certificate is sound.
 It is also complete: a matrix with that key reaches the trace along its
 own search's best path, and the descent tries every row that fits.
-Rows that fit a trace are few, so a certificate costs about one path of
-the search; states already tried at a level are kept in a memo as above
-and fail again.  A leaf whose trace equals a known one proves an
-isomorphism (McKay & Piperno, Practical graph isomorphism II, 2014), and
-the search uses this too.  At a branch whose trace so far is a prefix of
-the best trace, a child from which the descent reaches the best trace is
-skipped.  The isomorphism between that leaf and the best leaf maps the
-best leaf's ancestor at the child's depth onto the child.  That ancestor
-is not on the current path, so its subtree is already searched, and the
-child's subtree holds the same traces.
+Rows that fit a trace are few on product matrices, so a certificate
+costs about one path there.  A leaf whose trace equals a known one
+proves an isomorphism (McKay & Piperno, Practical graph isomorphism II,
+2014), and the search uses this too.  At a branch whose trace so far is
+a prefix of the best trace, a child from which the descent reaches the
+best trace is skipped.  The isomorphism between that leaf and the best
+leaf maps the best leaf's ancestor at the child's depth onto the child.
+That ancestor is not on the current path, so its subtree is already
+searched, and the child's subtree holds the same traces.  A transpose
+whose descent reaches the best trace is skipped too.
+
+No table of seen states is kept: children that an automorphism swaps
+are cut by this rule once the best trace is known, and on product and
+slack matrices, normalising each branching state cost more than it saved.
 """
 
 from __future__ import annotations
@@ -51,44 +47,9 @@ def _refine(blocks: list[int], row: int) -> list[int]:
     return [part for blk in blocks for part in (blk & ~row, blk & row) if part]
 
 
-def _state_key(blocks: list[int], rem: list[int]) -> tuple:
-    """Normal form of a search state, invariant under permuting columns
-    inside blocks.  Refining the blocks by every remaining row, taken in
-    order of count vectors, sorts each block's columns by their column
-    vectors into cells of equal columns.  Equal keys mean the states are
-    equal up to moving rows and moving columns inside blocks, so they have
-    identical futures.  (Missed identifications are harmless: they only
-    cost time.)"""
-    cells = blocks
-    for row in sorted(rem, key=lambda r: [(r & blk).bit_count() for blk in blocks]):
-        cells = _refine(cells, row)
-    listed = sorted(tuple([row & cell > 0 for cell in cells]) for row in rem)
-    sizes = tuple(blk.bit_count() for blk in blocks)
-    return (sizes, tuple(cell.bit_count() for cell in cells), tuple(listed))
-
-
-def _seen(memo: dict, at, blocks: list[int], rem: list[int]) -> bool:
-    """Record the state reached at ``at`` (a trace, or a level of a
-    followed trace) in ``memo``; True when an equal state is already
-    there.  A place reached once holds its raw state, later ones normal
-    forms."""
-    seen = memo.get(at)
-    if seen is None:
-        memo[at] = (blocks, rem)
-        return False
-    if isinstance(seen, tuple):
-        seen = memo[at] = {_state_key(*seen)}
-    state = _state_key(blocks, rem)
-    if state in seen:
-        return True
-    seen.add(state)
-    return False
-
-
-def _follows(blocks: list[int], rem: list[int], level: int, target: tuple, memo: dict) -> bool:
+def _follows(blocks: list[int], rem: list[int], level: int, target: tuple) -> bool:
     """Whether the rows ``rem`` can be placed so that the trace goes on
-    from ``level`` exactly as ``target`` does.  ``memo`` holds the states
-    this descent already tried against ``target``."""
+    from ``level`` exactly as ``target`` does."""
     while rem:
         cands = rem
         for blk, ones in zip(blocks, target[level]):
@@ -104,13 +65,10 @@ def _follows(blocks: list[int], rem: list[int], level: int, target: tuple, memo:
         blocks = _refine(blocks, row)
     else:
         return True
-    # an equal state tried before failed, else the descent had stopped
-    if _seen(memo, level, blocks, rem):
-        return False
     for row in dict.fromkeys(cands):
         rest = rem.copy()
         rest.remove(row)
-        if _follows(_refine(blocks, row), rest, level, target, memo):
+        if _follows(_refine(blocks, row), rest, level, target):
             return True
     return False
 
@@ -147,9 +105,8 @@ def _unpack(key: bytes) -> tuple[int, int, tuple]:
 def _key(m: int, n: int, *orientations: list[int]) -> bytes:
     """Serialised canonical form of the m x n matrix with the given rows
     (see :func:`_pack`); the least over several row lists when given (one
-    search, one best, one memo)."""
+    search, one best)."""
     best = ((n + 1,),)  # compares above every trace
-    visited: dict[tuple, tuple | set] = {}
 
     def dfs(blocks: list[int], rem: list[int], trace: tuple) -> None:
         nonlocal best
@@ -174,21 +131,20 @@ def _key(m: int, n: int, *orientations: list[int]) -> bytes:
         else:
             best = min(best, trace)
             return
-        # identical trace prefix + equivalent state = identical outcome;
-        # highly symmetric matrices would otherwise branch factorially
-        if _seen(visited, trace, blocks, rem):
-            return
         for row in dict.fromkeys(cands):
             rest = rem.copy()
             rest.remove(row)
             child = _refine(blocks, row)
             # a child that reaches the best trace mirrors a searched node
-            if trace == best[: len(trace)] and _follows(child, rest, len(trace), best, {}):
+            if trace == best[: len(trace)] and _follows(child, rest, len(trace), best):
                 continue
             dfs(child, rest, trace)
 
-    for rows in orientations:
-        dfs([(1 << n) - 1] if n else [], rows, ())
+    root = [(1 << n) - 1] if n else []
+    dfs(root, orientations[0], ())
+    for rows in orientations[1:]:
+        if not _follows(root, rows, 0, best):  # else the searched matrix, relabelled
+            dfs(root, rows, ())
     return _pack(m, n, best)
 
 
@@ -243,8 +199,7 @@ def has_key(rows: list[int], n: int, key: bytes, include_transpose: bool = False
     key_m, key_n, trace = _unpack(key)
     if (key_m, key_n) != (m, n):
         return False
-    memo: dict = {}  # a state that fails in one orientation fails in both
-    return any(_follows([(1 << n) - 1] if n else [], r, 0, trace, memo) for r in orientations)
+    return any(_follows([(1 << n) - 1] if n else [], r, 0, trace) for r in orientations)
 
 
 def canonical_from_key(key: bytes, rank_d: int) -> ProductMatrix:

@@ -255,6 +255,10 @@ def cmd_lemmas(args) -> int:
     if not reports:
         print("nothing selected; use --all or a specific oracle flag", file=sys.stderr)
         return EXIT_USAGE
+    # an oracle with no case up to --d would pass without checking anything
+    if empty := [r.get("name", "lemslice") for r in reports if r["checked"] == 0]:
+        raise BadParameterError(
+            f"--d {args.dmax} leaves nothing to check for {', '.join(empty)}")
     ok = all(r.get("pass", True) for r in reports)
     _emit({"reports": reports, "pass": ok}, args.out)
     return EXIT_OK if ok else EXIT_VERIFY

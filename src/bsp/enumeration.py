@@ -38,10 +38,16 @@ MAX_DIM = kernel.MAX_DIM
 
 @dataclass(frozen=True)
 class CatalogClass:
-    size_a: int
-    size_b: int
     matrix: ProductMatrix  # canonical representative
     key: bytes
+
+    @property
+    def size_a(self) -> int:
+        return self.matrix.m
+
+    @property
+    def size_b(self) -> int:
+        return self.matrix.n
 
     def key_hex(self) -> str:
         return self.key.hex()
@@ -116,7 +122,7 @@ class Catalog:
                 raise MalformedInputError(f"catalog line: key {key.hex()} is not its matrix's")
             if key in classes:
                 raise MalformedInputError(f"catalog line: key {key.hex()} repeats")
-            classes[key] = CatalogClass(mat.m, mat.n, mat, key)
+            classes[key] = CatalogClass(mat, key)
         if d is None:
             raise MalformedInputError("empty catalog")
         return cls(d, tuple(classes[k] for k in sorted(classes)), complete=True)
@@ -187,7 +193,7 @@ def _catalog(d: int, keys) -> Catalog:
     classes = []
     for key in sorted(keys):
         mat = canonical_from_key(key, d)
-        classes.append(CatalogClass(mat.m, mat.n, mat, key))
+        classes.append(CatalogClass(mat, key))
     return Catalog(d, tuple(classes), complete=True)
 
 

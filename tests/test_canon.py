@@ -3,6 +3,7 @@ import itertools
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from bsp import kernel
 from bsp.canon import canonical_from_key, canonical_key, has_key, rows_key
 from bsp.family import ProductMatrix, close_pair, matrix_rank, product_matrix
 from bsp.family import VectorFamily
+from bsp.polytope import _MIN_DIM, POLYTOPE_KINDS, reference_slack
 
 
 def mat_from_bits(bits):
@@ -235,14 +237,43 @@ def test_has_key_certifies_exactly_the_brute_force_class():
 def test_has_key_certifies_copies_of_the_d5_draws():
     """Every shuffled copy of the 1,000 recorded d=5 draws, and every
     shuffled transpose, follows the original's key; these matrices are
-    large and symmetric enough that the descent branches and meets
-    states again."""
+    large and symmetric enough that the descent branches."""
     rng = random.Random(29)
     for rows, n in lectic_d5_rows():
         mat = ProductMatrix(len(rows), n, tuple(format(r, f"0{n}b") for r in rows), 5)
         key = rows_key(rows, n, include_transpose=True)
         for copy in (shuffled(mat, rng), shuffled(mat.transposed(), rng)):
             assert has_key([int(r, 2) for r in copy.bits], copy.n, key, include_transpose=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_reference_slacks_keep_their_key_and_certify_switches(d):
+    """The slack matrices of the six shipped kinds, highly symmetric
+    matrices whose searches branch most: shuffled copies of each and of
+    its transpose keep their key under both flags and follow it, and a
+    degree-preserving switch of a copy follows the key exactly when its
+    own search gives that key."""
+    rng = random.Random(37 + d)
+    switches = {True: 0, False: 0}  # outcomes on same-degree copies
+    for kind in POLYTOPE_KINDS:
+        if d < _MIN_DIM[kind]:
+            continue
+        mat = reference_slack(kind, d)
+        for flag in (False, True):
+            keys = []
+            for base in (mat, mat.transposed()):
+                keys.append(key := canonical_key(base, flag))
+                for _ in range(2):
+                    copy = shuffled(base, rng)
+                    rows = [int(r, 2) for r in copy.bits]
+                    assert rows_key(rows, copy.n, flag) == key, (kind, flag)
+                    assert has_key(rows, copy.n, key, flag), (kind, flag)
+                    rows = [int(r, 2) for r in switched(copy.bits, rng)]
+                    held = has_key(rows, copy.n, key, flag)
+                    assert held == (rows_key(rows, copy.n, flag) == key), (kind, flag)
+                    switches[held] += 1
+            assert keys[0] == keys[1] or not flag, kind
+    assert switches[False] > 0 or d == 1, switches
 
 
 def explicit_pair_isomorphism(p1, p2, include_transpose=True):

@@ -277,10 +277,15 @@ def test_lemmas_usage_error(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-5"], ["--d", "0"],
-                                   ["--d", "-1"]])
+@pytest.mark.parametrize("flags", [
+    ["--lemslice", "--trials", "0"], ["--lemslice", "--trials", "-5"],
+    ["--lemslice", "--d", "0"], ["--lemslice", "--d", "-1"],
+    # oracles whose first case lies above --d report checked == 0
+    ["--binom", "--d", "2"], ["--lemma1", "--d", "2"], ["--inequality2", "--d", "1"],
+    ["--all", "--d", "2"],
+])
 def test_lemmas_refuses_to_check_nothing(capsys, flags):
-    code, out, err = run(["lemmas", "--lemslice", *flags], capsys)
+    code, out, err = run(["lemmas", *flags], capsys)
     assert code == 1 and out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "BadParameterError"
 
@@ -373,7 +378,7 @@ def test_info_reports_backend_and_c_kernel(capsys, monkeypatch):
     assert info["backend"] == kernel.BACKEND
     assert info["python"] == platform.python_version()
     caches = info["python_kernel_caches"]
-    assert sorted(caches) == ["forms", "patterns", "selectors", "span", "tables"]
+    assert sorted(caches) == ["forms", "patterns", "selectors", "tables"]
     assert all(isinstance(n, int) and n >= 0 for n in caches.values())
     if kernel.BACKEND == "c":
         assert info["c_kernel"] == {"loads": True}

@@ -187,6 +187,19 @@ def test_python_enum_branch_builds_each_d4_form_once(monkeypatch):
     assert len(calls) == 347
 
 
+def test_python_enum_branch_builds_each_d4_table_once():
+    """From empty caches, the twin's 16 d=4 branches build 1,491 basis
+    tables, one per greedy basis or basis prefix they meet (the tables
+    cache is also the walk's only memo of prefixes), and fill every one:
+    each prefix the walk passes through is some closed set's basis."""
+    for cache in kp.CACHES.values():
+        cache.clear()
+    for p in range(16):
+        kp.enum_branch(4, 4, p)
+    assert len(kp._tables_cache) == 1491
+    assert all(hasattr(tab, "pts") for tab in kp._tables_cache.values())
+
+
 def _tables_from_scratch(d, key):
     """(rank, ok, one, pts) of the greedy basis with cache key ``key``,
     rebuilt from det(M) and the cofactors of M, the basis followed by the
@@ -211,7 +224,7 @@ def _tables_from_scratch(d, key):
 
 @pytest.mark.parametrize("cap", [None, 2])
 def test_python_basis_tables_match_adjugate_oracle(monkeypatch, cap):
-    """Every table the twin builds while enumerating d=4 and closing
+    """Every table the twin fills while enumerating d=4 and closing
     seeded random sets at d=5 and d=6 equals the one rebuilt from scratch;
     with a cap of 2 entries, prefixes are evicted in the middle of a
     greedy-basis walk."""
@@ -235,6 +248,8 @@ def test_python_basis_tables_match_adjugate_oracle(monkeypatch, cap):
     for d in (5, 6):
         for _ in range(30):
             kp.pair_rows(d, kp.closure_and_rank(d, _random_set(rng, d))[0])
+    built = [tab for tab in built if hasattr(tab, "pts")]  # prefixes passed through stay empty
+    assert len(built) > 1000
     for tab in built:
         rank, ok, one, pts = _tables_from_scratch(tab.key & 7, tab.key)
         assert (tab.rank, tab.ok, tab.one, list(tab.pts)) == (rank, ok, one, pts), tab.key
