@@ -21,18 +21,41 @@ permutes the matrix into the key's matrix, so the certificate is sound.
 It is also complete: a matrix with that key reaches the trace along its
 own search's best path, and the descent tries every row that fits.
 Rows that fit a trace are few on product matrices, so a certificate
-costs about one path there.  A leaf whose trace equals a known one
-proves an isomorphism (McKay & Piperno, Practical graph isomorphism II,
-2014), and the search uses this too.  At a branch whose trace so far is
-a prefix of the best trace, a child from which the descent reaches the
-best trace is skipped.  The isomorphism between that leaf and the best
-leaf maps the best leaf's ancestor at the child's depth onto the child.
-That ancestor is not on the current path, so its subtree is already
-searched, and the child's subtree holds the same traces.  A transpose
-whose descent reaches the best trace is skipped too.
+costs about one path there.
+
+A leaf whose trace equals a known one proves an isomorphism (McKay &
+Piperno, Practical graph isomorphism II, 2014), and the search uses it
+in two ways.  First, at a branch whose trace so far is a prefix of the
+best trace, a child from which the descent reaches the best trace is
+skipped.  The isomorphism between that leaf and the best leaf maps the
+best leaf's ancestor at the child's depth onto the child.  That ancestor
+is not on the current path, so its subtree is already searched, and the
+child's subtree holds the same traces.  A transpose whose descent
+reaches the best trace is skipped too.
+
+Second, the leaf such a descent reaches, and a search leaf that ties the
+best trace, each prove an automorphism, which the search stores as a
+map: the best leaf's i-th row goes to the new leaf's i-th row.  Both
+leaves spell the same permuted matrix, so some column permutation
+carries each row of the one onto the row at the same place in the other;
+the map is that column permutation acting on row values.  So equal rows
+have equal images and the rows need not be distinct.  A map is kept for
+one orientation only: the rows of the transpose are other values, and a
+tie across orientations proves an isomorphism to the transpose, not an
+automorphism.  At a branch, a candidate is then skipped, with no
+descent, when the maps that fix every row of the current path, taken
+together, carry a sibling already searched or skipped onto it.  They
+must fix the path pointwise: the column permutation then keeps each
+placed row, and with them every column block, so it carries the
+sibling's subtree onto the candidate's with the same count vectors and
+the same traces.  A map that moves a placed row may exchange two blocks,
+and then the traces below may differ.  So the search descends once per
+orbit of siblings, not once per sibling: on the 32 x 32 identity it
+makes 31 descents instead of 496.  The stored maps generate the
+automorphisms the search met; a count of |Aut| would start from them.
 
 No table of seen states is kept: children that an automorphism swaps
-are cut by this rule once the best trace is known, and on product and
+are cut by these rules once the best trace is known, and on product and
 slack matrices, normalising each branching state cost more than it saved.
 """
 
@@ -47,29 +70,37 @@ def _refine(blocks: list[int], row: int) -> list[int]:
     return [part for blk in blocks for part in (blk & ~row, blk & row) if part]
 
 
-def _follows(blocks: list[int], rem: list[int], level: int, target: tuple) -> bool:
+def _follows(
+    blocks: list[int], rem: list[int], level: int, target: tuple, path: list[int]
+) -> bool:
     """Whether the rows ``rem`` can be placed so that the trace goes on
-    from ``level`` exactly as ``target`` does."""
+    from ``level`` exactly as ``target`` does.  If so, the rows are
+    appended to ``path`` in the order placed; if not, ``path`` is left as
+    it was."""
+    start, rem = len(path), rem.copy()  # one copy; placed rows are removed in place
     while rem:
         cands = rem
         for blk, ones in zip(blocks, target[level]):
             cands = [row for row in cands if (row & blk).bit_count() == ones]
         if not cands:
-            return False
+            break
         level += 1
         row = cands[0]
         if cands.count(row) < len(cands):  # two distinct candidates
+            for row in dict.fromkeys(cands):
+                rest = rem.copy()
+                rest.remove(row)
+                path.append(row)
+                if _follows(_refine(blocks, row), rest, level, target, path):
+                    return True
+                path.pop()
             break
-        rem = rem.copy()
+        path.append(row)
         rem.remove(row)
         blocks = _refine(blocks, row)
     else:
         return True
-    for row in dict.fromkeys(cands):
-        rest = rem.copy()
-        rest.remove(row)
-        if _follows(_refine(blocks, row), rest, level, target):
-            return True
+    del path[start:]
     return False
 
 
@@ -107,9 +138,13 @@ def _key(m: int, n: int, *orientations: list[int]) -> bytes:
     (see :func:`_pack`); the least over several row lists when given (one
     search, one best)."""
     best = ((n + 1,),)  # compares above every trace
+    best_leaf = None  # rows of the best leaf, when it is in this orientation
+    maps: list[dict[int, int]] = []  # proved automorphisms: moved row -> image
+    path: list[int] = []  # rows placed so far
 
     def dfs(blocks: list[int], rem: list[int], trace: tuple) -> None:
-        nonlocal best
+        nonlocal best, best_leaf
+        rem = rem.copy()  # one copy; placed rows are removed in place
         while rem:
             # the rows with the least count vector, filtered block by block
             cands = rem
@@ -125,26 +160,57 @@ def _key(m: int, n: int, *orientations: list[int]) -> bytes:
                 return
             if cands.count(row) < len(cands):  # two distinct candidates
                 break
-            rem = rem.copy()
+            path.append(row)
             rem.remove(row)
             blocks = _refine(blocks, row)
         else:
-            best = min(best, trace)
+            if trace < best:
+                best, best_leaf = trace, tuple(path)
+            else:
+                prove()
             return
+        depth = len(path)
+        handled: set[int] = set()
+        orbit: dict[int, set[int]] = {}  # candidate -> its orbit, once a map fixes the path
+        known = 0  # maps already merged into the orbits
         for row in dict.fromkeys(cands):
+            if known < len(maps):
+                for g in maps[known:]:
+                    if g.keys().isdisjoint(path):  # g fixes the path: it permutes cands
+                        orbit = orbit or {c: {c} for c in cands}
+                        for x, y in g.items():
+                            if x in orbit and orbit[x] is not orbit[y]:
+                                merged = orbit[x] | orbit[y]
+                                orbit.update(dict.fromkeys(merged, merged))
+                known = len(maps)
+            if orbit and not handled.isdisjoint(orbit[row]):
+                continue  # an automorphism fixing the path maps a sibling here
+            handled.add(row)
             rest = rem.copy()
             rest.remove(row)
             child = _refine(blocks, row)
+            path.append(row)
             # a child that reaches the best trace mirrors a searched node
-            if trace == best[: len(trace)] and _follows(child, rest, len(trace), best):
-                continue
-            dfs(child, rest, trace)
+            if trace == best[: len(trace)] and _follows(child, rest, len(trace), best, path):
+                prove()
+            else:
+                dfs(child, rest, trace)
+            del path[depth:]
+
+    def prove() -> None:
+        """Keep the automorphism that maps the best leaf onto the leaf
+        ``path`` spells, whose trace is the best trace, when the best leaf
+        is in this orientation."""
+        if best_leaf:
+            maps.append({x: y for x, y in zip(best_leaf, path) if x != y})
 
     root = [(1 << n) - 1] if n else []
-    dfs(root, orientations[0], ())
-    for rows in orientations[1:]:
-        if not _follows(root, rows, 0, best):  # else the searched matrix, relabelled
-            dfs(root, rows, ())
+    for i, rows in enumerate(orientations):
+        if i and _follows(root, rows, 0, best, []):
+            continue  # the searched matrix, relabelled
+        best_leaf, maps[:], path[:] = None, [], []
+        dfs(root, rows, ())
+    del dfs  # it refers to itself: without this, each search is garbage for the cycle collector
     return _pack(m, n, best)
 
 
@@ -199,7 +265,7 @@ def has_key(rows: list[int], n: int, key: bytes, include_transpose: bool = False
     key_m, key_n, trace = _unpack(key)
     if (key_m, key_n) != (m, n):
         return False
-    return any(_follows([(1 << n) - 1] if n else [], r, 0, trace) for r in orientations)
+    return any(_follows([(1 << n) - 1] if n else [], r, 0, trace, []) for r in orientations)
 
 
 def canonical_from_key(key: bytes, rank_d: int) -> ProductMatrix:

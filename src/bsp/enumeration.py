@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -268,6 +267,8 @@ def enumerate_catalog(
 
     nworkers = min(workers or 1, len(args))
     parallel = nworkers > 1
+    if parallel:
+        import multiprocessing  # here, so that commands that start no pool skip its imports
     start, resumed = monotonic(), len(done)
     with multiprocessing.Pool(nworkers) if parallel else contextlib.nullcontext() as pool:
         run = pool.imap_unordered if parallel else map

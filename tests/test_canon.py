@@ -140,6 +140,79 @@ def test_key_matches_brute_force_definition():
             assert (back.m, back.n, back.bits) == brute_force_canonical(bits, n, flag)
 
 
+def symmetric_cases():
+    """Matrices with m <= 6 and large automorphism groups, whose searches
+    prove and reuse automorphisms: identities, circulants, a random block
+    repeated on the diagonal, the edge-vertex incidences of small graphs,
+    matrices with repeated rows, and the complements of all these."""
+    rng = random.Random(41)
+    cases = [tuple(format(1 << i, f"0{n}b") for i in range(n)) for n in range(1, 7)]
+    for n in range(3, 7):
+        for _ in range(3):
+            row = format(rng.getrandbits(n), f"0{n}b")
+            cases.append(tuple(row[s:] + row[:s] for s in range(n)))
+    for b, c, k in ((1, 2, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 1, 3), (3, 3, 2)):
+        block = [format(rng.getrandbits(c), f"0{c}b") for _ in range(b)]
+        cases.append(
+            tuple("0" * c * i + row + "0" * c * (k - 1 - i) for i in range(k) for row in block)
+        )
+    graphs = {  # vertices, edges
+        "bowtie": (5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4))),
+        "K4": (4, tuple(itertools.combinations(range(4), 2))),
+        "C6": (6, tuple((i, (i + 1) % 6) for i in range(6))),
+        "K23": (5, tuple((i, j) for i in range(2) for j in range(2, 5))),
+        "C4 with a tail": (6, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5))),
+    }
+    for n, edges in graphs.values():
+        cases.append(tuple("".join("1" if j in e else "0" for j in range(n)) for e in edges))
+    cases += [("001", "010", "100") * 2, ("011", "110", "101", "011"), ("0011", "1100") * 3]
+    flip = str.maketrans("01", "10")
+    return cases + [tuple(row.translate(flip) for row in bits) for bits in cases]
+
+
+def test_symmetric_keys_match_brute_force_definition():
+    """The automorphisms a search stores prune only subtrees that hold
+    no lesser trace: on highly symmetric matrices, every shuffled copy,
+    and every shuffled copy of the transpose, gets the brute-force key
+    under both flags."""
+    rng = random.Random(43)
+    for bits in symmetric_cases():
+        for base in (mat_from_bits(bits), mat_from_bits(bits).transposed()):
+            for flag in (False, True):
+                want = brute_force_canonical(base.bits, base.n, flag)
+                for copy in [base] + [shuffled(base, rng) for _ in range(8)]:
+                    back = canonical_from_key(canonical_key(copy, flag), 0)
+                    assert (back.m, back.n, back.bits) == want, (bits, flag)
+
+
+def test_stored_automorphisms_cut_descents(monkeypatch):
+    """The search descends into one child per orbit of the automorphisms
+    it has proved, not into every sibling: counted as top-level calls of
+    the descent while keying the 32 x 32 identity (496 when each skip
+    proves its automorphism again) and the d=5 cube slack (41)."""
+    from bsp import canon
+
+    follows, calls = canon._follows, {"depth": 0, "top": 0}
+
+    def counted(*args):
+        calls["top"] += calls["depth"] == 0
+        calls["depth"] += 1
+        try:
+            return follows(*args)
+        finally:
+            calls["depth"] -= 1
+
+    monkeypatch.setattr(canon, "_follows", counted)
+    n = 32
+    key = rows_key([1 << i for i in range(n)], n)
+    assert canonical_from_key(key, 0).bits == tuple(format(1 << i, f"0{n}b") for i in range(n))
+    assert calls["top"] <= 31
+    calls["top"] = 0
+    mat = reference_slack("cube", 5)
+    rows_key([int(r, 2) for r in mat.bits], mat.n)
+    assert calls["top"] <= 5
+
+
 def test_class_counts_match_oeis_a002724():
     """n x n 0/1 matrices up to row and column permutations: 2, 7, 36,
     317 classes for n = 1..4 (OEIS A002724).  Sorting the rows of any

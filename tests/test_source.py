@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bsp
@@ -34,3 +37,16 @@ def test_every_python_kernel_memo_is_bounded():
     caches = {id(cache) for cache in _kernel_py.CACHES.values()}
     assert "_forms_cache" in memos
     assert [name for name in sorted(memos) if id(getattr(_kernel_py, name)) not in caches] == []
+
+
+def test_importing_the_cli_loads_no_process_pool_module():
+    """Only ``--workers`` of 2 or more starts a process pool, so loading
+    the command line, which every ``bsp`` command does, imports no
+    ``multiprocessing`` (with its ``socket`` and ``pickle`` imports)."""
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, bsp.cli; print([m for m in sys.modules if m.startswith('multiprocessing')])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
