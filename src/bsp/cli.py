@@ -299,9 +299,14 @@ def cmd_info(args) -> int:
     except ImportError as exc:
         c_kernel = {"loads": False, "error": str(exc)}
     caches = kernel.get_backend("python").CACHES
+    try:
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    except AttributeError:  # no affinity call on macOS and Windows
+        cpus = os.cpu_count()
     _emit({
         "backend": kernel.BACKEND,
         "c_kernel": c_kernel,
+        "cpus": cpus,
         "python": platform.python_version(),
         # entries held by the pure-Python kernel's caches in this process
         "python_kernel_caches": {name: len(cache) for name, cache in caches.items()},
@@ -320,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--dim", type=int, required=True)
     p.add_argument("--out", help="catalog JSONL path (default stdout)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default 1; at most one per branch)")
+                   help="worker processes, this one included: N - 1 children start "
+                        "(default 1; at most one worker per branch left); a worker "
+                        "that dies is an error (exit 1), not a hang")
     p.add_argument("--checkpoint", help="checkpoint JSON path (resume if present)")
     p.set_defaults(func=cmd_enumerate)
 
@@ -385,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_conjecture)
 
-    p = sub.add_parser("info", help="kernel backend, C kernel status and Python version")
+    p = sub.add_parser("info",
+                       help="kernel backend, C kernel status, CPU count and Python version")
     p.add_argument("--out")
     p.set_defaults(func=cmd_info)
 

@@ -19,7 +19,6 @@ group certifies it (:func:`bsp.canon.has_key`): one search per class.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -28,7 +27,13 @@ from time import monotonic
 
 from . import kernel
 from .canon import canonical_from_key, canonical_key, has_key, rows_key, transpose
-from .errors import BadParameterError, CheckpointCorruptError, MalformedInputError, parsing
+from .errors import (
+    BadParameterError,
+    CheckpointCorruptError,
+    MalformedInputError,
+    WorkerDiedError,
+    parsing,
+)
 from .family import ProductMatrix
 from .linalg import int_field
 
@@ -235,6 +240,122 @@ def _checkpoint_read(path: str, d: int, top_count: int) -> tuple[set[int], dict[
     return done, partial
 
 
+def _worker(fn, tasks, span, conn) -> None:
+    """A child's loop: take the task at the front of ``span`` (the shared
+    ``[front, back)`` range of tasks not yet taken) and send ``(True,
+    fn(task))``, until the range is empty; then send None.  A task that
+    raises sends ``(False, exc)`` and ends the loop."""
+    with conn:
+        while True:
+            with span.get_lock():
+                i = span[0]
+                if i >= span[1]:
+                    break
+                span[0] = i + 1
+            try:
+                out = (True, fn(tasks[i]))
+            except Exception as exc:
+                conn.send((False, exc))
+                return
+            conn.send(out)
+        conn.send(None)
+
+
+def _run_all(fn, tasks: list, nworkers: int):
+    """Yield ``fn(task)`` for every task, in no fixed order, from
+    ``min(nworkers, len(tasks))`` workers: this process and one child
+    process per other worker.  The children take tasks from the front of
+    the list, this process from the back, where the cheap branches are;
+    after each task of its own it yields whatever results the children
+    have sent, without waiting for more.  With one worker the tasks run
+    here, in order.
+
+    A task that raises in a child raises the same exception here.  A child
+    that ends without sending the results of the tasks it took (killed, or
+    out of memory) raises WorkerDiedError rather than leaving the caller
+    waiting.  However the generator ends, every child is ended and joined
+    and every pipe closed.
+
+    Children start by the default method.  Fork, the default on Linux
+    before Python 3.14, starts a child with this process's kernel caches
+    warm, which is what lets a second worker pay at d=4; under spawn or
+    forkserver each child imports bsp afresh and receives ``fn``, the
+    tasks, the shared range and its pipe pickled."""
+    nworkers = min(nworkers, len(tasks))
+    if nworkers <= 1:
+        yield from map(fn, tasks)
+        return
+    import multiprocessing  # here, so that commands that start no child skip its imports
+    from multiprocessing.connection import wait
+
+    span = multiprocessing.Array("q", [0, len(tasks)])
+    pipes: list = []  # the read end of each child's pipe
+    children: dict = {}  # read end -> its started child
+    try:
+        for _ in range(nworkers - 1):
+            recv_end, send_end = multiprocessing.Pipe(duplex=False)
+            pipes.append(recv_end)
+            _widen(recv_end)
+            child = multiprocessing.Process(target=_worker, args=(fn, tasks, span, send_end),
+                                            daemon=True)
+            with send_end:  # then the child holds the only write end: its death is EOF here
+                child.start()
+            children[recv_end] = child
+        running = list(children)
+        while True:
+            with span.get_lock():
+                i = span[1] - 1
+                if i < span[0]:
+                    break
+                span[1] = i
+            yield fn(tasks[i])
+            for conn in wait(running, 0):
+                yield from _received(conn, children[conn], running)
+        while running:
+            for conn in wait(running):
+                yield from _received(conn, children[conn], running)
+    finally:
+        for child in children.values():
+            child.terminate()
+        for child in children.values():
+            child.join()
+            child.close()
+        for conn in pipes:
+            conn.close()
+
+
+def _widen(conn) -> None:
+    """Let a child's pipe hold 1 MiB where the system allows it (Linux).
+    A d=5 branch's result pickles to about 220 KB (the median), more than
+    the default 64 KiB, and a child whose result does not fit waits until
+    this process has finished its own task and reads the pipe: at d=5
+    with 2 workers and the C kernel, that kept the child waiting for 1.8 s
+    of a 7.8 s branch phase, against 0.4 s with 1 MiB."""
+    try:
+        from fcntl import F_SETPIPE_SZ, fcntl
+        fcntl(conn.fileno(), F_SETPIPE_SZ, 1 << 20)
+    except (ImportError, OSError):
+        pass  # the default size: a child may wait longer, the results are the same
+
+
+def _received(conn, child, running: list):
+    """The one result waiting on a child's pipe, as a list; an empty list
+    once the child has sent its last one, when it leaves ``running``."""
+    try:
+        msg = conn.recv()
+    except EOFError:
+        child.join()
+        raise WorkerDiedError(f"worker process {child.pid} ended with exit code "
+                              f"{child.exitcode} before finishing its tasks") from None
+    if msg is None:
+        running.remove(conn)
+        return []
+    ok, value = msg
+    if not ok:
+        raise value
+    return [value]
+
+
 def enumerate_catalog(
     d: int,
     workers: int | None = None,
@@ -245,13 +366,16 @@ def enumerate_catalog(
     isomorphism type (up to transpose).  Deterministic: the result is
     independent of the worker count and of the kernel backend.
 
-    ``workers`` (default 1) caps the worker processes; no more are started
-    than there are branches left to run.  ``progress`` receives one line
-    per finished branch, with the elapsed seconds and an ETA from the mean
-    time per branch finished in this call, then one line with the forms
-    merged, the forms after orientation, the exact searches, the forms
-    certified without one, the classes and the seconds classification
-    took."""
+    ``workers`` (default 1) is the number of processes that walk branches
+    and classify forms, this one included: ``workers - 1`` child processes
+    start, and none beyond one per branch still to run.  A child that dies
+    (killed, or out of memory) raises WorkerDiedError instead of leaving
+    the run waiting; the checkpoint keeps every branch merged before.
+    ``progress`` receives one line per finished branch, with the elapsed
+    seconds and an ETA from the mean time per branch finished in this
+    call, then one line with the forms merged, the forms after
+    orientation, the exact searches, the forms certified without one, the
+    classes and the seconds classification took."""
     if not 1 <= d <= MAX_DIM:
         raise BadParameterError(f"d must be in [1, {MAX_DIM}]")
     if workers is not None and workers < 1:
@@ -266,41 +390,36 @@ def enumerate_catalog(
     args = [(d, top_count, p) for p in range(nbranches) if p not in done]
 
     nworkers = min(workers or 1, len(args))
-    parallel = nworkers > 1
-    if parallel:
-        import multiprocessing  # here, so that commands that start no pool skip its imports
     start, resumed = monotonic(), len(done)
-    with multiprocessing.Pool(nworkers) if parallel else contextlib.nullcontext() as pool:
-        run = pool.imap_unordered if parallel else map
-        for p_index, visited, spanning, items in run(_run_branch, args):
-            for hb, mask in items:
-                prev = merged.get(hb)
-                if prev is None or mask < prev:
-                    merged[hb] = mask
-            done.add(p_index)
-            if checkpoint_path:
-                _checkpoint_write(checkpoint_path, d, top_count, done, merged)
-            if progress:
-                elapsed = monotonic() - start
-                eta = elapsed / (len(done) - resumed) * (nbranches - len(done))
-                progress(f"branch {len(done)}/{nbranches} done "
-                         f"({visited} closed, {spanning} spanning), "
-                         f"{elapsed:.1f} s elapsed, ETA {eta:.1f} s")
-
-        classify_start = monotonic()
-        forms = {_oriented(hb) for hb in merged}
-        groups: dict[tuple, list[bytes]] = {}
-        for form in sorted(forms):
-            groups.setdefault(_invariant(form), []).append(form)
-        keys: set[bytes] = set()
-        searched = 0
-        for found in run(_classify, groups.values()):
-            keys.update(found)
-            searched += len(found)
+    for p_index, visited, spanning, items in _run_all(_run_branch, args, nworkers):
+        for hb, mask in items:
+            prev = merged.get(hb)
+            if prev is None or mask < prev:
+                merged[hb] = mask
+        done.add(p_index)
+        if checkpoint_path:
+            _checkpoint_write(checkpoint_path, d, top_count, done, merged)
         if progress:
-            progress(f"classified {len(merged)} forms, {len(forms)} after orientation: "
-                     f"{searched} searched, {len(forms) - searched} certified, "
-                     f"{len(keys)} classes, {monotonic() - classify_start:.2f} s")
+            elapsed = monotonic() - start
+            eta = elapsed / (len(done) - resumed) * (nbranches - len(done))
+            progress(f"branch {len(done)}/{nbranches} done "
+                     f"({visited} closed, {spanning} spanning), "
+                     f"{elapsed:.1f} s elapsed, ETA {eta:.1f} s")
+
+    classify_start = monotonic()
+    forms = {_oriented(hb) for hb in merged}
+    groups: dict[tuple, list[bytes]] = {}
+    for form in sorted(forms):
+        groups.setdefault(_invariant(form), []).append(form)
+    keys: set[bytes] = set()
+    searched = 0
+    for found in _run_all(_classify, list(groups.values()), nworkers):
+        keys.update(found)
+        searched += len(found)
+    if progress:
+        progress(f"classified {len(merged)} forms, {len(forms)} after orientation: "
+                 f"{searched} searched, {len(forms) - searched} certified, "
+                 f"{len(keys)} classes, {monotonic() - classify_start:.2f} s")
 
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)

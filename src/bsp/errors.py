@@ -50,6 +50,11 @@ class CheckpointCorruptError(BspError):
     pass
 
 
+class WorkerDiedError(BspError):
+    """A worker process ended before it had sent the results of the tasks
+    it took: killed by a signal, by the out-of-memory killer, or exited."""
+
+
 class MalformedInputError(BspError):
     """An input document lacks a required key or holds a value of the
     wrong type or form."""

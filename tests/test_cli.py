@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import platform
 import random
 import warnings
@@ -377,6 +378,7 @@ def test_info_reports_backend_and_c_kernel(capsys, monkeypatch):
     info = json.loads(out)
     assert info["backend"] == kernel.BACKEND
     assert info["python"] == platform.python_version()
+    assert isinstance(info["cpus"], int) and 1 <= info["cpus"] <= os.cpu_count()
     caches = info["python_kernel_caches"]
     assert sorted(caches) == ["forms", "patterns", "selectors", "tables"]
     assert all(isinstance(n, int) and n >= 0 for n in caches.values())

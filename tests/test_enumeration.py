@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import json
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,8 @@ from bsp.enumeration import (
     verify_against_reference,
 )
 from bsp import enumeration, kernel
-from bsp.errors import BadParameterError, CheckpointCorruptError
+from bsp.cli import main
+from bsp.errors import BadParameterError, CheckpointCorruptError, WorkerDiedError
 from bsp.kernel import enum_branch
 from bsp.family import (
     closure,
@@ -128,28 +131,6 @@ def test_worker_count_does_not_change_output():
     assert c1.to_jsonl() == c2.to_jsonl()
 
 
-class _RecordingPool:
-    """Stands in for ``multiprocessing.Pool``: records the requested size
-    and runs everything in this process."""
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap_unordered(self, fn, args):
-        return map(fn, args)
-
-    def map(self, fn, args, chunksize=1):
-        return list(map(fn, args))
-
-
 def _partial_checkpoint(path, d, branches):
     """Write the checkpoint of a run that has finished ``branches``."""
     top = branch_split(d)
@@ -162,8 +143,23 @@ def _partial_checkpoint(path, d, branches):
 
 
 def test_worker_pool_is_bounded_by_pending_branches(tmp_path, monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    """Each phase starts min(workers, tasks) - 1 children, the calling
+    process being one of the workers: none with one worker, and none at
+    d=3, whose one branch leaves one worker."""
+    started, phases = [], []
+    real_start, real_run_all = multiprocessing.Process.start, enumeration._run_all
+
+    def counting_start(self):
+        started.append(self)
+        real_start(self)
+
+    def counting_run_all(fn, tasks, nworkers):
+        before = len(started)
+        yield from real_run_all(fn, tasks, nworkers)
+        phases.append((fn.__name__, len(tasks), len(started) - before))
+
+    monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+    monkeypatch.setattr(enumeration, "_run_all", counting_run_all)
     text = enumerate_catalog(4, workers=100000).to_jsonl()
     assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
     ck = str(tmp_path / "ck.json")
@@ -172,12 +168,129 @@ def test_worker_pool_is_bounded_by_pending_branches(tmp_path, monkeypatch):
     assert enumerate_catalog(4, workers=2).to_jsonl() == text
     for workers in (None, 1):
         assert enumerate_catalog(4, workers=workers).to_jsonl() == text
-    enumerate_catalog(3, workers=3)  # one branch: no pool
-    assert _RecordingPool.sizes == [16, 13, 2]
+    enumerate_catalog(3, workers=3)  # one branch: no child
+    assert phases == [
+        ("_run_branch", 16, 15), ("_classify", 16, 15),
+        ("_run_branch", 13, 12), ("_classify", 16, 12),
+        ("_run_branch", 16, 1), ("_classify", 16, 1),
+        ("_run_branch", 16, 0), ("_classify", 16, 0),
+        ("_run_branch", 16, 0), ("_classify", 16, 0),
+        ("_run_branch", 1, 0), ("_classify", 3, 0),
+    ]
     for workers in (0, -3):
         with pytest.raises(BadParameterError, match="workers"):
             enumerate_catalog(3, workers=workers)
-    assert _RecordingPool.sizes == [16, 13, 2]
+    assert len(started) == 15 + 15 + 12 + 12 + 1 + 1
+    assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, a block that runs longer than ``seconds``."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _in_children(monkeypatch, tmp_path, act):
+    """Make ``kernel.enum_branch`` call ``act(p_index)`` first in the
+    children this process forks, and hold this process's first branch
+    until a child has taken one."""
+    parent, real, taken = os.getpid(), kernel.enum_branch, tmp_path / "taken"
+
+    def enum_branch(d, top_count, p_index):
+        if os.getpid() != parent:
+            taken.touch()
+            act(p_index)
+        while not taken.exists():
+            time.sleep(0.001)
+        return real(d, top_count, p_index)
+
+    monkeypatch.setattr(kernel, "enum_branch", enum_branch)
+
+
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="children see this process's monkeypatch only when forked")
+
+
+@needs_fork
+def test_dead_worker_raises_and_the_checkpoint_keeps_what_was_merged(tmp_path, monkeypatch,
+                                                                     capsys):
+    """A child that SIGKILLs itself on its first branch, as the
+    out-of-memory killer would, raises WorkerDiedError the next time this
+    process reads the pipes, and leaves no child behind; the checkpoint
+    holds every branch that was reported, and resumes to the catalog's
+    bytes.  ``bsp enumerate`` reports it as a JSON error with exit 1."""
+    _in_children(monkeypatch, tmp_path, lambda p: os.kill(os.getpid(), signal.SIGKILL))
+    ck, lines = str(tmp_path / "ck.json"), []
+    with _deadline(60), pytest.raises(WorkerDiedError, match=f"exit code {-signal.SIGKILL}"):
+        enumerate_catalog(4, workers=2, checkpoint_path=ck, progress=lines.append)
+    assert multiprocessing.active_children() == []
+    done = json.loads(Path(ck).read_text(encoding="ascii"))["done_branches"]
+    assert len(done) == len(lines) >= 1 and 0 not in done
+
+    (tmp_path / "taken").unlink()
+    with _deadline(60):
+        code = main(["enumerate", "-d", "4", "--workers", "2", "--out", str(tmp_path / "c.jsonl")])
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (code, error["error"]) == (1, "WorkerDiedError")
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    text = enumerate_catalog(4, workers=2, checkpoint_path=ck).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+
+
+@needs_fork
+def test_worker_exceptions_propagate_and_no_child_outlives_the_call(tmp_path, monkeypatch):
+    """A branch that raises in a child raises its type and message here; a
+    branch that raises here ends the children.  Either way, as on return,
+    no child is left."""
+    def fail(p_index):
+        raise ValueError(f"branch {p_index} failed in a child")
+
+    _in_children(monkeypatch, tmp_path, fail)
+    with _deadline(60), pytest.raises(ValueError, match=r"^branch 0 failed in a child$"):
+        enumerate_catalog(4, workers=2)
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+
+    real = kernel.enum_branch
+
+    def fail_here(d, top_count, p_index):
+        if p_index == 15:
+            raise KeyError("raised in the calling process")
+        return real(d, top_count, p_index)
+
+    monkeypatch.setattr(kernel, "enum_branch", fail_here)
+    with _deadline(60), pytest.raises(KeyError, match="raised in the calling process"):
+        enumerate_catalog(4, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_spawned_children_give_the_same_bytes():
+    """Under the spawn start method (the default on macOS and Windows) the
+    children re-import bsp and receive the task function, the tasks, the
+    shared range and their pipe by pickling."""
+    code = textwrap.dedent("""
+        import hashlib, multiprocessing
+        from bsp.enumeration import enumerate_catalog
+
+        if __name__ == "__main__":
+            multiprocessing.set_start_method("spawn")
+            text = enumerate_catalog(4, workers=2).to_jsonl()
+            print(hashlib.sha256(text.encode()).hexdigest(), multiprocessing.active_children())
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=_source_env(), capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [D4_SHA256, "[]"]
 
 
 def test_classification_keys_each_form_once_up_to_transpose(monkeypatch):
@@ -249,6 +362,12 @@ def test_progress_lines_report_elapsed_time_and_eta(tmp_path, monkeypatch):
              "16 classes, 2.00 s"]
 
 
+def _source_env():
+    """This environment with this checkout's package first on the path."""
+    src = str(Path(bsp.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_checkpoint_resume(tmp_path):
     ck = str(tmp_path / "ck.json")
     full = enumerate_catalog(4)
@@ -275,11 +394,9 @@ def test_killed_run_resumes_to_the_same_bytes(tmp_path):
 
         enumerate_catalog(4, workers=1, checkpoint_path=sys.argv[1], progress=progress)
     """)
-    src = str(Path(bsp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     ck = tmp_path / "ck.json"
-    out = subprocess.run([sys.executable, "-c", code, str(ck)], env=env, capture_output=True,
-                         text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", code, str(ck)], env=_source_env(),
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == -signal.SIGKILL, out.stderr
     assert json.loads(ck.read_text(encoding="ascii"))["done_branches"] == [0, 1, 2]
     for workers in (1, 2):

@@ -40,7 +40,7 @@ def test_every_python_kernel_memo_is_bounded():
 
 
 def test_importing_the_cli_loads_no_process_pool_module():
-    """Only ``--workers`` of 2 or more starts a process pool, so loading
+    """Only ``--workers`` of 2 or more starts child processes, so loading
     the command line, which every ``bsp`` command does, imports no
     ``multiprocessing`` (with its ``socket`` and ``pickle`` imports)."""
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
