@@ -328,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes, this one included: N - 1 children start "
                         "(default 1; at most one worker per branch left); a worker "
                         "that dies is an error (exit 1), not a hang")
-    p.add_argument("--checkpoint", help="checkpoint JSON path (resume if present)")
+    p.add_argument("--checkpoint",
+                   help="checkpoint log path, one JSON line per finished branch (resume if "
+                        "present; a last line torn by a kill is dropped)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("stats", help="size statistics of a catalog")

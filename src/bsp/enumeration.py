@@ -9,19 +9,23 @@ gives worker parallelism and branch-level checkpointing for free.  Both
 kernels walk the fixpoints of a branch as the same Close-by-One tree
 (FCbO, described in :mod:`bsp._kernel_py`).
 A branch returns each spanning closed set as the heuristic form of its
-product matrix.  The forms are merged, and each is replaced by the form of
-its orientation with fewer rows, so transposed copies meet.  The forms
-left are grouped by an invariant of transpose-equivalence: the shape and
-the row and column degree multisets.  Within a group a form is keyed, up
-to transpose, by an exact search only when no key already found in the
-group certifies it (:func:`bsp.canon.has_key`): one search per class.
+product matrix, and a worker sends on only the forms it has not sent
+before with a mask as small.  The calling process merges the forms as
+branch results arrive and keys each form the moment it first sees it:
+the form is replaced by the form of its orientation with fewer rows, so
+transposed copies meet, and grouped by an invariant of
+transpose-equivalence: the shape and the row and column degree
+multisets.  Within a group a form is keyed, up to transpose, by an exact
+search only when no key already found in the group certifies it
+(:func:`bsp.canon.has_key`): one search per class.  With several
+workers this keying overlaps the children's walk.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from time import monotonic
 
@@ -146,9 +150,29 @@ def branch_split(d: int) -> int:
     return max(0, min(4 * (d - 3), (1 << d) - 1 - 8))
 
 
-def _run_branch(args: tuple[int, int, int]):
-    d, top_count, p_index = args
-    return (p_index, *kernel.enum_branch(d, top_count, p_index))
+@dataclass
+class _Walk:
+    """The branch walk of one run, as each worker process holds it:
+    ``sent`` maps each form this process has sent in the run to the
+    smallest mask it sent with it."""
+
+    d: int
+    top_count: int
+    sent: dict[bytes, int] = field(default_factory=dict)
+
+    def run_branch(self, p_index: int):
+        """The branch's index and counters, and the (form, mask) items of
+        its forms that this process has not sent with a mask as small.
+        What a process sends arrives in the order it was sent, so each
+        result, merged in turn, leaves the merged forms complete for the
+        branches merged so far."""
+        visited, spanning, items = kernel.enum_branch(self.d, self.top_count, p_index)
+        sent, fresh = self.sent, []
+        for hb, mask in items:
+            if mask < sent.get(hb, mask + 1):
+                sent[hb] = mask
+                fresh.append((hb, mask))
+        return p_index, visited, spanning, fresh
 
 
 def _oriented(form: bytes) -> bytes:
@@ -171,26 +195,37 @@ def _oriented(form: bytes) -> bytes:
     return flipped if len(rows) > n else min(form, flipped)
 
 
-def _invariant(form: bytes) -> tuple:
-    """Shape and row and column degree multisets of the matrix an
-    oriented form holds, the two multisets unordered when it is square so
-    that its transpose agrees: forms that differ here have different
-    keys."""
-    rows, n = kernel.form_rows(form)
+def _invariant(rows: list[int], n: int) -> tuple:
+    """Shape and row and column degree multisets of the matrix of an
+    oriented form, the two multisets unordered when it is square so that
+    its transpose agrees: forms that differ here have different keys."""
     degrees = [tuple(sorted(x.bit_count() for x in xs)) for xs in (rows, transpose(rows, n))]
     return (len(rows), n, *(sorted(degrees) if len(rows) == n else degrees))
 
 
-def _classify(forms: list[bytes]) -> list[bytes]:
-    """Canonical keys, up to transpose, of the matrices that one group of
-    forms holds, one per class: a form is searched only when no key found
-    before certifies it, so every search finds a new class."""
-    keys: list[bytes] = []
-    for form in forms:
+class _Keyer:
+    """Canonical keys, up to transpose, of the matrices that the forms
+    passed to :meth:`add` hold, one per class.  A form is oriented and
+    grouped by :func:`_invariant`, and searched only when no key found in
+    its group certifies it, so every search finds a new class, and the
+    keys found do not depend on the order the forms come in."""
+
+    def __init__(self) -> None:
+        self.groups: dict[tuple, list[bytes]] = {}  # invariant -> keys found
+        self.oriented: set[bytes] = set()  # every oriented form added
+
+    def add(self, form: bytes) -> None:
+        form = _oriented(form)
+        if form in self.oriented:
+            return
+        self.oriented.add(form)
         rows, n = kernel.form_rows(form)
+        keys = self.groups.setdefault(_invariant(rows, n), [])
         if not any(has_key(rows, n, key, include_transpose=True) for key in keys):
             keys.append(rows_key(rows, n, include_transpose=True))
-    return keys
+
+    def keys(self) -> list[bytes]:
+        return [key for keys in self.groups.values() for key in keys]
 
 
 def _catalog(d: int, keys) -> Catalog:
@@ -201,35 +236,72 @@ def _catalog(d: int, keys) -> Catalog:
     return Catalog(d, tuple(classes), complete=True)
 
 
-def _checkpoint_write(path: str, d: int, top_count: int, done: set[int],
-                      partial: dict[bytes, int]) -> None:
-    payload = {
-        "d": d,
-        "top_count": top_count,
-        "done_branches": sorted(done),
-        "partial_keys": [[hb.hex(), mask] for hb, mask in sorted(partial.items())],
-    }
+def _checkpoint_create(path: str, d: int, top_count: int) -> None:
+    """Start the checkpoint log of a run at ``path`` with its header line,
+    put in place whole."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps({"d": d, "top_count": top_count}) + "\n")
     os.replace(tmp, path)
 
 
-def _checkpoint_read(path: str, d: int, top_count: int) -> tuple[set[int], dict[bytes, int]]:
+def _checkpoint_append(path: str, p_index: int, forms: list[tuple[bytes, int]]) -> None:
+    """Log one finished branch as one line, in one write: the (form, mask)
+    items it merged that were new or came with a smaller mask.  A kill
+    during the write leaves a last line with no newline, which a resume
+    drops."""
+    line = json.dumps({"branch": p_index, "forms": [[hb.hex(), mask] for hb, mask in forms]},
+                      separators=(",", ":")) + "\n"
+    data = line.encode("ascii")
+    with open(path, "ab", buffering=0) as fh:
+        if fh.write(data) != len(data):
+            raise OSError(f"{path}: short write, the checkpoint's last line is torn")
+
+
+def _checkpoint_fields(line: str, names: tuple[str, ...]) -> list:
+    """The values of one log line, a JSON object with exactly ``names``."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict) or obj.keys() != set(names):
+        raise CheckpointCorruptError(f"checkpoint line is not an object of {names}: {line[:80]}")
+    return [obj[name] for name in names]
+
+
+def _checkpoint_resume(path: str, d: int, top_count: int) -> tuple[set[int], dict[bytes, int]]:
+    """The branches done and the smallest mask of each form merged, as
+    the log at ``path`` records them, each of those masks checked to be a
+    closed spanning set of its form (a larger mask logged before it
+    decides nothing; checking all 119,517 masks of a one-worker d=5 log,
+    not only its 25,502 smallest, took 3.7 s rather than 0.8 s with the C
+    kernel on a 2-core machine).  A last line with
+    no newline, torn by a kill, is dropped and cut off the file, so its
+    branch runs again; a missing or foreign header, any other bad line, a
+    branch out of range or logged twice, or a bad mask raises
+    CheckpointCorruptError."""
     try:
-        with open(path, encoding="ascii") as fh:
-            payload = json.load(fh)
-        if int_field(payload["d"]) != d or int_field(payload["top_count"]) != top_count:
-            raise CheckpointCorruptError(
-                f"checkpoint is for d={payload.get('d')}, top={payload.get('top_count')}"
-            )
-        done = set(map(int_field, payload["done_branches"]))
-        partial = {bytes.fromhex(h): int_field(m) for h, m in payload["partial_keys"]}
-        if not all(0 <= b < (1 << top_count) for b in done):
-            raise CheckpointCorruptError("branch index out of range")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if not end:
+            raise CheckpointCorruptError("checkpoint has no complete header line")
+        header, *lines = data[:end].decode("ascii").split("\n")[:-1]
+        got_d, got_top = _checkpoint_fields(header, ("d", "top_count"))
+        if int_field(got_d) != d or int_field(got_top) != top_count:
+            raise CheckpointCorruptError(f"checkpoint is for d={got_d}, top={got_top}")
+        done: set[int] = set()
+        merged: dict[bytes, int] = {}
+        for line in lines:
+            p_index, forms = _checkpoint_fields(line, ("branch", "forms"))
+            p_index = int_field(p_index)
+            if not 0 <= p_index < 1 << top_count or p_index in done:
+                raise CheckpointCorruptError(f"branch {p_index} is out of range or logged twice")
+            done.add(p_index)
+            for h, mask in forms:
+                hb, mask = bytes.fromhex(h), int_field(mask)
+                if mask < merged.get(hb, mask + 1):
+                    merged[hb] = mask
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointCorruptError(str(exc)) from exc
-    for hb, mask in partial.items():
+    for hb, mask in merged.items():
         # range first: the C kernel rejects a mask out of range with ValueError
         if not (0 < mask < 1 << (1 << d)
                 and kernel.closure_and_rank(d, mask) == (mask, d)
@@ -237,7 +309,9 @@ def _checkpoint_read(path: str, d: int, top_count: int) -> tuple[set[int], dict[
             raise CheckpointCorruptError(
                 f"mask {mask} is not a closed spanning set with form {hb.hex()}"
             )
-    return done, partial
+    if end < len(data):
+        os.truncate(path, end)
+    return done, merged
 
 
 def _worker(fn, tasks, span, conn) -> None:
@@ -326,11 +400,13 @@ def _run_all(fn, tasks: list, nworkers: int):
 
 def _widen(conn) -> None:
     """Let a child's pipe hold 1 MiB where the system allows it (Linux).
-    A d=5 branch's result pickles to about 220 KB (the median), more than
-    the default 64 KiB, and a child whose result does not fit waits until
-    this process has finished its own task and reads the pipe: at d=5
-    with 2 workers and the C kernel, that kept the child waiting for 1.8 s
-    of a 7.8 s branch phase, against 0.4 s with 1 MiB."""
+    A child whose result does not fit waits until this process has
+    finished its own task and reads the pipe.  At d=5 with 2 workers and
+    the C kernel, results pickle to 14 KB in the median but up to 290 KB,
+    since the first branches a process runs send most of their forms;
+    when every result held all the forms of its branch (220 KB in the
+    median), the default 64 KiB kept the child waiting for 1.8 s of a
+    7.8 s branch phase, against 0.4 s with 1 MiB."""
     try:
         from fcntl import F_SETPIPE_SZ, fcntl
         fcntl(conn.fileno(), F_SETPIPE_SZ, 1 << 20)
@@ -364,18 +440,23 @@ def enumerate_catalog(
 ) -> Catalog:
     """Catalog of all closed spanning pairs in dimension d, one class per
     isomorphism type (up to transpose).  Deterministic: the result is
-    independent of the worker count and of the kernel backend.
+    independent of the worker count, of the kernel backend and of the
+    order in which branch results arrive.
 
-    ``workers`` (default 1) is the number of processes that walk branches
-    and classify forms, this one included: ``workers - 1`` child processes
-    start, and none beyond one per branch still to run.  A child that dies
-    (killed, or out of memory) raises WorkerDiedError instead of leaving
-    the run waiting; the checkpoint keeps every branch merged before.
-    ``progress`` receives one line per finished branch, with the elapsed
-    seconds and an ETA from the mean time per branch finished in this
-    call, then one line with the forms merged, the forms after
-    orientation, the exact searches, the forms certified without one, the
-    classes and the seconds classification took."""
+    ``workers`` (default 1) is the number of processes that walk branches,
+    this one included: ``workers - 1`` child processes start, and none
+    beyond one per branch still to run.  This process keys the forms of
+    each branch result as it arrives, between branches of its own.  A
+    child that dies (killed, or out of memory) raises WorkerDiedError
+    instead of leaving the run waiting; the checkpoint keeps every branch
+    merged before.  ``checkpoint_path`` is a log of finished branches,
+    one JSON line each after a header line, resumed when it exists and
+    removed when the run completes.  ``progress`` receives one line per
+    finished branch, with the elapsed seconds and an ETA from the mean
+    time per branch finished in this call, then one line with the forms
+    merged, the forms after orientation, the exact searches, the forms
+    certified without one, the classes and the seconds this process spent
+    keying forms."""
     if not 1 <= d <= MAX_DIM:
         raise BadParameterError(f"d must be in [1, {MAX_DIM}]")
     if workers is not None and workers < 1:
@@ -384,42 +465,49 @@ def enumerate_catalog(
     nbranches = 1 << top_count
 
     done: set[int] = set()
-    merged: dict[bytes, int] = {}
+    merged: dict[bytes, int] = {}  # form -> smallest mask
     if checkpoint_path and os.path.exists(checkpoint_path):
-        done, merged = _checkpoint_read(checkpoint_path, d, top_count)
-    args = [(d, top_count, p) for p in range(nbranches) if p not in done]
+        done, merged = _checkpoint_resume(checkpoint_path, d, top_count)
+    elif checkpoint_path:
+        _checkpoint_create(checkpoint_path, d, top_count)
+    todo = [p for p in range(nbranches) if p not in done]
 
-    nworkers = min(workers or 1, len(args))
-    start, resumed = monotonic(), len(done)
-    for p_index, visited, spanning, items in _run_all(_run_branch, args, nworkers):
+    keyer = _Keyer()
+    clock = monotonic()
+    for hb in merged:
+        keyer.add(hb)
+    start = monotonic()
+    keying, resumed = start - clock, len(done)
+    for p_index, visited, spanning, items in _run_all(_Walk(d, top_count).run_branch, todo,
+                                                      workers or 1):
+        clock = monotonic()
+        changed = []
         for hb, mask in items:
             prev = merged.get(hb)
-            if prev is None or mask < prev:
-                merged[hb] = mask
+            if prev is None:
+                keyer.add(hb)
+            elif mask >= prev:
+                continue
+            merged[hb] = mask
+            changed.append((hb, mask))
+        now = monotonic()
+        keying += now - clock
         done.add(p_index)
         if checkpoint_path:
-            _checkpoint_write(checkpoint_path, d, top_count, done, merged)
+            _checkpoint_append(checkpoint_path, p_index, changed)
         if progress:
-            elapsed = monotonic() - start
+            elapsed = now - start
             eta = elapsed / (len(done) - resumed) * (nbranches - len(done))
             progress(f"branch {len(done)}/{nbranches} done "
                      f"({visited} closed, {spanning} spanning), "
                      f"{elapsed:.1f} s elapsed, ETA {eta:.1f} s")
 
-    classify_start = monotonic()
-    forms = {_oriented(hb) for hb in merged}
-    groups: dict[tuple, list[bytes]] = {}
-    for form in sorted(forms):
-        groups.setdefault(_invariant(form), []).append(form)
-    keys: set[bytes] = set()
-    searched = 0
-    for found in _run_all(_classify, list(groups.values()), nworkers):
-        keys.update(found)
-        searched += len(found)
+    keys = keyer.keys()
     if progress:
-        progress(f"classified {len(merged)} forms, {len(forms)} after orientation: "
-                 f"{searched} searched, {len(forms) - searched} certified, "
-                 f"{len(keys)} classes, {monotonic() - classify_start:.2f} s")
+        oriented = len(keyer.oriented)
+        progress(f"classified {len(merged)} forms, {oriented} after orientation: "
+                 f"{len(keys)} searched, {oriented - len(keys)} certified, "
+                 f"{len(keys)} classes, {keying:.2f} s keying")
 
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)

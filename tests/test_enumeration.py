@@ -4,6 +4,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -132,20 +133,28 @@ def test_worker_count_does_not_change_output():
 
 
 def _partial_checkpoint(path, d, branches):
-    """Write the checkpoint of a run that has finished ``branches``."""
+    """Write the checkpoint log of a run that has finished ``branches``,
+    each line with every form of its branch (a resume keeps the smallest
+    mask of each form)."""
     top = branch_split(d)
-    partial = {}
+    enumeration._checkpoint_create(path, d, top)
     for p in branches:
-        for hb, mask in enum_branch(d, top, p)[2]:
-            if partial.get(hb, mask) >= mask:
-                partial[hb] = mask
-    enumeration._checkpoint_write(path, d, top, set(branches), partial)
+        enumeration._checkpoint_append(path, p, enum_branch(d, top, p)[2])
+
+
+def _logged_branches(path):
+    """The branches of the checkpoint log at ``path``, in logged order."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    assert json.loads(lines[0]).keys() == {"d", "top_count"}
+    return [json.loads(line)["branch"] for line in lines[1:]]
 
 
 def test_worker_pool_is_bounded_by_pending_branches(tmp_path, monkeypatch):
-    """Each phase starts min(workers, tasks) - 1 children, the calling
-    process being one of the workers: none with one worker, and none at
-    d=3, whose one branch leaves one worker."""
+    """A run has one phase, the branch walk, which starts min(workers,
+    branches left) - 1 children, the calling process being one of the
+    workers: none with one worker, and none at d=3, whose one branch
+    leaves one worker.  Forms are keyed as results arrive, with no phase
+    of their own."""
     started, phases = [], []
     real_start, real_run_all = multiprocessing.Process.start, enumeration._run_all
 
@@ -170,17 +179,13 @@ def test_worker_pool_is_bounded_by_pending_branches(tmp_path, monkeypatch):
         assert enumerate_catalog(4, workers=workers).to_jsonl() == text
     enumerate_catalog(3, workers=3)  # one branch: no child
     assert phases == [
-        ("_run_branch", 16, 15), ("_classify", 16, 15),
-        ("_run_branch", 13, 12), ("_classify", 16, 12),
-        ("_run_branch", 16, 1), ("_classify", 16, 1),
-        ("_run_branch", 16, 0), ("_classify", 16, 0),
-        ("_run_branch", 16, 0), ("_classify", 16, 0),
-        ("_run_branch", 1, 0), ("_classify", 3, 0),
+        ("run_branch", 16, 15), ("run_branch", 13, 12), ("run_branch", 16, 1),
+        ("run_branch", 16, 0), ("run_branch", 16, 0), ("run_branch", 1, 0),
     ]
     for workers in (0, -3):
         with pytest.raises(BadParameterError, match="workers"):
             enumerate_catalog(3, workers=workers)
-    assert len(started) == 15 + 15 + 12 + 12 + 1 + 1
+    assert len(started) == 15 + 12 + 1
     assert multiprocessing.active_children() == []
 
 
@@ -233,8 +238,8 @@ def test_dead_worker_raises_and_the_checkpoint_keeps_what_was_merged(tmp_path, m
     with _deadline(60), pytest.raises(WorkerDiedError, match=f"exit code {-signal.SIGKILL}"):
         enumerate_catalog(4, workers=2, checkpoint_path=ck, progress=lines.append)
     assert multiprocessing.active_children() == []
-    done = json.loads(Path(ck).read_text(encoding="ascii"))["done_branches"]
-    assert len(done) == len(lines) >= 1 and 0 not in done
+    done = _logged_branches(ck)
+    assert len(done) == len(set(done)) == len(lines) >= 1 and 0 not in done
 
     (tmp_path / "taken").unlink()
     with _deadline(60):
@@ -293,12 +298,9 @@ def test_spawned_children_give_the_same_bytes():
     assert out.stdout.split() == [D4_SHA256, "[]"]
 
 
-def test_classification_keys_each_form_once_up_to_transpose(monkeypatch):
-    """The 196 merged d=4 forms hold 91 matrices up to permutations and
-    transpose as the heuristic form sees them, and 16 classes: 16 exact
-    searches, the other 75 forms each certified by the first key of a
-    class found before that it is tried on, and no product matrix rebuilt
-    from its set."""
+def _assert_d4_keys_each_form_once(monkeypatch):
+    """Run d=4 at one worker, counting searches and certificates; the
+    catalog's bytes, 16 searches and 75 certificates must come out."""
     searched, certified = [], []
 
     def counting_rows_key(rows, n, include_transpose=False):
@@ -321,29 +323,95 @@ def test_classification_keys_each_form_once_up_to_transpose(monkeypatch):
     assert (len(searched), len(certified), sum(certified)) == (16, 75, 75)
 
 
+def test_classification_keys_each_form_once_up_to_transpose(monkeypatch):
+    """The 196 merged d=4 forms hold 91 matrices up to permutations and
+    transpose as the heuristic form sees them, and 16 classes: 16 exact
+    searches, the other 75 forms each certified by the first key of a
+    class found before that it is tried on, and no product matrix rebuilt
+    from its set."""
+    _assert_d4_keys_each_form_once(monkeypatch)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_keys_do_not_depend_on_the_order_branch_results_arrive(monkeypatch, order):
+    """Forms are keyed as branch results arrive, so the d=4 results taken
+    in reverse, or in a seeded shuffle, still give the catalog's bytes with
+    16 searches and 75 certificates."""
+    real = enumeration._run_all
+
+    def reordered(fn, tasks, nworkers):
+        results = list(real(fn, tasks, nworkers))
+        assert len(results) == 16
+        if order == "reversed":
+            results.reverse()
+        else:
+            random.Random(11).shuffle(results)
+        yield from results
+
+    monkeypatch.setattr(enumeration, "_run_all", reordered)
+    _assert_d4_keys_each_form_once(monkeypatch)
+
+
+def test_each_process_sends_a_form_again_only_with_a_smaller_mask(monkeypatch):
+    """A worker process sends a form only when it has not sent it with a
+    mask as small: at one worker every item that arrives is new or has a
+    smaller mask, fewer than the 1,545 items the 16 d=4 branches hold, and
+    at one and at two workers what arrives merges to the smallest mask of
+    each of the 196 forms."""
+    top = branch_split(4)
+    smallest = {}
+    for p in range(1 << top):
+        for hb, mask in enum_branch(4, top, p)[2]:
+            smallest[hb] = min(mask, smallest.get(hb, mask))
+    real, arrived = enumeration._run_all, []
+
+    def recording(fn, tasks, nworkers):
+        for result in real(fn, tasks, nworkers):
+            arrived.extend(result[3])
+            yield result
+
+    monkeypatch.setattr(enumeration, "_run_all", recording)
+    for workers in (1, 2):
+        arrived.clear()
+        text = enumerate_catalog(4, workers=workers).to_jsonl()
+        assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+        merged = {}
+        for hb, mask in arrived:
+            if workers == 1:
+                assert mask < merged.get(hb, mask + 1)
+            merged[hb] = min(mask, merged.get(hb, mask))
+        assert merged == smallest and len(merged) == 196
+        if workers == 1:
+            assert len(arrived) < 1545
+
+
 def test_classification_matches_one_search_per_form_on_d5_branches():
     """The forms of d=5 branches 37 and 255, walked by the pure-Python
-    kernel and oriented, classify to the key set that one exact search
-    per form gives, and every search finds a new class."""
+    kernel and keyed, give the key set that one exact search per oriented
+    form gives, and every search finds a new class."""
     twin = kernel.get_backend("python")
     top = branch_split(5)
+    keyer = enumeration._Keyer()
+    for p in (37, 255):
+        for hb, _ in twin.enum_branch(5, top, p)[2]:
+            keyer.add(hb)
     forms = {
         enumeration._oriented(hb) for p in (37, 255) for hb, _ in twin.enum_branch(5, top, p)[2]
     }
-    groups = {}
-    for form in sorted(forms):
-        groups.setdefault(enumeration._invariant(form), []).append(form)
-    found = [key for group in groups.values() for key in enumeration._classify(group)]
+    assert keyer.oriented == forms
+    found = keyer.keys()
     want = {rows_key(*kernel.form_rows(form), include_transpose=True) for form in forms}
     assert len(found) == len(set(found)) == len(want) == 212
     assert set(found) == want
 
 
 def test_progress_lines_report_elapsed_time_and_eta(tmp_path, monkeypatch):
-    """With a clock that advances 2 s per reading, branch k of 16 reports
-    2k s elapsed and 2 (16 - k) s left; a resumed run times only the
-    branches it runs itself.  The last line counts classification's
-    forms, searches and classes and reads the clock twice."""
+    """With a clock that advances 2 s per reading, and two readings around
+    the keying of each branch's forms, branch k of 16 reports 4k s
+    elapsed and 4 (16 - k) s left; a resumed run times only the branches
+    it runs itself.  The last line counts the forms, searches and classes,
+    and the keying time: 2 s for the forms loaded from the checkpoint (or
+    none) and 2 s per branch run."""
     top = branch_split(4)
     counts = [enum_branch(4, top, p)[:2] for p in range(1 << top)]
     for resumed in (0, 3):
@@ -356,10 +424,10 @@ def test_progress_lines_report_elapsed_time_and_eta(tmp_path, monkeypatch):
         assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
         assert lines == [
             f"branch {k}/16 done ({counts[k - 1][0]} closed, {counts[k - 1][1]} spanning), "
-            f"{2 * (k - resumed):.1f} s elapsed, ETA {2 * (16 - k):.1f} s"
+            f"{4 * (k - resumed):.1f} s elapsed, ETA {4 * (16 - k):.1f} s"
             for k in range(resumed + 1, 17)
         ] + ["classified 196 forms, 91 after orientation: 16 searched, 75 certified, "
-             "16 classes, 2.00 s"]
+             f"16 classes, {2 + 2 * (16 - resumed):.2f} s keying"]
 
 
 def _source_env():
@@ -379,9 +447,12 @@ def test_checkpoint_resume(tmp_path):
 
 def test_killed_run_resumes_to_the_same_bytes(tmp_path):
     """A d=4 run in a subprocess kills itself with SIGKILL from its third
-    progress line, just after the checkpoint of branch 2 is written;
-    resumed from copies of that checkpoint at 1 and at 2 workers, it gives
-    the bytes of an uninterrupted run and removes each copy."""
+    progress line, just after branch 2 is logged.  Resumed from copies of
+    that log at 1 and at 2 workers, it gives the bytes of an uninterrupted
+    run and removes each copy.  A copy that ends in a torn line of branch
+    3, as a kill during that write leaves it, resumes the same way: the
+    torn line is cut off, so a run stopped after its next branch leaves a
+    log of whole lines, and resuming that gives the same bytes again."""
     code = textwrap.dedent("""
         import os, signal, sys
         from bsp.enumeration import enumerate_catalog
@@ -398,36 +469,75 @@ def test_killed_run_resumes_to_the_same_bytes(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(ck)], env=_source_env(),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == -signal.SIGKILL, out.stderr
-    assert json.loads(ck.read_text(encoding="ascii"))["done_branches"] == [0, 1, 2]
+    assert _logged_branches(ck) == [0, 1, 2]
     for workers in (1, 2):
         copy = tmp_path / f"ck{workers}.json"
         shutil.copy(ck, copy)
         text = enumerate_catalog(4, workers=workers, checkpoint_path=str(copy)).to_jsonl()
         assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
         assert not copy.exists()
+
+    copy = tmp_path / "torn.json"
+    enumeration._checkpoint_append(str(copy), 3, enum_branch(4, branch_split(4), 3)[2])
+    line = copy.read_bytes()
+    shutil.copy(ck, copy)
+    with open(copy, "ab") as fh:
+        fh.write(line[:len(line) // 2])
+
+    class Stop(Exception):
+        pass
+
+    def stop(line):
+        raise Stop
+
+    with pytest.raises(Stop):
+        enumerate_catalog(4, workers=1, checkpoint_path=str(copy), progress=stop)
+    assert _logged_branches(copy) == [0, 1, 2, 3]
+    text = enumerate_catalog(4, workers=2, checkpoint_path=str(copy)).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
     assert list(tmp_path.iterdir()) == [ck]
 
 
 def test_checkpoint_corrupt(tmp_path):
+    """Every log that is not a whole header line for the run's d and
+    branch split, followed by branch lines, each a branch in range logged
+    once with masks that are closed spanning sets of their forms, raises
+    CheckpointCorruptError; only a last line with no newline is taken for
+    torn by a kill and dropped."""
     ck = tmp_path / "ck.json"
-    ck.write_text("{not json", encoding="ascii")
-    with pytest.raises(CheckpointCorruptError):
-        enumerate_catalog(3, checkpoint_path=str(ck))
-    ck.write_text(json.dumps({"d": 2, "top_count": 0, "done_branches": [],
-                              "partial_keys": []}), encoding="ascii")
-    with pytest.raises(CheckpointCorruptError):
-        enumerate_catalog(3, checkpoint_path=str(ck))
+
+    def line(obj):
+        return json.dumps(obj) + "\n"
+
+    header = line({"d": 3, "top_count": 0})
+    logs = [
+        "{not json\n",
+        "",
+        header[:-1],  # a header is put in place whole, never torn
+        line({"d": 2, "top_count": 0}),
+        line({"d": 3, "top_count": 0, "done_branches": [], "partial_keys": []}),
+        line([3, 0]),
+        header + line({"branch": 1, "forms": []}),
+        header + line({"branch": 0, "forms": []}) * 2,
+        header + line({"branch": 0}),
+        header + "\n" + line({"branch": 0, "forms": []}),
+        header + '{"branch":0,"fo' + line({"branch": 0, "forms": []}),  # torn in the middle
+        header + line({"branch": 0, "forms": [["zz", 254]]}),
+        header + line({"branch": 0, "forms": [["00"]]}),
+    ]
     # a mask that is negative, not closed and spanning, or not of its form
-    for mask in (-7, 2, 254):
-        ck.write_text(json.dumps({"d": 3, "top_count": 0, "done_branches": [0],
-                                  "partial_keys": [["00", mask]]}), encoding="ascii")
+    logs += [header + line({"branch": 0, "forms": [["00", mask]]}) for mask in (-7, 2, 254)]
+    for text in logs:
+        ck.write_text(text, encoding="ascii")
         with pytest.raises(CheckpointCorruptError):
             enumerate_catalog(3, checkpoint_path=str(ck))
+        assert ck.read_text(encoding="ascii") == text
     # integer fields are JSON ints: true and 1.0 would pass for 1
-    for d, payload in ((4, {"d": 4, "top_count": 4, "done_branches": [True]}),
-                       (4, {"d": 4, "top_count": 4, "done_branches": [1.0]}),
-                       (1, {"d": True, "top_count": 0, "done_branches": []})):
-        ck.write_text(json.dumps({**payload, "partial_keys": []}), encoding="ascii")
+    header4 = line({"d": 4, "top_count": 4})
+    for d, text in ((4, header4 + line({"branch": True, "forms": []})),
+                    (4, header4 + line({"branch": 1.0, "forms": []})),
+                    (1, line({"d": True, "top_count": 0}))):
+        ck.write_text(text, encoding="ascii")
         with pytest.raises(CheckpointCorruptError):
             enumerate_catalog(d, checkpoint_path=str(ck))
 
@@ -484,3 +594,20 @@ def test_enumerate_d5_reproduces_figure1():
     big = {(m, n) for (m, n) in st.achievable if m >= 7 and n >= 7}
     assert max(m * n for m, n in big) == 170
     assert {(m, n) for (m, n) in big if m * n == 170} == {(10, 17), (17, 10)}
+
+
+D5_SHA256 = "b1a0e73b43e5860a8672384908ddbcfafed288ef6b1cc6328bb4b42f4d13cae6"
+
+
+@pytest.mark.slow
+def test_d5_resumes_from_a_log_of_64_branches(tmp_path):
+    """The log of the first 64 of the 256 d=5 branches, resumed at one and
+    at two workers, gives the bytes of the whole d=5 catalog."""
+    ck = str(tmp_path / "ck.json")
+    _partial_checkpoint(ck, 5, range(64))
+    for workers in (1, 2):
+        copy = str(tmp_path / f"ck{workers}.json")
+        shutil.copy(ck, copy)
+        text = enumerate_catalog(5, workers=workers, checkpoint_path=copy).to_jsonl()
+        assert hashlib.sha256(text.encode()).hexdigest() == D5_SHA256
+        assert not os.path.exists(copy)
