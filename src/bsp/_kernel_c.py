@@ -15,7 +15,7 @@ ValueError in both kernels.  :func:`enum_branch` is the twin's
 Close-by-One walk in one C call, which hands its table of heuristic forms
 over through a callback each time it fills.  The twin's
 :func:`closure_and_rank`, :func:`next_closed` and :func:`heuristic_form`
-run only outside the hot loops (checkpoint reads, oracles and tests), and
+run only outside the hot loops (oracles and tests), and
 the exact double description of ``facet_scan`` needs unbounded integers.
 """
 

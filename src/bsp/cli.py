@@ -329,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 1; at most one worker per branch left); a worker "
                         "that dies is an error (exit 1), not a hang")
     p.add_argument("--checkpoint",
-                   help="checkpoint log path, one JSON line per finished branch (resume if "
-                        "present; a last line torn by a kill is dropped)")
+                   help="checkpoint log path, one JSON line per finished branch with the "
+                        "keys of the classes it added (resume if present, after each key "
+                        "validates itself; a last line torn by a kill is dropped)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("stats", help="size statistics of a catalog")

@@ -10,15 +10,16 @@ kernels walk the fixpoints of a branch as the same Close-by-One tree
 (FCbO, described in :mod:`bsp._kernel_py`).
 A branch returns each spanning closed set as the heuristic form of its
 product matrix, and a worker sends on only the forms it has not sent
-before with a mask as small.  The calling process merges the forms as
-branch results arrive and keys each form the moment it first sees it:
-the form is replaced by the form of its orientation with fewer rows, so
-transposed copies meet, and grouped by an invariant of
-transpose-equivalence: the shape and the row and column degree
-multisets.  Within a group a form is keyed, up to transpose, by an exact
-search only when no key already found in the group certifies it
-(:func:`bsp.canon.has_key`): one search per class.  With several
-workers this keying overlaps the children's walk.
+before.  The calling process merges the forms as branch results arrive
+and keys each form the moment it first sees it: the form is replaced by
+the form of its orientation with fewer rows, so transposed copies meet,
+and grouped by an invariant of transpose-equivalence: the shape and the
+row and column degree multisets.  Within a group a form is keyed, up to
+transpose, by an exact search only when no key already found in the
+group certifies it (:func:`bsp.canon.has_key`): one search per class.
+With several workers this keying overlaps the children's walk.  The
+checkpoint logs the keys of the classes each branch added; a key
+validates itself, so a resume needs no form.
 """
 
 from __future__ import annotations
@@ -38,10 +39,26 @@ from .errors import (
     WorkerDiedError,
     parsing,
 )
-from .family import ProductMatrix
+from .family import (
+    ProductMatrix,
+    is_closed_pair,
+    matrix_rank,
+    pair_from_product_matrix,
+    product_matrix,
+)
 from .linalg import int_field
 
 MAX_DIM = kernel.MAX_DIM
+
+
+def _write_whole(path: str, text: str) -> None:
+    """Put ``text`` in place at ``path`` whole: written to ``path +
+    ".tmp"``, then renamed over ``path``, so a kill or a failed write
+    leaves the old file, or none, never a cut one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="ascii") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -136,8 +153,7 @@ class Catalog:
         return cls(d, tuple(classes[k] for k in sorted(classes)), complete=True)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_jsonl())
+        _write_whole(path, self.to_jsonl())
 
     @classmethod
     def load(cls, path: str) -> "Catalog":
@@ -153,25 +169,23 @@ def branch_split(d: int) -> int:
 @dataclass
 class _Walk:
     """The branch walk of one run, as each worker process holds it:
-    ``sent`` maps each form this process has sent in the run to the
-    smallest mask it sent with it."""
+    ``sent`` holds each form this process has sent in the run."""
 
     d: int
     top_count: int
-    sent: dict[bytes, int] = field(default_factory=dict)
+    sent: set[bytes] = field(default_factory=set)
 
     def run_branch(self, p_index: int):
-        """The branch's index and counters, and the (form, mask) items of
-        its forms that this process has not sent with a mask as small.
-        What a process sends arrives in the order it was sent, so each
-        result, merged in turn, leaves the merged forms complete for the
-        branches merged so far."""
+        """The branch's index and counters, and the forms of the branch
+        that this process has not sent before.  What a process sends
+        arrives in the order it was sent, so each result, merged in turn,
+        leaves the merged forms complete for the branches merged so far."""
         visited, spanning, items = kernel.enum_branch(self.d, self.top_count, p_index)
         sent, fresh = self.sent, []
-        for hb, mask in items:
-            if mask < sent.get(hb, mask + 1):
-                sent[hb] = mask
-                fresh.append((hb, mask))
+        for hb, _ in items:
+            if hb not in sent:
+                sent.add(hb)
+                fresh.append(hb)
         return p_index, visited, spanning, fresh
 
 
@@ -205,24 +219,42 @@ def _invariant(rows: list[int], n: int) -> tuple:
 
 class _Keyer:
     """Canonical keys, up to transpose, of the matrices that the forms
-    passed to :meth:`add` hold, one per class.  A form is oriented and
-    grouped by :func:`_invariant`, and searched only when no key found in
-    its group certifies it, so every search finds a new class, and the
-    keys found do not depend on the order the forms come in."""
+    passed to :meth:`add` hold, one per class, and the keys passed to
+    :meth:`add_class`.  A form is oriented and grouped by
+    :func:`_invariant`, and searched only when no key found in its group
+    certifies it, so every search finds a new class, and the keys found do
+    not depend on the order the forms come in."""
 
     def __init__(self) -> None:
         self.groups: dict[tuple, list[bytes]] = {}  # invariant -> keys found
+        self.seen: set[bytes] = set()  # every form added
         self.oriented: set[bytes] = set()  # every oriented form added
+        self.searches = 0
 
-    def add(self, form: bytes) -> None:
+    def add(self, form: bytes) -> bytes | None:
+        """The key of the class of ``form`` when that class is new, else
+        None."""
+        if form in self.seen:
+            return None
+        self.seen.add(form)
         form = _oriented(form)
         if form in self.oriented:
-            return
+            return None
         self.oriented.add(form)
         rows, n = kernel.form_rows(form)
         keys = self.groups.setdefault(_invariant(rows, n), [])
-        if not any(has_key(rows, n, key, include_transpose=True) for key in keys):
-            keys.append(rows_key(rows, n, include_transpose=True))
+        if any(has_key(rows, n, key, include_transpose=True) for key in keys):
+            return None
+        self.searches += 1
+        keys.append(rows_key(rows, n, include_transpose=True))
+        return keys[-1]
+
+    def add_class(self, c: CatalogClass) -> None:
+        """Take a class found before as found.  Its canonical matrix is in
+        the orientation :func:`_oriented` picks, with fewer rows, so it
+        falls in the group of the forms of its class."""
+        rows = [int(r, 2) for r in c.matrix.bits]
+        self.groups.setdefault(_invariant(rows, c.matrix.n), []).append(c.key)
 
     def keys(self) -> list[bytes]:
         return [key for keys in self.groups.values() for key in keys]
@@ -239,18 +271,14 @@ def _catalog(d: int, keys) -> Catalog:
 def _checkpoint_create(path: str, d: int, top_count: int) -> None:
     """Start the checkpoint log of a run at ``path`` with its header line,
     put in place whole."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(json.dumps({"d": d, "top_count": top_count}) + "\n")
-    os.replace(tmp, path)
+    _write_whole(path, json.dumps({"d": d, "top_count": top_count}) + "\n")
 
 
-def _checkpoint_append(path: str, p_index: int, forms: list[tuple[bytes, int]]) -> None:
-    """Log one finished branch as one line, in one write: the (form, mask)
-    items it merged that were new or came with a smaller mask.  A kill
-    during the write leaves a last line with no newline, which a resume
-    drops."""
-    line = json.dumps({"branch": p_index, "forms": [[hb.hex(), mask] for hb, mask in forms]},
+def _checkpoint_append(path: str, p_index: int, keys: list[bytes]) -> None:
+    """Log one finished branch as one line, in one write: the keys of the
+    classes that merging it added.  A kill during the write leaves a last
+    line with no newline, which a resume drops."""
+    line = json.dumps({"branch": p_index, "keys": [key.hex() for key in keys]},
                       separators=(",", ":")) + "\n"
     data = line.encode("ascii")
     with open(path, "ab", buffering=0) as fh:
@@ -266,17 +294,34 @@ def _checkpoint_fields(line: str, names: tuple[str, ...]) -> list:
     return [obj[name] for name in names]
 
 
-def _checkpoint_resume(path: str, d: int, top_count: int) -> tuple[set[int], dict[bytes, int]]:
-    """The branches done and the smallest mask of each form merged, as
-    the log at ``path`` records them, each of those masks checked to be a
-    closed spanning set of its form (a larger mask logged before it
-    decides nothing; checking all 119,517 masks of a one-worker d=5 log,
-    not only its 25,502 smallest, took 3.7 s rather than 0.8 s with the C
-    kernel on a 2-core machine).  A last line with
+def _logged_class(key_hex: str, d: int) -> CatalogClass:
+    """The class of a logged key, which validates itself: the key's
+    matrix has rank d, a pair realizes it, that pair is closed, and the
+    pair's own product matrix keys back to the key.  Else
+    CheckpointCorruptError, or ValueError when the matrix's rank is not d
+    or no pair realizes it.  Calls no kernel function."""
+    key = bytes.fromhex(key_hex)
+    m, n = (int(x) for x in key.partition(b":")[0].split(b","))
+    if 0 < m <= 1 << d and 0 < n <= 1 << d:  # so a forged shape builds no huge matrix
+        bits = canonical_from_key(key, d).bits
+        mat = ProductMatrix(m, n, bits, matrix_rank(bits))
+        pair = pair_from_product_matrix(mat, d)
+        if is_closed_pair(pair) and canonical_key(
+            product_matrix(pair), include_transpose=True
+        ) == key:
+            return CatalogClass(mat, key)
+    raise CheckpointCorruptError(f"key {key_hex} is not the key of a closed pair at d = {d}")
+
+
+def _checkpoint_resume(path: str, d: int, top_count: int) -> tuple[set[int], list[CatalogClass]]:
+    """The branches done and the classes found, as the log at ``path``
+    records them, each logged key validated by :func:`_logged_class` (at
+    most one per class, so a d=5 log holds at most 213).  A last line with
     no newline, torn by a kill, is dropped and cut off the file, so its
     branch runs again; a missing or foreign header, any other bad line, a
-    branch out of range or logged twice, or a bad mask raises
-    CheckpointCorruptError."""
+    branch out of range or logged twice, a key logged twice or a key that
+    does not validate raises CheckpointCorruptError and leaves the file as
+    it was."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -288,30 +333,23 @@ def _checkpoint_resume(path: str, d: int, top_count: int) -> tuple[set[int], dic
         if int_field(got_d) != d or int_field(got_top) != top_count:
             raise CheckpointCorruptError(f"checkpoint is for d={got_d}, top={got_top}")
         done: set[int] = set()
-        merged: dict[bytes, int] = {}
+        classes: dict[bytes, CatalogClass] = {}
         for line in lines:
-            p_index, forms = _checkpoint_fields(line, ("branch", "forms"))
+            p_index, keys = _checkpoint_fields(line, ("branch", "keys"))
             p_index = int_field(p_index)
             if not 0 <= p_index < 1 << top_count or p_index in done:
                 raise CheckpointCorruptError(f"branch {p_index} is out of range or logged twice")
             done.add(p_index)
-            for h, mask in forms:
-                hb, mask = bytes.fromhex(h), int_field(mask)
-                if mask < merged.get(hb, mask + 1):
-                    merged[hb] = mask
+            for key_hex in keys:
+                c = _logged_class(key_hex, d)
+                if c.key in classes:
+                    raise CheckpointCorruptError(f"key {key_hex} is logged twice")
+                classes[c.key] = c
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointCorruptError(str(exc)) from exc
-    for hb, mask in merged.items():
-        # range first: the C kernel rejects a mask out of range with ValueError
-        if not (0 < mask < 1 << (1 << d)
-                and kernel.closure_and_rank(d, mask) == (mask, d)
-                and kernel.heuristic_form(*kernel.pair_rows(d, mask)) == hb):
-            raise CheckpointCorruptError(
-                f"mask {mask} is not a closed spanning set with form {hb.hex()}"
-            )
     if end < len(data):
         os.truncate(path, end)
-    return done, merged
+    return done, list(classes.values())
 
 
 def _worker(fn, tasks, span, conn) -> None:
@@ -402,11 +440,12 @@ def _widen(conn) -> None:
     """Let a child's pipe hold 1 MiB where the system allows it (Linux).
     A child whose result does not fit waits until this process has
     finished its own task and reads the pipe.  At d=5 with 2 workers and
-    the C kernel, results pickle to 14 KB in the median but up to 290 KB,
-    since the first branches a process runs send most of their forms;
-    when every result held all the forms of its branch (220 KB in the
-    median), the default 64 KiB kept the child waiting for 1.8 s of a
-    7.8 s branch phase, against 0.4 s with 1 MiB."""
+    the C kernel, the results a child sends pickle to 29 bytes in the
+    median but up to 218 KB, since each process sends each form once and
+    its first branches hold most of them; when every result held all the
+    forms of its branch (220 KB in the median), the default 64 KiB kept
+    the child waiting for 1.8 s of a 7.8 s branch phase, against 0.4 s
+    with 1 MiB."""
     try:
         from fcntl import F_SETPIPE_SZ, fcntl
         fcntl(conn.fileno(), F_SETPIPE_SZ, 1 << 20)
@@ -450,13 +489,15 @@ def enumerate_catalog(
     child that dies (killed, or out of memory) raises WorkerDiedError
     instead of leaving the run waiting; the checkpoint keeps every branch
     merged before.  ``checkpoint_path`` is a log of finished branches,
-    one JSON line each after a header line, resumed when it exists and
-    removed when the run completes.  ``progress`` receives one line per
-    finished branch, with the elapsed seconds and an ETA from the mean
-    time per branch finished in this call, then one line with the forms
-    merged, the forms after orientation, the exact searches, the forms
-    certified without one, the classes and the seconds this process spent
-    keying forms."""
+    one JSON line each after a header line with the keys of the classes
+    that branch added, resumed when it exists and removed when the run
+    completes; a resume takes the logged keys as found, after each
+    validates itself, and keys no form again.  ``progress`` receives one
+    line per finished branch, with the elapsed seconds and an ETA from the
+    mean time per branch finished in this call, then one line with the
+    forms merged in this call, the forms after orientation, the exact
+    searches, the forms certified without one, the classes and the
+    seconds this process spent keying forms and taking logged keys."""
     if not 1 <= d <= MAX_DIM:
         raise BadParameterError(f"d must be in [1, {MAX_DIM}]")
     if workers is not None and workers < 1:
@@ -465,36 +506,28 @@ def enumerate_catalog(
     nbranches = 1 << top_count
 
     done: set[int] = set()
-    merged: dict[bytes, int] = {}  # form -> smallest mask
+    logged: list[CatalogClass] = []
     if checkpoint_path and os.path.exists(checkpoint_path):
-        done, merged = _checkpoint_resume(checkpoint_path, d, top_count)
+        done, logged = _checkpoint_resume(checkpoint_path, d, top_count)
     elif checkpoint_path:
         _checkpoint_create(checkpoint_path, d, top_count)
     todo = [p for p in range(nbranches) if p not in done]
 
     keyer = _Keyer()
     clock = monotonic()
-    for hb in merged:
-        keyer.add(hb)
+    for c in logged:
+        keyer.add_class(c)
     start = monotonic()
     keying, resumed = start - clock, len(done)
-    for p_index, visited, spanning, items in _run_all(_Walk(d, top_count).run_branch, todo,
+    for p_index, visited, spanning, forms in _run_all(_Walk(d, top_count).run_branch, todo,
                                                       workers or 1):
         clock = monotonic()
-        changed = []
-        for hb, mask in items:
-            prev = merged.get(hb)
-            if prev is None:
-                keyer.add(hb)
-            elif mask >= prev:
-                continue
-            merged[hb] = mask
-            changed.append((hb, mask))
+        added = [key for key in map(keyer.add, forms) if key]
         now = monotonic()
         keying += now - clock
         done.add(p_index)
         if checkpoint_path:
-            _checkpoint_append(checkpoint_path, p_index, changed)
+            _checkpoint_append(checkpoint_path, p_index, added)
         if progress:
             elapsed = now - start
             eta = elapsed / (len(done) - resumed) * (nbranches - len(done))
@@ -504,9 +537,9 @@ def enumerate_catalog(
 
     keys = keyer.keys()
     if progress:
-        oriented = len(keyer.oriented)
-        progress(f"classified {len(merged)} forms, {oriented} after orientation: "
-                 f"{len(keys)} searched, {oriented - len(keys)} certified, "
+        oriented, searches = len(keyer.oriented), keyer.searches
+        progress(f"classified {len(keyer.seen)} forms, {oriented} after orientation: "
+                 f"{searches} searched, {oriented - searches} certified, "
                  f"{len(keys)} classes, {keying:.2f} s keying")
 
     if checkpoint_path and os.path.exists(checkpoint_path):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import bsp
-from bsp.canon import canonical_key, has_key, rows_key
+from bsp.canon import canonical_from_key, canonical_key, has_key, rows_key
 from bsp.enumeration import (
     Catalog,
     branch_split,
@@ -31,6 +31,7 @@ from bsp.cli import main
 from bsp.errors import BadParameterError, CheckpointCorruptError, WorkerDiedError
 from bsp.kernel import enum_branch
 from bsp.family import (
+    BspPair,
     closure,
     is_closed_pair,
     pair_from_product_matrix,
@@ -134,12 +135,14 @@ def test_worker_count_does_not_change_output():
 
 def _partial_checkpoint(path, d, branches):
     """Write the checkpoint log of a run that has finished ``branches``,
-    each line with every form of its branch (a resume keeps the smallest
-    mask of each form)."""
+    in that order, each line with the keys of the classes that merging the
+    branch added, as a run logs them."""
     top = branch_split(d)
+    keyer = enumeration._Keyer()
     enumeration._checkpoint_create(path, d, top)
     for p in branches:
-        enumeration._checkpoint_append(path, p, enum_branch(d, top, p)[2])
+        added = [key for hb, _ in enum_branch(d, top, p)[2] if (key := keyer.add(hb))]
+        enumeration._checkpoint_append(path, p, added)
 
 
 def _logged_branches(path):
@@ -352,22 +355,24 @@ def test_keys_do_not_depend_on_the_order_branch_results_arrive(monkeypatch, orde
     _assert_d4_keys_each_form_once(monkeypatch)
 
 
-def test_each_process_sends_a_form_again_only_with_a_smaller_mask(monkeypatch):
-    """A worker process sends a form only when it has not sent it with a
-    mask as small: at one worker every item that arrives is new or has a
-    smaller mask, fewer than the 1,545 items the 16 d=4 branches hold, and
-    at one and at two workers what arrives merges to the smallest mask of
-    each of the 196 forms."""
+@needs_fork
+def test_each_process_sends_each_form_at_most_once(monkeypatch):
+    """A worker process sends each form at most once, although the 16 d=4
+    branches hold 1,545 items: at one worker exactly the 196 forms arrive,
+    and at two workers the forms each process sends are distinct and
+    together they are the same 196."""
     top = branch_split(4)
-    smallest = {}
-    for p in range(1 << top):
-        for hb, mask in enum_branch(4, top, p)[2]:
-            smallest[hb] = min(mask, smallest.get(hb, mask))
-    real, arrived = enumeration._run_all, []
+    items = [item for p in range(1 << top) for item in enum_branch(4, top, p)[2]]
+    forms = {hb for hb, _ in items}
+    assert (len(items), len(forms)) == (1545, 196)
+    real, arrived = enumeration._run_all, {}
 
     def recording(fn, tasks, nworkers):
-        for result in real(fn, tasks, nworkers):
-            arrived.extend(result[3])
+        def tagged(p_index):
+            return os.getpid(), fn(p_index)
+
+        for pid, result in real(tagged, tasks, nworkers):
+            arrived.setdefault(pid, []).extend(result[3])
             yield result
 
     monkeypatch.setattr(enumeration, "_run_all", recording)
@@ -375,14 +380,11 @@ def test_each_process_sends_a_form_again_only_with_a_smaller_mask(monkeypatch):
         arrived.clear()
         text = enumerate_catalog(4, workers=workers).to_jsonl()
         assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
-        merged = {}
-        for hb, mask in arrived:
-            if workers == 1:
-                assert mask < merged.get(hb, mask + 1)
-            merged[hb] = min(mask, merged.get(hb, mask))
-        assert merged == smallest and len(merged) == 196
+        for sent in arrived.values():
+            assert len(sent) == len(set(sent))
+        assert set().union(*arrived.values()) == forms
         if workers == 1:
-            assert len(arrived) < 1545
+            assert len(arrived) == 1 and len(arrived[os.getpid()]) == 196
 
 
 def test_classification_matches_one_search_per_form_on_d5_branches():
@@ -410,8 +412,10 @@ def test_progress_lines_report_elapsed_time_and_eta(tmp_path, monkeypatch):
     the keying of each branch's forms, branch k of 16 reports 4k s
     elapsed and 4 (16 - k) s left; a resumed run times only the branches
     it runs itself.  The last line counts the forms, searches and classes,
-    and the keying time: 2 s for the forms loaded from the checkpoint (or
-    none) and 2 s per branch run."""
+    and the keying time: 2 s for the keys loaded from the checkpoint (or
+    none) and 2 s per branch run.  The first 3 branches find all 16
+    classes, so a run resumed after them keys the 196 forms of the other
+    branches with no search."""
     top = branch_split(4)
     counts = [enum_branch(4, top, p)[:2] for p in range(1 << top)]
     for resumed in (0, 3):
@@ -426,8 +430,9 @@ def test_progress_lines_report_elapsed_time_and_eta(tmp_path, monkeypatch):
             f"branch {k}/16 done ({counts[k - 1][0]} closed, {counts[k - 1][1]} spanning), "
             f"{4 * (k - resumed):.1f} s elapsed, ETA {4 * (16 - k):.1f} s"
             for k in range(resumed + 1, 17)
-        ] + ["classified 196 forms, 91 after orientation: 16 searched, 75 certified, "
-             f"16 classes, {2 + 2 * (16 - resumed):.2f} s keying"]
+        ] + [f"classified 196 forms, 91 after orientation: {0 if resumed else 16} searched, "
+             f"{91 if resumed else 75} certified, 16 classes, "
+             f"{2 + 2 * (16 - resumed):.2f} s keying"]
 
 
 def _source_env():
@@ -452,7 +457,9 @@ def test_killed_run_resumes_to_the_same_bytes(tmp_path):
     run and removes each copy.  A copy that ends in a torn line of branch
     3, as a kill during that write leaves it, resumes the same way: the
     torn line is cut off, so a run stopped after its next branch leaves a
-    log of whole lines, and resuming that gives the same bytes again."""
+    log of whole lines, and resuming that gives the same bytes again.  The
+    torn line holds every class key, so it would fail the resume, as keys
+    logged twice, if it were read."""
     code = textwrap.dedent("""
         import os, signal, sys
         from bsp.enumeration import enumerate_catalog
@@ -478,7 +485,7 @@ def test_killed_run_resumes_to_the_same_bytes(tmp_path):
         assert not copy.exists()
 
     copy = tmp_path / "torn.json"
-    enumeration._checkpoint_append(str(copy), 3, enum_branch(4, branch_split(4), 3)[2])
+    enumeration._checkpoint_append(str(copy), 3, sorted(enumerate_catalog(4).key_set()))
     line = copy.read_bytes()
     shutil.copy(ck, copy)
     with open(copy, "ab") as fh:
@@ -501,9 +508,8 @@ def test_killed_run_resumes_to_the_same_bytes(tmp_path):
 def test_checkpoint_corrupt(tmp_path):
     """Every log that is not a whole header line for the run's d and
     branch split, followed by branch lines, each a branch in range logged
-    once with masks that are closed spanning sets of their forms, raises
-    CheckpointCorruptError; only a last line with no newline is taken for
-    torn by a kill and dropped."""
+    once with a list of hex keys, raises CheckpointCorruptError; only a
+    last line with no newline is taken for torn by a kill and dropped."""
     ck = tmp_path / "ck.json"
 
     def line(obj):
@@ -517,16 +523,19 @@ def test_checkpoint_corrupt(tmp_path):
         line({"d": 2, "top_count": 0}),
         line({"d": 3, "top_count": 0, "done_branches": [], "partial_keys": []}),
         line([3, 0]),
-        header + line({"branch": 1, "forms": []}),
-        header + line({"branch": 0, "forms": []}) * 2,
+        header + line({"branch": 1, "keys": []}),
+        header + line({"branch": 0, "keys": []}) * 2,
         header + line({"branch": 0}),
-        header + "\n" + line({"branch": 0, "forms": []}),
-        header + '{"branch":0,"fo' + line({"branch": 0, "forms": []}),  # torn in the middle
-        header + line({"branch": 0, "forms": [["zz", 254]]}),
-        header + line({"branch": 0, "forms": [["00"]]}),
+        header + line({"branch": 0, "keys": [], "forms": []}),
+        header + "\n" + line({"branch": 0, "keys": []}),
+        header + '{"branch":0,"ke' + line({"branch": 0, "keys": []}),  # torn in the middle
+        header + line({"branch": 0, "keys": ["zz"]}),
+        header + line({"branch": 0, "keys": [["00"]]}),
+        header + line({"branch": 0, "keys": 7}),
     ]
-    # a mask that is negative, not closed and spanning, or not of its form
-    logs += [header + line({"branch": 0, "forms": [["00", mask]]}) for mask in (-7, 2, 254)]
+    # keys that are no key, of no matrix of rank 3, or of a forged shape
+    logs += [header + line({"branch": 0, "keys": [key.hex()]})
+             for key in (b"\x00", b"4,8:", b"3,3:\xff\x80", b"-4,-8:", b"9999999,0:")]
     for text in logs:
         ck.write_text(text, encoding="ascii")
         with pytest.raises(CheckpointCorruptError):
@@ -534,12 +543,153 @@ def test_checkpoint_corrupt(tmp_path):
         assert ck.read_text(encoding="ascii") == text
     # integer fields are JSON ints: true and 1.0 would pass for 1
     header4 = line({"d": 4, "top_count": 4})
-    for d, text in ((4, header4 + line({"branch": True, "forms": []})),
-                    (4, header4 + line({"branch": 1.0, "forms": []})),
+    for d, text in ((4, header4 + line({"branch": True, "keys": []})),
+                    (4, header4 + line({"branch": 1.0, "keys": []})),
                     (1, line({"d": True, "top_count": 0}))):
         ck.write_text(text, encoding="ascii")
         with pytest.raises(CheckpointCorruptError):
             enumerate_catalog(d, checkpoint_path=str(ck))
+
+
+def _full_log(tmp_path):
+    """The log of a whole one-worker d=4 run, kept by stopping the run at
+    its last progress line, after every branch is logged."""
+    class Stop(Exception):
+        pass
+
+    def stop(line):
+        if line.startswith("classified"):
+            raise Stop
+
+    ck = tmp_path / "full.json"
+    with pytest.raises(Stop):
+        enumerate_catalog(4, workers=1, checkpoint_path=str(ck), progress=stop)
+    return ck
+
+
+def test_a_full_d4_log_holds_the_16_class_keys(tmp_path, monkeypatch):
+    """A whole one-worker d=4 log is a header and 16 branch lines that
+    hold the 16 class keys, each once.  A resume from it, or from the log
+    of 3 branches, validates the keys and keys no form again: it gives the
+    catalog's bytes with the kernel's pair_rows and closure_and_rank
+    raising, and from the whole log with no kernel call at all."""
+    ck = _full_log(tmp_path)
+    lines = ck.read_text(encoding="ascii").splitlines()
+    keys = [key for line in lines[1:] for key in json.loads(line)["keys"]]
+    assert _logged_branches(ck) == list(range(16))
+    assert sorted(keys) == sorted(c.key_hex() for c in enumerate_catalog(4).classes)
+    assert len(keys) == 16
+
+    partial = str(tmp_path / "partial.json")
+    _partial_checkpoint(partial, 4, range(3))
+
+    def refused(*args):
+        raise AssertionError("a resume called the kernel")
+
+    for name in ("pair_rows", "closure_and_rank"):
+        monkeypatch.setattr(kernel, name, refused)
+    text = enumerate_catalog(4, checkpoint_path=partial).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+    for name in ("heuristic_form", "enum_branch"):
+        monkeypatch.setattr(kernel, name, refused)
+    text = enumerate_catalog(4, checkpoint_path=str(ck)).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+    assert not ck.exists() and not os.path.exists(partial)
+
+
+def _open_pair_key(d):
+    """The key of the pair whose families both hold the origin and the unit
+    vectors: a rank-d product matrix whose pair is not closed, since A_max
+    of such a B is the whole cube."""
+    units = [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    pair = BspPair.of(d, units, units)
+    assert not is_closed_pair(pair)
+    return canonical_key(product_matrix(pair), include_transpose=True)
+
+
+def _packed(bits):
+    """The key-shaped bytes of a matrix given by its row strings, whether
+    or not the matrix is canonical."""
+    m, n = len(bits), len(bits[0])
+    return b"%d,%d:" % (m, n) + int("".join(bits), 2).to_bytes((m * n + 7) // 8, "big")
+
+
+def test_tampered_keys_fail_the_resume(tmp_path, capsys):
+    """A key validates itself, so each of these d=4 logs raises
+    CheckpointCorruptError and is left as it was: every one-bit flip of a
+    logged key, a d=3 class key, the key of a rank-5 matrix, the key of a
+    rank-4 product matrix whose pair is not closed, a logged key's matrix
+    with two rows swapped or transposed (a closed pair's matrix, but not
+    the canonical one), a key logged on two lines, and a line of the
+    earlier log format, which held forms with masks.  ``bsp enumerate
+    --checkpoint`` on one of them exits 1 with a JSON error."""
+    ck = _full_log(tmp_path)
+    header, *lines = ck.read_text(encoding="ascii").splitlines(keepends=True)
+    first = json.loads(lines[0])
+    assert first["branch"] == 0 and first["keys"]
+    key = bytes.fromhex(first["keys"][0])
+    head, _, body = key.partition(b":")
+    rows = canonical_from_key(key, 4).bits
+    assert _packed(rows) == key and len(rows) < len(rows[0])
+
+    def with_keys(*keys):
+        return header + json.dumps({"branch": 0, "keys": [k.hex() for k in keys]}) + "\n"
+
+    flips = [head + b":" + (int.from_bytes(body, "big") ^ 1 << i).to_bytes(len(body), "big")
+             for i in range(len(body) * 8)]
+    logs = [with_keys(flip) for flip in flips] + [
+        with_keys(next(iter(enumerate_catalog(3).key_set()))),
+        with_keys(_open_pair_key(5)),
+        with_keys(_open_pair_key(4)),
+        with_keys(_packed((rows[-1], *rows[1:-1], rows[0]))),
+        with_keys(_packed(tuple("".join(col) for col in zip(*rows)))),
+        header + lines[0] + json.dumps({"branch": 1, "keys": [first["keys"][0]]}) + "\n",
+        header + json.dumps({"branch": 0, "forms": [[hb.hex(), mask] for hb, mask in
+                                                    enum_branch(4, 4, 0)[2][:3]]}) + "\n",
+    ]
+    for text in logs:
+        ck.write_text(text, encoding="ascii")
+        with pytest.raises(CheckpointCorruptError):
+            enumerate_catalog(4, checkpoint_path=str(ck))
+        assert ck.read_text(encoding="ascii") == text
+    code = main(["enumerate", "-d", "4", "--checkpoint", str(ck)])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert json.loads(out.err.splitlines()[-1])["error"] == "CheckpointCorruptError"
+    assert ck.read_text(encoding="ascii") == logs[-1]
+
+
+def test_catalog_save_puts_the_file_in_place_whole(tmp_path, monkeypatch):
+    """A catalog is written to a temporary file and renamed over its path:
+    a write that raises leaves no file where there was none, and an older
+    catalog there as it was."""
+    path = tmp_path / "cat.jsonl"
+    cat = enumerate_catalog(3)
+
+    def not_ascii(self):
+        return "x" * 10000 + "\u00e9"
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Catalog, "to_jsonl", not_ascii)
+        with pytest.raises(UnicodeEncodeError):
+            cat.save(str(path))
+        assert not path.exists()
+    cat.save(str(path))
+    old = path.read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(Catalog, "to_jsonl", not_ascii)
+        with pytest.raises(UnicodeEncodeError):
+            cat.save(str(path))
+        assert path.read_bytes() == old
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            enumerate_catalog(2).save(str(path))
+        assert path.read_bytes() == old
+    assert Catalog.load(str(path)) == cat
 
 
 def test_stats_achievable_and_figure_points():
@@ -601,10 +751,14 @@ D5_SHA256 = "b1a0e73b43e5860a8672384908ddbcfafed288ef6b1cc6328bb4b42f4d13cae6"
 
 @pytest.mark.slow
 def test_d5_resumes_from_a_log_of_64_branches(tmp_path):
-    """The log of the first 64 of the 256 d=5 branches, resumed at one and
-    at two workers, gives the bytes of the whole d=5 catalog."""
+    """The log of the first 64 of the 256 d=5 branches holds at most one
+    key per class, 213 in all, and resumed at one and at two workers it
+    gives the bytes of the whole d=5 catalog."""
     ck = str(tmp_path / "ck.json")
     _partial_checkpoint(ck, 5, range(64))
+    lines = Path(ck).read_text(encoding="ascii").splitlines()[1:]
+    keys = [key for line in lines for key in json.loads(line)["keys"]]
+    assert len(lines) == 64 and len(keys) == len(set(keys)) <= 213
     for workers in (1, 2):
         copy = str(tmp_path / f"ck{workers}.json")
         shutil.copy(ck, copy)
