@@ -21,7 +21,15 @@ permutes the matrix into the key's matrix, so the certificate is sound.
 It is also complete: a matrix with that key reaches the trace along its
 own search's best path, and the descent tries every row that fits.
 Rows that fit a trace are few on product matrices, so a certificate
-costs about one path there.
+costs about one path there.  A level of that path filters the rows left
+block by block against the trace's count vector, one popcount per row
+per block, only while two or more remain; keying the d=5 forms, the
+first block leaves at most one on 45% of the levels that start with
+two or more.  The one row left then has its whole count vector
+compared with the trace's once, one popcount per block, and the blocks
+are split by it.  A level of the search's own descents costs the same
+plus a minimum per filtered block, and the key is packed one n-bit row
+per level.
 
 A leaf whose trace equals a known one proves an isomorphism (McKay &
 Piperno, Practical graph isomorphism II, 2014), and the search uses it
@@ -67,7 +75,16 @@ from .family import ProductMatrix
 
 
 def _refine(blocks: list[int], row: int) -> list[int]:
-    return [part for blk in blocks for part in (blk & ~row, blk & row) if part]
+    """The blocks split by a placed row: each into its columns where the
+    row is 0, then those where it is 1, with no empty part."""
+    out = []
+    for blk in blocks:
+        ones = blk & row
+        if ones and ones != blk:
+            out += (blk ^ ones, ones)
+        else:
+            out.append(blk)
+    return out
 
 
 def _follows(
@@ -79,8 +96,12 @@ def _follows(
     it was."""
     start, rem = len(path), rem.copy()  # one copy; placed rows are removed in place
     while rem:
-        cands = rem
-        for blk, ones in zip(blocks, target[level]):
+        want, cands = target[level], rem
+        for blk, ones in zip(blocks, want):
+            if len(cands) < 2:  # one row left: compare its whole count vector once
+                if cands and tuple([(cands[0] & b).bit_count() for b in blocks]) != want:
+                    cands = []
+                break
             cands = [row for row in cands if (row & blk).bit_count() == ones]
         if not cands:
             break
@@ -110,11 +131,15 @@ def _pack(m: int, n: int, trace: tuple) -> bytes:
     deterministically from the counts."""
     packed, sizes = 0, [n]
     for counts in trace:
-        parts: list[int] = []
+        row, parts = 0, []
         for size, ones in zip(sizes, counts):
-            packed = packed << size | (1 << ones) - 1
-            parts += (size - ones, ones)
-        sizes = [size for size in parts if size]
+            row = row << size | (1 << ones) - 1
+            if 0 < ones < size:
+                parts += (size - ones, ones)
+            else:
+                parts.append(size)
+        packed = packed << n | row
+        sizes = parts
     return b"%d,%d:" % (m, n) + packed.to_bytes((m * n + 7) // 8, "big")
 
 
@@ -153,7 +178,8 @@ def _key(m: int, n: int, *orientations: list[int]) -> bytes:
                     break
                 ones = [(row & blk).bit_count() for row in cands]
                 least = min(ones)
-                cands = [row for row, k in zip(cands, ones) if k == least]
+                if ones.count(least) < len(ones):
+                    cands = [row for row, k in zip(cands, ones) if k == least]
             row = cands[0]
             trace += (tuple([(row & blk).bit_count() for blk in blocks]),)
             if trace > best:
@@ -238,30 +264,35 @@ def canonical_key(mat: ProductMatrix, include_transpose: bool = False) -> bytes:
     return rows_key([int(r, 2) if r else 0 for r in mat.bits], mat.n, include_transpose)
 
 
-def _orientations(rows: list[int], n: int, include_transpose: bool):
+def _orientations(rows: list[int], n: int, include_transpose: bool, cols: list[int] | None):
     """(m, n, row lists) that :func:`rows_key` searches: with the flag,
-    the orientation with fewer rows, and both of a square matrix."""
+    the orientation with fewer rows, and both of a square matrix.  The
+    transpose is made only when ``cols``, its rows, is not given."""
     m = len(rows)
-    if include_transpose and m > n:
-        m, n, rows = n, m, transpose(rows, n)
-    if include_transpose and m == n:
-        return m, n, (rows, transpose(rows, n))
-    return m, n, (rows,)
+    if not include_transpose or m < n:
+        return m, n, (rows,)
+    if cols is None:
+        cols = transpose(rows, n)
+    return (n, m, (cols,)) if m > n else (m, n, (rows, cols))
 
 
-def rows_key(rows: list[int], n: int, include_transpose: bool = False) -> bytes:
+def rows_key(rows: list[int], n: int, include_transpose: bool = False,
+             cols: list[int] | None = None) -> bytes:
     """:func:`canonical_key` of the matrix with these int rows over n
-    columns (column j at bit n-1-j), as the kernel hands them over."""
-    m, n, orientations = _orientations(rows, n, include_transpose)
+    columns (column j at bit n-1-j), as the kernel hands them over.
+    ``cols``, when given, holds the rows of the transpose in any row and
+    column order, which saves transposing again."""
+    m, n, orientations = _orientations(rows, n, include_transpose, cols)
     return _key(m, n, *orientations)
 
 
-def has_key(rows: list[int], n: int, key: bytes, include_transpose: bool = False) -> bool:
-    """Whether ``rows_key(rows, n, include_transpose) == key``, for a key
-    that :func:`rows_key` returned with the same flag.  Decided by
+def has_key(rows: list[int], n: int, key: bytes, include_transpose: bool = False,
+            cols: list[int] | None = None) -> bool:
+    """Whether ``rows_key(rows, n, include_transpose, cols) == key``, for
+    a key that :func:`rows_key` returned with the same flag.  Decided by
     following the key's trace, not by a search (see the module
     docstring)."""
-    m, n, orientations = _orientations(rows, n, include_transpose)
+    m, n, orientations = _orientations(rows, n, include_transpose, cols)
     key_m, key_n, trace = _unpack(key)
     if (key_m, key_n) != (m, n):
         return False

@@ -9,14 +9,16 @@ gives worker parallelism and branch-level checkpointing for free.  Both
 kernels walk the fixpoints of a branch as the same Close-by-One tree
 (FCbO, described in :mod:`bsp._kernel_py`).
 A branch returns each spanning closed set as the heuristic form of its
-product matrix, and a worker sends on only the forms it has not sent
-before.  The calling process merges the forms as branch results arrive
-and keys each form the moment it first sees it: the form is replaced by
-the form of its orientation with fewer rows, so transposed copies meet,
-and grouped by an invariant of transpose-equivalence: the shape and the
-row and column degree multisets.  Within a group a form is keyed, up to
-transpose, by an exact search only when no key already found in the
-group certifies it (:func:`bsp.canon.has_key`): one search per class.
+product matrix, and a child process sends on only the forms it has not
+sent before.  The calling process merges the forms as branch results
+arrive, its own included, and keys each form the moment it first sees
+it, decoding it once and transposing it at most once.  The form is
+replaced by the form of its orientation with fewer rows, so transposed
+copies meet, and grouped by an invariant of transpose-equivalence: the
+shape and the row and column degree multisets.  Within a group a form
+is keyed, up to transpose, by an exact search only when no key already
+found in the group certifies it (:func:`bsp.canon.has_key`): one search
+per class.
 With several workers this keying overlaps the children's walk.  The
 checkpoint logs the keys of the classes each branch added; a key
 validates itself, so a resume needs no form.
@@ -168,19 +170,26 @@ def branch_split(d: int) -> int:
 
 @dataclass
 class _Walk:
-    """The branch walk of one run, as each worker process holds it:
-    ``sent`` holds each form this process has sent in the run."""
+    """The branch walk of one run, as each worker process holds it.
+    ``home`` is the process that made it, the caller of the run, and
+    ``sent`` holds each form a child process has sent in the run."""
 
     d: int
     top_count: int
+    home: int = field(default_factory=os.getpid)
     sent: set[bytes] = field(default_factory=set)
 
     def run_branch(self, p_index: int):
-        """The branch's index and counters, and the forms of the branch
-        that this process has not sent before.  What a process sends
-        arrives in the order it was sent, so each result, merged in turn,
-        leaves the merged forms complete for the branches merged so far."""
+        """The branch's index and counters, and the forms of the branch;
+        in a child process, only those it has not sent before, which keeps
+        its pipe short.  The caller's own results need no such filter, as
+        :meth:`_Keyer.add` drops a form it has seen, so the caller holds
+        each merged form once.  What a process sends arrives in the order
+        it was sent, so each result, merged in turn, leaves the merged
+        forms complete for the branches merged so far."""
         visited, spanning, items = kernel.enum_branch(self.d, self.top_count, p_index)
+        if os.getpid() == self.home:
+            return p_index, visited, spanning, [hb for hb, _ in items]
         sent, fresh = self.sent, []
         for hb, _ in items:
             if hb not in sent:
@@ -189,32 +198,43 @@ class _Walk:
         return p_index, visited, spanning, fresh
 
 
-def _oriented(form: bytes) -> bytes:
+def _oriented(form: bytes) -> tuple[bytes, list[int], int, list[int] | None]:
     """The heuristic form of the matrix that ``form`` holds, taken in the
     orientation with fewer rows; of a square matrix, the smaller of the
     form and its transpose's form.  The result holds the same matrix up to
     permutations and transpose, so it has the same key, and transposed
-    copies of one matrix meet.
+    copies of one matrix meet.  Returned with the rows and column count of
+    that matrix, up to row and column order, and the rows of its
+    transpose, or None when it has fewer rows than columns and so was not
+    transposed: the form is decoded once and transposed at most once.  The
+    rows handed to ``heuristic_form`` are :func:`bsp.canon.transpose`'s,
+    whose column order the form depends on.
 
     Kept rather than leaving transposed copies to ``has_key`` with the
     transpose flag, which certifies them directly: on the 25,502 merged
-    d=5 forms (2 shared cores, Python 3.11, CPU, median of 3) this takes
-    0.46 s of a classification that takes 1.23 s with it and 1.78 s
-    without it, when all 25,502 forms rather than 11,845 reach the
-    certificates and searches; at d=4, 2.6 ms of 7.4 ms against 9.2 ms."""
+    d=5 forms (2 shared cores, Python 3.11, CPU, medians of 3 in each of
+    3 runs) this takes 0.49-0.51 s, its transposes included, of a keying
+    that takes 0.96-1.00 s with it and 1.18-1.24 s without it, when all
+    25,502 forms rather than 11,845 reach the certificates and searches.
+    At d=4 the two ways tie: 6.3-9.0 ms with it, 6.6-6.7 ms without."""
     rows, n = kernel.form_rows(form)
-    if len(rows) < n:
-        return form
-    flipped = kernel.heuristic_form(transpose(rows, n), len(rows))
-    return flipped if len(rows) > n else min(form, flipped)
+    m = len(rows)
+    if m < n:
+        return form, rows, n, None
+    cols = transpose(rows, n)
+    flipped = kernel.heuristic_form(cols, m)
+    if m > n or flipped < form:
+        return flipped, cols, m, rows
+    return form, rows, n, cols
 
 
-def _invariant(rows: list[int], n: int) -> tuple:
-    """Shape and row and column degree multisets of the matrix of an
-    oriented form, the two multisets unordered when it is square so that
-    its transpose agrees: forms that differ here have different keys."""
-    degrees = [tuple(sorted(x.bit_count() for x in xs)) for xs in (rows, transpose(rows, n))]
-    return (len(rows), n, *(sorted(degrees) if len(rows) == n else degrees))
+def _invariant(rows: list[int], cols: list[int]) -> tuple:
+    """Shape and row and column degree multisets of the matrix with these
+    rows and these rows of its transpose, the two multisets unordered when
+    it is square so that its transpose agrees: forms that differ here have
+    different keys."""
+    degrees = [tuple(sorted(x.bit_count() for x in xs)) for xs in (rows, cols)]
+    return (len(rows), len(cols), *(sorted(degrees) if len(rows) == len(cols) else degrees))
 
 
 class _Keyer:
@@ -231,22 +251,32 @@ class _Keyer:
         self.oriented: set[bytes] = set()  # every oriented form added
         self.searches = 0
 
-    def add(self, form: bytes) -> bytes | None:
-        """The key of the class of ``form`` when that class is new, else
-        None."""
-        if form in self.seen:
-            return None
-        self.seen.add(form)
-        form = _oriented(form)
+    def add(self, forms) -> list[bytes]:
+        """The keys of the classes that ``forms`` hold and that no form
+        added before held.  A form added before costs one set lookup."""
+        seen, added = self.seen, []
+        for form in forms:
+            if form not in seen:
+                seen.add(form)
+                key = self._add_new(form)
+                if key:
+                    added.append(key)
+        return added
+
+    def _add_new(self, form: bytes) -> bytes | None:
+        """The key of the class of ``form``, a form not added before, when
+        that class is new, else None."""
+        form, rows, n, cols = _oriented(form)
         if form in self.oriented:
             return None
         self.oriented.add(form)
-        rows, n = kernel.form_rows(form)
-        keys = self.groups.setdefault(_invariant(rows, n), [])
-        if any(has_key(rows, n, key, include_transpose=True) for key in keys):
+        if cols is None:
+            cols = transpose(rows, n)
+        keys = self.groups.setdefault(_invariant(rows, cols), [])
+        if any(has_key(rows, n, key, include_transpose=True, cols=cols) for key in keys):
             return None
         self.searches += 1
-        keys.append(rows_key(rows, n, include_transpose=True))
+        keys.append(rows_key(rows, n, include_transpose=True, cols=cols))
         return keys[-1]
 
     def add_class(self, c: CatalogClass) -> None:
@@ -254,7 +284,7 @@ class _Keyer:
         the orientation :func:`_oriented` picks, with fewer rows, so it
         falls in the group of the forms of its class."""
         rows = [int(r, 2) for r in c.matrix.bits]
-        self.groups.setdefault(_invariant(rows, c.matrix.n), []).append(c.key)
+        self.groups.setdefault(_invariant(rows, transpose(rows, c.matrix.n)), []).append(c.key)
 
     def keys(self) -> list[bytes]:
         return [key for keys in self.groups.values() for key in keys]
@@ -522,7 +552,7 @@ def enumerate_catalog(
     for p_index, visited, spanning, forms in _run_all(_Walk(d, top_count).run_branch, todo,
                                                       workers or 1):
         clock = monotonic()
-        added = [key for key in map(keyer.add, forms) if key]
+        added = keyer.add(forms)
         now = monotonic()
         keying += now - clock
         done.add(p_index)

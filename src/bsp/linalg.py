@@ -142,10 +142,11 @@ def vec_over(row: Iterable[int], den: int) -> Vec:
 def independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list[int]:
     """Indices of the rows that are independent of the rows before them.
 
-    One fraction-free greedy echelon pass: each row (ints or Fractions) is
-    scaled to integers by its own denominators as it is read, which is a
-    positive scale and keeps independence, then reduced against the
-    echelon rows found so far and divided by the gcd of its entries, so no
+    One fraction-free greedy echelon pass: each row, an iterable of ints
+    or Fractions read once, is scaled to integers by its own denominators
+    as it is read, which is a positive scale and keeps independence (a row
+    of ints is taken as it is).  It is then reduced against the echelon
+    rows found so far and divided by the gcd of its entries, so no
     Fraction arithmetic happens and entries stay small.  Every echelon row
     is zero at the pivot columns of the rows before it, so one sweep in
     order clears all pivots.  Stops after ``limit`` picks or when the
@@ -155,8 +156,10 @@ def independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list
     picked: list[int] = []
     cap = limit
     for i, v in enumerate(rows):
-        den = lcm(*[c.denominator for c in v])
-        r = [c.numerator * (den // c.denominator) for c in v]
+        r = list(v)
+        if not {int}.issuperset(map(type, r)):
+            den = lcm(*[c.denominator for c in r])
+            r = [c.numerator * (den // c.denominator) for c in r]
         cap = len(r) if cap is None else min(cap, len(r))
         if len(picked) >= cap:
             break

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsp import kernel
-from bsp.canon import canonical_from_key, canonical_key, has_key, rows_key
+from bsp.canon import canonical_from_key, canonical_key, has_key, rows_key, transpose
 from bsp.family import ProductMatrix, close_pair, matrix_rank, product_matrix
 from bsp.family import VectorFamily
 from bsp.polytope import _MIN_DIM, POLYTOPE_KINDS, reference_slack
@@ -248,8 +248,9 @@ def test_lectic_d5_keys_match_golden_digest():
 def test_rows_key_matches_canonical_key():
     """Keys taken straight from kernel rows are those of the matrix the
     rows spell, on the 1,000 d=5 draws and their shuffled copies, with
-    and without the transpose flag."""
-    rng = random.Random(5)
+    and without the transpose flag, and with a shuffled transpose passed
+    in as ``cols``."""
+    rng, col_rng = random.Random(5), random.Random(6)
     for i, (rows, n) in enumerate(lectic_d5_rows()):
         mat = ProductMatrix(len(rows), n, tuple(format(r, f"0{n}b") for r in rows), 5)
         assert rows_key(rows, n, include_transpose=True) == canonical_key(
@@ -260,6 +261,21 @@ def test_rows_key_matches_canonical_key():
             copy_rows = [int(r, 2) for r in copy.bits]
             for flag in (False, True):
                 assert rows_key(copy_rows, n, flag) == canonical_key(copy, flag)
+            cols = [int(r, 2) for r in shuffled(mat.transposed(), col_rng).bits]
+            assert rows_key(copy_rows, n, True, cols) == canonical_key(copy, True)
+
+
+def test_transpose_puts_column_bit_p_of_row_i_at_bit_i_of_entry_p():
+    """The exact output, not only the matrix up to order: heuristic forms
+    depend on the column order of what they are given, and orientation
+    hands them this transpose."""
+    rng = random.Random(31)
+    for _ in range(300):
+        m, n = rng.randint(0, 9), rng.randint(0, 9)
+        rows = [rng.getrandbits(n) if n else 0 for _ in range(m)]
+        want = [sum((row >> p & 1) << i for i, row in enumerate(rows)) for p in range(n)]
+        assert transpose(rows, n) == want
+        assert transpose(want, m) == rows
 
 
 def switched(bits, rng):
@@ -285,7 +301,7 @@ def test_has_key_certifies_exactly_the_brute_force_class():
     shuffled copies, transposes and degree-preserving switches (same row
     and column degrees, often another class), with and without the
     transpose flag."""
-    rng = random.Random(23)
+    rng, col_rng = random.Random(23), random.Random(24)
     switches = {True: 0, False: 0}  # outcomes on same-degree copies
     for _ in range(300):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
@@ -304,6 +320,11 @@ def test_has_key_certifies_exactly_the_brute_force_class():
                 held = has_key([int(r, 2) for r in copy], width, key, flag)
                 assert held == (brute_force_canonical(copy, width, flag) == want)
                 switches[held] += i >= 2
+                if flag:  # the transpose passed in, in any row and column order
+                    cols = ProductMatrix(len(copy), width, copy, 0).transposed()
+                    cols = shuffled(cols, col_rng)
+                    cols = [int(r, 2) for r in cols.bits]
+                    assert has_key([int(r, 2) for r in copy], width, key, flag, cols) == held
     assert min(switches.values()) >= 100, switches
 
 

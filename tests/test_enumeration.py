@@ -26,7 +26,7 @@ from bsp.enumeration import (
     stats,
     verify_against_reference,
 )
-from bsp import enumeration, kernel
+from bsp import canon, enumeration, kernel
 from bsp.cli import main
 from bsp.errors import BadParameterError, CheckpointCorruptError, WorkerDiedError
 from bsp.kernel import enum_branch
@@ -141,7 +141,7 @@ def _partial_checkpoint(path, d, branches):
     keyer = enumeration._Keyer()
     enumeration._checkpoint_create(path, d, top)
     for p in branches:
-        added = [key for hb, _ in enum_branch(d, top, p)[2] if (key := keyer.add(hb))]
+        added = keyer.add(hb for hb, _ in enum_branch(d, top, p)[2])
         enumeration._checkpoint_append(path, p, added)
 
 
@@ -306,12 +306,12 @@ def _assert_d4_keys_each_form_once(monkeypatch):
     catalog's bytes, 16 searches and 75 certificates must come out."""
     searched, certified = [], []
 
-    def counting_rows_key(rows, n, include_transpose=False):
+    def counting_rows_key(rows, n, include_transpose=False, cols=None):
         searched.append(n)
-        return rows_key(rows, n, include_transpose)
+        return rows_key(rows, n, include_transpose, cols)
 
-    def counting_has_key(rows, n, key, include_transpose=False):
-        held = has_key(rows, n, key, include_transpose)
+    def counting_has_key(rows, n, key, include_transpose=False, cols=None):
+        held = has_key(rows, n, key, include_transpose, cols)
         certified.append(held)
         return held
 
@@ -324,6 +324,39 @@ def _assert_d4_keys_each_form_once(monkeypatch):
     text = enumerate_catalog(4, workers=1).to_jsonl()
     assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
     assert (len(searched), len(certified), sum(certified)) == (16, 75, 75)
+
+
+def test_keying_decodes_each_form_once_and_transposes_it_at_most_once(monkeypatch):
+    """Keying the 196 d=4 forms decodes each form once (kernel.form_rows)
+    and transposes it at most once: orientation, the invariant and the
+    certificates and searches share that transpose and make none of their
+    own.  The keys are the catalog's, from 16 searches."""
+    top = branch_split(4)
+    forms = dict.fromkeys(hb for p in range(1 << top) for hb, _ in enum_branch(4, top, p)[2])
+    assert len(forms) == 196
+    decoded, transposed = [], []
+    real_form_rows, real_transpose = kernel.form_rows, canon.transpose
+
+    def counting_form_rows(form):
+        decoded.append(form)
+        return real_form_rows(form)
+
+    def counting_transpose(rows, n):
+        transposed.append(n)
+        return real_transpose(rows, n)
+
+    monkeypatch.setattr(kernel, "form_rows", counting_form_rows)
+    monkeypatch.setattr(canon, "transpose", counting_transpose)
+    monkeypatch.setattr(enumeration, "transpose", counting_transpose)
+    keyer = enumeration._Keyer()
+    for form in forms:
+        decoded.clear()
+        transposed.clear()
+        keyer.add([form])
+        assert decoded == [form] and len(transposed) <= 1, form
+    text = enumeration._catalog(4, keyer.keys()).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+    assert keyer.searches == 16
 
 
 def test_classification_keys_each_form_once_up_to_transpose(monkeypatch):
@@ -357,20 +390,24 @@ def test_keys_do_not_depend_on_the_order_branch_results_arrive(monkeypatch, orde
 
 @needs_fork
 def test_each_process_sends_each_form_at_most_once(monkeypatch):
-    """A worker process sends each form at most once, although the 16 d=4
-    branches hold 1,545 items: at one worker exactly the 196 forms arrive,
-    and at two workers the forms each process sends are distinct and
-    together they are the same 196."""
+    """A child process sends each form at most once, although the 16 d=4
+    branches hold 1,545 items.  The calling process, which sends nothing,
+    keeps no such filter: its own results carry every form of their
+    branches, and the keyer alone drops the forms it has seen, so the
+    caller holds each merged form once.  At one worker the 1,545 items'
+    forms arrive; at two the child's are distinct; both ways they are the
+    same 196 and the keyer counts 196."""
     top = branch_split(4)
     items = [item for p in range(1 << top) for item in enum_branch(4, top, p)[2]]
     forms = {hb for hb, _ in items}
     assert (len(items), len(forms)) == (1545, 196)
-    real, arrived = enumeration._run_all, {}
+    real, arrived, walks = enumeration._run_all, {}, []
 
     def recording(fn, tasks, nworkers):
         def tagged(p_index):
             return os.getpid(), fn(p_index)
 
+        walks.append(fn.__self__)
         for pid, result in real(tagged, tasks, nworkers):
             arrived.setdefault(pid, []).extend(result[3])
             yield result
@@ -378,13 +415,17 @@ def test_each_process_sends_each_form_at_most_once(monkeypatch):
     monkeypatch.setattr(enumeration, "_run_all", recording)
     for workers in (1, 2):
         arrived.clear()
-        text = enumerate_catalog(4, workers=workers).to_jsonl()
+        lines = []
+        text = enumerate_catalog(4, workers=workers, progress=lines.append).to_jsonl()
         assert hashlib.sha256(text.encode()).hexdigest() == D4_SHA256
+        assert lines[-1].startswith("classified 196 forms, 91 after orientation")
+        mine = arrived.pop(os.getpid(), [])
         for sent in arrived.values():
             assert len(sent) == len(set(sent))
-        assert set().union(*arrived.values()) == forms
+        assert set(mine).union(*arrived.values()) == forms
+        assert not walks[-1].sent  # the caller's copy of the walk sent nothing
         if workers == 1:
-            assert len(arrived) == 1 and len(arrived[os.getpid()]) == 196
+            assert not arrived and sorted(mine) == sorted(hb for hb, _ in items)
 
 
 def test_classification_matches_one_search_per_form_on_d5_branches():
@@ -395,10 +436,9 @@ def test_classification_matches_one_search_per_form_on_d5_branches():
     top = branch_split(5)
     keyer = enumeration._Keyer()
     for p in (37, 255):
-        for hb, _ in twin.enum_branch(5, top, p)[2]:
-            keyer.add(hb)
+        keyer.add(hb for hb, _ in twin.enum_branch(5, top, p)[2])
     forms = {
-        enumeration._oriented(hb) for p in (37, 255) for hb, _ in twin.enum_branch(5, top, p)[2]
+        enumeration._oriented(hb)[0] for p in (37, 255) for hb, _ in twin.enum_branch(5, top, p)[2]
     }
     assert keyer.oriented == forms
     found = keyer.keys()

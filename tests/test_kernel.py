@@ -14,7 +14,7 @@ import pytest
 
 import bsp
 from bsp import enumeration, kernel
-from bsp.canon import has_key, rows_key
+from bsp.canon import has_key, rows_key, transpose
 from bsp.family import a_max, closure, family_from_masks
 from bsp.linalg import independent_rows
 from test_enumeration import D4_SHA256
@@ -340,18 +340,20 @@ def test_form_rows_inverts_the_form_packing():
 def _assert_forms_key_like_their_sets(d, items):
     """Each (heuristic form, closed spanning set) item: the form's bytes,
     and the form of its orientation with fewer rows, have the key of the
-    set's own product matrix, the keyer finds that key for the form, and
-    the key certifies the form."""
+    set's own product matrix, the key certifies the rows of that
+    orientation with the transpose it made, the keyer finds that key for
+    the form, and the key certifies the form."""
     for form, mask in items:
         key = rows_key(*kp.pair_rows(d, mask), include_transpose=True)
-        merged = enumeration._oriented(form)
-        m, n = map(int, merged.partition(b":")[0].split(b","))
-        assert m <= n, (d, mask)
+        merged, rows, n, cols = enumeration._oriented(form)
+        assert merged.startswith(b"%d,%d:" % (len(rows), n)) and len(rows) <= n, (d, mask)
+        assert cols in (None, transpose(rows, n)), (d, mask)
+        assert has_key(rows, n, key, include_transpose=True, cols=cols), (d, mask)
         rows, n = kernel.form_rows(form)
         assert rows_key(rows, n, include_transpose=True) == key, (d, mask)
         assert has_key(rows, n, key, include_transpose=True), (d, mask)
         keyer = enumeration._Keyer()
-        keyer.add(form)
+        keyer.add([form])
         assert (keyer.keys(), keyer.oriented) == ([key], {merged}), (d, mask)
 
 

@@ -204,8 +204,15 @@ def test_independent_rows_against_gauss_jordan(data):
 
 
 def test_independent_rows_integer_input():
+    """Int rows, their Fraction, mixed and halved copies, and rows that
+    are generators, each readable once, give the same picks."""
     rows = [(0, 0, 0), (1, -1, 0), (2, -2, 0), (0, 1, 1), (1, 0, 1), (0, 0, 1)]
-    assert independent_rows(rows) == [1, 3, 5]
+    fracs = [tuple(map(Fraction, r)) for r in rows]
+    mixed = [tuple(Fraction(x) if j % 2 else x for j, x in enumerate(r)) for r in rows]
+    halves = [tuple(Fraction(x, 2) for x in r) for r in rows]
+    for variant in (rows, fracs, mixed, halves, [iter(r) for r in rows],
+                    ((x for x in r) for r in mixed)):
+        assert independent_rows(variant) == [1, 3, 5]
     assert rank([(1, 0), (0, 1)]) == 2
 
 
