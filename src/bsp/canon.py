@@ -301,10 +301,15 @@ def has_key(rows: list[int], n: int, key: bytes, include_transpose: bool = False
 
 def canonical_from_key(key: bytes, rank_d: int) -> ProductMatrix:
     """Inverse of :func:`canonical_key`'s serialization (for catalog IO);
-    the caller supplies the rank, which the key does not encode."""
+    the caller supplies the rank, which the key does not encode.  Raises
+    ValueError unless the key is "m,n:" with min(m, n) >= max(rank_d, 0),
+    and then exactly the ceil(m n / 8) bytes that pack an m x n matrix,
+    with zero padding bits."""
     head, _, packed = key.partition(b":")
     m, n = (int(x) for x in head.split(b","))
-    total = m * n
-    bits = bin(int.from_bytes(packed, "big"))[2:].zfill(total) if total else ""
+    total, value = m * n, int.from_bytes(packed, "big")
+    if min(m, n) < max(rank_d, 0) or len(packed) != (total + 7) // 8 or value >> total:
+        raise ValueError(f"key {key[:40]!r} does not pack a {m} x {n} matrix")
+    bits = bin(value)[2:].zfill(total) if total else ""
     rows = tuple(bits[i * n : (i + 1) * n] for i in range(m))
     return ProductMatrix(m, n, rows, rank_d)

@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog")
     p.add_argument("--slack", nargs="*", help="slack matrix JSON files or directories")
     p.add_argument("-d", "--dim", type=int, default=None,
-                   help="dimension for slack audits")
+                   help="check that every slack's dimension, its rank - 1, is this")
     p.add_argument("--out")
     p.set_defaults(func=cmd_conjecture)
 
@@ -411,10 +411,6 @@ def main(argv=None) -> int:
         # argparse uses exit code 2 for usage errors; our contract
         # reserves 2 for verification failures
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.command == "conjecture" and args.slack and args.dim is None:
-        print(json.dumps({"error": "usage", "message": "--slack requires -d"}),
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except BspError as exc:

@@ -48,7 +48,7 @@ from .family import (
     pair_from_product_matrix,
     product_matrix,
 )
-from .linalg import int_field
+from .linalg import dim_field, int_field
 
 MAX_DIM = kernel.MAX_DIM
 
@@ -132,7 +132,7 @@ class Catalog:
                 continue
             with parsing("catalog line"):
                 obj = json.loads(line)
-                line_d, key = int_field(obj["d"]), bytes.fromhex(obj["key"])
+                line_d, key = dim_field(obj["d"]), bytes.fromhex(obj["key"])
                 shape = {"rows": obj["size_a"], "cols": obj["size_b"], "bits": obj["matrix"]}
             mat = ProductMatrix.from_json(shape)
             d = line_d if d is None else d
@@ -329,17 +329,16 @@ def _logged_class(key_hex: str, d: int) -> CatalogClass:
     matrix has rank d, a pair realizes it, that pair is closed, and the
     pair's own product matrix keys back to the key.  Else
     CheckpointCorruptError, or ValueError when the matrix's rank is not d
-    or no pair realizes it.  Calls no kernel function."""
+    or no pair realizes it or the key's bytes do not hold its shape.
+    Calls no kernel function."""
     key = bytes.fromhex(key_hex)
-    m, n = (int(x) for x in key.partition(b":")[0].split(b","))
-    if 0 < m <= 1 << d and 0 < n <= 1 << d:  # so a forged shape builds no huge matrix
-        bits = canonical_from_key(key, d).bits
-        mat = ProductMatrix(m, n, bits, matrix_rank(bits))
-        pair = pair_from_product_matrix(mat, d)
-        if is_closed_pair(pair) and canonical_key(
-            product_matrix(pair), include_transpose=True
-        ) == key:
-            return CatalogClass(mat, key)
+    # the key packs every entry of a shape that can hold rank d >= 1, so
+    # the matrix it decodes has no more entries than the key has bits
+    dec = canonical_from_key(key, d)
+    mat = ProductMatrix(dec.m, dec.n, dec.bits, matrix_rank(dec.bits))
+    pair = pair_from_product_matrix(mat, d)
+    if is_closed_pair(pair) and canonical_key(product_matrix(pair), include_transpose=True) == key:
+        return CatalogClass(mat, key)
     raise CheckpointCorruptError(f"key {key_hex} is not the key of a closed pair at d = {d}")
 
 

@@ -31,6 +31,7 @@ from .linalg import (
     Row,
     Vec,
     coords,
+    dim_field,
     greedy_inverse,
     independent_rows,
     int_dot,
@@ -104,7 +105,7 @@ class VectorFamily:
     @classmethod
     def from_json(cls, obj: dict) -> "VectorFamily":
         with parsing("family"):
-            return cls.of(int_field(obj["d"]), obj["vectors"])
+            return cls.of(dim_field(obj["d"]), obj["vectors"])
 
 
 class Violation(NamedTuple):
@@ -170,7 +171,7 @@ class BspPair:
         when the document does not hold two families of its dimension
         ``d``."""
         with parsing("pair"):
-            d = int_field(obj["d"])
+            d = dim_field(obj["d"])
             return cls(d, VectorFamily.of(d, obj["a"]["vectors"]),
                        VectorFamily.of(d, obj["b"]["vectors"]))
 

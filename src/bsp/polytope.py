@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -174,39 +174,26 @@ class PolytopeBoundReport:
     equality: bool
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "f0": self.f0,
-            "facets": self.facets,
-            "product": self.product,
-            "bound": self.bound,
-            "applicable": self.applicable,
-            "pass": self.passed,
-            "equality": self.equality,
-        }
+        return {"pass" if k == "passed" else k: v for k, v in asdict(self).items()}
+
+
+def _bound_report(name: str, p: Polytope2L, bound: int, applicable: bool) -> PolytopeBoundReport:
+    prod = p.f0 * p.n_facets
+    return PolytopeBoundReport(name, p.f0, p.n_facets, prod, bound, applicable,
+                               not applicable or prod <= bound, prod == bound)
 
 
 def check_thm1(p: Polytope2L) -> PolytopeBoundReport:
     """f0 * f_{d-1} <= d 2^{d+1} for 2-level polytopes."""
-    prod = p.f0 * p.n_facets
-    bound = p.d << (p.d + 1)
-    return PolytopeBoundReport(
-        "vertex-facet-bound", p.f0, p.n_facets, prod, bound, True, prod <= bound,
-        prod == bound,
-    )
+    return _bound_report("vertex-facet-bound", p, p.d << (p.d + 1), True)
 
 
 def check_thm2(p: Polytope2L) -> PolytopeBoundReport:
     """f0 * f_{d-1} <= (d-1) 2^{d+1} + 8(d-1) for 2-level polytopes that
     are neither cubes nor cross-polytopes (affinely)."""
-    prod = p.f0 * p.n_facets
     d = p.d
-    bound = ((d - 1) << (d + 1)) + 8 * (d - 1)
-    applicable = d > 1 and detect_special(p) == "neither"
-    return PolytopeBoundReport(
-        "non-special-bound", p.f0, p.n_facets, prod, bound, applicable,
-        (prod <= bound) if applicable else True, prod == bound,
-    )
+    return _bound_report("non-special-bound", p, ((d - 1) << (d + 1)) + 8 * (d - 1),
+                         d > 1 and detect_special(p) == "neither")
 
 
 def detect_special(p: Polytope2L) -> str:
@@ -272,15 +259,14 @@ def construct_polytope(kind: str, d: int) -> Polytope2L:
 
 def _construction_vertices(kind: str, d: int) -> list[Row]:
     _check_kind(kind, d)
-    if kind == "cube":
-        return list(itertools.product((0, 1), repeat=d))
+    if kind == "cube":  # point m has x_i = bit i of m
+        return [tuple((m >> i) & 1 for i in range(d)) for m in range(1 << d)]
     if kind == "cross":
         return [unit_row(d, i, s) for i in range(d) for s in (1, -1)]
     if kind == "simplex":
         return [(0,) * d] + [unit_row(d, i) for i in range(d)]
     if kind == "prism":
-        base = [(0,) * (d - 1)] + [unit_row(d - 1, i) for i in range(d - 1)]
-        return [s + (t,) for s in base for t in (0, 1)]
+        return [s + (t,) for s in _construction_vertices("simplex", d - 1) for t in (0, 1)]
     if kind == "suspension-cube":
         out = [signs + (0,) for signs in itertools.product((-1, 1), repeat=d - 1)]
         return out + [unit_row(d, d - 1), unit_row(d, d - 1, -1)]
@@ -289,6 +275,28 @@ def _construction_vertices(kind: str, d: int) -> list[Row]:
         unit_row(d - 1, i, si) + (sd,)
         for i in range(d - 1) for si in (-1, 1) for sd in (-1, 1)
     ]
+
+
+def _construction_facets(kind: str, d: int) -> list[tuple[Row, int]]:
+    """The facets <normal, x> <= offset of the construction, with primitive
+    normals, in the column order of :func:`reference_slack`.  The
+    suspension of the cube and the cross-polytope x segment are polar: the
+    facets of each are <v, x> <= 1 over the vertices v of the other."""
+    _check_kind(kind, d)
+    if kind == "cube":  # x_i >= 0, then x_i <= 1
+        return [(unit_row(d, i, s), (1 + s) // 2) for s in (-1, 1) for i in range(d)]
+    if kind == "cross":  # <signs, x> <= 1, the signs in the cube's vertex order
+        return [(tuple(2 * x - 1 for x in v), 1) for v in _construction_vertices("cube", d)]
+    if kind == "simplex":
+        return [(unit_row(d, i, -1), 0) for i in range(d)] + [((1,) * d, 1)]
+    if kind == "prism":  # the base simplex's facets, then the bottom and the top
+        base = [(n + (0,), c) for n, c in _construction_facets("simplex", d - 1)]
+        return base + [(unit_row(d, d - 1, -1), 0), (unit_row(d, d - 1), 1)]
+    if kind == "suspension-cube":
+        return [(v, 1) for v in _construction_vertices("cross-x-segment", d)]
+    # cross-x-segment: the two apexes of the suspension first
+    apexes_last = _construction_vertices("suspension-cube", d)
+    return [(v, 1) for v in apexes_last[-2:] + apexes_last[:-2]]
 
 
 def expected_f_vector_ends(kind: str, d: int) -> tuple[int, int]:
@@ -307,60 +315,17 @@ def expected_f_vector_ends(kind: str, d: int) -> tuple[int, int]:
 
 
 def reference_slack(kind: str, d: int) -> ProductMatrix:
-    """Closed-form slack matrices of the shipped constructions; these stay
-    cheap at dimensions where the 2^d-vertex constructions would not.  The
-    tests cross-validate them against the facet pipeline at small d.  Raises
-    BadParameterError on the (kind, d) that :func:`construct_polytope`
-    rejects."""
-    _check_kind(kind, d)
-    rows: list[str] = []
-    if kind == "cube":
-        for m in range(1 << d):
-            x = [(m >> i) & 1 for i in range(d)]
-            rows.append("".join(str(c) for c in x) + "".join(str(1 - c) for c in x))
-    elif kind == "cross":
-        for i in range(d):
-            for s in (1, -1):
-                row = []
-                for mask in range(1 << d):
-                    eps = 1 if (mask >> i) & 1 else -1
-                    row.append(str((1 - s * eps) // 2))
-                rows.append("".join(row))
-    elif kind == "simplex":
-        for v in [[0] * d] + [[1 if j == i else 0 for j in range(d)] for i in range(d)]:
-            rows.append("".join(str(c) for c in v) + str(1 - sum(v)))
-    elif kind == "prism":
-        base = [[0] * (d - 1)] + [
-            [1 if j == i else 0 for j in range(d - 1)] for i in range(d - 1)
-        ]
-        for s in base:
-            for t in (0, 1):
-                rows.append(
-                    "".join(str(c) for c in s)
-                    + str(1 - sum(s))
-                    + str(t)
-                    + str(1 - t)
-                )
-    elif kind == "suspension-cube":
-        combos = list(itertools.product((-1, 1), repeat=d - 1))
-        cols = [(i, s, t) for i in range(d - 1) for s in (-1, 1) for t in (-1, 1)]
-        for v in combos:
-            rows.append("".join(str((1 - s * v[i]) // 2) for (i, s, t) in cols))
-        for apex in (1, -1):
-            rows.append("".join(str((1 - t * apex) // 2) for (i, s, t) in cols))
-    else:  # cross-x-segment
-        cols = [1, -1] + list(itertools.product((-1, 1), repeat=d - 1))
-        for i in range(d - 1):
-            for si in (-1, 1):
-                for sd in (-1, 1):
-                    row = []
-                    for col in cols:
-                        if col == 1 or col == -1:
-                            row.append(str((1 - col * sd) // 2))
-                        else:
-                            row.append(str((1 - col[i] * si) // 2))
-                    rows.append("".join(row))
-    bits = tuple(rows)
+    """The 0/1 slack matrix of a construction, with no facet scan: rows are
+    its closed-form vertices (:func:`_construction_vertices`), columns its
+    closed-form facets (:func:`_construction_facets`, which the tests check
+    against the scan), and an entry is 1 where the vertex is off the facet.
+    Raises BadParameterError on the (kind, d) that
+    :func:`construct_polytope` rejects."""
+    facets = _construction_facets(kind, d)
+    bits = tuple(
+        "".join("0" if int_dot(n, v) == c else "1" for n, c in facets)
+        for v in _construction_vertices(kind, d)
+    )
     return ProductMatrix(len(bits), len(bits[0]), bits, matrix_rank(bits))
 
 
@@ -410,6 +375,7 @@ def verify_lemma3(basis: list[Vec]) -> Lemma3Certificate:
 @dataclass(frozen=True)
 class SlackAuditEntry:
     label: str
+    d: int
     vertices: int
     b_size: int  # facet classes + 1, per the pair extraction
     violations: list
@@ -419,13 +385,8 @@ class SlackAuditEntry:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "vertices": self.vertices,
-            "b_size": self.b_size,
-            "pass": self.passed,
-            "violations": [v.to_json() for v in self.violations],
-        }
+        violations = [v.to_json() for v in self.violations]
+        return {**asdict(self), "pass": self.passed, "violations": violations}
 
 
 def slack_pair_sizes(slack: ProductMatrix) -> tuple[int, int]:
@@ -447,13 +408,22 @@ def slack_pair_sizes(slack: ProductMatrix) -> tuple[int, int]:
 
 
 def audit_conjecture_on_slacks(
-    slacks: list[tuple[str, ProductMatrix]], d: int
+    slacks: list[tuple[str, ProductMatrix]], d: int | None = None
 ) -> list[SlackAuditEntry]:
+    """The conjectured bound on the pair sizes of each labelled slack, at
+    the slack's own dimension: a d-polytope's slack matrix has rank d + 1.
+    MalformedSlackError on a slack of rank below 2, and, when ``d`` is
+    given, on one of another dimension."""
     from .bounds import check_conjecture1
 
     out = []
     for label, slack in slacks:
         m, b = slack_pair_sizes(slack)
-        violations = check_conjecture1([(m, b)], d)
-        out.append(SlackAuditEntry(label, m, b, violations))
+        dim = slack.rank_d - 1
+        if dim < 1:
+            raise MalformedSlackError(f"{label}: a slack of rank {slack.rank_d} is no polytope's")
+        if d is not None and dim != d:
+            raise MalformedSlackError(
+                f"{label}: slack of rank {slack.rank_d}, so d = {dim}, not {d}")
+        out.append(SlackAuditEntry(label, dim, m, b, check_conjecture1([(m, b)], dim)))
     return out

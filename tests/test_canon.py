@@ -75,6 +75,18 @@ def test_key_roundtrip():
     assert canonical_key(back) == key
 
 
+@pytest.mark.parametrize("key, rank_d", [
+    (b"2,2:\xff\xff", 2),  # a byte too many
+    (b"2,2:", 2),  # no bytes
+    (b"2,2:\x1f", 2),  # a padding bit set
+    (b"-1,-1:\x00", 0),  # a negative shape
+    (b"3,0:", 1),  # a shape that cannot hold the rank
+])
+def test_key_whose_bytes_do_not_hold_its_shape_is_refused(key, rank_d):
+    with pytest.raises(ValueError):
+        canonical_from_key(key, rank_d)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 5),

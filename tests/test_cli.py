@@ -190,6 +190,10 @@ TAMPERED_CATALOGS = {"random-class": _with_random_class,
                          lambda rows: [r for r in rows if "1" in r])}
 CATALOG_COMMANDS = {"conjecture": ["conjecture", "--catalog"], "stats": ["stats"],
                     "audit": ["audit"]}
+# the 1 x 1 zero matrix with its own key: a d=0 catalog line, which stats and
+# conjecture once passed and audit failed with a ValueError
+D0_CATALOG = json.dumps({"d": 0, "size_a": 1, "size_b": 1, "matrix": ["0"], "key": canonical_key(
+    ProductMatrix(1, 1, ("0",), 0), include_transpose=True).hex()}) + "\n"
 # a valid pair file but for the vectors of A
 PAIR_WITH_A = '{"d": 2, "a": {"d": 2, "vectors": %s}, "b": {"d": 2, "vectors": [[0, 0], [1, 0], [0, 1]]}}'
 
@@ -223,13 +227,21 @@ PAIR_WITH_A = '{"d": 2, "a": {"d": 2, "vectors": %s}, "b": {"d": 2, "vectors": [
     (["verify-pair"], PAIR_WITH_A % '[[0, 0], [1, 0, 0], [0, 1]]', "MalformedInputError"),
     *[(argv, tamper, "MalformedInputError")
       for argv in CATALOG_COMMANDS.values() for tamper in TAMPERED_CATALOGS.values()],
+    # d below 1: the d=0 pair once verified valid (exit 0), the d=-1 one
+    # failed to span (exit 2)
+    (["verify-pair"], '{"d": 0, "a": {"d": 0, "vectors": [[]]}, "b": {"d": 0, "vectors": [[]]}}',
+     "MalformedInputError"),
+    (["verify-pair"], '{"d": -1, "a": {"d": -1, "vectors": []}, "b": {"d": -1, "vectors": []}}',
+     "MalformedInputError"),
+    *[(argv, D0_CATALOG, "MalformedInputError") for argv in CATALOG_COMMANDS.values()],
 ], ids=["polytope-missing", "polytope-float", "polytope-d0", "polytope-empty",
         "verify-pair", "conjecture-slack",
         "conjecture-catalog", "stats", "stats-not-json", "audit", "audit-shape", "enumerate-checkpoint",
         "stats-reference", "polytope-string-vertices", "polytope-string-vertex-list",
         "verify-pair-string-vectors", "polytope-bool", "verify-pair-bool",
         "polytope-mapping-vertices", "polytope-bool-d", "verify-pair-wrong-length",
-        *[f"{cmd}-{name}" for cmd in CATALOG_COMMANDS for name in TAMPERED_CATALOGS]])
+        *[f"{cmd}-{name}" for cmd in CATALOG_COMMANDS for name in TAMPERED_CATALOGS],
+        "verify-pair-d0", "verify-pair-d-1", *[f"{cmd}-d0" for cmd in CATALOG_COMMANDS]])
 def test_malformed_input_file_is_exit_1(tmp_path, capsys, argv, text, error):
     if "CATALOG" in argv:
         cat = tmp_path / "cat2.jsonl"
@@ -320,9 +332,30 @@ def test_conjecture_catalog_and_slack(tmp_path, capsys):
     assert rep["pass"] and len(rep["slacks"]) == 2
 
 
-def test_conjecture_slack_needs_dim(capsys):
-    code, _, err = run(["conjecture", "--slack", "x.json"], capsys)
-    assert code == 1
+def test_conjecture_slack_takes_each_dimension_from_the_rank(tmp_path, capsys):
+    from bsp.polytope import reference_slack
+
+    sdir = tmp_path / "slacks"
+    sdir.mkdir()
+    for kind, d in (("cube", 4), ("suspension-cube", 6)):
+        (sdir / f"{kind}-{d}.json").write_text(json.dumps(reference_slack(kind, d).to_json()))
+    code, out, _ = run(["conjecture", "--slack", str(sdir)], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["pass"]
+    assert {os.path.basename(e["label"]): e["d"] for e in rep["slacks"]} == {
+        "cube-4.json": 4, "suspension-cube-6.json": 6}
+    cube = str(sdir / "cube-4.json")
+    assert run(["conjecture", "--slack", cube, "-d", "4"], capsys)[0] == 0
+    # -d is a cross-check: -1 once checked no k, 2 once found a k=0 violation
+    for dim in ("-1", "2", "6"):
+        code, out, err = run(["conjecture", "--slack", cube, "-d", dim], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "MalformedSlackError"
+    (tmp_path / "rank1.json").write_text('{"rows": 1, "cols": 1, "bits": ["1"]}')
+    code, out, err = run(["conjecture", "--slack", str(tmp_path / "rank1.json")], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "MalformedSlackError"
 
 
 def test_io_error_is_exit_1(capsys):

@@ -242,6 +242,12 @@ def test_family_json_rejects_strings_and_bools_as_vectors(vectors):
         VectorFamily.from_json({"d": 2, "vectors": vectors})
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_family_json_rejects_a_dimension_below_1(d):
+    with pytest.raises(MalformedInputError, match="below 1"):
+        VectorFamily.from_json({"d": d, "vectors": [[]] if d == 0 else []})
+
+
 def test_pair_from_product_matrix_roundtrip():
     from bsp.canon import canonical_key
 

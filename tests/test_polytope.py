@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -20,7 +21,9 @@ from bsp.errors import (
 from bsp.family import ProductMatrix, matrix_rank, verify_binary_products
 from bsp.linalg import affine_dim, int_rows, rank, solve, unit_vec, vec
 from bsp.polytope import (
+    _MIN_DIM,
     POLYTOPE_KINDS,
+    _construction_facets,
     _construction_vertices,
     audit_conjecture_on_slacks,
     check_thm1,
@@ -229,6 +232,34 @@ def test_closed_form_slacks_match_pipeline():
             got = canonical_key(construct_polytope(kind, d).slack_matrix())
             ref = canonical_key(reference_slack(kind, d))
             assert got == ref, (kind, d)
+
+
+# sha256 of the rows of every reference slack, kind by kind and d = _MIN_DIM
+# up to 6: canonical keys, perfbench's polytopes checks and the seeded
+# switches of the canon tests all read these exact rows and columns
+REFERENCE_SLACKS_SHA256 = "62502fde4dfb8616f09baec0a79c4e604d156839b6d12553f9975660ff8fa7dd"
+
+
+def test_reference_slacks_keep_their_bytes():
+    h = hashlib.sha256()
+    for kind in POLYTOPE_KINDS:
+        for d in range(_MIN_DIM[kind], 7):
+            h.update("".join(f"{row}\n" for row in reference_slack(kind, d).bits).encode() + b"\n")
+    assert h.hexdigest() == REFERENCE_SLACKS_SHA256
+
+
+@pytest.mark.parametrize("kind", POLYTOPE_KINDS)
+def test_facet_scan_finds_the_closed_form_facets(kind):
+    for d in range(_MIN_DIM[kind], 8):
+        got = sorted(construct_polytope(kind, d).facets)
+        assert got == sorted(_construction_facets(kind, d)), d
+
+
+def test_closed_forms_have_the_textbook_f_vector_ends():
+    for kind in POLYTOPE_KINDS:
+        for d in range(_MIN_DIM[kind], 9):
+            got = (len(_construction_vertices(kind, d)), len(_construction_facets(kind, d)))
+            assert got == expected_f_vector_ends(kind, d), (kind, d)
 
 
 def fraction_facets(p) -> list[tuple[tuple[Fraction, ...], Fraction]]:
@@ -572,6 +603,13 @@ def test_audit_conjecture_empty_input():
     assert audit_conjecture_on_slacks([], 5) == []
 
 
+def test_audit_takes_each_slack_at_its_own_dimension():
+    shapes = [(kind, d) for kind in POLYTOPE_KINDS for d in range(_MIN_DIM[kind], 7)]
+    entries = audit_conjecture_on_slacks([(f"{k}-d{d}", reference_slack(k, d)) for k, d in shapes])
+    assert [e.d for e in entries] == [d for _, d in shapes]
+    assert all(e.passed for e in entries)
+
+
 def test_malformed_slack():
     bad = ProductMatrix(2, 2, ("01", "2x"), 1)
     with pytest.raises(MalformedSlackError):
@@ -594,7 +632,8 @@ def test_closed_forms_reject_what_construct_polytope_rejects():
             try:
                 p = construct_polytope(kind, d)
             except BadParameterError as exc:
-                for closed_form in (reference_slack, expected_f_vector_ends):
+                for closed_form in (reference_slack, expected_f_vector_ends,
+                                    _construction_facets):
                     with pytest.raises(BadParameterError, match=str(exc)):
                         closed_form(kind, d)
             else:
