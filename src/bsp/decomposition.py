@@ -28,15 +28,26 @@ column of P over da * db per member of B, checked to be 0 or 1.
 - The post-hoc checks of the normalization and the test of which side a
   doubled fiber is constant on read the normalized P.
 
-Only the fibers read the rows of B: the key <b_d, b_d> b - <b, b_d> b_d
-is a fixed positive multiple of pi(b), so fiber grouping and the
-no-opposite-points check stay exact.  Every a in A0 is orthogonal to
-b_d, so <a, pi(b)> = <a, b>: the projection tau of pi(b) onto span(A0)
-depends only on the column of b at a basis of A0, and one walk of
-:func:`linalg.greedy_inverse` on that basis' Gram matrix per
-decomposition gives it without a solve per fiber.  The echelons left per
-decomposition are that basis and the ranks of B0 and B1.  Fractions are
-built only for the b_d handed back and for error messages.
+Only the fibers and the ranks of B0 and B1 read the rows of B: the key
+<b_d, b_d> b - <b, b_d> b_d is a fixed positive multiple of pi(b), so
+fiber grouping and the no-opposite-points check stay exact.  Every a in
+A0 is orthogonal to b_d, so <a, pi(b)> = <a, b>: the projection tau of
+pi(b) onto span(A0) is fixed by the column of b at the rows of A0.
+
+- :func:`audit_pair` counts.  Per tied b_d it normalizes, splits B into
+  B*/B0/B1 as index lists and reads every claim's sizes off them and the
+  normalized P.  |tau(pi(B))| is the number of distinct columns of P on
+  the rows of A0, since x -> (<a, x>)_{a in A0} is injective on
+  span(A0).  The only echelons per choice are the ranks of B0 and B1; no
+  family, inverse or tau vector is built.
+- :func:`decompose` builds what the audit only counts: the
+  :class:`NormalizedPair`, the member families and the tau vectors, which
+  one walk of :func:`linalg.greedy_inverse` on the Gram matrix of a basis
+  of A0 gives without a solve per fiber.  :func:`audit` evaluates the
+  same claims on the sizes of those families, so the tests hold the two
+  paths against each other and against a Fraction reference.
+
+Fractions are built only for the b_d handed back and for error messages.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BspError, NormalizationFailedError
@@ -142,7 +154,7 @@ class _Choice(NamedTuple):
 
 
 class _Normalized(NamedTuple):
-    pair: NormalizedPair
+    col: int  # the column of b_d
     a_rows: list[Row]  # over da
     b_rows: list[Row]  # over db, the column order of cols
     cols: list[list[int]]  # cols[j][i] = <a_i, b_j> over da * db
@@ -151,6 +163,8 @@ class _Normalized(NamedTuple):
     dims: tuple[int, int]  # affine dimensions of A0 and A1
     const: list[tuple[bool, bool]]  # column j constant on A0, on A1
     fibers: dict[Row, list[int]]  # fiber key -> columns
+    translated: bool
+    flipped: int  # number of sign-flipped B members
 
 
 class _Products:
@@ -185,6 +199,8 @@ class _Products:
         """The nonzero members of B attaining the maximal value of
         max(dim A0, dim A1), lexicographically largest first."""
         scored = [self._scored(j) for j, b in enumerate(self.b_rows) if any(b)]
+        if not scored:
+            raise DecompositionError("B has no nonzero member")
         best = max(max(c.dim0, c.dim1) for c in scored)
         return [c for c in reversed(scored) if max(c.dim0, c.dim1) == best]
 
@@ -199,6 +215,8 @@ class _Products:
         _, a0, a1, dim0, dim1 = c
         if not a1:
             raise DecompositionError("b_d is orthogonal to A")
+        if not a0:
+            raise DecompositionError("b_d has product 1 with every member of A")
         translated = len(a0) < len(a1)
         if translated:
             s = a1[0]  # a* = min(A1), the rows being sorted
@@ -245,40 +263,48 @@ class _Products:
         for y in fibers:
             if any(y) and neg(y) in fibers:
                 raise NormalizationFailedError("projection contains opposite points")
+        return _Normalized(k, a_rows, b_rows, cols, a0, a1, (dim0, dim1), const, fibers,
+                           translated, flipped)
 
+    def pair(self, n: _Normalized) -> NormalizedPair:
         d = self.dim
-        fam_b = VectorFamily.from_rows(d, self.db, b_rows)
+        fam_b = VectorFamily.from_rows(d, self.db, n.b_rows)
         g = self.db // fam_b.den
-        n = NormalizedPair(d, VectorFamily.from_rows(d, self.da, a_rows), fam_b,
-                           tuple(x // g for x in bd), translated, flipped)
-        return _Normalized(n, a_rows, b_rows, cols, a0, a1, (dim0, dim1), const, fibers)
+        return NormalizedPair(d, VectorFamily.from_rows(d, self.da, n.a_rows), fam_b,
+                              tuple(x // g for x in n.b_rows[n.col]), n.translated, n.flipped)
+
+    def split_b(self, n: _Normalized) -> tuple[list[int], list[int], list[int]]:
+        """The columns of B*, B0 and B1: the members alone in their fiber,
+        and those of a doubled fiber by the side of A they are constant
+        on."""
+        b_star, b0, b1 = [], [], []
+        for members in n.fibers.values():
+            if len(members) == 1:
+                b_star.append(members[0])
+                continue
+            for j in members:
+                const0, const1 = n.const[j]
+                if const0 and const1:
+                    # preference: 0 and b_d live in B1, the rest goes to B0
+                    (b1 if j == n.col or not any(n.b_rows[j]) else b0).append(j)
+                elif const1:
+                    b1.append(j)
+                elif const0:
+                    b0.append(j)
+                else:
+                    raise DecompositionError(
+                        f"{vec_over(n.b_rows[j], self.db)} is constant on neither side; "
+                        "is the pair maximal?"
+                    )
+        return b_star, b0, b1
 
     def decompose(self, c: _Choice) -> Decomposition:
         """Normalize along the candidate and split the pair."""
         n = self.normalize(c)
         d, da, db = self.dim, self.da, self.db
         b_rows = n.b_rows
-        bd = b_rows[c.col]
-        zero = (0,) * d
-        b_star, b0, b1 = [], [], []
-        for members in n.fibers.values():
-            if len(members) == 1:
-                b_star.append(b_rows[members[0]])
-                continue
-            for j in members:
-                b = b_rows[j]
-                const0, const1 = n.const[j]
-                if const0 and const1:
-                    # preference: 0 and b_d live in B1, the rest goes to B0
-                    (b1 if b == zero or b == bd else b0).append(b)
-                elif const1:
-                    b1.append(b)
-                elif const0:
-                    b0.append(b)
-                else:
-                    raise DecompositionError(
-                        f"{vec_over(b, db)} is constant on neither side; is the pair maximal?"
-                    )
+        bd = b_rows[n.col]
+        b_star, b0, b1 = ([b_rows[j] for j in part] for part in self.split_b(n))
 
         # tau(pi(b)) = (U b)^T phi U / (D db) for the rows U of a basis of
         # A0 over da, their (symmetric) Gram matrix G = U U^T and the walk
@@ -290,11 +316,11 @@ class _Products:
         _, den_g, phi = greedy_inverse([[int_dot(u, v) for v in basis] for u in basis])
         phi_u = [[int_dot(row, u) for row in phi] for u in zip(*basis)]  # by columns
         tau_pi_b = {
-            tuple(int_dot(r, w) for w in phi_u) if basis else zero
+            tuple(int_dot(r, w) for w in phi_u) if basis else (0,) * d
             for r in {tuple(col[i] for i in picked) for col in n.cols}
         }
         return Decomposition(
-            pair=n.pair,
+            pair=self.pair(n),
             a0=VectorFamily.from_rows(d, da, a0),
             a1=VectorFamily.from_rows(d, da, (n.a_rows[i] for i in n.a1)),
             b_star=VectorFamily.from_rows(d, db, b_star),
@@ -305,6 +331,19 @@ class _Products:
             pi_b=VectorFamily.from_rows(d, int_dot(bd, bd) * db, n.fibers),
             tau_pi_b=VectorFamily.from_rows(d, den_g * db, tau_pi_b),
             max_fiber=max(len(v) for v in n.fibers.values()),
+        )
+
+    def audit(self, c: _Choice) -> AuditReport:
+        """The claims of the decomposition along the candidate, counted
+        on the normalized P and the index lists of its parts."""
+        n = self.normalize(c)
+        b_star, b0, b1 = self.split_b(n)
+        on_a0 = itemgetter(*n.a0)
+        return _report(
+            self.dim, len(n.a_rows), len(n.b_rows), len(n.a0), len(n.a1),
+            len(b_star), len(b0), len(b1), len(n.fibers), len({on_a0(col) for col in n.cols}),
+            max(len(v) for v in n.fibers.values()), *n.dims,
+            rank([n.b_rows[j] for j in b0]), rank([n.b_rows[j] for j in b1]),
         )
 
 
@@ -329,7 +368,7 @@ def normalize(p: BspPair, b_d: Vec) -> NormalizedPair:
     NormalizationFailedError (a bug, not a valid outcome).
     """
     core = _Products(p)
-    return core.normalize(core.choice(b_d)).pair
+    return core.pair(core.normalize(core.choice(b_d)))
 
 
 def decompose(p: BspPair, b_d: Vec | None = None) -> Decomposition:
@@ -362,53 +401,55 @@ class AuditReport:
         return [i.to_json() for i in self.items]
 
 
-def audit(dec: Decomposition) -> AuditReport:
-    """Evaluate every counting claim of the decomposition exactly."""
-    d = dec.dim
-    na = len(dec.pair.family_a)
-    nb = len(dec.pair.family_b)
-    na0, na1 = len(dec.a0), len(dec.a1)
-    nb0, nb1, nbs = len(dec.b0), len(dec.b1), len(dec.b_star)
-    npi = len(dec.pi_b)
-    ntau = len(dec.tau_pi_b)
-    dim_a0, dim_a1 = dec.u0_dim, dec.a1_dim
-    dim_b0 = rank(dec.b0.rows)
-    dim_b1 = rank(dec.b1.rows)
+def _report(d: int, na: int, nb: int, na0: int, na1: int, nbs: int, nb0: int, nb1: int,
+            npi: int, ntau: int, max_fiber: int, u0_dim: int, a1_dim: int,
+            dim_b0: int, dim_b1: int) -> AuditReport:
+    """Every counting claim of a decomposition, evaluated exactly, from the
+    sizes of A, B, A0, A1, B*, B0, B1, pi(B) and tau(pi(B)), the largest
+    fiber, the affine dimensions of A0 and A1 and the ranks of B0 and
+    B1."""
+    dim_a0, dim_a1 = max(u0_dim, 0), max(a1_dim, 0)
 
     def leq(name: str, lhs: int, rhs: int) -> AuditItem:
         return AuditItem(name, lhs, rhs, lhs <= rhs)
 
     items = [
-        leq("claim2-max-preimages", dec.max_fiber, 2),
+        leq("claim2-max-preimages", max_fiber, 2),
         AuditItem("partition-identity", nb, 2 * npi - nbs, nb == 2 * npi - nbs),
         leq("inequality0", na * nb, 2 * na0 * npi + na1 * (nb0 + nb1)),
-        leq("claim3-projection-count", npi, (1 << (d - 1 - dec.u0_dim)) * ntau),
+        leq("claim3-projection-count", npi, (1 << (d - 1 - u0_dim)) * ntau),
         leq("claim5-side0", na0 * nb0, 1 << d),
         leq("claim5-side1", na1 * nb1, 1 << d),
         leq("eq8-side1", na1 * nb1, 1 << d),
         leq("eq8-side0-strengthened", na0 * (nb0 + 2), 1 << d),
-        leq(
-            "inequality1",
-            na * nb,
-            ((dec.u0_dim + 1) << d) + na0 * nb0 + na1 * nb1,
-        ),
-        leq("size-bound-a0", na0, 1 << max(dim_a0, 0)),
-        leq("size-bound-a1", na1, 1 << max(dim_a1, 0)),
+        leq("inequality1", na * nb, ((u0_dim + 1) << d) + na0 * nb0 + na1 * nb1),
+        leq("size-bound-a0", na0, 1 << dim_a0),
+        leq("size-bound-a1", na1, 1 << dim_a1),
         leq("size-bound-b0", nb0, 1 << dim_b0),
         leq("size-bound-b1", nb1, 1 << dim_b1),
-        leq("dim-sum-side0", max(dim_a0, 0) + dim_b0, d),
-        leq("dim-sum-side1", max(dim_a1, 0) + dim_b1, d),
+        leq("dim-sum-side0", dim_a0 + dim_b0, d),
+        leq("dim-sum-side1", dim_a1 + dim_b1, d),
     ]
     return AuditReport(tuple(items))
 
 
+def audit(dec: Decomposition) -> AuditReport:
+    """Evaluate every counting claim of the decomposition exactly."""
+    return _report(
+        dec.dim, len(dec.pair.family_a), len(dec.pair.family_b), len(dec.a0), len(dec.a1),
+        len(dec.b_star), len(dec.b0), len(dec.b1), len(dec.pi_b), len(dec.tau_pi_b),
+        dec.max_fiber, dec.u0_dim, dec.a1_dim, rank(dec.b0.rows), rank(dec.b1.rows),
+    )
+
+
 def audit_pair(p: BspPair, all_tied: bool = True) -> list[tuple[Vec, AuditReport]]:
-    """Decompose and audit for the chosen b_d, or every tied choice."""
+    """Audit the claims for the chosen b_d, or every tied choice, from
+    counts on the product matrix (see :meth:`_Products.audit`)."""
     core = _Products(p)
     choices = core.tied()
     if not all_tied:
         choices = choices[:1]
-    return [(core.b_d(c), audit(core.decompose(c))) for c in choices]
+    return [(core.b_d(c), core.audit(c)) for c in choices]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bsp.decomposition
 from bsp.cli import main
 from bsp.constructions import construct_example
 from bsp.decomposition import (
@@ -386,6 +387,22 @@ def test_decompose_rejects_zero_bd_and_non_binary_products():
             run(two)
 
 
+def test_degenerate_pairs_raise_decomposition_error():
+    # a valid pair whose tied b_d = e1 has product 1 with all of A, so
+    # normalization would translate A1 away
+    p = BspPair.of(2, [(1, 0), (1, 1)], [(1, 0), (1, -1)])
+    assert tied_bd_choices(p) == [vec((1, 0))]
+    for run in (audit_pair, decompose, lambda p: normalize(p, vec((1, 0)))):
+        with pytest.raises(DecompositionError, match="product 1 with every member of A"):
+            run(p)
+    a = cube_pair_d2().family_a
+    for b in ([], [(0, 0)]):
+        no_bd = BspPair(2, a, VectorFamily.of(2, b))
+        for run in (audit_pair, tied_bd_choices, choose_bd, decompose):
+            with pytest.raises(DecompositionError, match="no nonzero member"):
+                run(no_bd)
+
+
 def test_lemslice_exhaustive_small():
     r1 = check_lemslice(1)
     assert r1.mode == "exhaustive" and r1.checked > 0
@@ -505,6 +522,31 @@ def test_audit_pair_builds_fractions_only_for_the_returned_bd(monkeypatch):
         made.clear()
         results = audit_pair(pair)
         assert 0 < len(made) <= 4 * len(results)
+
+
+def test_audit_pair_builds_no_family_and_no_inverse(monkeypatch):
+    """audit_pair reads its counts off the product matrix: no member
+    family and no Gram inverse per tied choice, which decompose builds."""
+    pairs = [q for p in _catalog_pairs(4) if p.dim == 4 for q in (p, p.transposed())]
+    calls = Counter()
+    from_rows = VectorFamily.from_rows.__func__
+    greedy_inverse = bsp.decomposition.greedy_inverse
+
+    def counting_from_rows(cls, *args):
+        calls["from_rows"] += 1
+        return from_rows(cls, *args)
+
+    def counting_greedy_inverse(*args):
+        calls["greedy_inverse"] += 1
+        return greedy_inverse(*args)
+
+    monkeypatch.setattr(VectorFamily, "from_rows", classmethod(counting_from_rows))
+    monkeypatch.setattr(bsp.decomposition, "greedy_inverse", counting_greedy_inverse)
+    for pair in pairs:
+        assert audit_pair(pair)
+        assert not calls, pair.sizes()
+    decompose(pairs[0])
+    assert calls == {"from_rows": 9, "greedy_inverse": 1}
 
 
 def test_audit_catalog_d4_output_is_pinned(tmp_path, capsys):
