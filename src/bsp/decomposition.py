@@ -18,8 +18,11 @@ over db; :class:`_Products` sorts them and takes every product once, as a
 column of P over da * db per member of B, checked to be 0 or 1.
 
 - Scoring a candidate b_d splits A by its column and takes the affine
-  dimensions of the two sides; the tied candidates are those with the
+  dimensions of the two sides, by echelons that stop at d - 1, which
+  neither side can exceed; the tied candidates are those with the
   largest score, and these dimensions are the ones the audit reports.
+  A pair with a tied candidate of product 1 with every member of A has
+  no decomposition along it and is refused before any choice.
 - Translating A by a* = min(A1) subtracts row a* of P, and b_d -> -b_d
   negates its column.  A0 and A1 trade places, and since a translation
   keeps affine dimensions, their scored dimensions trade with them.
@@ -57,7 +60,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import BspError, NormalizationFailedError
 from .family import BspPair, VectorFamily
@@ -193,16 +196,28 @@ class _Products:
     def _scored(self, j: int) -> _Choice:
         a0, a1 = _split(self.cols[j], self.unit)
         a = self.a_rows
-        return _Choice(j, a0, a1, affine_dim([a[i] for i in a0]), affine_dim([a[i] for i in a1]))
+        # for b != 0, A0 lies in b^perp and A1 in <x, b> = 1, so neither
+        # side's affine dimension exceeds d - 1 and the echelon may stop there
+        top = self.dim - 1 if any(self.b_rows[j]) else None
+        return _Choice(j, a0, a1, affine_dim([a[i] for i in a0], top),
+                       affine_dim([a[i] for i in a1], top))
 
     def tied(self) -> list[_Choice]:
         """The nonzero members of B attaining the maximal value of
-        max(dim A0, dim A1), lexicographically largest first."""
+        max(dim A0, dim A1), lexicographically largest first.
+
+        A pair with a tied member that has product 1 with every member of
+        A is refused here (DecompositionError), before any choice: no
+        decomposition exists along that member, and a valid pair can
+        have one only when 0 is not in A, so never when it is maximal."""
         scored = [self._scored(j) for j, b in enumerate(self.b_rows) if any(b)]
         if not scored:
             raise DecompositionError("B has no nonzero member")
         best = max(max(c.dim0, c.dim1) for c in scored)
-        return [c for c in reversed(scored) if max(c.dim0, c.dim1) == best]
+        tied = [c for c in reversed(scored) if max(c.dim0, c.dim1) == best]
+        if any(not c.a0 for c in tied):
+            raise DecompositionError("b_d has product 1 with every member of A")
+        return tied
 
     def b_d(self, c: _Choice) -> Vec:
         return vec_over(self.b_rows[c.col], self.db)
@@ -349,7 +364,9 @@ class _Products:
 
 def tied_bd_choices(p: BspPair) -> list[Vec]:
     """All nonzero b in B attaining the maximal value of
-    max(dim A0, dim A1), best (lexicographically largest) first."""
+    max(dim A0, dim A1), best (lexicographically largest) first.  Raises
+    DecompositionError if one of them has product 1 with every member of
+    A, so that the pair decomposes along every choice returned."""
     core = _Products(p)
     return [core.b_d(c) for c in core.tied()]
 
@@ -378,8 +395,7 @@ def decompose(p: BspPair, b_d: Vec | None = None) -> Decomposition:
     return core.decompose(core.tied()[0] if b_d is None else core.choice(b_d))
 
 
-@dataclass(frozen=True)
-class AuditItem:
+class AuditItem(NamedTuple):
     name: str
     lhs: int
     rhs: int
@@ -474,19 +490,27 @@ def _lemslice_ground(d: int) -> list[tuple[int, ...]]:
     return sorted(pts)
 
 
+def _opposite_free_subsets(d: int) -> Iterator[list[tuple[int, ...]]]:
+    """Every subset of the ground set with no point and its opposite, each
+    once: the origin in or out, and for each of the 2^d - 1 opposite pairs
+    nothing, v or -v, so 2 * 3^(2^d - 1) subsets."""
+    options = [((), (v,), (neg(v),)) for v in itertools.product((0, 1), repeat=d) if any(v)]
+    for origin in ((), ((0,) * d,)):
+        for choice in itertools.product(*options):
+            yield [*origin, *itertools.chain.from_iterable(choice)]
+
+
 def check_lemslice(
     d: int, mode: str = "exhaustive", seed: int = 0, trials: int = 100_000
 ) -> LemsliceReport:
     """No opposite-point-free subset of {0,1}^d + {0,-1}^d can beat 2^dim.
 
-    Exhaustive over all subsets for d <= 3 (4,374 opposite-free ones at
-    d = 3); seeded random subsets otherwise.  A violation raises
-    CounterexampleFound (the result is a theorem, so that signals a
-    harness bug).
+    Exhaustive for d <= 3: it generates the opposite-free subsets directly
+    (4,374 at d = 3) rather than filtering all 2^(2^(d+1) - 1) subsets.
+    Otherwise seeded random subsets, one ``getrandbits(1)`` per ground
+    point in sorted order.  A violation raises CounterexampleFound (the
+    result is a theorem, so that signals a harness bug).
     """
-    ground = _lemslice_ground(d)
-    # each point with its opposite; zero has none that counts
-    pairs = [(v, neg(v) if any(v) else None) for v in ground]
     checked = 0
     tight = 0
 
@@ -502,22 +526,17 @@ def check_lemslice(
     if mode == "exhaustive":
         if d > 3:
             raise ValueError("exhaustive mode is limited to d <= 3")
-        n = len(ground)
-        for mask in range(1 << n):
-            x = [ground[i] for i in range(n) if (mask >> i) & 1]
-            xs = set(x)
-            if any(o in xs for v, o in pairs if v in xs):
-                continue
+        for x in _opposite_free_subsets(d):
             handle(x)
     elif mode == "random":
-        rng = random.Random(seed)
+        # each point with its opposite; zero has none that counts
+        pairs = [(v, neg(v) if any(v) else None) for v in _lemslice_ground(d)]
+        bit = random.Random(seed).getrandbits
         for _ in range(trials):
             x = []
             xs = set()
             for v, o in pairs:
-                if rng.getrandbits(1):
-                    if o in xs:
-                        continue
+                if bit(1) and o not in xs:
                     x.append(v)
                     xs.add(v)
             handle(x)

@@ -13,13 +13,14 @@ form in which :class:`bsp.family.VectorFamily` stores a family, and
 :func:`vec_over` turns a row back into Fractions for printing.
 
 Every rank question goes through :func:`independent_rows`, a
-fraction-free greedy echelon on integer rows.  Every inverse goes through
-:func:`greedy_inverse`, the walk of both closure kernels: it picks the
-same rows and carries integer functionals phi_i and a denominator D with
-phi_i(picked row j) = D [i = j], one :func:`extend` per row.  Its
-exact-division update keeps every entry a minor and D = +-det of the
-picked rows and the unit rows that complete them (Bareiss, Math. Comp.
-1968).  :func:`solve` runs Gauss-Jordan elimination on Fractions; it and
+fraction-free greedy echelon on integer rows.  It finds each pivot in C,
+as the index of ``next(filter(None, row))``, not by a Python loop.  Every
+inverse goes through :func:`greedy_inverse`, the walk of both closure
+kernels: it picks the same rows and carries integer functionals phi_i and
+a denominator D with phi_i(picked row j) = D [i = j], one :func:`extend`
+per row.  Its exact-division update keeps every entry a minor and D =
++-det of the picked rows and the unit rows that complete them (Bareiss,
+Math. Comp. 1968).  :func:`solve` runs Gauss-Jordan elimination on Fractions; it and
 :func:`dual_basis` are the rational reference the tests compare against.
 
 Rank keeps its own engine because an inverse costs more than an echelon.
@@ -184,11 +185,11 @@ def independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list
             if c:
                 p = e[col]
                 r = [p * x - c * y for x, y in zip(r, e)]
-        piv = next((j for j, x in enumerate(r) if x), None)
-        if piv is None:
+        lead = next(filter(None, r), 0)
+        if not lead:
             continue
         g = gcd(*r)
-        echelon.append((piv, [x // g for x in r] if g > 1 else r))
+        echelon.append((r.index(lead), [x // g for x in r] if g > 1 else r))
         picked.append(i)
         if len(picked) == cap:
             break
@@ -304,9 +305,10 @@ def dual_basis(basis: Sequence[Vec]) -> list[Vec]:
     return duals
 
 
-def affine_dim(points: Sequence[Vec]) -> int:
-    """Affine dimension of a point set (-1 for the empty set)."""
+def affine_dim(points: Sequence[Vec], limit: int | None = None) -> int:
+    """Affine dimension of a point set (-1 for the empty set), or ``limit``
+    if that is smaller."""
     if not points:
         return -1
     p0 = points[0]
-    return len(independent_rows([*map(operator.sub, p, p0)] for p in points[1:]))
+    return len(independent_rows(([*map(operator.sub, p, p0)] for p in points[1:]), limit))

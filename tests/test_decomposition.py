@@ -17,6 +17,8 @@ from bsp.decomposition import (
     AuditReport,
     CounterexampleFound,
     DecompositionError,
+    _lemslice_ground,
+    _opposite_free_subsets,
     audit,
     audit_pair,
     check_lemslice,
@@ -389,10 +391,10 @@ def test_decompose_rejects_zero_bd_and_non_binary_products():
 
 def test_degenerate_pairs_raise_decomposition_error():
     # a valid pair whose tied b_d = e1 has product 1 with all of A, so
-    # normalization would translate A1 away
+    # normalization would translate A1 away: refused before any choice
     p = BspPair.of(2, [(1, 0), (1, 1)], [(1, 0), (1, -1)])
-    assert tied_bd_choices(p) == [vec((1, 0))]
-    for run in (audit_pair, decompose, lambda p: normalize(p, vec((1, 0)))):
+    for run in (audit_pair, tied_bd_choices, choose_bd, decompose,
+                lambda p: normalize(p, vec((1, 0)))):
         with pytest.raises(DecompositionError, match="product 1 with every member of A"):
             run(p)
     a = cube_pair_d2().family_a
@@ -409,6 +411,20 @@ def test_lemslice_exhaustive_small():
     r2 = check_lemslice(2)
     assert r2.checked == 54  # opposite-free subsets of the 7 ground points
     assert r2.tight == 33
+
+
+def test_lemslice_generator_matches_the_mask_filter():
+    # the filter over all 2^n subsets of the ground set that it replaces
+    for d in (1, 2, 3):
+        ground = _lemslice_ground(d)
+        kept = set()
+        for mask in range(1 << len(ground)):
+            xs = {v for i, v in enumerate(ground) if mask >> i & 1}
+            if not any(neg(v) in xs for v in xs if any(v)):
+                kept.add(frozenset(xs))
+        made = [frozenset(x) for x in _opposite_free_subsets(d)]
+        assert len(made) == len(set(made)) == 2 * 3 ** ((1 << d) - 1)
+        assert set(made) == kept
 
 
 def test_lemslice_cube_is_tight():

@@ -5,7 +5,9 @@ from bsp.lemmas import (
     check_inequality2,
     check_lemma1,
     check_lemma2,
+    _compatible,
     _count_small_difference,
+    _small_difference_counts,
 )
 
 
@@ -99,3 +101,44 @@ def test_lemma2_d2_degenerate_reports_only():
     rep = check_lemma2(2)
     assert rep.passed  # no assertion made, just the count
     assert len(rep.equality_cases) == 1
+
+
+def test_lemma1_byte_counts_match_the_triple_loop():
+    # the plain (S1, S2, S) loop the packed byte counts replace
+    for n in range(0, 6):
+        expected = []
+        for s1 in range(1 << n):
+            for s2 in range(1 << n):
+                if (s2 & ~s1).bit_count() <= 1:
+                    continue
+                count = sum(-1 <= (s & s2).bit_count() - (s & s1).bit_count() <= 1
+                            for s in range(1 << n))
+                expected.append((s1, s2, count))
+        assert list(_small_difference_counts(n)) == expected
+
+
+def _lemma2_reference(d: int) -> list[tuple[int, ...]]:
+    """The families of check_lemma2 by a depth-first search that tests
+    each candidate against every member of the chain."""
+    found = []
+
+    def extend(chain: list[int], start: int) -> None:
+        if len(chain) == d:
+            found.append(tuple(chain))
+            return
+        for nxt in range(start, 1 << (d - 1)):
+            if all(_compatible(prev, nxt) for prev in chain):
+                chain.append(nxt)
+                extend(chain, nxt + 1)
+                chain.pop()
+
+    extend([], 0)
+    return found
+
+
+def test_lemma2_bitset_search_matches_the_pairwise_search():
+    for d in range(1, 7):
+        rep = check_lemma2(d)
+        ref = _lemma2_reference(d)
+        assert rep.checked == len(ref)
+        assert rep.equality_cases == tuple(ref)  # the same families, in DFS order

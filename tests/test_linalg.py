@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given
@@ -201,6 +202,50 @@ def test_independent_rows_against_gauss_jordan(data):
     assert rank(rows) == len(expected)
     if rows:
         assert rank(list(zip(*rows))) == len(expected)
+
+
+def _independent_rows_reference(rows, limit=None) -> list[int]:
+    """independent_rows with each pivot found by a generator over
+    enumerate instead of ``filter`` and ``list.index``."""
+    echelon, picked, cap = [], [], limit
+    for i, v in enumerate(rows):
+        r = list(v)
+        if not {int}.issuperset(map(type, r)):
+            den = lcm(*[c.denominator for c in r])
+            r = [c.numerator * (den // c.denominator) for c in r]
+        cap = len(r) if cap is None else min(cap, len(r))
+        if len(picked) >= cap:
+            break
+        for col, e in echelon:
+            if c := r[col]:
+                p = e[col]
+                r = [p * x - c * y for x, y in zip(r, e)]
+        piv = next((j for j, x in enumerate(r) if x), None)
+        if piv is None:
+            continue
+        g = gcd(*r)
+        echelon.append((piv, [x // g for x in r] if g > 1 else r))
+        picked.append(i)
+        if len(picked) == cap:
+            break
+    return picked
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.just((0,) * n)
+            | st.lists(st.sampled_from((-2, -1, 0, 0, 1, 2)), min_size=n, max_size=n)
+            | st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n),
+            max_size=8,
+        ),
+        st.none() | st.integers(0, n + 1),
+    )
+))
+@example(([(0, -1), (0, -1)], None))  # a negative pivot right of column 0
+def test_independent_rows_matches_the_enumerate_pivot_search(data):
+    rows, limit = data
+    assert independent_rows(rows, limit) == _independent_rows_reference(rows, limit)
 
 
 def test_independent_rows_integer_input():
