@@ -4,7 +4,7 @@ checks, structural decomposition audits, and lemma oracles."""
 
 from .bounds import check_conjecture1, check_thm3, check_thm4, check_thm6_equality
 from .constructions import construct_example
-from .decomposition import audit, audit_pair, choose_bd, decompose, normalize
+from .decomposition import audit_pair, choose_bd
 from .enumeration import Catalog, brute_force, enumerate_catalog, stats
 from .family import BspPair, ProductMatrix, VectorFamily, a_max, b_max, closure
 from .polytope import Polytope2L, construct_polytope, extract_pair
@@ -18,7 +18,6 @@ __all__ = [
     "ProductMatrix",
     "VectorFamily",
     "a_max",
-    "audit",
     "audit_pair",
     "b_max",
     "brute_force",
@@ -30,10 +29,8 @@ __all__ = [
     "closure",
     "construct_example",
     "construct_polytope",
-    "decompose",
     "enumerate_catalog",
     "extract_pair",
-    "normalize",
     "stats",
     "__version__",
 ]

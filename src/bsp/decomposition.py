@@ -37,18 +37,13 @@ fiber grouping and the no-opposite-points check stay exact.  Every a in
 A0 is orthogonal to b_d, so <a, pi(b)> = <a, b>: the projection tau of
 pi(b) onto span(A0) is fixed by the column of b at the rows of A0.
 
-- :func:`audit_pair` counts.  Per tied b_d it normalizes, splits B into
-  B*/B0/B1 as index lists and reads every claim's sizes off them and the
-  normalized P.  |tau(pi(B))| is the number of distinct columns of P on
-  the rows of A0, since x -> (<a, x>)_{a in A0} is injective on
-  span(A0).  The only echelons per choice are the ranks of B0 and B1; no
-  family, inverse or tau vector is built.
-- :func:`decompose` builds what the audit only counts: the
-  :class:`NormalizedPair`, the member families and the tau vectors, which
-  one walk of :func:`linalg.greedy_inverse` on the Gram matrix of a basis
-  of A0 gives without a solve per fiber.  :func:`audit` evaluates the
-  same claims on the sizes of those families, so the tests hold the two
-  paths against each other and against a Fraction reference.
+:func:`audit_pair` counts.  Per tied b_d it normalizes, splits B into
+B*/B0/B1 as index lists and reads every claim's sizes off them and the
+normalized P.  |tau(pi(B))| is the number of distinct columns of P on the
+rows of A0, since x -> (<a, x>)_{a in A0} is injective on span(A0).  The
+only echelons per choice are the ranks of B0 and B1; no family, inverse
+or tau vector is built.  The tests hold every count against a Fraction
+reference that builds the parts themselves.
 
 Fractions are built only for the b_d handed back and for error messages.
 """
@@ -63,18 +58,14 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .errors import BspError, NormalizationFailedError
-from .family import BspPair, VectorFamily
+from .family import BspPair
 from .linalg import (
     Row,
     Vec,
     affine_dim,
-    coords,
-    greedy_inverse,
-    independent_rows,
     int_dot,
     neg,
     rank,
-    sub,
     vec_over,
 )
 
@@ -87,46 +78,6 @@ class CounterexampleFound(BspError):
     def __init__(self, message: str, witness):
         super().__init__(message)
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class NormalizedPair:
-    dim: int
-    family_a: VectorFamily
-    family_b: VectorFamily
-    bd: Row  # b_d over family_b.den
-    translated: bool
-    flipped: int  # number of sign-flipped B members
-
-    @property
-    def b_d(self) -> Vec:
-        return vec_over(self.bd, self.family_b.den)
-
-    def sizes(self) -> tuple[int, int]:
-        return (len(self.family_a), len(self.family_b))
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    pair: NormalizedPair
-    a0: VectorFamily
-    a1: VectorFamily
-    b_star: VectorFamily
-    b0: VectorFamily
-    b1: VectorFamily
-    u0_dim: int  # affine dimension of A0, which contains 0
-    a1_dim: int  # affine dimension of A1
-    pi_b: VectorFamily  # projection of B along b_d
-    tau_pi_b: VectorFamily  # further projection onto span(A0)
-    max_fiber: int  # largest preimage count of a projected point
-
-    @property
-    def dim(self) -> int:
-        return self.pair.dim
-
-    @property
-    def b_d(self) -> Vec:
-        return self.pair.b_d
 
 
 def _split(col: list[int], unit: int) -> tuple[list[int], list[int]]:
@@ -158,7 +109,6 @@ class _Choice(NamedTuple):
 
 class _Normalized(NamedTuple):
     col: int  # the column of b_d
-    a_rows: list[Row]  # over da
     b_rows: list[Row]  # over db, the column order of cols
     cols: list[list[int]]  # cols[j][i] = <a_i, b_j> over da * db
     a0: list[int]
@@ -184,14 +134,6 @@ class _Products:
         bad = next((x for col in self.cols for x in col if x and x != unit), None)
         if bad is not None:
             raise DecompositionError(f"product {Fraction(bad, unit)} of A and B")
-
-    def choice(self, b_d) -> _Choice:
-        """The candidate of a member b_d of B, given as a vector."""
-        try:
-            j = self.b_rows.index(tuple(c * self.db for c in coords(b_d)))
-        except ValueError:
-            raise DecompositionError("b_d is not a member of B") from None
-        return self._scored(j)
 
     def _scored(self, j: int) -> _Choice:
         a0, a1 = _split(self.cols[j], self.unit)
@@ -226,7 +168,7 @@ class _Products:
         """Translate and flip along the candidate, then check the result
         post hoc; a failed check raises NormalizationFailedError."""
         unit, k = self.unit, c.col
-        a_rows, b_rows, cols = self.a_rows, list(self.b_rows), list(self.cols)
+        b_rows, cols = list(self.b_rows), list(self.cols)
         _, a0, a1, dim0, dim1 = c
         if not a1:
             raise DecompositionError("b_d is orthogonal to A")
@@ -235,7 +177,6 @@ class _Products:
         translated = len(a0) < len(a1)
         if translated:
             s = a1[0]  # a* = min(A1), the rows being sorted
-            a_rows = [sub(a, a_rows[s]) for a in a_rows]
             cols = [[x - col[s] for x in col] for col in cols]
             cols[k] = [-x for x in cols[k]]
             b_rows[k] = neg(b_rows[k])
@@ -278,15 +219,8 @@ class _Products:
         for y in fibers:
             if any(y) and neg(y) in fibers:
                 raise NormalizationFailedError("projection contains opposite points")
-        return _Normalized(k, a_rows, b_rows, cols, a0, a1, (dim0, dim1), const, fibers,
-                           translated, flipped)
-
-    def pair(self, n: _Normalized) -> NormalizedPair:
-        d = self.dim
-        fam_b = VectorFamily.from_rows(d, self.db, n.b_rows)
-        g = self.db // fam_b.den
-        return NormalizedPair(d, VectorFamily.from_rows(d, self.da, n.a_rows), fam_b,
-                              tuple(x // g for x in n.b_rows[n.col]), n.translated, n.flipped)
+        return _Normalized(k, b_rows, cols, a0, a1, (dim0, dim1), const, fibers, translated,
+                           flipped)
 
     def split_b(self, n: _Normalized) -> tuple[list[int], list[int], list[int]]:
         """The columns of B*, B0 and B1: the members alone in their fiber,
@@ -313,41 +247,6 @@ class _Products:
                     )
         return b_star, b0, b1
 
-    def decompose(self, c: _Choice) -> Decomposition:
-        """Normalize along the candidate and split the pair."""
-        n = self.normalize(c)
-        d, da, db = self.dim, self.da, self.db
-        b_rows = n.b_rows
-        bd = b_rows[n.col]
-        b_star, b0, b1 = ([b_rows[j] for j in part] for part in self.split_b(n))
-
-        # tau(pi(b)) = (U b)^T phi U / (D db) for the rows U of a basis of
-        # A0 over da, their (symmetric) Gram matrix G = U U^T and the walk
-        # phi = D G^-1 of greedy_inverse(G); U b is the column of b at the
-        # basis rows
-        a0 = [n.a_rows[i] for i in n.a0]
-        picked = [n.a0[i] for i in independent_rows(a0)]
-        basis = [n.a_rows[i] for i in picked]
-        _, den_g, phi = greedy_inverse([[int_dot(u, v) for v in basis] for u in basis])
-        phi_u = [[int_dot(row, u) for row in phi] for u in zip(*basis)]  # by columns
-        tau_pi_b = {
-            tuple(int_dot(r, w) for w in phi_u) if basis else (0,) * d
-            for r in {tuple(col[i] for i in picked) for col in n.cols}
-        }
-        return Decomposition(
-            pair=self.pair(n),
-            a0=VectorFamily.from_rows(d, da, a0),
-            a1=VectorFamily.from_rows(d, da, (n.a_rows[i] for i in n.a1)),
-            b_star=VectorFamily.from_rows(d, db, b_star),
-            b0=VectorFamily.from_rows(d, db, b0),
-            b1=VectorFamily.from_rows(d, db, b1),
-            u0_dim=n.dims[0],
-            a1_dim=n.dims[1],
-            pi_b=VectorFamily.from_rows(d, int_dot(bd, bd) * db, n.fibers),
-            tau_pi_b=VectorFamily.from_rows(d, den_g * db, tau_pi_b),
-            max_fiber=max(len(v) for v in n.fibers.values()),
-        )
-
     def audit(self, c: _Choice) -> AuditReport:
         """The claims of the decomposition along the candidate, counted
         on the normalized P and the index lists of its parts."""
@@ -355,7 +254,7 @@ class _Products:
         b_star, b0, b1 = self.split_b(n)
         on_a0 = itemgetter(*n.a0)
         return _report(
-            self.dim, len(n.a_rows), len(n.b_rows), len(n.a0), len(n.a1),
+            self.dim, len(self.a_rows), len(n.b_rows), len(n.a0), len(n.a1),
             len(b_star), len(b0), len(b1), len(n.fibers), len({on_a0(col) for col in n.cols}),
             max(len(v) for v in n.fibers.values()), *n.dims,
             rank([n.b_rows[j] for j in b0]), rank([n.b_rows[j] for j in b1]),
@@ -374,25 +273,6 @@ def tied_bd_choices(p: BspPair) -> list[Vec]:
 def choose_bd(p: BspPair) -> Vec:
     """A dimension-maximizing b_d; ties broken by lexicographic order."""
     return tied_bd_choices(p)[0]
-
-
-def normalize(p: BspPair, b_d: Vec) -> NormalizedPair:
-    """Translate/flip the pair so that (i) products with b_d are 0/1 with
-    |A0| >= |A1|, (ii) products of A0 with everything are 0/1, and
-    (iii) the projection of B along b_d has no opposite points.
-
-    Each property is asserted post hoc; a failure raises
-    NormalizationFailedError (a bug, not a valid outcome).
-    """
-    core = _Products(p)
-    return core.pair(core.normalize(core.choice(b_d)))
-
-
-def decompose(p: BspPair, b_d: Vec | None = None) -> Decomposition:
-    """Normalize and split a maximal pair along b_d (chosen by
-    :func:`choose_bd` when not given)."""
-    core = _Products(p)
-    return core.decompose(core.tied()[0] if b_d is None else core.choice(b_d))
 
 
 class AuditItem(NamedTuple):
@@ -447,15 +327,6 @@ def _report(d: int, na: int, nb: int, na0: int, na1: int, nbs: int, nb0: int, nb
         leq("dim-sum-side1", dim_a1 + dim_b1, d),
     ]
     return AuditReport(tuple(items))
-
-
-def audit(dec: Decomposition) -> AuditReport:
-    """Evaluate every counting claim of the decomposition exactly."""
-    return _report(
-        dec.dim, len(dec.pair.family_a), len(dec.pair.family_b), len(dec.a0), len(dec.a1),
-        len(dec.b_star), len(dec.b0), len(dec.b1), len(dec.pi_b), len(dec.tau_pi_b),
-        dec.max_fiber, dec.u0_dim, dec.a1_dim, rank(dec.b0.rows), rank(dec.b1.rows),
-    )
 
 
 def audit_pair(p: BspPair, all_tied: bool = True) -> list[tuple[Vec, AuditReport]]:

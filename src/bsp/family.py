@@ -38,7 +38,6 @@ from .linalg import (
     int_field,
     int_rows,
     rank,
-    vec,
     vec_over,
 )
 
@@ -220,12 +219,6 @@ def closure(b: VectorFamily) -> VectorFamily:
     return b_max(a_max(b))
 
 
-def close_pair(b: VectorFamily) -> BspPair:
-    """The maximal pair generated by a spanning family: (a_max(b), c(b))."""
-    a = a_max(b)
-    return BspPair(b.dim, a, b_max(a))
-
-
 def is_closed_pair(p: BspPair) -> bool:
     return a_max(p.family_b) == p.family_a and b_max(p.family_a) == p.family_b
 
@@ -303,17 +296,3 @@ def pair_from_product_matrix(mat: ProductMatrix, d: int) -> BspPair:
     # every product was checked against the 0/1 grid, whose rank is d, so
     # both families span R^d
     return BspPair(d, VectorFamily.from_rows(d, den, a_rows), VectorFamily.from_rows(d, 1, b_rows))
-
-
-def cube_vertices(d: int) -> list[Vec]:
-    """All 0/1 points of R^d, ordered by bitmask (bit i = coordinate i)."""
-    return [vec(_mask_row(mask, d)) for mask in range(1 << d)]
-
-
-def _mask_row(mask: int, d: int) -> Row:
-    return tuple((mask >> i) & 1 for i in range(d))
-
-
-def family_from_masks(masks: Iterable[int], d: int) -> VectorFamily:
-    """The family of the cube points with these bitmasks, and the origin."""
-    return VectorFamily.from_rows(d, 1, (_mask_row(m, d) for m in {0, *masks}))

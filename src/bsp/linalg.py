@@ -1,5 +1,5 @@
 """Exact vectors; integer scaling; one fraction-free echelon for rank;
-one greedy-basis walk for inverses; Gauss-Jordan solving.
+one greedy-basis walk for inverses.
 
 Vectors are plain tuples of ``fractions.Fraction`` or of ints; matrices
 are sequences of row tuples.  Everything here is exact: no floating point
@@ -20,8 +20,7 @@ kernels: it picks the same rows and carries integer functionals phi_i and
 a denominator D with phi_i(picked row j) = D [i = j], one :func:`extend`
 per row.  Its exact-division update keeps every entry a minor and D =
 +-det of the picked rows and the unit rows that complete them (Bareiss,
-Math. Comp. 1968).  :func:`solve` runs Gauss-Jordan elimination on Fractions; it and
-:func:`dual_basis` are the rational reference the tests compare against.
+Math. Comp. 1968).
 
 Rank keeps its own engine because an inverse costs more than an echelon.
 Routed through :func:`greedy_inverse`, :func:`independent_rows` gave the
@@ -36,15 +35,10 @@ import operator
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
-
-from .errors import DimensionMismatchError, SingularBasisError
+from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Row = tuple[int, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def coord(value) -> int | Fraction:
@@ -96,22 +90,6 @@ def coords(v: Iterable) -> tuple[int | Fraction, ...]:
     if isinstance(v, (str, bytes, dict)):
         raise TypeError(f"not a vector: {v!r}")
     return tuple(map(coord, v))
-
-
-def rat(value) -> Fraction:
-    """:func:`coord` as a Fraction, for code that divides with ``/``."""
-    c = coord(value)
-    return c if isinstance(c, Fraction) else Fraction(c)
-
-
-def vec(v: Iterable) -> Vec:
-    """:func:`coords` as Fractions, for :func:`solve` and the other code
-    that divides with ``/``."""
-    return tuple(map(rat, coords(v)))
-
-
-def unit_vec(dim: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(dim))
 
 
 def unit_row(dim: int, i: int, s: int = 1) -> Row:
@@ -243,66 +221,6 @@ def greedy_inverse(rows: Iterable[Sequence[int]],
         if len(picked) == cap:
             break
     return picked, den, phi
-
-
-class SolveResult(NamedTuple):
-    """Outcome of solving A x = rhs.  ``solution`` is None iff inconsistent
-    (not a fault); ``unique`` is False when the system is underdetermined."""
-
-    solution: Vec | None
-    unique: bool
-
-
-def solve(a: Sequence[Vec], rhs: Vec) -> SolveResult:
-    """Exact solution of a linear system, if one exists.
-
-    Returns one exact solution (free variables pinned to zero) plus a
-    uniqueness flag; ``SolveResult(None, False)`` signals inconsistency.
-    """
-    n_rows = len(a)
-    if len(rhs) != n_rows:
-        raise DimensionMismatchError("rhs length != row count")
-    n_cols = len(a[0]) if n_rows else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(a)]
-    piv_cols: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(col)
-        r += 1
-    for i in range(r, n_rows):
-        if aug[i][n_cols] != 0:
-            return SolveResult(None, False)
-    x = [ZERO] * n_cols
-    for row_idx, col in enumerate(piv_cols):
-        x[col] = aug[row_idx][n_cols]
-    return SolveResult(tuple(x), unique=(len(piv_cols) == n_cols))
-
-
-def dual_basis(basis: Sequence[Vec]) -> list[Vec]:
-    """Vectors b_i* with <b_i, b_j*> = delta_ij, exactly.
-
-    Raises SingularBasisError when the input is not a basis.
-    """
-    d = len(basis)
-    if d == 0 or any(len(b) != d for b in basis):
-        raise SingularBasisError("need d vectors of length d")
-    duals = []
-    for i in range(d):
-        res = solve(tuple(basis), unit_vec(d, i))
-        if res.solution is None or not res.unique:
-            raise SingularBasisError("vectors are linearly dependent")
-        duals.append(res.solution)
-    return duals
 
 
 def affine_dim(points: Sequence[Vec], limit: int | None = None) -> int:

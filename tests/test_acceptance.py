@@ -26,7 +26,7 @@ from bsp.enumeration import (
 )
 from bsp.family import pair_from_product_matrix, product_matrix
 from bsp.lemmas import check_binom_bound, check_inequality2, check_lemma1, check_lemma2
-from bsp.linalg import rank, vec
+from bsp.linalg import rank
 from bsp.polytope import (
     POLYTOPE_KINDS,
     audit_conjecture_on_slacks,
@@ -38,6 +38,7 @@ from bsp.polytope import (
     reference_slack,
     verify_lemma3,
 )
+from reference import vec
 
 D4_MAXIMAL = {(5, 16), (6, 12), (7, 10), (8, 9), (9, 8), (10, 7), (12, 6), (16, 5)}
 

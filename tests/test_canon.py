@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from bsp import kernel
 from bsp.canon import canonical_from_key, canonical_key, has_key, rows_key, transpose
-from bsp.family import ProductMatrix, close_pair, matrix_rank, product_matrix
+from bsp.family import ProductMatrix, matrix_rank, product_matrix
 from bsp.family import VectorFamily
 from bsp.polytope import _MIN_DIM, POLYTOPE_KINDS, reference_slack
+from reference import close_pair
 
 
 def mat_from_bits(bits):
@@ -390,7 +391,8 @@ def explicit_pair_isomorphism(p1, p2, include_transpose=True):
     """
     import itertools
 
-    from bsp.linalg import rank, solve, vec
+    from bsp.linalg import rank
+    from reference import solve, vec
     from test_linalg import dot
 
     def try_orientation(p, q):
@@ -473,7 +475,8 @@ def rebase(pair, rng):
     import itertools
 
     from bsp.family import BspPair, VectorFamily
-    from bsp.linalg import rank, solve, vec
+    from bsp.linalg import rank
+    from reference import solve, vec
     from test_linalg import dot
 
     d = pair.dim

@@ -15,33 +15,30 @@ from bsp.constructions import construct_example
 from bsp.decomposition import (
     AuditItem,
     AuditReport,
-    CounterexampleFound,
     DecompositionError,
     _lemslice_ground,
     _opposite_free_subsets,
-    audit,
+    _Products,
     audit_pair,
     check_lemslice,
     choose_bd,
-    decompose,
-    normalize,
     tied_bd_choices,
 )
 from bsp.enumeration import enumerate_catalog
-from bsp.family import BspPair, VectorFamily, close_pair, pair_from_product_matrix
+from bsp.family import BspPair, VectorFamily, pair_from_product_matrix
 from bsp.linalg import (
     Vec,
     add,
     affine_dim,
-    dual_basis,
     independent_rows,
+    int_dot,
     int_rows,
     neg,
     rank,
-    solve,
     sub,
-    vec,
+    vec_over,
 )
+from reference import close_pair, cube_vertices, dual_basis, solve, vec
 from test_linalg import dot, scale, zero_vec
 
 # ---------------------------------------------------------------------------
@@ -142,7 +139,8 @@ def _ref_normalize(p, b_d):
 
 
 def _ref_decompose(p, b_d):
-    """Every field of :func:`decompose`, as plain Python values."""
+    """The normalized pair along b_d and every part of its decomposition,
+    as sets of Fraction vectors."""
     a_set, b_set, b_d, translated, flipped = _ref_normalize(p, b_d)
     a0, a1 = _ref_split(a_set, b_d)
     fibers = {}
@@ -176,8 +174,8 @@ def _ref_decompose(p, b_d):
 
 
 def _ref_audit(d: int, ref: dict) -> AuditReport:
-    """Every claim of :func:`audit` from the fields of :func:`_ref_decompose`,
-    each dimension by Fraction elimination."""
+    """Every claim of :func:`audit_pair` from the fields of
+    :func:`_ref_decompose`, each dimension by Fraction elimination."""
     na, nb, na0, na1, nb0, nb1, nbs, npi, ntau = (len(ref[k]) for k in (
         "family_a", "family_b", "a0", "a1", "b0", "b1", "b_star", "pi_b", "tau_pi_b"))
     u0 = ref["u0_dim"]
@@ -206,42 +204,57 @@ def _ref_audit(d: int, ref: dict) -> AuditReport:
     ))
 
 
-def _fields(dec):
-    n = dec.pair
-    out = {
-        "family_a": set(n.family_a.vectors), "family_b": set(n.family_b.vectors),
-        "b_d": n.b_d, "translated": n.translated, "flipped": n.flipped,
-        "u0_dim": dec.u0_dim, "max_fiber": dec.max_fiber,
+def _members(core: _Products, c) -> dict:
+    """The members of the pair normalized along the tied choice ``c`` of
+    ``core`` and of every part, as the reference states them.  A is read off the sorted rows of ``core``, shifted by
+    a* = min(A1) when the choice translates; the parts are the index
+    lists of ``normalize`` and ``split_b``, and the columns it carries
+    are the products of the normalized rows."""
+    n = core.normalize(c)
+    a_rows = core.a_rows
+    if n.translated:
+        a_rows = [sub(a, a_rows[c.a1[0]]) for a in a_rows]
+    assert n.cols == [[int_dot(a, b) for a in a_rows] for b in n.b_rows]
+    a = [vec_over(r, core.da) for r in a_rows]
+    b = [vec_over(r, core.db) for r in n.b_rows]
+    b_star, b0, b1 = core.split_b(n)
+    return {
+        "family_a": set(a), "family_b": set(b), "b_d": b[n.col],
+        "translated": n.translated, "flipped": n.flipped, "u0_dim": n.dims[0],
+        "a0": {a[i] for i in n.a0}, "a1": {a[i] for i in n.a1},
+        "b_star": {b[j] for j in b_star}, "b0": {b[j] for j in b0}, "b1": {b[j] for j in b1},
     }
-    for name in ("a0", "a1", "b_star", "b0", "b1", "pi_b", "tau_pi_b"):
-        out[name] = set(getattr(dec, name).vectors)
-    for name, value in out.items():
-        if isinstance(value, set):
-            assert all(type(c) is Fraction for v in value for c in v), name
-    return out
 
 
 def _assert_matches_reference(p) -> Counter:
-    """decompose equals the Fraction reference field by field, and
-    audit_pair equals both the audit of each decompose and the reference
-    audit claim by claim, for every tied b_d.  Counts the tied choices and
-    those whose normalization translates A or flips members of B."""
+    """For every tied b_d, the normalization and the parts of the count
+    path equal the Fraction reference member by member, and its audit
+    equals the reference audit claim by claim; audit_pair returns those
+    audits.  Counts the tied choices and those whose normalization
+    translates A or flips members of B."""
     tied = tied_bd_choices(p)
     assert tied == _ref_tied(p)
+    assert all(type(c) is Fraction for b_d in tied for c in b_d)
+    core = _Products(p)
+    choices = core.tied()
+    assert [core.b_d(c) for c in choices] == tied
     seen = Counter()
     audits = []
-    for b_d in tied:
-        assert all(type(c) is Fraction for c in b_d)
-        dec = decompose(p, b_d)
-        assert dec.b_d == dec.pair.b_d
+    for b_d, c in zip(tied, choices):
+        got = _members(core, c)
         ref = _ref_decompose(p, b_d)
-        assert _fields(dec) == ref, b_d
-        rep = audit(dec)
+        assert got == {k: ref[k] for k in got}, b_d
+        rep = core.audit(c)
         assert rep == _ref_audit(p.dim, ref), b_d
         audits.append((b_d, rep))
         seen.update(choices=1, translated=ref["translated"], flipped=ref["flipped"] > 0)
     assert audit_pair(p) == audits
     return seen
+
+
+def _choice(core: _Products, b_d: Vec):
+    """The tied choice of ``core`` along b_d."""
+    return next(c for c in core.tied() if core.b_d(c) == b_d)
 
 
 def cube_pair_d2():
@@ -274,9 +287,10 @@ def test_choose_bd_example3_d3_max_dim():
 
 def test_normalize_fixpoint():
     p = cube_pair_d2()
-    n = normalize(p, vec((1, 0)))
+    core = _Products(p)
+    n = core.normalize(_choice(core, vec((1, 0))))
     assert not n.translated and n.flipped == 0
-    assert n.family_a == p.family_a and n.family_b == p.family_b
+    assert n.b_rows == core.b_rows and n.cols == core.cols
 
 
 def test_normalize_translation_branch():
@@ -286,56 +300,58 @@ def test_normalize_translation_branch():
     p = close_pair(construct_example("example3", 3).family_b).transposed()
     b_d = vec((0, 1, 1))
     assert b_d in p.family_b.vectors
-    a0 = [a for a in p.family_a.vectors if sum(x * y for x, y in zip(a, b_d)) == 0]
-    a1 = [a for a in p.family_a.vectors if sum(x * y for x, y in zip(a, b_d)) == 1]
+    a0 = [a for a in p.family_a.vectors if dot(a, b_d) == 0]
+    a1 = [a for a in p.family_a.vectors if dot(a, b_d) == 1]
     assert len(a0) < len(a1)
-    n = normalize(p, b_d)
-    assert n.translated
-    assert n.b_d == vec((0, -1, -1))
-    # per-member products remain one-signed; the zero side dominates
-    na0 = [a for a in n.family_a.vectors if sum(x * y for x, y in zip(a, n.b_d)) == 0]
-    na1 = [a for a in n.family_a.vectors if sum(x * y for x, y in zip(a, n.b_d)) == 1]
-    assert len(na0) >= len(na1)
+    core = _Products(p)
+    c = _choice(core, b_d)
+    members = _members(core, c)
+    assert members["translated"]
+    assert members["b_d"] == vec((0, -1, -1))
+    # the normalized products with b_d split A into the new A0 and A1,
+    # and the zero side dominates
+    bd = members["b_d"]
+    assert {dot(a, bd) for a in members["a0"]} == {0}
+    assert {dot(a, bd) for a in members["a1"]} == {1}
+    assert len(members["a0"]) >= len(members["a1"])
     # the normalized structure still decomposes and passes the audit
-    dec = decompose(p, b_d)
-    assert audit(dec).all_pass
+    assert core.audit(c).all_pass
 
 
 def test_normalize_example4_keeps_binary_products():
     p = construct_example("example4", 3)
-    closed = close_pair(p.family_b)
-    for b_d in tied_bd_choices(closed):
-        n = normalize(closed, b_d)
-        prods = {
-            sum(u * v for u, v in zip(a, b))
-            for a in n.family_a.vectors
-            for b in n.family_b.vectors
-        }
+    core = _Products(close_pair(p.family_b))
+    for c in core.tied():
+        members = _members(core, c)
+        prods = {dot(a, b) for a in members["family_a"] for b in members["family_b"]}
         assert prods <= {0, 1}
 
 
 def test_decompose_cube_pair_spec_values():
-    dec = decompose(cube_pair_d2(), vec((1, 0)))
-    assert dec.a0 == VectorFamily.of(2, [(0, 0), (0, 1)])
-    assert dec.a1 == VectorFamily.of(2, [(1, 0), (1, 1)])
-    assert dec.b_star == VectorFamily.of(2, [(0, 1)])
-    assert dec.b1 == VectorFamily.of(2, [(0, 0), (1, 0)])
-    assert len(dec.b0) == 0
-    assert dec.u0_dim == 1
-    rep = audit(dec)
+    core = _Products(cube_pair_d2())
+    c = _choice(core, vec((1, 0)))
+    members = _members(core, c)
+    assert members["a0"] == {vec((0, 0)), vec((0, 1))}
+    assert members["a1"] == {vec((1, 0)), vec((1, 1))}
+    assert members["b_star"] == {vec((0, 1))}
+    assert members["b1"] == {vec((0, 0)), vec((1, 0))}
+    assert members["b0"] == set()
+    assert members["u0_dim"] == 1
+    rep = core.audit(c)
     assert rep.all_pass
     ineq0 = next(i for i in rep.items if i.name == "inequality0")
     assert ineq0.lhs == ineq0.rhs == 12  # tight on the cube pair
 
 
 def test_decompose_d1_spec_values():
-    dec = decompose(pair_d1())
-    assert dec.a0 == VectorFamily.of(1, [(0,)])
-    assert dec.a1 == VectorFamily.of(1, [(1,)])
-    assert len(dec.b_star) == 0
-    assert dec.b1 == VectorFamily.of(1, [(0,), (1,)])
-    rep = audit(dec)
-    by_name = {i.name: i for i in rep.items}
+    core = _Products(pair_d1())
+    c = core.tied()[0]
+    members = _members(core, c)
+    assert members["a0"] == {vec((0,))}
+    assert members["a1"] == {vec((1,))}
+    assert members["b_star"] == set()
+    assert members["b1"] == {vec((0,)), vec((1,))}
+    by_name = {i.name: i for i in core.audit(c).items}
     assert (by_name["claim5-side1"].lhs, by_name["claim5-side1"].rhs) == (2, 2)
     assert (
         by_name["eq8-side0-strengthened"].lhs,
@@ -351,22 +367,17 @@ def test_decompose_example3_claim3():
 
 
 def test_partition_identity_on_catalogs():
-    from bsp.enumeration import enumerate_catalog
-    from bsp.family import pair_from_product_matrix
-
     for d in (2, 3):
         for cls in enumerate_catalog(d).classes:
-            pair = pair_from_product_matrix(cls.matrix, d)
-            for b_d in tied_bd_choices(pair):
-                dec = decompose(pair, b_d)
-                assert dec.max_fiber <= 2
-                assert len(dec.pair.family_b) == 2 * len(dec.pi_b) - len(dec.b_star)
+            core = _Products(pair_from_product_matrix(cls.matrix, d))
+            for c in core.tied():
+                n = core.normalize(c)
+                b_star, _, _ = core.split_b(n)
+                assert max(len(v) for v in n.fibers.values()) <= 2
+                assert len(n.b_rows) == 2 * len(n.fibers) - len(b_star)
 
 
 def test_audit_all_catalog_entries_d_le_4():
-    from bsp.enumeration import enumerate_catalog
-    from bsp.family import pair_from_product_matrix
-
     for d in (1, 2, 3, 4):
         for cls in enumerate_catalog(d).classes:
             pair = pair_from_product_matrix(cls.matrix, d)
@@ -375,16 +386,14 @@ def test_audit_all_catalog_entries_d_le_4():
                     assert rep.all_pass
 
 
-def test_decompose_rejects_foreign_bd():
-    with pytest.raises(DecompositionError):
-        normalize(cube_pair_d2(), vec((7, 7)))
-
-
 def test_decompose_rejects_zero_bd_and_non_binary_products():
+    # unvalidated: the one tied b_d = e2 has product 0 with all of A
+    orthogonal = BspPair(2, VectorFamily.of(2, [(0, 0), (1, 0)]),
+                         VectorFamily.of(2, [(1, 0), (0, 1)]))
     with pytest.raises(DecompositionError, match="orthogonal"):
-        decompose(cube_pair_d2(), vec((0, 0)))
+        audit_pair(orthogonal)
     two = BspPair(2, VectorFamily.of(2, [(0, 0), (2, 0), (0, 1)]), cube_pair_d2().family_b)
-    for run in (audit_pair, tied_bd_choices, lambda p: decompose(p, vec((0, 1)))):
+    for run in (audit_pair, tied_bd_choices, choose_bd):
         with pytest.raises(DecompositionError, match="product 2 "):
             run(two)
 
@@ -393,14 +402,13 @@ def test_degenerate_pairs_raise_decomposition_error():
     # a valid pair whose tied b_d = e1 has product 1 with all of A, so
     # normalization would translate A1 away: refused before any choice
     p = BspPair.of(2, [(1, 0), (1, 1)], [(1, 0), (1, -1)])
-    for run in (audit_pair, tied_bd_choices, choose_bd, decompose,
-                lambda p: normalize(p, vec((1, 0)))):
+    for run in (audit_pair, tied_bd_choices, choose_bd):
         with pytest.raises(DecompositionError, match="product 1 with every member of A"):
             run(p)
     a = cube_pair_d2().family_a
     for b in ([], [(0, 0)]):
         no_bd = BspPair(2, a, VectorFamily.of(2, b))
-        for run in (audit_pair, tied_bd_choices, choose_bd, decompose):
+        for run in (audit_pair, tied_bd_choices, choose_bd):
             with pytest.raises(DecompositionError, match="no nonzero member"):
                 run(no_bd)
 
@@ -428,8 +436,6 @@ def test_lemslice_generator_matches_the_mask_filter():
 
 
 def test_lemslice_cube_is_tight():
-    from bsp.family import cube_vertices
-
     for d in (1, 2, 3, 4):
         x = cube_vertices(d)
         assert len(x) == 1 << affine_dim(x) == 1 << d
@@ -541,28 +547,22 @@ def test_audit_pair_builds_fractions_only_for_the_returned_bd(monkeypatch):
 
 
 def test_audit_pair_builds_no_family_and_no_inverse(monkeypatch):
-    """audit_pair reads its counts off the product matrix: no member
-    family and no Gram inverse per tied choice, which decompose builds."""
+    """audit_pair reads its counts off the product matrix: it builds no
+    member family per tied choice, and the module has no inverse to
+    take."""
     pairs = [q for p in _catalog_pairs(4) if p.dim == 4 for q in (p, p.transposed())]
     calls = Counter()
     from_rows = VectorFamily.from_rows.__func__
-    greedy_inverse = bsp.decomposition.greedy_inverse
 
     def counting_from_rows(cls, *args):
         calls["from_rows"] += 1
         return from_rows(cls, *args)
 
-    def counting_greedy_inverse(*args):
-        calls["greedy_inverse"] += 1
-        return greedy_inverse(*args)
-
     monkeypatch.setattr(VectorFamily, "from_rows", classmethod(counting_from_rows))
-    monkeypatch.setattr(bsp.decomposition, "greedy_inverse", counting_greedy_inverse)
     for pair in pairs:
         assert audit_pair(pair)
         assert not calls, pair.sizes()
-    decompose(pairs[0])
-    assert calls == {"from_rows": 9, "greedy_inverse": 1}
+    assert not hasattr(bsp.decomposition, "greedy_inverse")
 
 
 def test_audit_catalog_d4_output_is_pinned(tmp_path, capsys):

@@ -14,16 +14,13 @@ from bsp.family import (
     VectorFamily,
     a_max,
     b_max,
-    close_pair,
     closure,
-    cube_vertices,
-    family_from_masks,
     is_closed_pair,
     pair_from_product_matrix,
     product_matrix,
     verify_binary_products,
 )
-from bsp.linalg import unit_vec, vec
+from reference import close_pair, cube_vertices, family_from_masks, unit_vec
 from test_linalg import zero_vec
 
 
@@ -269,7 +266,6 @@ def test_a_max_contains_standard_basis_for_cube_subfamilies():
     # with B, so a_max(B) must contain 0 and the standard basis
     import random
 
-    from bsp.linalg import unit_vec
 
     rng = random.Random(3)
     for d in (2, 3, 4):

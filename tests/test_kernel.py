@@ -15,8 +15,9 @@ import pytest
 import bsp
 from bsp import enumeration, kernel
 from bsp.canon import has_key, rows_key, transpose
-from bsp.family import a_max, closure, family_from_masks
+from bsp.family import a_max, closure
 from bsp.linalg import independent_rows
+from reference import family_from_masks
 from test_enumeration import D4_SHA256
 from test_linalg import cofactor_matrix, det
 from test_polytope import brute_force_facets

@@ -10,17 +10,13 @@ from bsp.linalg import (
     affine_dim,
     coord,
     coords,
-    dual_basis,
     greedy_inverse,
     independent_rows,
     int_field,
     int_rows,
     rank,
-    rat,
-    solve,
-    unit_vec,
-    vec,
 )
+from reference import dual_basis, rat, solve, unit_vec, vec
 
 
 # Fraction vector helpers for test inputs and reference values; other test

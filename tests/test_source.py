@@ -50,3 +50,14 @@ def test_importing_the_cli_loads_no_process_pool_module():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_public_name_resolves():
+    """Every name in ``bsp.__all__`` is bound on the package, so ``from
+    bsp import *``, which looks each one up, succeeds in a fresh process."""
+    assert [name for name in bsp.__all__ if not hasattr(bsp, name)] == []
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    subprocess.run(
+        [sys.executable, "-c", "from bsp import *"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, check=True,
+    )
