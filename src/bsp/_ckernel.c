@@ -1,11 +1,13 @@
 /*
- * C kernel: the closure of bsp._kernel_py on 64-bit bitsets, d <= 6, and
- * its Close-by-One walk of an enumeration branch.
+ * C kernel: the Close-by-One walk of an enumeration branch of
+ * bsp._kernel_py, and the closure it runs, on 64-bit bitsets, d <= 6.
+ * bsp_enum_branch is the one function it exports; everything else is
+ * static.
  *
  * Plain C99 with no Python API.  bsp/_kernel_c.py loads the compiled
  * library through ctypes, checks every argument before it gets here, and
- * turns the results into the values bsp._kernel_py returns.  Callers own
- * every output buffer.
+ * turns the results into the values bsp._kernel_py returns.  The caller
+ * owns every output buffer.
  *
  * The design is the one described in the docstring of bsp/_kernel_py.py:
  * a set is closed on its greedy basis B, with the matrix M (B and the
@@ -274,14 +276,6 @@ static uint64_t *table_get(table_t *t, const uint64_t *key, int len)
 }
 
 /* ---- exported ---------------------------------------------------- */
-
-/* rows: 64 words; returns the row count and sets *n. */
-int bsp_pair_rows(int d, uint64_t closed, uint64_t *rows, int *n)
-{
-    closure_t c;
-    close_set(d, closed, &c);
-    return rows_of(d, closed, &c, rows, n);
-}
 
 /*
  * Closed sets whose pattern on the cube points 1..top_count is p_index,

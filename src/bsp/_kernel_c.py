@@ -1,22 +1,21 @@
-"""C kernel: :func:`pair_rows` and :func:`enum_branch` of
-:mod:`bsp._kernel_py`, run by the compiled ``_ckernel.c``; every other
-function is the twin's own.
+"""C kernel: :func:`enum_branch` of :mod:`bsp._kernel_py`, run by the
+compiled ``_ckernel.c``; every other function is the twin's own.
 
 The library is built next to this module by ``setup.py`` (``pip install
 -e .`` or ``python setup.py build_ext --inplace``); when it is not there,
 importing this module raises ImportError and :mod:`bsp.kernel` falls back
 to the pure-Python twin.  Nothing is compiled at import time.
 
-Both C functions return exactly what their twins return, and check their
-arguments with the twin's ``check_*`` functions before ctypes could
-silently wrap a negative or oversized integer: a dimension outside 1..6,
-a bitset outside [0, 2^(2^d)) or a branch outside the valid range raises
-ValueError in both kernels.  :func:`enum_branch` is the twin's
-Close-by-One walk in one C call, which hands its table of heuristic forms
-over through a callback each time it fills.  The twin's
-:func:`closure_and_rank`, :func:`next_closed` and :func:`heuristic_form`
-run only outside the hot loops (oracles and tests), and
-the exact double description of ``facet_scan`` needs unbounded integers.
+:func:`enum_branch` returns exactly what its twin returns, and checks its
+arguments with the twin's ``check_branch`` before ctypes could silently
+wrap a negative or oversized integer: a dimension outside 1..6 or a
+branch outside the valid range raises ValueError in both kernels.  It is
+the twin's Close-by-One walk in one C call, which hands its table of
+heuristic forms over through a callback each time it fills.  The twin's
+:func:`pair_rows`, :func:`closure_and_rank`, :func:`next_closed` and
+:func:`heuristic_form` run only outside the hot loops (setup, oracles and
+tests), and the exact double description of ``facet_scan`` needs
+unbounded integers.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 from . import _kernel_py
-from ._kernel_py import check_branch, check_set
+from ._kernel_py import check_branch
 
 _LIBRARY = next(
     (path for path in (Path(__file__).with_name("_ckernel" + s) for s in EXTENSION_SUFFIXES)
@@ -49,18 +48,9 @@ try:
     _lib = ctypes.CDLL(str(_LIBRARY))
 except OSError as exc:  # not a loadable library, e.g. built for another platform
     raise ImportError(f"cannot load the C kernel {_LIBRARY}: {exc}") from exc
-_lib.bsp_pair_rows.argtypes = (_int, _u64, ctypes.POINTER(_u64), ctypes.POINTER(_int))
-_lib.bsp_pair_rows.restype = _int
 _lib.bsp_enum_branch.argtypes = (_int, _int, _u64, ctypes.POINTER(_u64), ctypes.POINTER(_u64),
                                  ctypes.POINTER(ctypes.c_int32), _int, _FLUSH)
 _lib.bsp_enum_branch.restype = None
-
-
-def pair_rows(d: int, closed: int) -> tuple[list[int], int]:
-    check_set(d, closed)
-    rows, n = (_u64 * 64)(), _int()
-    m = _lib.bsp_pair_rows(d, closed, rows, ctypes.byref(n))
-    return rows[:m], n.value
 
 
 def _form_bytes(head: int, packed) -> bytes:
@@ -106,6 +96,7 @@ def enum_branch(d: int, top_count: int, p_index: int):
     return counts[0], counts[1], sorted(out.items())
 
 
+pair_rows = _kernel_py.pair_rows
 closure_and_rank = _kernel_py.closure_and_rank
 next_closed = _kernel_py.next_closed
 heuristic_form = _kernel_py.heuristic_form

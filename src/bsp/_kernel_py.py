@@ -2,11 +2,11 @@
 
 This module is the reference twin of the C kernel (``_ckernel.c``, loaded
 by :mod:`bsp._kernel_c`), and the active one is chosen in
-:mod:`bsp.kernel`.  The C kernel runs :func:`pair_rows` and
-:func:`enum_branch`, with identical outputs, and re-exports every other
-function from here: the exact double description of :func:`facet_scan`
-needs unbounded integers, and the others run only outside the hot loops
-(checkpoint reads, oracles and tests).
+:mod:`bsp.kernel`.  The C kernel runs :func:`enum_branch`, with
+identical outputs, and re-exports every other function from here: the
+exact double description of :func:`facet_scan` needs unbounded integers,
+and the others run only outside the hot loops (setup, oracles and
+tests).
 
 Everything here works on bit-packed data.  A subset of the 0/1 cube in
 dimension d is an integer whose bit y is the cube point with coordinate

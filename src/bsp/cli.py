@@ -22,6 +22,7 @@ from .enumeration import (
     Catalog,
     enumerate_catalog,
     parse_reference_csv,
+    size_csv,
     stats,
     verify_against_reference,
 )
@@ -96,8 +97,7 @@ def cmd_stats(args) -> int:
     if args.csv:
         _write(args.csv, s.to_csv())
     if args.maximal_csv:
-        lines = ["size_a,size_b"] + [f"{m},{n}" for m, n in s.maximal_pairs]
-        _write(args.maximal_csv, "\n".join(lines) + "\n")
+        _write(args.maximal_csv, size_csv(s.maximal_pairs))
     if args.svg:
         _write(args.svg, size_scatter_svg(s.fig_size_points(), s.d))
     if args.min_product_svg:

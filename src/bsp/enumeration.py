@@ -21,7 +21,8 @@ found in the group certifies it (:func:`bsp.canon.has_key`): one search
 per class.
 With several workers this keying overlaps the children's walk.  The
 checkpoint logs the keys of the classes each branch added; a key
-validates itself, so a resume needs no form.
+validates itself (:func:`_checked_class`, the check each catalog line
+passes), so a resume needs no form.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .family import (
     is_closed_pair,
     matrix_rank,
     pair_from_product_matrix,
-    product_matrix,
 )
 from .linalg import dim_field, int_field
 
@@ -78,6 +78,30 @@ class CatalogClass:
 
     def key_hex(self) -> str:
         return self.key.hex()
+
+
+def _checked_class(mat: ProductMatrix, key: bytes, d: int) -> CatalogClass:
+    """The class of a closed pair in dimension ``d`` that ``mat``, under
+    ``key``, stands for, the one check that a catalog line and a logged
+    checkpoint key pass.  Raises ValueError unless 1 <= d <= MAX_DIM
+    (checked first, as the closed-pair test takes 2^d subset sums per
+    side), ``mat`` has rank d, a pair realizes it with one member per row
+    and per column (so its rows are distinct, and so are its columns),
+    that pair is closed (so both sides hold 0, and the matrix has a zero
+    row and a zero column), and ``key`` is the matrix's canonical key up
+    to transpose.  Calls no kernel function."""
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"d = {d} is outside [1, {MAX_DIM}]")
+    if mat.rank_d != d:
+        raise ValueError(f"matrix rank {mat.rank_d} != d = {d}")
+    pair = pair_from_product_matrix(mat, d)
+    if pair.sizes() != (mat.m, mat.n):
+        raise ValueError("a row or a column of the matrix repeats")
+    if not is_closed_pair(pair):
+        raise ValueError(f"the matrix is not a closed pair's at d = {d}")
+    if canonical_key(mat, include_transpose=True) != key:
+        raise ValueError(f"key {key.hex()} is not its matrix's")
+    return CatalogClass(mat, key)
 
 
 @dataclass(frozen=True)
@@ -120,11 +144,9 @@ class Catalog:
     @classmethod
     def from_jsonl(cls, text: str) -> "Catalog":
         """The catalog in ``text``.  Raises MalformedInputError, before any
-        verdict is drawn from it, unless every line has the catalog's d,
-        a matrix of rank d with distinct rows, distinct columns, a zero
-        row and a zero column (both families hold 0 and span, so a
-        product matrix has all four) and that matrix's canonical key up
-        to transpose, and no key repeats."""
+        verdict is drawn from it, unless every line has the catalog's d
+        and passes :func:`_checked_class`, the check a checkpoint's keys
+        pass, and no key repeats."""
         classes = {}
         d = None
         for line in text.splitlines():
@@ -138,18 +160,10 @@ class Catalog:
             d = line_d if d is None else d
             if line_d != d:
                 raise MalformedInputError(f"catalog line: d = {line_d} after d = {d}")
-            if mat.rank_d != d:
-                raise MalformedInputError(f"catalog line: matrix rank {mat.rank_d} != d = {d}")
-            for name, bits in (("row", mat.bits), ("column", mat.column_bits())):
-                if len(set(bits)) != len(bits):
-                    raise MalformedInputError(f"catalog line: a {name} of the matrix repeats")
-                if all("1" in x for x in bits):
-                    raise MalformedInputError(f"catalog line: the matrix has no zero {name}")
-            if canonical_key(mat, include_transpose=True) != key:
-                raise MalformedInputError(f"catalog line: key {key.hex()} is not its matrix's")
             if key in classes:
                 raise MalformedInputError(f"catalog line: key {key.hex()} repeats")
-            classes[key] = CatalogClass(mat, key)
+            with parsing("catalog line"):
+                classes[key] = _checked_class(mat, key, d)
         if d is None:
             raise MalformedInputError("empty catalog")
         return cls(d, tuple(classes[k] for k in sorted(classes)), complete=True)
@@ -324,33 +338,15 @@ def _checkpoint_fields(line: str, names: tuple[str, ...]) -> list:
     return [obj[name] for name in names]
 
 
-def _logged_class(key_hex: str, d: int) -> CatalogClass:
-    """The class of a logged key, which validates itself: the key's
-    matrix has rank d, a pair realizes it, that pair is closed, and the
-    pair's own product matrix keys back to the key.  Else
-    CheckpointCorruptError, or ValueError when the matrix's rank is not d
-    or no pair realizes it or the key's bytes do not hold its shape.
-    Calls no kernel function."""
-    key = bytes.fromhex(key_hex)
-    # the key packs every entry of a shape that can hold rank d >= 1, so
-    # the matrix it decodes has no more entries than the key has bits
-    dec = canonical_from_key(key, d)
-    mat = ProductMatrix(dec.m, dec.n, dec.bits, matrix_rank(dec.bits))
-    pair = pair_from_product_matrix(mat, d)
-    if is_closed_pair(pair) and canonical_key(product_matrix(pair), include_transpose=True) == key:
-        return CatalogClass(mat, key)
-    raise CheckpointCorruptError(f"key {key_hex} is not the key of a closed pair at d = {d}")
-
-
 def _checkpoint_resume(path: str, d: int, top_count: int) -> tuple[set[int], list[CatalogClass]]:
     """The branches done and the classes found, as the log at ``path``
-    records them, each logged key validated by :func:`_logged_class` (at
-    most one per class, so a d=5 log holds at most 213).  A last line with
-    no newline, torn by a kill, is dropped and cut off the file, so its
-    branch runs again; a missing or foreign header, any other bad line, a
-    branch out of range or logged twice, a key logged twice or a key that
-    does not validate raises CheckpointCorruptError and leaves the file as
-    it was."""
+    records them, each logged key validated by :func:`_checked_class` on
+    the matrix it decodes to (at most one per class, so a d=5 log holds at
+    most 213).  A last line with no newline, torn by a kill, is dropped
+    and cut off the file, so its branch runs again; a missing or foreign
+    header, any other bad line, a branch out of range or logged twice, a
+    key logged twice or a key that does not validate raises
+    CheckpointCorruptError and leaves the file as it was."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -370,10 +366,14 @@ def _checkpoint_resume(path: str, d: int, top_count: int) -> tuple[set[int], lis
                 raise CheckpointCorruptError(f"branch {p_index} is out of range or logged twice")
             done.add(p_index)
             for key_hex in keys:
-                c = _logged_class(key_hex, d)
-                if c.key in classes:
+                key = bytes.fromhex(key_hex)
+                if key in classes:
                     raise CheckpointCorruptError(f"key {key_hex} is logged twice")
-                classes[c.key] = c
+                # the key packs every entry of a shape that can hold rank d >= 1,
+                # so the matrix it decodes has no more entries than the key has bits
+                dec = canonical_from_key(key, d)
+                mat = ProductMatrix(dec.m, dec.n, dec.bits, matrix_rank(dec.bits))
+                classes[key] = _checked_class(mat, key, d)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointCorruptError(str(exc)) from exc
     if end < len(data):
@@ -616,9 +616,13 @@ class SizeStats:
         return sorted({(min(m, n), m * n) for m, n in self.achievable})
 
     def to_csv(self) -> str:
-        lines = ["size_a,size_b"]
-        lines += [f"{m},{n}" for m, n in self.fig_size_points()]
-        return "\n".join(lines) + "\n"
+        return size_csv(self.fig_size_points())
+
+
+def size_csv(pairs) -> str:
+    """The ``size_a,size_b`` CSV of (|A|, |B|) pairs, one row each in the
+    order given, which :func:`parse_reference_csv` reads back."""
+    return "size_a,size_b\n" + "".join(f"{m},{n}\n" for m, n in pairs)
 
 
 def stats(catalog: Catalog) -> SizeStats:

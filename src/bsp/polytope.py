@@ -17,6 +17,7 @@ from math import lcm
 from typing import Sequence
 
 from . import kernel
+from .bounds import check_conjecture1
 from .canon import canonical_key  # noqa: F401  (perfbench's tracer self-test looks it up here)
 from .errors import (
     BadParameterError,
@@ -414,8 +415,6 @@ def audit_conjecture_on_slacks(
     the slack's own dimension: a d-polytope's slack matrix has rank d + 1.
     MalformedSlackError on a slack of rank below 2, and, when ``d`` is
     given, on one of another dimension."""
-    from .bounds import check_conjecture1
-
     out = []
     for label, slack in slacks:
         m, b = slack_pair_sizes(slack)

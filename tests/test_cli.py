@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from bsp import kernel
+from bsp import enumeration, kernel
 from bsp.canon import canonical_key
 from bsp.cli import main
 from bsp.enumeration import enumerate_catalog
@@ -182,12 +182,31 @@ def _with_last_class_changed(change):
     return tamper
 
 
+def _with_class(bits: list[str]):
+    """The catalog and a class with the matrix ``bits``, under its own key."""
+    def tamper(jsonl: str) -> str:
+        d = json.loads(jsonl.splitlines()[0])["d"]
+        return jsonl + _catalog_line(d, bits)
+    return tamper
+
+
+def _catalog_line(d: int, bits: list[str]) -> str:
+    """A catalog line of dimension ``d`` for the matrix ``bits``, under its
+    own key (computed at rank d)."""
+    mat = ProductMatrix(len(bits), len(bits[0]), tuple(bits), d)
+    return json.dumps({"d": d, "size_a": mat.m, "size_b": mat.n, "matrix": bits,
+                       "key": canonical_key(mat, include_transpose=True).hex()}) + "\n"
+
+
 TAMPERED_CATALOGS = {"random-class": _with_random_class,
                      "other-key": _with_first_class_again("ff" * 12),
                      "repeated-key": _with_first_class_again(None),
                      "repeated-rows": _with_last_class_changed(lambda rows: rows + rows[1:3]),
                      "no-zero-row": _with_last_class_changed(
-                         lambda rows: [r for r in rows if "1" in r])}
+                         lambda rows: [r for r in rows if "1" in r]),
+                     # A = B = {0, e1, e2, e3}: rank 3, a zero row and column, distinct
+                     # rows and columns, but A_max(B) also holds e1 + e2 and more
+                     "not-closed": _with_class(["0000", "0100", "0010", "0001"])}
 CATALOG_COMMANDS = {"conjecture": ["conjecture", "--catalog"], "stats": ["stats"],
                     "audit": ["audit"]}
 # the 1 x 1 zero matrix with its own key: a d=0 catalog line, which stats and
@@ -254,6 +273,24 @@ def test_malformed_input_file_is_exit_1(tmp_path, capsys, argv, text, error):
     code, out, err = run(argv + [str(f)], capsys)
     assert code == 1 and out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == error
+
+
+@pytest.mark.parametrize("cmd", CATALOG_COMMANDS)
+def test_a_d40_catalog_is_refused_before_any_closure(tmp_path, capsys, monkeypatch, cmd):
+    """One d=40 line, a zero row and a zero column around the 40 x 40
+    identity under its own key, is refused with exit 1 for its d alone:
+    the closed-pair test of its pair, A = B = {0, e1, ..., e40}, would take
+    2^40 subset sums per side, and it never starts."""
+    def no_closure(pair):
+        raise AssertionError("the closed-pair test ran at d = 40")
+
+    monkeypatch.setattr(enumeration, "is_closed_pair", no_closure)
+    ident = ["0" * (i + 1) + "1" + "0" * (39 - i) for i in range(40)]
+    f = tmp_path / "cat40.jsonl"
+    f.write_text(_catalog_line(40, ["0" * 41, *ident]))
+    code, out, err = run(CATALOG_COMMANDS[cmd] + [str(f)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "MalformedInputError"
 
 
 def test_audit_command(tmp_path, capsys):

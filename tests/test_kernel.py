@@ -89,22 +89,12 @@ def _random_set(rng, d):
     return sset
 
 
-def _assert_agree(kc, d, sset):
-    closed = kp.closure_and_rank(d, sset)[0]
-    assert kc.pair_rows(d, closed) == kp.pair_rows(d, closed)
-
-
-def test_backends_agree_exhaustively_small_d(kc):
-    for d in (1, 2, 3):
-        for s in range(1 << ((1 << d) - 1)):
-            _assert_agree(kc, d, s << 1)
-
-
-def test_backends_agree_on_random_d4_d5(kc):
-    rng = random.Random(2)
-    for d in (4, 5):
-        for _ in range(150):
-            _assert_agree(kc, d, _random_set(rng, d))
+def test_c_kernel_takes_all_but_enum_branch_from_the_twin(kc):
+    """The compiled library runs the branch walk alone; the shim binds
+    every other kernel function, ``pair_rows`` included, to the twin's."""
+    for name in ("closure_and_rank", "pair_rows", "next_closed", "heuristic_form", "facet_scan"):
+        assert getattr(kc, name) is getattr(kp, name), name
+    assert kc.enum_branch is not kp.enum_branch
 
 
 @pytest.mark.parametrize("records", [512, 2])
@@ -143,7 +133,7 @@ def test_enum_branch_raises_what_its_callback_raised(kc, monkeypatch, records):
 
 def test_catalogs_identical_across_backends(kc, monkeypatch):
     expected = {d: enumeration.enumerate_catalog(d).to_jsonl() for d in (1, 2, 3, 4)}
-    for name in ("closure_and_rank", "pair_rows", "heuristic_form", "enum_branch"):
+    for name in ("closure_and_rank", "heuristic_form", "enum_branch"):
         monkeypatch.setattr(kernel, name, getattr(kc, name))
     for d, text in expected.items():
         assert enumeration.enumerate_catalog(d).to_jsonl() == text
@@ -162,7 +152,7 @@ def test_python_kernel_caches_cleared_when_full(monkeypatch):
     for cache in kp.CACHES.values():
         cache.clear()
     monkeypatch.setattr(kp, "_MAX_CACHED_BASES", 2)
-    for name in ("closure_and_rank", "pair_rows", "heuristic_form"):
+    for name in ("closure_and_rank", "heuristic_form"):
         monkeypatch.setattr(kernel, name, getattr(kp, name))
     monkeypatch.setattr(kernel, "enum_branch", recording_enum_branch)
     text = enumeration.enumerate_catalog(4, workers=1).to_jsonl()
@@ -242,7 +232,7 @@ def test_python_basis_tables_match_adjugate_oracle(monkeypatch, cap):
         return remember(cache, key, value)
 
     monkeypatch.setattr(kp, "_remember", recording_remember)
-    for name in ("closure_and_rank", "pair_rows", "heuristic_form", "enum_branch"):
+    for name in ("closure_and_rank", "heuristic_form", "enum_branch"):
         monkeypatch.setattr(kernel, name, getattr(kp, name))
     enumeration.enumerate_catalog(4, workers=1)
     rng = random.Random(31)
@@ -523,13 +513,3 @@ def test_facet_scan_backends_agree(kc, dim, coords):
         expected = brute_force_facets(dim, pts)
         assert kp.facet_scan(dim, pts) == expected
         assert kc.facet_scan(dim, pts) == expected
-
-
-def test_backends_agree_at_d6_spot_checks(kc):
-    rng = random.Random(8)
-    for _ in range(10):
-        sset = 0
-        for m in rng.sample(range(1, 64), rng.randint(6, 40)):
-            sset |= 1 << m
-        closed = kp.closure_and_rank(6, sset)[0]
-        assert kc.pair_rows(6, closed) == kp.pair_rows(6, closed)

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +62,14 @@ def test_every_public_name_resolves():
         [sys.executable, "-c", "from bsp import *"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, check=True,
     )
+
+
+def test_the_c_kernel_exports_only_the_branch_walk():
+    """``_ckernel.c`` defines one function that is not static, the walk
+    that ``_kernel_c`` loads; the shim takes every other kernel function,
+    ``pair_rows`` included, from the twin (checked on the compiled shim in
+    test_kernel)."""
+    text = (SRC / "_ckernel.c").read_text()
+    defined = re.findall(r"^(static )?[A-Za-z_][\w *]*?\b(\w+)\(", text, re.M)
+    assert ("static ", "close_set") in defined and ("static ", "rows_of") in defined
+    assert [name for static, name in defined if not static] == ["bsp_enum_branch"]
